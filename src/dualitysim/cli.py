@@ -48,7 +48,6 @@ from .protocols import (
     ProtocolConfig,
     RecordingRule,
     RunResult,
-    SwitchController,
     SwitchStage,
     SwitchStrategy,
     config_to_json_dict,
@@ -145,7 +144,6 @@ _OPTICS_KEYS = {
     "slit_separation_m",
     "slit_screen_distance_m",
     "screen_halfwidth_m",
-    "intensity_scale",
     "envelope_enabled",
     "slit_width_m",
 }
@@ -168,7 +166,6 @@ _RUN_KEYS = {
     "pairing_mode",
     "erasure_delay_s",
     "switch_stage",
-    "switch_controller",
     "strategy",
     "outcome_hypothesis",
     "noise_threshold",
@@ -183,7 +180,7 @@ def _parse_optics(obj: Any, path: str) -> OpticsConfig:
     data = _expect_mapping(obj, path)
     _reject_unknown(data, _OPTICS_KEYS, path)
     kwargs = {}
-    for key in ("wavelength_m", "slit_separation_m", "slit_screen_distance_m", "screen_halfwidth_m", "intensity_scale", "slit_width_m"):
+    for key in ("wavelength_m", "slit_separation_m", "slit_screen_distance_m", "screen_halfwidth_m", "slit_width_m"):
         if key in data and data[key] is not None:
             kwargs[key] = _float_value(data[key], f"{path}.{key}")
     if "envelope_enabled" in data and data["envelope_enabled"] is not None:
@@ -268,7 +265,6 @@ def _parse_run(obj: Any, index: int) -> ManifestRun:
         "variant": DetectNoRecordVariant,
         "pairing_mode": PairingMode,
         "switch_stage": SwitchStage,
-        "switch_controller": SwitchController,
         "outcome_hypothesis": OutcomeHypothesis,
         "recording_rule": RecordingRule,
     }

@@ -44,8 +44,6 @@ _ENVELOPE_GRID_NODES = 32769
 class OpticsConfig:
     """Bench geometry and pattern options. Lengths in meters.
 
-    ``intensity_scale`` only scales displayed intensities; the probability
-    densities themselves always integrate to one over the window.
     ``slit_width_m`` is used by the optional diffraction envelope and defaults
     to a quarter of the slit separation.
     """
@@ -54,7 +52,6 @@ class OpticsConfig:
     slit_separation_m: float = 1e-3
     slit_screen_distance_m: float = 1.0
     screen_halfwidth_m: float = 0.35e-3
-    intensity_scale: float = 1.0
     envelope_enabled: bool = False
     slit_width_m: float | None = None
 
@@ -64,7 +61,6 @@ class OpticsConfig:
             "slit_separation_m",
             "slit_screen_distance_m",
             "screen_halfwidth_m",
-            "intensity_scale",
         ):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -327,7 +323,15 @@ class PatternDistribution:
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(arr.shape)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
+        """Inverse-CDF sampling; deterministic given the generator stream."""
         return self.ppf(rng.random(size))
+
+    def mass(self, region: IntervalSet) -> float:
+        """Probability that an impact lands in ``region``."""
+        if not region:
+            return 0.0
+        arr = np.asarray(region.intervals, dtype=float)
+        return float(np.sum(self.cdf(arr[:, 1]) - self.cdf(arr[:, 0])))
 
 
 # -- module-level operation surface ------------------------------------------
@@ -341,15 +345,6 @@ def wave_density(x, cfg: OpticsConfig, phase_offset_rad: float = 0.0):
 def particle_density(x, cfg: OpticsConfig):
     """Normalized structureless density: uniform, or the enveloped two-slit sum."""
     return PatternDistribution(PatternKind.PARTICLE, cfg).density(x)
-
-
-def pattern_cdf(dist: PatternDistribution, x):
-    return dist.cdf(x)
-
-
-def sample_impact(dist: PatternDistribution, rng: np.random.Generator, size=None):
-    """Inverse-CDF sampling; deterministic given the generator stream."""
-    return dist.sample(rng, size)
 
 
 def fringe_aligned_edges(

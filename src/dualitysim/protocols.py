@@ -7,6 +7,29 @@ identical event logs, digests, and reports. Pair i is created at
 ``t = i * 1.5 * delta_t_s`` (one pair in flight per interval), the signal
 impact is at creation (transit treated as zero), and the idler resolves a
 fixed ``delta_t_s`` later.
+
+One pipeline renders every run: (1) record each pair's which-way fate in the
+event log; (2) observation time: the impact under ``AT_T0``, else
+``delta_t_s`` after the fate resolves; (3) availability query at that time
+(at the impact under the impact-time horizon); (4) law per group: the
+structureless law where which-way is available, else the interference law at
+the pair's fringe phase; (5) ``ppf`` of the pair's ``u_x``; (6) assemble:
+classify the subsets and the pooled screen, digest the log. Switch stage d
+and perishable media fix the law from an interval rule instead (steps 3-4)
+and record after sampling.
+
+=====================  ==========================================
+protocol               draw order
+=====================  ==========================================
+double_slit            u_slit, u_x
+delayed_choice         u_slit, u_choice, u_x
+quantum_eraser         u_slit, u_route, u_port, u_x
+detect_no_record       u_slit[, u_route, u_port], u_x
+macroscopic_erasure    u_slit, destruction draw, u_x
+predictor              u_slit, u_record, u_x
+switch_experiment      u_slit, u_component (stage d only), u_x
+perishable_media       u_slit, u_component, u_x
+=====================  ==========================================
 """
 
 from __future__ import annotations
@@ -88,11 +111,6 @@ class OutcomeHypothesis(Enum):
     II = "ii"
     III = "iii"
     IV = "iv"
-
-
-class SwitchController(Enum):
-    EXPERIMENTER = "experimenter"
-    MICROPROCESSOR = "microprocessor"
 
 
 class StrategyKind(Enum):
@@ -207,7 +225,6 @@ class ProtocolConfig:
     erasure_delay_s: float = 60.0
     # switch experiment
     switch_stage: SwitchStage = SwitchStage.A
-    switch_controller: SwitchController = SwitchController.EXPERIMENTER
     strategy: SwitchStrategy | None = None
     outcome_hypothesis: OutcomeHypothesis | None = None
     noise_threshold: float = 0.9
@@ -272,27 +289,6 @@ class ProtocolConfig:
 _MEDIUM_CODES = {Medium.NONE: 0, Medium.VOLATILE: 1, Medium.PERSISTENT: 2, Medium.PERISHABLE: 3}
 _MEDIUM_FROM_CODE = {v: k for k, v in _MEDIUM_CODES.items()}
 _DETECTOR_NAMES = {0: None, 1: "D1", 2: "D2", 3: "D3", 4: "D4"}
-
-EVENT_LOG_COLUMNS = (
-    "pair_id",
-    "t_created_s",
-    "slit",
-    "t_signal_impact_s",
-    "signal_x_m",
-    "bs_a",
-    "bs_b",
-    "bs_c",
-    "detector",
-    "t_detector_s",
-    "erased",
-    "detected",
-    "recorded",
-    "medium",
-    "detected_at_s",
-    "erased_at_s",
-    "expires_at_s",
-    "observation_time_s",
-)
 
 
 @dataclass(frozen=True)
@@ -437,6 +433,10 @@ class EventLog:
                 erased=bool(self.erased[i]),
                 availability=rec,
             )
+
+
+#: column order of the digest and the CSV form
+EVENT_LOG_COLUMNS = tuple(f.name for f in fields(EventLog))
 
 
 # -- coincidence matching --------------------------------------------------------
@@ -744,7 +744,6 @@ def _assemble(
     log: EventLog,
     x: np.ndarray,
     partition: list[tuple[str, np.ndarray, float, IntervalSet | None]],
-    pooled_mask: np.ndarray | None = None,
     coincidences: CoincidenceSummary | None = None,
     predictor: PredictorStats | None = None,
     feasibility: FeasibilityReport | None = None,
@@ -752,14 +751,14 @@ def _assemble(
     markers: tuple[str, ...] = (),
     warnings_: tuple[str, ...] = (),
 ) -> RunResult:
+    """Classify each subset of the partition and the pooled screen (none for an
+    empty partition), then digest the log into a RunResult."""
     edges = fringe_aligned_edges(cfg.optics)
     subsets = {
         key: _subset_result(key, x, mask, log.slit, cfg, edges, phase, region)
         for key, mask, phase, region in partition
     }
-    if pooled_mask is None:
-        pooled_mask = np.ones(len(log), dtype=bool)
-    pooled = _subset_result("pooled", x, pooled_mask, log.slit, cfg, edges) if pooled_mask.any() else None
+    pooled = _subset_result("pooled", x, np.ones(len(log), dtype=bool), log.slit, cfg, edges) if partition else None
     if coincidences is not None and coincidences.matched:
         mismatch = (coincidences.unmatched_detectors + coincidences.ambiguities) / max(
             1, coincidences.matched + coincidences.unmatched_detectors
@@ -786,6 +785,10 @@ def _assemble(
     )
 
 
+def _draw_slit(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+
+
 def _base_log(cfg: ProtocolConfig, slit: np.ndarray) -> EventLog:
     n = cfg.n_pairs
     log = EventLog.blank(n)
@@ -795,31 +798,96 @@ def _base_log(cfg: ProtocolConfig, slit: np.ndarray) -> EventLog:
     return log
 
 
-def _observation_times(cfg: ProtocolConfig, log: EventLog, resolved_at: np.ndarray) -> np.ndarray:
+def _record(log: EventLog, mask: np.ndarray, at: np.ndarray) -> None:
+    """Pairs in ``mask`` are detected at ``at`` and written to a persistent
+    which-way record; the rest leave no which-way trace (erased)."""
+    log.detected[:] = mask
+    log.recorded[:] = mask
+    log.medium[:] = np.where(mask, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE])
+    log.detected_at_s[:] = np.where(mask, at, np.nan)
+    log.erased[:] = ~mask
+
+
+def _render(
+    cfg: ProtocolConfig,
+    log: EventLog,
+    u_x: np.ndarray,
+    resolved_at: np.ndarray,
+    phases: np.ndarray | float = 0.0,
+) -> np.ndarray:
+    """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
+    resolves at ``resolved_at``; fills ``observation_time_s`` and
+    ``signal_x_m`` and returns the impacts."""
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
-        return log.t_signal_impact_s.copy()
-    return resolved_at + cfg.delta_t_s
-
-
-def _law_masks(avail: np.ndarray, phases: np.ndarray) -> list[tuple[np.ndarray, PatternKind, float]]:
-    groups: list[tuple[np.ndarray, PatternKind, float]] = [(avail, PatternKind.PARTICLE, 0.0)]
-    for phase in np.unique(phases[~avail]) if (~avail).any() else []:
-        groups.append(((~avail) & (phases == phase), PatternKind.WAVE, float(phase)))
-    return groups
-
-
-def _draw_impacts(cfg: ProtocolConfig, u_x: np.ndarray, avail: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    x = np.empty(cfg.n_pairs, dtype=np.float64)
-    for mask, kind, phase in _law_masks(avail, phases):
+        log.observation_time_s[:] = log.t_signal_impact_s
+    else:
+        np.add(resolved_at, cfg.delta_t_s, out=log.observation_time_s)
+    del resolved_at  # a temporary from the caller must not live through sampling
+    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
+    avail = available_mask(
+        cfg.model.policy,
+        log.detected,
+        log.recorded,
+        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
+        log.erased_at_s,
+        log.expires_at_s,
+        at,
+    )
+    wave = ~avail
+    groups = [(avail, PatternKind.PARTICLE, 0.0)]
+    if np.ndim(phases) == 0:
+        groups.append((wave, PatternKind.WAVE, float(phases)))
+    else:
+        groups += [(wave & (phases == p), PatternKind.WAVE, float(p)) for p in np.unique(phases[wave])]
+    x = log.signal_x_m
+    for mask, kind, phase in groups:
         if mask.any():
-            dist = PatternDistribution(kind, cfg.optics, phase)
-            x[mask] = dist.ppf(u_x[mask])
+            x[mask] = PatternDistribution(kind, cfg.optics, phase).ppf(u_x[mask])
     return x
 
 
-def _require_protocol(cfg: ProtocolConfig, expected: Protocol) -> None:
+def _delta_normalized_impacts(
+    cfg: ProtocolConfig,
+    region: IntervalSet,
+    u_component: np.ndarray,
+    u_x: np.ndarray,
+    refusal_marker: str,
+) -> tuple[np.ndarray | None, FeasibilityReport, tuple[str, ...]]:
+    """(impacts, feasibility, markers) when the structureless law holds exactly
+    on ``region``, a rule that implies total probability delta(region).
+
+    Below the noise threshold the impacts are None and the report carries
+    ``refusal_marker``. Otherwise each pair draws one of the two laws truncated
+    to the region (structureless) or its complement (interference), weighted
+    by their masses, and a deviation from unit mass that noise hides is flagged.
+    """
+    optics = cfg.optics
+    feasibility = contradiction_margin(region, optics)
+    markers: tuple[str, ...] = ()
+    if not feasibility.feasible_under_outcome_i:
+        if feasibility.delta_value < cfg.noise_threshold:
+            return None, replace(feasibility, marker=refusal_marker), ()
+        markers = ("statistically_indistinguishable_from_consistency",)
+    particle = PatternDistribution(PatternKind.PARTICLE, optics)
+    wave = PatternDistribution(PatternKind.WAVE, optics)
+    complement = region.complement(optics.window)
+    p_in = particle.mass(region)
+    w_out = wave.mass(complement)
+    weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
+    from_particle = u_component < weight
+    x = np.empty(cfg.n_pairs, dtype=np.float64)
+    if from_particle.any():
+        x[from_particle] = _truncated_quantile(particle, region, u_x[from_particle])
+    if (~from_particle).any():
+        x[~from_particle] = _truncated_quantile(wave, complement, u_x[~from_particle])
+    return x, feasibility, markers
+
+
+def _generator(cfg: ProtocolConfig, expected: Protocol) -> np.random.Generator:
+    """The run's seeded generator, for a config meant for this runner."""
     if cfg.protocol is not expected:
         raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
+    return np.random.default_rng(cfg.seed)
 
 
 def _subset_tv(x: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray, cfg: ProtocolConfig) -> float | None:
@@ -836,35 +904,13 @@ def run_double_slit(cfg: ProtocolConfig) -> RunResult:
 
     Draw order: u_slit, u_x.
     """
-    _require_protocol(cfg, Protocol.DOUBLE_SLIT)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _generator(cfg, Protocol.DOUBLE_SLIT)
     n = cfg.n_pairs
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    log = _base_log(cfg, _draw_slit(rng, n))
     u_x = rng.random(n)
-    log = _base_log(cfg, slit)
-    if cfg.detectors_recording:
-        log.detected[:] = 1
-        log.recorded[:] = 1
-        log.medium[:] = _MEDIUM_CODES[Medium.PERSISTENT]
-        log.detected_at_s[:] = log.t_signal_impact_s
-        log.erased[:] = 0
-    else:
-        log.erased[:] = 1
-    log.observation_time_s[:] = _observation_times(cfg, log, log.t_signal_impact_s)
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    avail = available_mask(
-        cfg.model.policy,
-        log.detected,
-        log.recorded,
-        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
-        log.erased_at_s,
-        log.expires_at_s,
-        at,
-    )
-    x = _draw_impacts(cfg, u_x, avail, np.zeros(n))
-    log.signal_x_m[:] = x
-    all_mask = np.ones(n, dtype=bool)
-    return _assemble(cfg, log, x, [("screen", all_mask, 0.0, None)])
+    _record(log, np.full(n, cfg.detectors_recording), log.t_signal_impact_s)
+    x = _render(cfg, log, u_x, log.t_signal_impact_s)
+    return _assemble(cfg, log, x, [("screen", np.ones(n, dtype=bool), 0.0, None)])
 
 
 def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
@@ -872,32 +918,14 @@ def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
 
     Draw order: u_slit, u_choice, u_x.
     """
-    _require_protocol(cfg, Protocol.DELAYED_CHOICE)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _generator(cfg, Protocol.DELAYED_CHOICE)
     n = cfg.n_pairs
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    log = _base_log(cfg, _draw_slit(rng, n))
     chose_record = rng.random(n) < cfg.choice_record_prob
     u_x = rng.random(n)
-    log = _base_log(cfg, slit)
     log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
-    log.detected[:] = chose_record
-    log.recorded[:] = chose_record
-    log.medium[:] = np.where(chose_record, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE]).astype(np.int8)
-    log.detected_at_s[:] = np.where(chose_record, log.t_detector_s, np.nan)
-    log.erased[:] = ~chose_record
-    log.observation_time_s[:] = _observation_times(cfg, log, log.t_detector_s)
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    avail = available_mask(
-        cfg.model.policy,
-        log.detected,
-        log.recorded,
-        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
-        log.erased_at_s,
-        log.expires_at_s,
-        at,
-    )
-    x = _draw_impacts(cfg, u_x, avail, np.zeros(n))
-    log.signal_x_m[:] = x
+    _record(log, chose_record, log.t_detector_s)
+    x = _render(cfg, log, u_x, log.t_detector_s)
     return _assemble(
         cfg,
         log,
@@ -910,31 +938,27 @@ def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
     )
 
 
-def _route_eraser(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-    """Common eraser-bench routing. Draw order: u_slit, u_route, u_port.
+def _eraser_bench(cfg: ProtocolConfig, rng: np.random.Generator) -> tuple[EventLog, np.ndarray, np.ndarray, np.ndarray]:
+    """Eraser-bench routing: (log, to_which_way, u_x, fringe phases, pi/2 on D2).
 
-    Returns (slit, to_which_way, port): reflected idlers head to the
-    slit-tagged detectors (slit 1 -> D3, slit 2 -> D4), transmitted idlers
-    merge and exit one of two ports (0 -> D1, 1 -> D2).
+    Reflected idlers head to the slit-tagged detectors (slit 1 -> D3, slit 2
+    -> D4), transmitted idlers merge and exit one of two ports (0 -> D1, 1 ->
+    D2), all registering ``delta_t_s`` after creation. Draw order: u_slit,
+    u_route, u_port, u_x.
     """
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    n = cfg.n_pairs
+    slit = _draw_slit(rng, n)
     to_which_way = rng.random(n) < 0.5
-    port = (rng.random(n) < 0.5).astype(np.int8)  # 0 -> D1, 1 -> D2
-    return slit, to_which_way, port
-
-
-def _eraser_routing_log(cfg: ProtocolConfig, slit, to_which_way, port) -> tuple[EventLog, np.ndarray]:
+    port = (rng.random(n) < 0.5).astype(np.int8)
+    u_x = rng.random(n)
     log = _base_log(cfg, slit)
     log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
     s1 = slit == 1
     log.bs_a[s1] = to_which_way[s1]
     log.bs_b[~s1] = to_which_way[~s1]
     log.bs_c[~to_which_way] = port[~to_which_way]
-    detector = np.where(
-        to_which_way & s1, 3, np.where(to_which_way & ~s1, 4, np.where(port == 0, 1, 2))
-    ).astype(np.int8)
-    log.detector[:] = detector
-    return log, detector
+    log.detector[:] = np.where(to_which_way, np.where(s1, 3, 4), port + 1)
+    return log, to_which_way, u_x, np.where(log.detector == 2, 0.5 * np.pi, 0.0)
 
 
 def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
@@ -946,32 +970,11 @@ def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
     phases (0 and pi/2) so the pooled screen marginal stays flat.
     Draw order: u_slit, u_route, u_port, u_x.
     """
-    _require_protocol(cfg, Protocol.QUANTUM_ERASER)
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_pairs
-    slit, to_which_way, port = _route_eraser(rng, n)
-    u_x = rng.random(n)
-    log, detector = _eraser_routing_log(cfg, slit, to_which_way, port)
-    log.detected[:] = to_which_way
-    log.recorded[:] = to_which_way
-    log.medium[:] = np.where(to_which_way, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE]).astype(np.int8)
-    log.detected_at_s[:] = np.where(to_which_way, log.t_detector_s, np.nan)
-    log.erased[:] = ~to_which_way
-    log.observation_time_s[:] = _observation_times(cfg, log, log.t_detector_s)
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    avail = available_mask(
-        cfg.model.policy,
-        log.detected,
-        log.recorded,
-        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
-        log.erased_at_s,
-        log.expires_at_s,
-        at,
-    )
-    phases = np.where(detector == 2, 0.5 * np.pi, 0.0)
-    x = _draw_impacts(cfg, u_x, avail, phases)
-    log.signal_x_m[:] = x
+    log, to_which_way, u_x, phases = _eraser_bench(cfg, _generator(cfg, Protocol.QUANTUM_ERASER))
+    _record(log, to_which_way, log.t_detector_s)
+    x = _render(cfg, log, u_x, log.t_detector_s, phases)
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
+    detector = log.detector
     partition = [
         ("D1", detector == 1, 0.0, None),
         ("D2", detector == 2, 0.5 * np.pi, None),
@@ -992,57 +995,39 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     objective record keeps the interference law under RENDER_AT_AVAILABILITY.
     Draw order: u_slit[, u_route, u_port], u_x.
     """
-    _require_protocol(cfg, Protocol.DETECT_NO_RECORD)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _generator(cfg, Protocol.DETECT_NO_RECORD)
     n = cfg.n_pairs
-    objective = np.zeros(n, dtype=bool)  # nothing is ever objectively recorded here
+    screen = [("screen", np.ones(n, dtype=bool), 0.0, None)]
     if cfg.variant is DetectNoRecordVariant.UNPLUGGED_DETECTORS:
-        slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+        log = _base_log(cfg, _draw_slit(rng, n))
         u_x = rng.random(n)
-        log = _base_log(cfg, slit)
         log.detected[:] = 1
         log.detected_at_s[:] = log.t_signal_impact_s
         log.erased[:] = 1
-        log.observation_time_s[:] = _observation_times(cfg, log, log.t_signal_impact_s)
-        phases = np.zeros(n)
-        detector = np.zeros(n, dtype=np.int8)
-        partition = [("screen", np.ones(n, dtype=bool), 0.0, None)]
-        summary = None
-    else:
-        slit, to_which_way, port = _route_eraser(rng, n)
-        u_x = rng.random(n)
-        log, detector = _eraser_routing_log(cfg, slit, to_which_way, port)
-        log.detected[:] = to_which_way
-        log.detected_at_s[:] = np.where(to_which_way, log.t_detector_s, np.nan)
-        log.erased[:] = ~to_which_way
-        if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER:
-            # detectors all fire but nothing can be sorted or kept
-            log.observation_time_s[:] = _observation_times(cfg, log, log.t_detector_s)
-            phases = np.where(detector == 2, 0.5 * np.pi, 0.0)
-            partition = [("screen", np.ones(n, dtype=bool), 0.0, None)]
-            summary = None
-        else:  # WHICH_WAY_CHANNELS_OFF
-            # slit-tagged channels dead: those idlers register nowhere
-            dead = to_which_way
-            log.detector[dead] = 0
-            log.t_detector_s[dead] = np.nan
-            detector = log.detector.copy()
-            log.observation_time_s[:] = _observation_times(cfg, log, log.t_created_s + cfg.delta_t_s)
-            phases = np.where(detector == 2, 0.5 * np.pi, 0.0)
-            partition = [
-                ("D1", detector == 1, 0.0, None),
-                ("D2", detector == 2, 0.5 * np.pi, None),
-                ("unsorted", detector == 0, 0.0, None),
-            ]
-            summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    avail = available_mask(
-        cfg.model.policy, log.detected, log.recorded, objective, log.erased_at_s, log.expires_at_s, at
-    )
-    if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER and cfg.model.policy is RenderingPolicy.RENDER_AT_AVAILABILITY:
-        phases = np.zeros(n)  # nothing sortable survives: the plain interference law
-    x = _draw_impacts(cfg, u_x, avail, phases)
-    log.signal_x_m[:] = x
+        x = _render(cfg, log, u_x, log.t_signal_impact_s)
+        return _assemble(cfg, log, x, screen)
+    log, to_which_way, u_x, phases = _eraser_bench(cfg, rng)
+    log.detected[:] = to_which_way
+    log.detected_at_s[:] = np.where(to_which_way, log.t_detector_s, np.nan)
+    log.erased[:] = ~to_which_way
+    if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER:
+        # detectors all fire but nothing can be sorted or kept
+        if cfg.model.policy is RenderingPolicy.RENDER_AT_AVAILABILITY:
+            phases = 0.0  # nothing sortable survives: the plain interference law
+        x = _render(cfg, log, u_x, log.t_detector_s, phases)
+        return _assemble(cfg, log, x, screen)
+    # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
+    # nowhere; the pair still resolves delta_t_s after creation
+    x = _render(cfg, log, u_x, log.t_detector_s, phases)
+    log.detector[to_which_way] = 0
+    log.t_detector_s[to_which_way] = np.nan
+    detector = log.detector
+    partition = [
+        ("D1", detector == 1, 0.0, None),
+        ("D2", detector == 2, 0.5 * np.pi, None),
+        ("unsorted", detector == 0, 0.0, None),
+    ]
+    summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
     return _assemble(cfg, log, x, partition, coincidences=summary)
 
 
@@ -1053,36 +1038,18 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
     ``destruction_prob``) or an exact uniformly chosen half when
     ``pairing_mode`` asks for it. Draw order: u_slit, destruction draw, u_x.
     """
-    _require_protocol(cfg, Protocol.MACROSCOPIC_ERASURE)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _generator(cfg, Protocol.MACROSCOPIC_ERASURE)
     n = cfg.n_pairs
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    log = _base_log(cfg, _draw_slit(rng, n))
     if cfg.pairing_mode is PairingMode.EXACT_HALF_SUBSET:
         destroyed = rng.permutation(n) < n // 2
     else:
         destroyed = rng.random(n) < cfg.destruction_prob
     u_x = rng.random(n)
-    log = _base_log(cfg, slit)
-    log.detected[:] = 1
-    log.recorded[:] = 1
-    log.medium[:] = _MEDIUM_CODES[Medium.PERSISTENT]
-    log.detected_at_s[:] = log.t_signal_impact_s
+    _record(log, np.ones(n, dtype=bool), log.t_signal_impact_s)
     log.erased[:] = destroyed
     log.erased_at_s[:] = np.where(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s, np.nan)
-    resolved = log.t_signal_impact_s + cfg.erasure_delay_s
-    log.observation_time_s[:] = _observation_times(cfg, log, resolved)
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    avail = available_mask(
-        cfg.model.policy,
-        log.detected,
-        log.recorded,
-        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
-        log.erased_at_s,
-        log.expires_at_s,
-        at,
-    )
-    x = _draw_impacts(cfg, u_x, avail, np.zeros(n))
-    log.signal_x_m[:] = x
+    x = _render(cfg, log, u_x, log.t_signal_impact_s + cfg.erasure_delay_s)
     return _assemble(
         cfg,
         log,
@@ -1104,33 +1071,14 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
     R=1 when the flat-pattern posterior exceeds one half. Draw order: u_slit,
     u_record, u_x.
     """
-    _require_protocol(cfg, Protocol.PREDICTOR)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _generator(cfg, Protocol.PREDICTOR)
     n = cfg.n_pairs
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    log = _base_log(cfg, _draw_slit(rng, n))
     recorded = rng.random(n) < 0.5
     u_x = rng.random(n)
-    log = _base_log(cfg, slit)
     log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
-    log.detected[:] = recorded
-    log.recorded[:] = recorded
-    log.medium[:] = np.where(recorded, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE]).astype(np.int8)
-    log.detected_at_s[:] = np.where(recorded, log.t_detector_s, np.nan)
-    log.erased[:] = ~recorded
-    log.observation_time_s[:] = _observation_times(cfg, log, log.t_detector_s)
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    avail = available_mask(
-        cfg.model.policy,
-        log.detected,
-        log.recorded,
-        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
-        log.erased_at_s,
-        log.expires_at_s,
-        at,
-    )
-    x = _draw_impacts(cfg, u_x, avail, np.zeros(n))
-    log.signal_x_m[:] = x
-    predictor = _predictor_stats(cfg, x, recorded)
+    _record(log, recorded, log.t_detector_s)
+    x = _render(cfg, log, u_x, log.t_detector_s)
     return _assemble(
         cfg,
         log,
@@ -1139,7 +1087,7 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
             ("recorded", recorded, 0.0, None),
             ("erased", ~recorded, 0.0, None),
         ],
-        predictor=predictor,
+        predictor=_predictor_stats(cfg, x, recorded),
         empirical_tv=_subset_tv(x, recorded, ~recorded, cfg),
     )
 
@@ -1205,100 +1153,51 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
 
     Draw order: u_slit, u_component (stage d only), u_x.
     """
-    _require_protocol(cfg, Protocol.SWITCH_EXPERIMENT)
-    rng = np.random.default_rng(cfg.seed)
+    rng = _generator(cfg, Protocol.SWITCH_EXPERIMENT)
     n = cfg.n_pairs
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    slit = _draw_slit(rng, n)
 
     if cfg.switch_stage is not SwitchStage.D:
         u_x = rng.random(n)
         log = _base_log(cfg, slit)
         log.erased[:] = 1
-        log.observation_time_s[:] = _observation_times(cfg, log, log.t_created_s + cfg.delta_t_s)
-        x = _draw_impacts(cfg, u_x, np.zeros(n, dtype=bool), np.zeros(n))
-        log.signal_x_m[:] = x
+        x = _render(cfg, log, u_x, log.t_created_s + cfg.delta_t_s)
         return _assemble(cfg, log, x, [("screen", np.ones(n, dtype=bool), 0.0, None)])
 
     optics = cfg.optics
     region = cfg.strategy.activation_region(optics)
-    complement = region.complement(optics.window)
     hypothesis = cfg.outcome_hypothesis
-    markers: tuple[str, ...] = ()
     feasibility: FeasibilityReport | None = None
-
     u_component = rng.random(n)
     u_x = rng.random(n)
-    particle = PatternDistribution(PatternKind.PARTICLE, optics)
-    wave = PatternDistribution(PatternKind.WAVE, optics)
-
+    # the event log is built after sampling so its columns do not add to the sampler's peak memory
     if hypothesis is OutcomeHypothesis.IV:
         log = _base_log(cfg, slit)
         log.observation_time_s[:] = log.t_signal_impact_s
-        log.signal_x_m[:] = np.nan
-        return RunResult(
-            protocol=cfg.protocol,
-            seed=cfg.seed,
-            n_pairs=n,
-            config=cfg,
-            subsets={},
-            pooled=None,
-            coincidences=None,
-            predictor=None,
-            feasibility=None,
-            empirical_tv=None,
-            markers=("discontinuity",),
-            warnings=(),
-            event_digest=log.digest(),
-            events=log,
-        )
-
+        return _assemble(cfg, log, log.signal_x_m, [], markers=("discontinuity",))
     if hypothesis is OutcomeHypothesis.I:
-        feasibility = contradiction_margin(region, optics)
-        if not feasibility.feasible_under_outcome_i:
-            if feasibility.delta_value < cfg.noise_threshold:
-                return replace(feasibility, marker="outcome_i_infeasible")
-            markers = markers + ("statistically_indistinguishable_from_consistency",)
-        # sample the delta-normalized two-component law
-        p_in = _interval_mass(particle, region)
-        w_out = _interval_mass(wave, complement)
-        weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
-        from_particle = u_component < weight
-        x = np.empty(n, dtype=np.float64)
-        if from_particle.any():
-            x[from_particle] = _truncated_quantile(particle, region, u_x[from_particle])
-        if (~from_particle).any():
-            x[~from_particle] = _truncated_quantile(wave, complement, u_x[~from_particle])
-        switch_on = region.contains(x)
+        x, feasibility, markers = _delta_normalized_impacts(cfg, region, u_component, u_x, "outcome_i_infeasible")
+        if x is None:
+            return feasibility
     elif hypothesis is OutcomeHypothesis.II:
         markers = ("rendered_on_availability_at_t0",)
-        x = np.asarray(particle.ppf(u_x), dtype=np.float64)
-        switch_on = region.contains(x)
+        x = np.asarray(PatternDistribution(PatternKind.PARTICLE, optics).ppf(u_x), dtype=np.float64)
     else:  # OutcomeHypothesis.III
         markers = ("interference_with_recordable_which_way",)
-        x = np.asarray(wave.ppf(u_x), dtype=np.float64)
-        switch_on = region.contains(x)
+        x = np.asarray(PatternDistribution(PatternKind.WAVE, optics).ppf(u_x), dtype=np.float64)
+    switch_on = region.contains(x)
 
     log = _base_log(cfg, slit)
     log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
-    log.detected[:] = switch_on
-    log.recorded[:] = switch_on
-    log.medium[:] = np.where(switch_on, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE]).astype(np.int8)
-    log.detected_at_s[:] = np.where(switch_on, log.t_detector_s, np.nan)
-    log.erased[:] = ~switch_on
+    _record(log, switch_on, log.t_detector_s)
     log.observation_time_s[:] = log.t_signal_impact_s
     log.signal_x_m[:] = x
+    complement = region.complement(optics.window)
     partition = [
-        ("switch_on", np.asarray(switch_on), 0.0, region if region else None),
-        ("switch_off", ~np.asarray(switch_on), 0.0, complement if complement else None),
+        ("switch_on", switch_on, 0.0, region if region else None),
+        ("switch_off", ~switch_on, 0.0, complement if complement else None),
     ]
     return _assemble(cfg, log, x, partition, feasibility=feasibility, markers=markers)
-
-
-def _interval_mass(dist: PatternDistribution, region: IntervalSet) -> float:
-    if not region:
-        return 0.0
-    arr = np.asarray(region.intervals, dtype=float)
-    return float(np.sum(np.asarray(dist.cdf(arr[:, 1])) - np.asarray(dist.cdf(arr[:, 0]))))
 
 
 def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
@@ -1313,53 +1212,34 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     the run refuses with an intent-adjustment marker when that is below the
     noise threshold (branch b). Draw order: u_slit, u_component, u_x.
     """
-    _require_protocol(cfg, Protocol.PERISHABLE_MEDIA)
+    rng = _generator(cfg, Protocol.PERISHABLE_MEDIA)
     optics = cfg.optics
     region = cfg.rule_intervals if cfg.rule_intervals is not None else optimal_interval_set(optics)
     region = IntervalSet.from_pairs(region.intervals, window=optics.window)
-    complement = region.complement(optics.window)
-
-    rng = np.random.default_rng(cfg.seed)
     n = cfg.n_pairs
-    slit = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+    slit = _draw_slit(rng, n)
     u_component = rng.random(n)
     u_x = rng.random(n)
-    particle = PatternDistribution(PatternKind.PARTICLE, optics)
-    wave = PatternDistribution(PatternKind.WAVE, optics)
 
-    markers: tuple[str, ...]
     feasibility: FeasibilityReport | None = None
     if cfg.recording_rule is RecordingRule.PERMANENT_ONLY:
-        feasibility = contradiction_margin(region, optics)
-        if not feasibility.feasible_under_outcome_i:
-            if feasibility.delta_value < cfg.noise_threshold:
-                return replace(feasibility, marker="intent_adjustment_required")
-            markers = ("branch_b", "statistically_indistinguishable_from_consistency")
-        else:
-            markers = ("branch_b",)
-        p_in = _interval_mass(particle, region)
-        w_out = _interval_mass(wave, complement)
-        weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
-        from_particle = u_component < weight
-        x = np.empty(n, dtype=np.float64)
-        if from_particle.any():
-            x[from_particle] = _truncated_quantile(particle, region, u_x[from_particle])
-        if (~from_particle).any():
-            x[~from_particle] = _truncated_quantile(wave, complement, u_x[~from_particle])
+        x, feasibility, markers = _delta_normalized_impacts(cfg, region, u_component, u_x, "intent_adjustment_required")
+        if x is None:
+            return feasibility
+        markers = ("branch_b",) + markers
     else:
         markers = ("branch_a",)
-        x = np.asarray(particle.ppf(u_x), dtype=np.float64)
+        x = np.asarray(PatternDistribution(PatternKind.PARTICLE, optics).ppf(u_x), dtype=np.float64)
 
     copied = region.contains(x)
     log = _base_log(cfg, slit)
-    log.detected[:] = 1
-    log.detected_at_s[:] = log.t_signal_impact_s
-    log.recorded[:] = 1
-    log.medium[:] = np.where(copied, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.PERISHABLE]).astype(np.int8)
+    _record(log, np.ones(n, dtype=bool), log.t_signal_impact_s)
+    log.medium[~copied] = _MEDIUM_CODES[Medium.PERISHABLE]
     log.expires_at_s[:] = np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s)
     log.erased[:] = ~copied
     log.observation_time_s[:] = log.t_signal_impact_s
     log.signal_x_m[:] = x
+    complement = region.complement(optics.window)
     partition = [
         ("recorded", copied, 0.0, region if region else None),
         ("perished", ~copied, 0.0, complement if complement else None),

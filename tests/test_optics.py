@@ -19,7 +19,6 @@ from dualitysim.optics import (
     fringe_aligned_edges,
     fringe_visibility,
     particle_density,
-    sample_impact,
     wave_density,
 )
 
@@ -60,7 +59,6 @@ class TestOpticsConfig:
             {"slit_screen_distance_m": math.inf},
             {"screen_halfwidth_m": 0.0},
             {"slit_width_m": 2e-3},  # wider than the slit separation
-            {"intensity_scale": -1.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -131,12 +129,6 @@ class TestParticleDensity:
         xs = np.linspace(*cfg.window, 2001)
         dens = np.asarray(dist.density(xs))
         assert dens.max() < 1.1 * dens.min()
-
-    def test_intensity_scale_never_rescales_the_law(self):
-        bright = OpticsConfig(intensity_scale=40.0)
-        assert float(np.asarray(particle_density(0.0, bright))) == pytest.approx(
-            float(np.asarray(particle_density(0.0, DEFAULT)))
-        )
 
 
 class TestCdf:
@@ -220,8 +212,8 @@ class TestSampler:
 
     def test_sampling_is_deterministic_under_seed(self):
         dist = PatternDistribution(PatternKind.WAVE, DEFAULT)
-        a = np.asarray(sample_impact(dist, np.random.default_rng(3), 1000))
-        b = np.asarray(sample_impact(dist, np.random.default_rng(3), 1000))
+        a = np.asarray(dist.sample(np.random.default_rng(3), 1000))
+        b = np.asarray(dist.sample(np.random.default_rng(3), 1000))
         np.testing.assert_array_equal(a, b)
 
 

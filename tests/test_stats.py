@@ -277,6 +277,13 @@ class TestSampleSizing:
         sizes = [required_sample_size(t, DEFAULT).n_samples for t in (0.25, 0.1, 0.01, 1e-3, 1e-6)]
         assert sizes == sorted(sizes)
 
+    def test_required_sample_size_on_a_narrow_window(self):
+        # 2/7 of a fringe: the quadrature's fringe-unit bounds land an ulp
+        # outside the window, which must not reach the density's domain check
+        plan = required_sample_size(1e-3, OpticsConfig(screen_halfwidth_m=1e-4))
+        assert 0.999 < plan.bhattacharyya < 1.0
+        assert 0.5 * plan.bhattacharyya**plan.n_samples <= 1e-3
+
     @pytest.mark.parametrize("target", [0.0, 0.5, 1.0, -0.1])
     def test_target_domain(self, target):
         with pytest.raises(ValidationError):
