@@ -43,7 +43,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .models import (
-    AvailabilityHorizon,
     AvailabilityRecord,
     Medium,
     RenderingModel,
@@ -52,7 +51,6 @@ from .models import (
     available_mask,
 )
 from .optics import (
-    DomainError,
     IntervalSet,
     OpticsConfig,
     PatternDistribution,
@@ -62,7 +60,6 @@ from .optics import (
     fringe_visibility,
 )
 from .stats import (
-    ClassificationResult,
     FeasibilityReport,
     Verdict,
     classify_pattern,
@@ -282,6 +279,11 @@ class ProtocolConfig:
             raise ValidationError("perishable-media runs apply the recording rule live: observation_schedule must be at_t0")
         if self.rule_intervals is not None and self.protocol is not Protocol.PERISHABLE_MEDIA:
             raise ValidationError("rule_intervals is only meaningful for the perishable_media protocol")
+        # the screen regions must lie in the window, as parse_manifest checks
+        if self.rule_intervals is not None:
+            IntervalSet.from_pairs(self.rule_intervals.intervals, window=self.optics.window)
+        if self.strategy is not None:
+            self.strategy.activation_region(self.optics)
 
 
 # -- event log ------------------------------------------------------------------
@@ -375,24 +377,16 @@ class EventLog:
 
     def to_csv(self, path) -> None:
         """Write the documented CSV form: header row, one row per pair, empty
-        cells for not-applicable timestamps, -1 route codes for unused splitters."""
-        columns = []
-        for name in EVENT_LOG_COLUMNS:
-            col = getattr(self, name)
-            if col.dtype == np.float64:
-                text = np.char.mod("%.17g", col)
-                text = np.where(np.isnan(col), "", text)
-            else:
-                text = col.astype(str)
-            columns.append(text)
+        cells for not-applicable timestamps, -1 route codes for unused splitters.
+
+        Rows are formatted and written in blocks of ``_CSV_BLOCK_ROWS``, so
+        memory stays bounded by one block whatever the log's length. The
+        output bytes are pinned by ``tests/test_golden.py``."""
+        columns = [getattr(self, name) for name in EVENT_LOG_COLUMNS]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(EVENT_LOG_COLUMNS) + "\n")
-            block = 65536
-            n = len(self)
-            for start in range(0, n, block):
-                rows = [",".join(parts) for parts in zip(*(c[start : start + block] for c in columns))]
-                fh.write("\n".join(rows))
-                fh.write("\n")
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                fh.write(_csv_block([col[start : start + _CSV_BLOCK_ROWS] for col in columns]))
 
     def iter_events(self) -> Iterator[PhotonPairEvent]:
         route_names = {0: "transmit", 1: "reflect"}
@@ -437,6 +431,42 @@ class EventLog:
 
 #: column order of the digest and the CSV form
 EVENT_LOG_COLUMNS = tuple(f.name for f in fields(EventLog))
+
+#: rows per block of ``EventLog.to_csv``: the cell strings of one block are
+#: all that is held in memory at once
+_CSV_BLOCK_ROWS = 16384
+
+
+def _csv_block(columns: list[np.ndarray]) -> str:
+    """CSV rows of one block of column slices, each row newline-terminated.
+
+    Float64 cells print as ``%.17g`` (round-trips float64), NaN as an empty
+    cell; other columns print as integers. A slice whose dtype and bytes
+    equal an earlier slice's reuses that slice's text (the impact time is the
+    creation time in every runner). Bytes, not float ``==``, decide equality,
+    so ``-0.0`` never borrows the text of ``0.0``.
+    """
+    cells: list[list[str]] = []
+    seen: dict[tuple[str, bytes], list[str]] = {}
+    for col in columns:
+        key = (col.dtype.str, col.tobytes())
+        text = seen.get(key)
+        if text is None:
+            if col.dtype != np.float64:
+                text = list(map(str, col.tolist()))
+            else:
+                nan = np.isnan(col)
+                if nan.all():
+                    text = [""] * col.size
+                elif nan.any():
+                    filled = np.full(col.size, "", dtype=object)
+                    filled[~nan] = list(map("%.17g".__mod__, col[~nan].tolist()))
+                    text = filled.tolist()
+                else:
+                    text = list(map("%.17g".__mod__, col.tolist()))
+            seen[key] = text
+        cells.append(text)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # -- coincidence matching --------------------------------------------------------
@@ -1093,6 +1123,7 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
 
 
 def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray) -> PredictorStats:
+    # imported at call time, so a wrapper on ``stats.tv_distance`` (perfbench tracing) sees these calls
     from .stats import approx_posterior, tv_distance
 
     optics = cfg.optics

@@ -8,6 +8,7 @@ value may move only with a CHANGES.md entry that says why.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
@@ -446,3 +447,45 @@ def test_acceptance_manifest_event_digests_are_pinned():
         outcome = run_protocol(run.config)
         found[run.name] = outcome.event_digest if isinstance(outcome, RunResult) else None
     assert found == MANIFEST_DIGESTS
+
+
+def csv_cases() -> dict[str, ProtocolConfig]:
+    """events.csv pins: NaN idler columns (double slit), route codes (eraser),
+    erasure times, a stage-d custom strategy, perishable expiry (finite and
+    infinite TTL), and row counts on either side of the writer's block size."""
+    cases = {
+        name: MATRIX[name]
+        for name in (
+            "double_slit-recording-collapse",
+            "quantum_eraser-render",
+            "macroscopic_erasure-coin-render",
+            "switch-d-i-custom-collapse",
+            "perishable-a-collapse",
+        )
+    }
+    cases["perishable-a-inf_ttl"] = replace(MATRIX["perishable-a-collapse"], ttl_s=math.inf)
+    for n in (1, 16_384, 32_769):
+        cases[f"quantum_eraser-render-n{n}"] = replace(MATRIX["quantum_eraser-render"], n_pairs=n)
+    return cases
+
+
+CSV_GOLDEN: dict[str, str] = {
+    "double_slit-recording-collapse": "0990d6b52c929c3d2a1ee88923c6b40f47d6cfbd1c9747abaedd210be192124e",
+    "macroscopic_erasure-coin-render": "4a8d6c10e6f8bd2c2663b4663596e7c4498e1c3b689768092eb4c2d84fc79f87",
+    "perishable-a-collapse": "057bd9c26f644d97dcdef96e8cd0caf6953ac7e8adeb8d980398abb532e6238d",
+    "perishable-a-inf_ttl": "82c8efb079b5dfd2229ba8e3aca0b0e22ad52848a0139c5892bfccc5d128a496",
+    "quantum_eraser-render": "7d59e44a54cf7ffc416d93497ae7896aab3d89fa9dcb66e60ac644bc35a0d9a5",
+    "quantum_eraser-render-n1": "5ecc692a3c20fb77352d122271fdbd9da28939f65a3dd704edccf88f766ca537",
+    "quantum_eraser-render-n16384": "6f960a42a4863baf62d0cc94fe8fdb1be6d2e194617a4d2bfc58faf0ad4584ff",
+    "quantum_eraser-render-n32769": "6921b6f93dc293169be195dcb1cf1c84235d32818f29eb2d7ab7490048a66e38",
+    "switch-d-i-custom-collapse": "9b1c6f647454b9bc4793f0f90f2e34f3cc82b24bfcc6ed9e10cea5fd71fa62da",
+}
+
+CSV_CASES = csv_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_events_csv_bytes_are_pinned(name, tmp_path):
+    path = tmp_path / "events.csv"
+    run_protocol(CSV_CASES[name]).events.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_GOLDEN[name]

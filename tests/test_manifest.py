@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualitysim import protocols
 from dualitysim.cli import (
     ManifestError,
     ManifestRun,
@@ -19,7 +20,7 @@ from dualitysim.cli import (
     serialize_manifest,
 )
 from dualitysim.models import AvailabilityHorizon, RenderingModel, RenderingPolicy
-from dualitysim.optics import IntervalSet, OpticsConfig
+from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
 from dualitysim.protocols import (
     DetectNoRecordVariant,
     ObservationSchedule,
@@ -348,13 +349,17 @@ class TestExecution:
             assert report["config"]["seed"] == 99
             assert report["seed"] == 99
 
-    def test_one_bad_run_does_not_poison_the_rest(self, tmp_path):
-        # the out-of-window table parses but explodes when the region is built
+    def test_one_bad_run_does_not_poison_the_rest(self, tmp_path, monkeypatch):
+        def explode(cfg):
+            raise ValidationError("raised mid-run")
+
+        # the switch runner fails after the config validated
+        monkeypatch.setitem(protocols._RUNNERS, Protocol.SWITCH_EXPERIMENT, explode)
         bad = ProtocolConfig(
             protocol=Protocol.SWITCH_EXPERIMENT,
             switch_stage=SwitchStage.D,
             observation_schedule=ObservationSchedule.AT_T0,
-            strategy=SwitchStrategy.custom([0.0, 1.0], [True]),
+            strategy=SwitchStrategy.custom([0.0, 1e-4], [True]),
             outcome_hypothesis=OutcomeHypothesis.II,
             n_pairs=100,
         )

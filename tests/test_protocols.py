@@ -1,6 +1,8 @@
 """Runner behavior: validation, the event log, coincidence sorting, verdicts."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from dualitysim.protocols import (
     DELTA_T_SLOW,
     EVENT_LOG_COLUMNS,
     PAIR_SPACING_FACTOR,
+    _CSV_BLOCK_ROWS,
     DetectNoRecordVariant,
+    EventLog,
     ObservationSchedule,
     OutcomeHypothesis,
     PairingMode,
@@ -144,6 +148,29 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, rule_intervals=IntervalSet.empty())
 
+    def test_rule_intervals_outside_the_window_fail_at_construction(self):
+        with pytest.raises(ValidationError, match="leaves the screen window"):
+            ProtocolConfig(
+                protocol=Protocol.PERISHABLE_MEDIA,
+                observation_schedule=ObservationSchedule.AT_T0,
+                rule_intervals=IntervalSet.from_pairs([(0.0, 1.0)]),
+            )
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [SwitchStrategy.strategy_1(IntervalSet.from_pairs([(0.0, 1.0)])), SwitchStrategy.custom([0.0, 1.0], [True])],
+        ids=["strategy_1", "custom"],
+    )
+    def test_strategy_regions_outside_the_window_fail_at_construction(self, strategy):
+        with pytest.raises(ValidationError, match="leaves the screen window"):
+            ProtocolConfig(
+                protocol=Protocol.SWITCH_EXPERIMENT,
+                switch_stage=SwitchStage.D,
+                observation_schedule=ObservationSchedule.AT_T0,
+                strategy=strategy,
+                outcome_hypothesis=OutcomeHypothesis.I,
+            )
+
 
 class TestSwitchStrategy:
     def test_parameter_pairing_is_enforced(self):
@@ -237,6 +264,56 @@ class TestCoincidence:
         assert fast == slow
 
 
+#: float cells the CSV form must print exactly as the reference does
+_EDGE_FLOATS = np.array(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.5e-8, 0.1, -1.7976931348623157e308]
+)
+
+
+def _reference_csv(log: EventLog) -> bytes:
+    """Whole-column formatter the streaming writer replaced, kept as its oracle."""
+    columns = []
+    for name in EVENT_LOG_COLUMNS:
+        col = getattr(log, name)
+        if col.dtype == np.float64:
+            text = np.char.mod("%.17g", col)
+            text = np.where(np.isnan(col), "", text)
+        else:
+            text = col.astype(str)
+        columns.append(text)
+    rows = [",".join(EVENT_LOG_COLUMNS)] + [",".join(parts) for parts in zip(*columns)]
+    return ("\n".join(rows) + "\n").encode()
+
+
+@st.composite
+def event_logs(draw):
+    """Logs of the documented dtypes holding edge values, with row counts on
+    both sides of the CSV block size and columns that repeat (or sign-flip
+    the zeros of) an earlier column."""
+    edge = _CSV_BLOCK_ROWS
+    n = draw(st.one_of(st.integers(0, 40), st.sampled_from([edge - 1, edge, edge + 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log = EventLog.blank(n)
+    log.pair_id[:] = np.arange(n) + draw(st.integers(0, 2**63 - 1 - n))
+    floats: list[np.ndarray] = []
+    for name in EVENT_LOG_COLUMNS[1:]:
+        col = getattr(log, name)
+        if col.dtype != np.float64:
+            col[:] = rng.integers(-128, 128, n, dtype=np.int8)
+            continue
+        mode = draw(st.sampled_from(["blank", "mixed", "copy", "flipped_zeros"] if floats else ["blank", "mixed"]))
+        if mode == "mixed":
+            scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+            col[:] = np.where(rng.random(n) < 0.5, rng.choice(_EDGE_FLOATS, n), scaled)
+        elif mode == "copy":
+            col[:] = floats[draw(st.integers(0, len(floats) - 1))]
+        elif mode == "flipped_zeros":
+            source = floats[draw(st.integers(0, len(floats) - 1))]
+            col[:] = np.where(source == 0.0, -source, source)
+        floats.append(col)
+    return log
+
+
 class TestEventLog:
     def test_timestamps_follow_the_pair_spacing(self):
         cfg = ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=16, seed=5, delta_t_s=2.0, coincidence_window_s=0.5)
@@ -271,6 +348,14 @@ class TestEventLog:
                 getattr(log, name).astype(float),
                 err_msg=name,
             )
+
+    @given(log=event_logs())
+    @settings(max_examples=25, deadline=None)
+    def test_csv_bytes_match_the_reference_formatter(self, log):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.csv"
+            log.to_csv(path)
+            assert path.read_bytes() == _reference_csv(log)
 
     def test_iter_events_reconstructs_the_story(self):
         cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=200, seed=13)
