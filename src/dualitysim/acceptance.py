@@ -362,21 +362,10 @@ def _compare_trees(dir_a: Path, dir_b: Path) -> tuple[bool, str]:
     names_b = sorted(p.name for p in dir_b.iterdir())
     if names_a != names_b:
         return False, "file sets differ"
-    import json as _json
-
     for name in names_a:
-        bytes_a = (dir_a / name).read_bytes()
-        bytes_b = (dir_b / name).read_bytes()
-        if name == "summary.json":
-            doc_a = _json.loads(bytes_a)
-            doc_b = _json.loads(bytes_b)
-            doc_a.pop("out_dir", None)
-            doc_b.pop("out_dir", None)
-            if doc_a != doc_b:
-                return False, "summary.json differs beyond out_dir"
-        elif bytes_a != bytes_b:
+        if (dir_a / name).read_bytes() != (dir_b / name).read_bytes():
             return False, f"{name} differs"
-    return True, f"{len(names_a)} files byte-identical (summary compared modulo out_dir)"
+    return True, f"{len(names_a)} files byte-identical"
 
 
 def _criterion_8(base_dir: Path, jobs: int) -> CriterionResult:

@@ -487,7 +487,6 @@ def execute_manifest(
         summary_runs.append(entry)
     summary = {
         "manifest_name": manifest.name,
-        "out_dir": str(manifest.out_dir),
         "formats": sorted(manifest.formats),
         "seed_override": manifest.seed_override,
         "runs": summary_runs,

@@ -79,23 +79,33 @@ def invert_monotone(
     for _ in range(max_iter):
         if idx.size == 0:
             break
-        xi = x[idx]
-        ri = res[idx]
+        # while every lane is active (at most the first sweep), work on the
+        # whole arrays in place instead of gathering and scattering by index
+        whole = idx.size == t.size
+        if whole:
+            xi, ri, ti, lo_i, hi_i = x, res, t, lo_a, hi_a
+        else:
+            xi, ri, ti, lo_i, hi_i = x[idx], res[idx], t[idx], lo_a[idx], hi_a[idx]
         above = ri > 0.0
-        hi_a[idx[above]] = xi[above]
-        lo_a[idx[~above]] = xi[~above]
-        mid = 0.5 * (lo_a[idx] + hi_a[idx])
+        np.copyto(hi_i, xi, where=above)
+        np.copyto(lo_i, xi, where=~above)
+        mid = 0.5 * (lo_i + hi_i)
         if fprime is not None:
             fp = np.asarray(fprime(xi), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 xn = xi - ri / fp
-            bad = ~np.isfinite(xn) | (xn <= lo_a[idx]) | (xn >= hi_a[idx]) | (fp <= 0.0)
+            bad = ~np.isfinite(xn) | (xn <= lo_i) | (xn >= hi_i) | (fp <= 0.0)
             xn = np.where(bad, mid, xn)
         else:
             xn = mid
-        x[idx] = xn
-        res[idx] = np.asarray(f(xn)) - t[idx]
-        idx = idx[np.abs(res[idx]) > tol]
+        rn = np.asarray(f(xn)) - ti
+        if whole:
+            x, res = xn, rn
+            idx = np.nonzero(np.abs(res) > tol)[0]
+        else:
+            x[idx], res[idx] = xn, rn
+            lo_a[idx], hi_a[idx] = lo_i, hi_i
+            idx = idx[np.abs(rn) > tol]
     if idx.size:
         worst = float(np.max(np.abs(res[idx])))
         raise ArithmeticError(f"monotone inversion failed to reach tol={tol} (worst residual {worst:.3e})")

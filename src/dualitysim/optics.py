@@ -38,6 +38,10 @@ BINS_PER_FRINGE = 50
 MAX_HISTOGRAM_BINS = 500
 _QUANTILE_TABLE_NODES = 4097
 _ENVELOPE_GRID_NODES = 32769
+#: u-buckets of the quantile cell index; a power of two, so u * K is exact
+_GUIDE_BUCKETS = 8192
+#: lanes per wave-sampler block
+_PPF_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -293,6 +297,58 @@ class PatternDistribution:
         cs[0], cs[-1] = 0.0, 1.0
         return xs, cs
 
+    @cached_property
+    def _cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """O(1) lookup of a quantile level's table cell, or None for an unsorted table.
+
+        ``guide[k]`` is the cell holding ``k / _GUIDE_BUCKETS``; ``wide[k]``
+        marks buckets spanning more than two cells; ``cs_pad`` is the CDF
+        column padded with two +inf sentinels; ``slopes`` are the per-cell
+        slopes ``np.interp`` uses. Rounding noise can leave the CDF column of
+        a tiny window unsorted; there ``searchsorted`` and ``np.interp`` give
+        answers that depend on the lanes searched before, which no index can
+        reproduce.
+        """
+        xs, cs = self._quantile_table
+        if np.any(np.diff(cs) < 0.0):
+            return None
+        levels = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        guide = np.searchsorted(cs, levels, side="right") - 1
+        wide = np.diff(guide) > 2
+        cs_pad = np.concatenate((cs, [np.inf, np.inf]))
+        with np.errstate(divide="ignore", over="ignore"):
+            slopes = np.diff(xs) / np.diff(cs)
+        return guide, wide, cs_pad, slopes
+
+    def _start_points(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Newton bracket cell and start point of each level in [0, 1]; the
+        same bits as ``clip(searchsorted(cs, u, "right") - 1, 0, len - 2)``
+        and ``np.interp(u, cs, xs)``."""
+        xs, cs = self._quantile_table
+        index = self._cell_index
+        if index is None:
+            cell = np.clip(np.searchsorted(cs, u, side="right") - 1, 0, len(xs) - 2)
+            return cell, np.interp(u, cs, xs)
+        guide, wide, cs_pad, slopes = index
+        # u * K is exact, so bucket k holds exactly the levels in [k/K, (k+1)/K);
+        # fmin sends u = 1 to the last bucket and a NaN level to a valid one
+        k = np.fmin(u * _GUIDE_BUCKETS, _GUIDE_BUCKETS - 1).astype(np.intp)
+        cell = guide[k]
+        cell += cs_pad[cell + 1] <= u
+        cell += cs_pad[cell + 1] <= u
+        far = wide[k]
+        if far.any():
+            cell[far] = np.searchsorted(cs, u[far], side="right") - 1
+        np.minimum(cell, len(xs) - 2, out=cell)
+        # np.interp's arithmetic and its special cases: a level on a node maps
+        # to that node, and a level at the top of the table to its last node
+        c0 = cs[cell]
+        x_cell = xs[cell]
+        with np.errstate(invalid="ignore"):
+            x0 = np.where(u == c0, x_cell, slopes[cell] * (u - c0) + x_cell)
+        x0[u >= cs[-1]] = xs[-1]
+        return cell, x0
+
     def ppf(self, u) -> np.ndarray | float:
         """Quantile function; |cdf(ppf(u)) - u| <= 1e-12 lane-wise."""
         arr = np.asarray(u, dtype=float)
@@ -307,19 +363,25 @@ class PatternDistribution:
             xs, _, cdf = self._envelope_table
             out = np.interp(arr, cdf, xs)
             return float(out) if np.ndim(u) == 0 else out
-        xs, cs = self._quantile_table
+        xs, _ = self._quantile_table
         flat = np.atleast_1d(arr).ravel()
-        cell = np.clip(np.searchsorted(cs, flat, side="right") - 1, 0, len(xs) - 2)
-        out = invert_monotone(
-            self._cdf_raw,
-            flat,
-            lo=xs[cell],
-            hi=xs[cell + 1],
-            tol=SAMPLER_CDF_TOL,
-            fprime=self._density_raw,
-            x0=np.interp(flat, cs, xs),
-        )
-        out = np.asarray(out).reshape(np.atleast_1d(arr).shape)
+        # lanes are independent, so fixed blocks keep temporaries small without
+        # changing a bit; an unsorted table's searches depend on the lanes
+        # searched before, so there the input stays one block
+        size = _PPF_BLOCK if self._cell_index is not None else max(flat.size, 1)
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, size):
+            block = slice(start, start + size)
+            cell, x0 = self._start_points(flat[block])
+            out[block] = invert_monotone(
+                self._cdf_raw,
+                flat[block],
+                lo=xs[cell],
+                hi=xs[cell + 1],
+                tol=SAMPLER_CDF_TOL,
+                fprime=self._density_raw,
+                x0=x0,
+            )
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(arr.shape)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:

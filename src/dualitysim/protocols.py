@@ -372,7 +372,7 @@ class EventLog:
             col = np.ascontiguousarray(getattr(self, name))
             h.update(name.encode())
             h.update(col.dtype.str.encode())
-            h.update(col.tobytes())
+            h.update(col)
         return h.hexdigest()
 
     def to_csv(self, path) -> None:

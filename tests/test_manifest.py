@@ -327,7 +327,8 @@ class TestExecution:
         second = replace(first, out_dir=str(tmp_path / "two"))
         execute_manifest(first)
         execute_manifest(second)
-        for name in ("flat", "fringes", "refused"):
+        # summary.json too: it must not name the directory it was written to
+        for name in ("flat", "fringes", "refused", "summary"):
             a = (tmp_path / "one" / f"{name}.json").read_bytes()
             b = (tmp_path / "two" / f"{name}.json").read_bytes()
             assert a == b, name

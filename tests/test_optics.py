@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from dualitysim.numerics import invert_monotone
 from dualitysim.optics import (
+    _GUIDE_BUCKETS,
+    _PPF_BLOCK,
     BINS_PER_FRINGE,
+    SAMPLER_CDF_TOL,
     DomainError,
     IntervalSet,
     OpticsConfig,
@@ -215,6 +219,124 @@ class TestSampler:
         a = np.asarray(dist.sample(np.random.default_rng(3), 1000))
         b = np.asarray(dist.sample(np.random.default_rng(3), 1000))
         np.testing.assert_array_equal(a, b)
+
+
+def _reference_start(dist: PatternDistribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton bracket cell and start point as the sampler found them before
+    the cell index: one binary search and one ``np.interp`` over all of ``u``."""
+    xs, cs = dist._quantile_table
+    cell = np.clip(np.searchsorted(cs, u, side="right") - 1, 0, len(xs) - 2)
+    return cell, np.interp(u, cs, xs)
+
+
+def _reference_ppf(dist: PatternDistribution, u) -> np.ndarray:
+    """Wave sampler the cell index and blocking replaced, kept as their oracle."""
+    arr = np.asarray(u, dtype=float)
+    xs, _ = dist._quantile_table
+    flat = np.atleast_1d(arr).ravel()
+    cell, x0 = _reference_start(dist, flat)
+    out = invert_monotone(
+        dist._cdf_raw, flat, lo=xs[cell], hi=xs[cell + 1], tol=SAMPLER_CDF_TOL, fprime=dist._density_raw, x0=x0
+    )
+    return np.asarray(out).reshape(arr.shape)
+
+
+def _assert_same_start(dist: PatternDistribution, u: np.ndarray) -> None:
+    cell, x0 = dist._start_points(u)
+    want_cell, want_x0 = _reference_start(dist, u)
+    np.testing.assert_array_equal(cell, want_cell)
+    np.testing.assert_array_equal(x0.view(np.int64), want_x0.view(np.int64))
+
+
+def _assert_same_bits(dist: PatternDistribution, u) -> None:
+    """ppf and the reference give the same output bits, or both raise."""
+    outcomes = []
+    for sampler in (PatternDistribution.ppf, _reference_ppf):
+        try:
+            outcomes.append(np.asarray(sampler(dist, u), dtype=float).view(np.int64))
+        except ArithmeticError:
+            outcomes.append(ArithmeticError)
+    np.testing.assert_array_equal(*outcomes)
+
+
+#: integer, non-integer and sub-fringe windows, the envelope, and tiny
+#: windows whose rounding-noisy CDF tables are unsorted at phase pi/2
+BIT_LAWS = {
+    "m1": DEFAULT,
+    "m2_29": OpticsConfig(screen_halfwidth_m=0.8e-3),
+    "m20_29": OpticsConfig(screen_halfwidth_m=20.29 * 0.35e-3),
+    "envelope": OpticsConfig(envelope_enabled=True),
+    "hw1e-4": OpticsConfig(screen_halfwidth_m=1e-4),
+    "hw1e-6": OpticsConfig(screen_halfwidth_m=1e-6),
+    "hw1e-7": OpticsConfig(screen_halfwidth_m=1e-7),
+}
+#: laws whose every table level inverts without error
+SORTED_LAWS = ["envelope", "hw1e-4", "m1", "m20_29", "m2_29"]
+BIT_PHASES = [0.0, 0.5 * math.pi, 2.0713]
+
+
+def _table_levels(dist: PatternDistribution) -> np.ndarray:
+    """Every CDF node, every cell-index bucket edge and both its neighbours,
+    and the ends of [0, 1]."""
+    _, cs = dist._quantile_table
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    below = np.nextafter(edges[1:], 0.0)
+    above = np.nextafter(edges[:-1], 1.0)
+    return np.concatenate((cs, edges, below, above, [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)]))
+
+
+class TestSamplerBits:
+    """The indexed, blocked wave sampler returns the reference's bits."""
+
+    @pytest.mark.parametrize("phase", BIT_PHASES)
+    @pytest.mark.parametrize("name", sorted(BIT_LAWS))
+    def test_start_points_at_every_table_level(self, name, phase):
+        dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS[name], phase)
+        _assert_same_start(dist, _table_levels(dist))
+
+    def test_start_points_on_ties_and_infinite_slopes(self):
+        """np.interp's special cases: a level on a node (where the slope may be
+        infinite) maps to the node, and 1.0 to the last node even when the
+        table reaches 1 a node early."""
+        dist = PatternDistribution(PatternKind.WAVE, DEFAULT)
+        xs = np.linspace(WINDOW_LO, WINDOW_HI, len(dist._quantile_table[0]))
+        cs = np.sort(np.random.default_rng(8).random(xs.size))
+        cs[:4] = [0.0, 5e-324, 1e-323, 1e-323]
+        cs[100:103] = cs[100]
+        cs[-2:] = 1.0
+        dist.__dict__["_quantile_table"] = (xs, cs)
+        _assert_same_start(dist, np.concatenate((_table_levels(dist), np.random.default_rng(9).random(1000))))
+
+    @pytest.mark.parametrize("phase", BIT_PHASES)
+    @pytest.mark.parametrize("name", SORTED_LAWS)
+    def test_every_table_level(self, name, phase):
+        dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS[name], phase)
+        _assert_same_bits(dist, np.append(_table_levels(dist), np.nan))
+
+    def test_unsorted_table_keeps_the_whole_input_searches(self):
+        """The interior nodes of an unsorted table invert, in any order, from
+        the start points the searches over the whole input give."""
+        dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS["hw1e-7"], 0.5 * math.pi)
+        _, cs = dist._quantile_table
+        assert np.any(np.diff(cs) < 0.0)
+        inner = cs[1:-1]
+        # node 1998 right after a block of lanes: its cell depends on the lane before
+        past_block = np.append(np.resize(inner, _PPF_BLOCK), cs[1998])
+        for u in (inner, np.random.default_rng(4).permutation(inner), past_block):
+            np.testing.assert_array_equal(dist.ppf(u).view(np.int64), _reference_ppf(dist, u).view(np.int64))
+
+    @given(
+        name=st.sampled_from(sorted(BIT_LAWS)),
+        phase=st.one_of(st.sampled_from(BIT_PHASES), st.floats(-10.0, 10.0)),
+        size=st.sampled_from([None, 0, 1, 2, _PPF_BLOCK - 1, _PPF_BLOCK, _PPF_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bits_match_the_reference(self, name, phase, size, seed):
+        dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS[name], phase)
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate((_table_levels(dist), rng.random(_PPF_BLOCK)))
+        _assert_same_bits(dist, rng.choice(pool, size=size))
 
 
 @st.composite
