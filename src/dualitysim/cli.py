@@ -15,44 +15,36 @@ A manifest is a JSON document:
       ]
     }
 
-Unknown keys are rejected with the dotted path to the offending key. Every
+A run's keys are its ``name`` and the ``ProtocolConfig`` field names;
+``optics``, ``model`` and ``strategy`` take the fields of their dataclasses. A
+null means the default, and only ``ttl_s`` accepts ``"inf"``. Unknown keys
+are rejected with the dotted path to the offending key. Every
 run writes ``<name>.json`` (plus ``<name>.events.csv`` and ``<name>.hist.txt``
 when requested) into the output directory, followed by one ``summary.json``;
-reports use sorted keys so identical runs diff as identical bytes.
+reports use sorted keys so identical runs diff as identical bytes. A run that
+raises reports the one-line ``Type: message``; ``verbose`` prints its
+traceback to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .models import AvailabilityHorizon, RenderingModel, RenderingPolicy
 from .optics import IntervalSet, OpticsConfig, ValidationError
-from .protocols import (
-    DetectNoRecordVariant,
-    ObservationSchedule,
-    OutcomeHypothesis,
-    PairingMode,
-    Protocol,
-    ProtocolConfig,
-    RecordingRule,
-    RunResult,
-    SwitchStage,
-    SwitchStrategy,
-    config_to_json_dict,
-    run_protocol,
-)
+from .protocols import ProtocolConfig, RunResult, config_to_json_dict, run_protocol
 from .stats import FeasibilityReport
 
 REPORT_FORMATS = ("json", "csv", "ascii")
@@ -93,11 +85,15 @@ def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
             raise ManifestError(f"{path}.{key}: unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _string(obj: dict, key: str, path: str) -> str:
-    value = obj[key]
+def _string(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise ManifestError(f"{path}.{key}: expected a string, got {type(value).__name__}")
+        raise ManifestError(f"{path}: expected a string, got {type(value).__name__}")
     return value
+
+
+def _run_name(value: Any, path: str) -> None:
+    if not _RUN_NAME_RE.match(_string(value, path)):
+        raise ManifestError(f"{path}: {value!r} must match {_RUN_NAME_RE.pattern}")
 
 
 def _float_value(value: Any, path: str, allow_inf: bool = False) -> float:
@@ -128,173 +124,85 @@ def _enum_value(value: Any, enum_cls, path: str):
         raise ManifestError(f"{path}: {value!r} is not one of: {valid}") from None
 
 
-def _pairs_value(value: Any, path: str) -> list[tuple[float, float]]:
-    if not isinstance(value, list):
-        raise ManifestError(f"{path}: expected a list of [lo, hi] pairs")
-    pairs = []
-    for i, item in enumerate(value):
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise ManifestError(f"{path}[{i}]: expected a [lo, hi] pair")
-        pairs.append((_float_value(item[0], f"{path}[{i}][0]"), _float_value(item[1], f"{path}[{i}][1]")))
-    return pairs
+# -- config codec: a config's manifest form is its dataclass fields ----------------
+
+#: the one field whose number may be written as the string "inf"
+_INF_FIELD = "ttl_s"
+#: what a list of each item type holds, for "expected a list of ..." errors
+_LIST_OF = {float: "numbers", bool: "booleans", tuple[float, float]: "[lo, hi] pairs"}
 
 
-_OPTICS_KEYS = {
-    "wavelength_m",
-    "slit_separation_m",
-    "slit_screen_distance_m",
-    "screen_halfwidth_m",
-    "envelope_enabled",
-    "slit_width_m",
-}
-_MODEL_KEYS = {"policy", "availability_horizon"}
-_STRATEGY_KEYS = {"kind", "intervals", "table_edges", "table_activate"}
-_RUN_KEYS = {
-    "name",
-    "protocol",
-    "optics",
-    "model",
-    "seed",
-    "n_pairs",
-    "delta_t_s",
-    "coincidence_window_s",
-    "observation_schedule",
-    "detectors_recording",
-    "choice_record_prob",
-    "variant",
-    "destruction_prob",
-    "pairing_mode",
-    "erasure_delay_s",
-    "switch_stage",
-    "strategy",
-    "outcome_hypothesis",
-    "noise_threshold",
-    "ttl_s",
-    "recording_rule",
-    "rule_intervals",
-}
-_TOP_KEYS = {"name", "out_dir", "formats", "seed", "runs"}
+@functools.cache
+def _field_types(cls) -> dict[str, tuple[Any, bool]]:
+    """Field name -> (annotation without its ``| None``, required), in field order."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        typ = hints[f.name]
+        if type(None) in get_args(typ):
+            typ = get_args(typ)[0]
+        out[f.name] = (typ, f.default is MISSING and f.default_factory is MISSING)
+    return out
 
 
-def _parse_optics(obj: Any, path: str) -> OpticsConfig:
-    data = _expect_mapping(obj, path)
-    _reject_unknown(data, _OPTICS_KEYS, path)
-    kwargs = {}
-    for key in ("wavelength_m", "slit_separation_m", "slit_screen_distance_m", "screen_halfwidth_m", "slit_width_m"):
-        if key in data and data[key] is not None:
-            kwargs[key] = _float_value(data[key], f"{path}.{key}")
-    if "envelope_enabled" in data and data["envelope_enabled"] is not None:
-        kwargs["envelope_enabled"] = _bool_value(data["envelope_enabled"], f"{path}.envelope_enabled")
-    try:
-        return OpticsConfig(**kwargs)
-    except ValidationError as exc:
-        raise ManifestError(f"{path}: {exc}") from None
-
-
-def _parse_model(obj: Any, path: str) -> RenderingModel:
-    data = _expect_mapping(obj, path)
-    _reject_unknown(data, _MODEL_KEYS, path)
-    if "policy" not in data:
-        raise ManifestError(f"{path}.policy: required")
-    policy = _enum_value(data["policy"], RenderingPolicy, f"{path}.policy")
-    horizon = AvailabilityHorizon.AT_OBSERVATION_TIME
-    if "availability_horizon" in data and data["availability_horizon"] is not None:
-        horizon = _enum_value(data["availability_horizon"], AvailabilityHorizon, f"{path}.availability_horizon")
-    return RenderingModel(policy, horizon)
-
-
-def _parse_strategy(obj: Any, path: str, window: tuple[float, float]) -> SwitchStrategy:
-    data = _expect_mapping(obj, path)
-    _reject_unknown(data, _STRATEGY_KEYS, path)
-    if "kind" not in data:
-        raise ManifestError(f"{path}.kind: required")
-    from .protocols import StrategyKind
-
-    kind = _enum_value(data["kind"], StrategyKind, f"{path}.kind")
-    intervals = None
-    if data.get("intervals") is not None:
+def _decode(value: Any, typ, path: str, window: tuple[float, float], allow_inf: bool = False):
+    """The manifest value at ``path`` as an instance of the annotation ``typ``."""
+    if typ is bool:
+        return _bool_value(value, path)
+    if typ is int:
+        return _int_value(value, path)
+    if typ is float:
+        return _float_value(value, path, allow_inf)
+    if isinstance(typ, type) and issubclass(typ, Enum):
+        return _enum_value(value, typ, path)
+    if typ is IntervalSet:
+        pairs = _decode(value, _field_types(IntervalSet)["intervals"][0], path, window)
         try:
-            intervals = IntervalSet.from_pairs(_pairs_value(data["intervals"], f"{path}.intervals"), window=window)
+            return IntervalSet.from_pairs(pairs, window=window)
         except ValidationError as exc:
-            raise ManifestError(f"{path}.intervals: {exc}") from None
-    edges = activate = None
-    if data.get("table_edges") is not None:
-        raw = data["table_edges"]
-        if not isinstance(raw, list):
-            raise ManifestError(f"{path}.table_edges: expected a list of numbers")
-        edges = tuple(_float_value(v, f"{path}.table_edges[{i}]") for i, v in enumerate(raw))
-    if data.get("table_activate") is not None:
-        raw = data["table_activate"]
-        if not isinstance(raw, list):
-            raise ManifestError(f"{path}.table_activate: expected a list of booleans")
-        activate = tuple(_bool_value(v, f"{path}.table_activate[{i}]") for i, v in enumerate(raw))
+            raise ManifestError(f"{path}: {exc}") from None
+    if get_origin(typ) is tuple:
+        args = get_args(typ)
+        if args[-1] is Ellipsis:
+            if not isinstance(value, list):
+                raise ManifestError(f"{path}: expected a list of {_LIST_OF[args[0]]}")
+            args = args[:1] * len(value)
+        elif not (isinstance(value, list) and len(value) == len(args)):
+            raise ManifestError(f"{path}: expected a [lo, hi] pair")
+        return tuple(_decode(v, t, f"{path}[{i}]", window) for i, (v, t) in enumerate(zip(value, args)))
+    return _decode_object(value, typ, path, window)
+
+
+def _decode_object(obj: Any, cls, path: str, window: tuple[float, float], checks: dict | None = None):
+    """A config dataclass from its JSON object: a null or absent key means the
+    default, a field without one is required. ``checks`` maps required keys
+    that are not fields to their validators, which run before any field."""
+    data = _expect_mapping(obj, path)
+    spec = _field_types(cls)
+    checks = checks or {}
+    _reject_unknown(data, {*checks, *spec}, path)
+    for key in [*checks, *(key for key, (_, required) in spec.items() if required)]:
+        if key not in data:
+            raise ManifestError(f"{path}.{key}: required")
+    for key, check in checks.items():
+        check(data[key], f"{path}.{key}")
+    kwargs = {}
+    for key, (typ, required) in spec.items():
+        if data.get(key) is None and not required:
+            continue
+        kwargs[key] = value = _decode(data[key], typ, f"{path}.{key}", window, allow_inf=key == _INF_FIELD)
+        if isinstance(value, OpticsConfig):
+            window = value.window  # the run's screen regions must lie in its own window
     try:
-        return SwitchStrategy(kind, intervals=intervals, table_edges=edges, table_activate=activate)
+        return cls(**kwargs)
     except ValidationError as exc:
         raise ManifestError(f"{path}: {exc}") from None
 
 
 def _parse_run(obj: Any, index: int) -> ManifestRun:
     path = f"runs[{index}]"
-    data = _expect_mapping(obj, path)
-    _reject_unknown(data, _RUN_KEYS, path)
-    for key in ("name", "protocol"):
-        if key not in data:
-            raise ManifestError(f"{path}.{key}: required")
-    name = _string(data, "name", path)
-    if not _RUN_NAME_RE.match(name):
-        raise ManifestError(f"{path}.name: {name!r} must match {_RUN_NAME_RE.pattern}")
-    kwargs: dict[str, Any] = {"protocol": _enum_value(data["protocol"], Protocol, f"{path}.protocol")}
-    optics = OpticsConfig()
-    if data.get("optics") is not None:
-        optics = _parse_optics(data["optics"], f"{path}.optics")
-    kwargs["optics"] = optics
-    if data.get("model") is not None:
-        kwargs["model"] = _parse_model(data["model"], f"{path}.model")
-    int_keys = ("seed", "n_pairs")
-    float_keys = (
-        "delta_t_s",
-        "coincidence_window_s",
-        "choice_record_prob",
-        "destruction_prob",
-        "erasure_delay_s",
-        "noise_threshold",
-    )
-    enum_keys = {
-        "observation_schedule": ObservationSchedule,
-        "variant": DetectNoRecordVariant,
-        "pairing_mode": PairingMode,
-        "switch_stage": SwitchStage,
-        "outcome_hypothesis": OutcomeHypothesis,
-        "recording_rule": RecordingRule,
-    }
-    for key in int_keys:
-        if data.get(key) is not None:
-            kwargs[key] = _int_value(data[key], f"{path}.{key}")
-    for key in float_keys:
-        if data.get(key) is not None:
-            kwargs[key] = _float_value(data[key], f"{path}.{key}")
-    if data.get("ttl_s") is not None:
-        kwargs["ttl_s"] = _float_value(data["ttl_s"], f"{path}.ttl_s", allow_inf=True)
-    if data.get("detectors_recording") is not None:
-        kwargs["detectors_recording"] = _bool_value(data["detectors_recording"], f"{path}.detectors_recording")
-    for key, enum_cls in enum_keys.items():
-        if data.get(key) is not None:
-            kwargs[key] = _enum_value(data[key], enum_cls, f"{path}.{key}")
-    if data.get("strategy") is not None:
-        kwargs["strategy"] = _parse_strategy(data["strategy"], f"{path}.strategy", optics.window)
-    if data.get("rule_intervals") is not None:
-        try:
-            kwargs["rule_intervals"] = IntervalSet.from_pairs(
-                _pairs_value(data["rule_intervals"], f"{path}.rule_intervals"), window=optics.window
-            )
-        except ValidationError as exc:
-            raise ManifestError(f"{path}.rule_intervals: {exc}") from None
-    try:
-        config = ProtocolConfig(**kwargs)
-    except ValidationError as exc:
-        raise ManifestError(f"{path}: {exc}") from None
-    return ManifestRun(name=name, config=config)
+    config = _decode_object(obj, ProtocolConfig, path, OpticsConfig().window, checks={"name": _run_name})
+    return ManifestRun(name=obj["name"], config=config)
 
 
 def parse_manifest(text: str) -> RunManifest:
@@ -304,7 +212,7 @@ def parse_manifest(text: str) -> RunManifest:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     data = _expect_mapping(doc, "manifest")
-    _reject_unknown(data, _TOP_KEYS, "manifest")
+    _reject_unknown(data, {"name", "out_dir", "formats", "seed", "runs"}, "manifest")
     if "runs" not in data or not isinstance(data["runs"], list) or not data["runs"]:
         raise ManifestError("manifest.runs: a nonempty list of runs is required")
     runs = tuple(_parse_run(obj, i) for i, obj in enumerate(data["runs"]))
@@ -312,21 +220,23 @@ def parse_manifest(text: str) -> RunManifest:
     if len(set(names)) != len(names):
         dupe = next(n for n in names if names.count(n) > 1)
         raise ManifestError(f"manifest.runs: run names must be unique, {dupe!r} repeats")
-    out_dir = "runs"
-    if data.get("out_dir") is not None:
-        out_dir = _string(data, "out_dir", "manifest")
-    formats = frozenset({"json"})
-    if data.get("formats") is not None:
-        if not isinstance(data["formats"], list):
-            raise ManifestError("manifest.formats: expected a list")
-        formats = frozenset(_normalize_format(v, f"manifest.formats[{i}]") for i, v in enumerate(data["formats"]))
-    seed = None
-    if data.get("seed") is not None:
-        seed = _int_value(data["seed"], "manifest.seed")
-    name = None
-    if data.get("name") is not None:
-        name = _string(data, "name", "manifest")
-    return RunManifest(runs=runs, out_dir=out_dir, formats=formats, seed_override=seed, name=name)
+
+    def optional(key, decode, default=None):
+        return default if data.get(key) is None else decode(data[key], f"manifest.{key}")
+
+    return RunManifest(
+        runs=runs,
+        out_dir=optional("out_dir", _string, "runs"),
+        formats=optional("formats", _formats, frozenset({"json"})),
+        seed_override=optional("seed", _int_value),
+        name=optional("name", _string),
+    )
+
+
+def _formats(value: Any, path: str) -> frozenset:
+    if not isinstance(value, list):
+        raise ManifestError(f"{path}: expected a list")
+    return frozenset(_normalize_format(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _normalize_format(value: Any, path: str) -> str:
@@ -442,8 +352,12 @@ def execute_manifest(
         outcome, error = None, None
         try:
             outcome = run_protocol(config)
-        except Exception:
-            error = traceback.format_exc(limit=10)
+        except Exception as exc:
+            # the report keeps "Type: message" only, so its bytes do not depend
+            # on where the source lives; the traceback goes to stderr
+            error = "".join(traceback.format_exception_only(exc)).rstrip("\n")
+            if verbose:
+                traceback.print_exc(limit=10)
         report = _run_report(entry.name, config, outcome, error)
         (out / f"{entry.name}.json").write_text(canonical_json(report))
         if isinstance(outcome, RunResult):

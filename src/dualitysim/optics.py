@@ -352,7 +352,8 @@ class PatternDistribution:
     def ppf(self, u) -> np.ndarray | float:
         """Quantile function; |cdf(ppf(u)) - u| <= 1e-12 lane-wise."""
         arr = np.asarray(u, dtype=float)
-        if arr.size and (np.any(arr < 0.0) | np.any(arr > 1.0)):
+        # written so that a NaN level fails it too
+        if arr.size and not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValidationError("quantile levels must lie in [0, 1]")
         cfg = self.config
         lo, hi = cfg.window

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -685,30 +685,23 @@ class RunResult:
 
 
 def config_to_json_dict(cfg: ProtocolConfig) -> dict:
-    """Stable JSON echo of a run configuration."""
+    """Stable JSON echo of a run configuration, in the manifest's form: enums
+    as their values, tuples and interval sets as lists, nested configs as
+    objects (``canonical_json`` writes an infinite ``ttl_s`` as "inf")."""
+    return _echo(cfg)
 
-    def convert(value):
-        if isinstance(value, Enum):
-            return value.value
-        if isinstance(value, OpticsConfig):
-            return {f.name: convert(getattr(value, f.name)) for f in fields(value)}
-        if isinstance(value, RenderingModel):
-            return {"policy": value.policy.value, "availability_horizon": value.availability_horizon.value}
-        if isinstance(value, IntervalSet):
-            return [list(pair) for pair in value]
-        if isinstance(value, SwitchStrategy):
-            out = {"kind": value.kind.value}
-            if value.intervals is not None:
-                out["intervals"] = [list(pair) for pair in value.intervals]
-            if value.table_edges is not None:
-                out["table_edges"] = list(value.table_edges)
-                out["table_activate"] = list(value.table_activate)
-            return out
-        if isinstance(value, float) and math.isinf(value):
-            return "inf"
-        return value
 
-    return {f.name: convert(getattr(cfg, f.name)) for f in fields(cfg)}
+def _echo(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, IntervalSet)):
+        return [_echo(item) for item in value]
+    if is_dataclass(value):
+        # a strategy echoes only the parameters its kind takes
+        omit_none = isinstance(value, SwitchStrategy)
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _echo(item) for name, item in items if not (omit_none and item is None)}
+    return value
 
 
 # -- shared runner plumbing --------------------------------------------------------

@@ -195,6 +195,13 @@ class TestSampler:
         with pytest.raises(ValidationError):
             dist.ppf(1.5)
 
+    @pytest.mark.parametrize("kind", list(PatternKind))
+    @pytest.mark.parametrize("u", [math.nan, np.array([0.25, math.nan]), np.array([[0.5], [math.nan]])])
+    def test_nan_levels_are_rejected(self, kind, u):
+        dist = PatternDistribution(kind, DEFAULT)
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            dist.ppf(u)
+
     @pytest.mark.parametrize(
         "cfg,kind",
         [
@@ -311,7 +318,7 @@ class TestSamplerBits:
     @pytest.mark.parametrize("name", SORTED_LAWS)
     def test_every_table_level(self, name, phase):
         dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS[name], phase)
-        _assert_same_bits(dist, np.append(_table_levels(dist), np.nan))
+        _assert_same_bits(dist, _table_levels(dist))
 
     def test_unsorted_table_keeps_the_whole_input_searches(self):
         """The interior nodes of an unsorted table invert, in any order, from
