@@ -168,17 +168,6 @@ def builtin_manifest(out_dir: str = "acceptance-runs"):
     return RunManifest(runs=tuple(runs), out_dir=out_dir, formats=frozenset({"json"}), name="acceptance suite")
 
 
-def _switch_stage_config(stage: SwitchStage, dt: float) -> ProtocolConfig:
-    return ProtocolConfig(
-        protocol=Protocol.SWITCH_EXPERIMENT,
-        model=RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION),
-        n_pairs=100_000,
-        seed=105,
-        switch_stage=stage,
-        delta_t_s=dt,
-    )
-
-
 def _criterion_1(outcomes) -> CriterionResult:
     stats = outcomes["predictor_main"].predictor
     ok = stats.max_abs_deviation_curve <= 0.02 and stats.dark_fringe_min_empirical >= 0.99
@@ -193,7 +182,6 @@ def _criterion_2() -> CriterionResult:
     optics = OpticsConfig()
     tv = tv_distance(optics)
     # independent numeric integration, piecewise between density crossings
-    wave = PatternDistribution(PatternKind.WAVE, optics)
     lo, hi = optics.window
     a = optics.fringe_scale_m
     crossings = [lo]
@@ -390,15 +378,16 @@ def _load_summary(out_dir: Path) -> dict:
     return _json.loads((out_dir / "summary.json").read_text())
 
 
-def _criterion_9(outcomes) -> CriterionResult:
+def _criterion_9(outcomes, manifest) -> CriterionResult:
+    configs = {run.name: run.config for run in manifest.runs}
     verdicts_ok = True
     for stage in ("a", "b", "c"):
         for tag in ("fast", "slow"):
             verdicts_ok = verdicts_ok and outcomes[f"switch_{stage}_{tag}"].subsets["screen"].verdict is Verdict.WAVE
     equal_ok = True
-    for stage in (SwitchStage.A, SwitchStage.B, SwitchStage.C):
-        fast = run_protocol(_switch_stage_config(stage, DELTA_T_FAST))
-        slow = run_protocol(_switch_stage_config(stage, DELTA_T_SLOW))
+    for stage in ("a", "b", "c"):
+        fast = run_protocol(configs[f"switch_{stage}_fast"])
+        slow = run_protocol(configs[f"switch_{stage}_slow"])
         equal_ok = equal_ok and np.array_equal(fast.events.signal_x_m, slow.events.signal_x_m)
         equal_ok = equal_ok and np.array_equal(
             fast.subsets["screen"].histogram_counts, slow.subsets["screen"].histogram_counts
@@ -438,7 +427,7 @@ def run_acceptance(out_dir: str | None = None, jobs: int = 1) -> AcceptanceRepor
             _criterion_6(outcomes),
             _criterion_7(),
             _criterion_8(base, jobs),
-            _criterion_9(outcomes),
+            _criterion_9(outcomes, manifest),
         ]
         return AcceptanceReport(criteria, None if cleanup else str(out_dir))
     finally:

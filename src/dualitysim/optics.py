@@ -5,8 +5,9 @@ the interference law; the screen window is ``[-halfwidth, +halfwidth]``. Two
 normalized pattern laws live on that window: an interference ("wave") law
 proportional to ``cos^2(pi x / a + phase)`` and a structureless ("particle")
 law, uniform by default or an optional two-slit diffraction-envelope sum.
-Windows spanning an integer number of fringe periods get closed-form
-normalization and CDFs; anything else is normalized by adaptive quadrature.
+The interference law's normalization and CDF come from one closed form of the
+integral of cos^2, written so that it does not cancel on any window, however
+small or however many fringes it spans.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import adaptive_simpson, invert_monotone
+# adaptive_simpson is not called here; the benchmark tracer patches optics.adaptive_simpson
+from .numerics import adaptive_simpson, invert_monotone  # noqa: F401
 
 
 class ValidationError(ValueError):
@@ -42,6 +44,10 @@ _ENVELOPE_GRID_NODES = 32769
 _GUIDE_BUCKETS = 8192
 #: lanes per wave-sampler block
 _PPF_BLOCK = 65536
+#: below this angle span d, 2d - sin 2d comes from its Taylor series
+_SERIES_SPAN = 0.125
+#: (y - sin y) / y**3 as a polynomial in y**2, highest power first; double precision at |y| < 0.25
+_Y_MINUS_SIN = (-1 / 6227020800, 1 / 39916800, -1 / 362880, 1 / 5040, -1 / 120, 1 / 6)
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class OpticsConfig:
 
     @property
     def fringe_count(self) -> float:
-        """Window width in fringe periods; integer values unlock closed forms."""
+        """Window width in fringe periods."""
         return self.window_width_m / self.fringe_scale_m
 
     @property
@@ -199,6 +205,44 @@ class IntervalSet:
         return iter(self.intervals)
 
 
+def _cos2_integral(d: np.ndarray, cos0: float, sin0: float, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the integral of cos^2 from theta0 to theta0 + d, for 1-D
+    spans d >= 0: (2d - sin 2d)/4 + cos0^2 sin(2d)/2 - sin0 cos0 sin^2(d), with
+    cos0, sin0 those of theta0. Below ``_SERIES_SPAN``, 2d - sin 2d comes from
+    its series, so a span that starts on a dark fringe keeps its precision.
+    """
+    # The integral is d/2 + osc, osc = sin d (Q cos d - R sin d) of period pi. With d = q pi/2 + r,
+    # |r| <= pi/4 (where sin and cos are cheapest), and s, c = sin r, cos r, osc = s (Q c - R s) for
+    # even q and -s (Q c - R s) - R for odd q. In place: temporaries cost more than the flops.
+    big_q, big_r = scale * (cos0 * cos0 - 0.5), scale * sin0 * cos0
+    q = np.rint(d * (2.0 / math.pi))
+    osc = d - q * (0.5 * math.pi)  # r, then c, then osc for even q
+    s = np.sin(osc)
+    np.cos(osc, out=osc)
+    osc *= big_q
+    osc -= big_r * s
+    osc *= s
+    q *= 0.5
+    odd = q - np.floor(q)  # 0 for even q, 1/2 for odd q
+    out = d * (0.5 * scale)
+    out += osc
+    osc *= 4.0
+    osc += 2.0 * big_r
+    osc *= odd
+    out -= osc
+    small = np.flatnonzero(d < _SERIES_SPAN)
+    if small.size:
+        s, c, y = s[small], np.cos(d[small]), 2.0 * d[small]  # q = 0 there, so r = d
+        z = y * y  # y - sin y = y z P(z)
+        out[small] = scale * (0.25 * y * z * np.polyval(_Y_MINUS_SIN, z) + s * (cos0 * cos0 * c - sin0 * cos0 * s))
+    return out
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x: scipy's ``cumulative_trapezoid(y, x, initial=0.0)``."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @dataclass(frozen=True)
 class PatternDistribution:
     """One normalized screen-impact law: interference or structureless."""
@@ -210,19 +254,22 @@ class PatternDistribution:
     # -- raw evaluations (no domain checks), used by the samplers -----------
 
     @cached_property
+    def _wave_terms(self) -> tuple[float, float, float, float]:
+        """(pi / a, cos theta0, sin theta0, 1 / M): theta0 = pi lo / a + phase at
+        the window's low edge, by angle addition so that a tiny cosine stays
+        accurate, and M the integral of cos^2 over the window's phase span."""
+        cfg = self.config
+        k = math.pi / cfg.fringe_scale_m
+        t = math.pi * cfg.window[0] / cfg.fringe_scale_m
+        phase = self.phase_offset_rad
+        cos0 = math.cos(t) * math.cos(phase) - math.sin(t) * math.sin(phase)
+        sin0 = math.sin(t) * math.cos(phase) + math.cos(t) * math.sin(phase)
+        return k, cos0, sin0, 1.0 / float(_cos2_integral(np.array([cfg.window_width_m * k]), cos0, sin0)[0])
+
+    @cached_property
     def _wave_norm(self) -> float:
         """Normalization constant c with integral c * cos^2(pi x/a + phase) = 1."""
-        cfg = self.config
-        if cfg.is_integer_fringe_window():
-            return 2.0 / cfg.window_width_m
-        a = cfg.fringe_scale_m
-        phase = self.phase_offset_rad
-        lo, hi = cfg.window
-        # integrate in fringe units so the tolerance is relative to an O(m) integrand
-        integral = a * adaptive_simpson(
-            lambda t: math.cos(math.pi * t + phase) ** 2, lo / a, hi / a, tol=1e-12
-        )
-        return 1.0 / integral
+        return self._wave_terms[0] * self._wave_terms[3]
 
     @cached_property
     def _envelope_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,9 +281,7 @@ class PatternDistribution:
         scale = cfg.wavelength_m * cfg.slit_screen_distance_m
         half = 0.5 * cfg.slit_separation_m
         raw = np.sinc(b * (xs - half) / scale) ** 2 + np.sinc(b * (xs + half) / scale) ** 2
-        from scipy.integrate import cumulative_trapezoid
-
-        cum = cumulative_trapezoid(raw, xs, initial=0.0)
+        cum = _cumulative_trapezoid(raw, xs)
         total = cum[-1]
         dens = raw / total
         cdf = cum / total
@@ -257,13 +302,11 @@ class PatternDistribution:
         cfg = self.config
         lo, _ = cfg.window
         if self.kind is PatternKind.WAVE:
-            a = cfg.fringe_scale_m
-            two_phase = 2.0 * self.phase_offset_rad
-            sin_lo = math.sin(2.0 * math.pi * lo / a + two_phase)
-            raw = self._wave_norm * (
-                0.5 * (x - lo) + (a / (4.0 * math.pi)) * (np.sin(2.0 * np.pi * x / a + two_phase) - sin_lo)
-            )
-            return np.clip(raw, 0.0, 1.0)
+            k, cos0, sin0, inv_total = self._wave_terms
+            spans = np.subtract(x, lo, dtype=float).ravel()
+            spans *= k
+            raw = _cos2_integral(spans, cos0, sin0, scale=inv_total)
+            return np.clip(raw, 0.0, 1.0, out=raw).reshape(np.shape(x))
         if cfg.envelope_enabled:
             xs, _, cdf = self._envelope_table
             return np.interp(x, xs, cdf)
@@ -298,20 +341,15 @@ class PatternDistribution:
         return xs, cs
 
     @cached_property
-    def _cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """O(1) lookup of a quantile level's table cell, or None for an unsorted table.
+    def _cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """O(1) lookup of a quantile level's table cell.
 
         ``guide[k]`` is the cell holding ``k / _GUIDE_BUCKETS``; ``wide[k]``
         marks buckets spanning more than two cells; ``cs_pad`` is the CDF
         column padded with two +inf sentinels; ``slopes`` are the per-cell
-        slopes ``np.interp`` uses. Rounding noise can leave the CDF column of
-        a tiny window unsorted; there ``searchsorted`` and ``np.interp`` give
-        answers that depend on the lanes searched before, which no index can
-        reproduce.
+        slopes ``np.interp`` uses. The CDF column is sorted on every window.
         """
         xs, cs = self._quantile_table
-        if np.any(np.diff(cs) < 0.0):
-            return None
         levels = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
         guide = np.searchsorted(cs, levels, side="right") - 1
         wide = np.diff(guide) > 2
@@ -325,11 +363,7 @@ class PatternDistribution:
         same bits as ``clip(searchsorted(cs, u, "right") - 1, 0, len - 2)``
         and ``np.interp(u, cs, xs)``."""
         xs, cs = self._quantile_table
-        index = self._cell_index
-        if index is None:
-            cell = np.clip(np.searchsorted(cs, u, side="right") - 1, 0, len(xs) - 2)
-            return cell, np.interp(u, cs, xs)
-        guide, wide, cs_pad, slopes = index
+        guide, wide, cs_pad, slopes = self._cell_index
         # u * K is exact, so bucket k holds exactly the levels in [k/K, (k+1)/K);
         # fmin sends u = 1 to the last bucket and a NaN level to a valid one
         k = np.fmin(u * _GUIDE_BUCKETS, _GUIDE_BUCKETS - 1).astype(np.intp)
@@ -366,13 +400,10 @@ class PatternDistribution:
             return float(out) if np.ndim(u) == 0 else out
         xs, _ = self._quantile_table
         flat = np.atleast_1d(arr).ravel()
-        # lanes are independent, so fixed blocks keep temporaries small without
-        # changing a bit; an unsorted table's searches depend on the lanes
-        # searched before, so there the input stays one block
-        size = _PPF_BLOCK if self._cell_index is not None else max(flat.size, 1)
+        # lanes are independent, so fixed blocks keep temporaries small and change no bit
         out = np.empty_like(flat)
-        for start in range(0, flat.size, size):
-            block = slice(start, start + size)
+        for start in range(0, flat.size, _PPF_BLOCK):
+            block = slice(start, start + _PPF_BLOCK)
             cell, x0 = self._start_points(flat[block])
             out[block] = invert_monotone(
                 self._cdf_raw,
@@ -442,9 +473,8 @@ def fringe_visibility(counts, edges, cfg: OpticsConfig) -> float:
         raise ValidationError("bin intensities must be nonnegative")
 
     nbins = len(intensities)
-    m = cfg.fringe_count
-    periods = int(round(m))
-    if abs(m - periods) <= INTEGER_FRINGE_TOL * max(1.0, m) and periods >= 1 and nbins % periods == 0:
+    periods = int(round(cfg.fringe_count))
+    if cfg.is_integer_fringe_window() and nbins % periods == 0:
         profile = intensities.reshape(periods, nbins // periods).sum(axis=0)
     else:
         k = max(1, nbins // 20)

@@ -134,48 +134,48 @@ def fingerprint(outcome) -> tuple[str | None, str]:
 
 GOLDEN: dict[str, tuple[str | None, str]] = {
     "delayed_choice-at_t0-collapse": (
-        "7a4214bf814099d01d774e6b81bdf541310fb01ca711aee8943ec981a1419682",
-        "cfca5f8e0c8f020c166b5763902b63e87e300d1b722e4f291caacdfd94566ca9",
+        "1d67d38a33342e2e2e4c3a509ceff41cfb1bf4fa9791254e15f97d6522dc50ff",
+        "9b798953b2d91483fd0bd773f376e66180ca3efa1baa8eccf022b0a98a275968",
     ),
     "delayed_choice-at_t0-render": (
-        "7a4214bf814099d01d774e6b81bdf541310fb01ca711aee8943ec981a1419682",
-        "51bbce8031fab36d050822df9bc9ce3c64b3b9d3dc49714005dce3fa375fd0c5",
+        "1d67d38a33342e2e2e4c3a509ceff41cfb1bf4fa9791254e15f97d6522dc50ff",
+        "34278bcc135d94575a9ec263ba99ea4fea78bc9cc45c41737d8f7dc52ed8180a",
     ),
     "delayed_choice-collapse": (
-        "ccbdc9a6bacc10354544c5470e6a896c5dfea949564871f44e77c8377ab28a68",
-        "518e4ad3022d414a29930714cd30cbd0c3001105cfe6e3d28f38529501741cfb",
+        "355be6e2497810287e6f4848803ab986b1e8e256efb21c69c663f2e6cd07558f",
+        "c191692028db055902f10de83d780df30b7c1c40436fac48295272e9df4ad7c7",
     ),
     "delayed_choice-render": (
-        "ccbdc9a6bacc10354544c5470e6a896c5dfea949564871f44e77c8377ab28a68",
-        "586814adee6c2314c5b918a7d88258c56aa9763d17a214d91e3e3ba81821f95d",
+        "355be6e2497810287e6f4848803ab986b1e8e256efb21c69c663f2e6cd07558f",
+        "cccfe09a69c085ce152795351bd515fe5f5f3bfc95c8437a5c54e4d6255c6826",
     ),
     "delayed_choice-render-at_impact": (
-        "ccbdc9a6bacc10354544c5470e6a896c5dfea949564871f44e77c8377ab28a68",
-        "57acbefb7244fcc701df19173bc6883e1c6f1b51d4785ed4fb0d7a6b28930d2d",
+        "355be6e2497810287e6f4848803ab986b1e8e256efb21c69c663f2e6cd07558f",
+        "3a4fe67c7db376a908a61917acc9d909dc1bdfa1fe4a63a2a62d7f5baa905dd9",
     ),
     "detect_no_record-no_coincidence_counter-collapse": (
-        "140ef7bbc705a1187e84bb42c297d11620585aa7250093c0c771ce1ccd85bebf",
-        "1c4086a14b717dc9ba1b957438739fd9d06088305b259097bfc26c3539011f6f",
+        "96d3cfe8a6a190675b3e0d142366448d29eec2dcd79e264f0d14d1a8ba8ea571",
+        "68b409a8b2338d1f629a4a1eb717fd5bfc8599a8dc48dc1a6efb63ac6fc0ca52",
     ),
     "detect_no_record-no_coincidence_counter-render": (
-        "9928ebfee4b5ff75de8cff25c526a36a7c04b0e032223db8e464510f33047726",
-        "669eaadb9805fc7d65e26e7f30b67abf5b3ee9eacd9990a0c17e1fc1de520c3a",
+        "6f632effde87e04975bb7a456d889e538526f8cb683bdf9dfbdc7f10e36fb5a8",
+        "d15d5dde752a0efb1e899ccea2201e8fb84edb37bab8fdb227741a257a3c7c84",
     ),
     "detect_no_record-unplugged_detectors-collapse": (
         "82adb9265ef249c658bf5606f677f4a008abeb0081612442c8c37d71042841f6",
         "27885f68d41aac2d1af0e257ac04c04867479c4b4899277a69e43b9625ae4299",
     ),
     "detect_no_record-unplugged_detectors-render": (
-        "1c7cfa0d3d3e64d1cb717cde48300dc0c8f7ea6e93681b7ee402967bdc806bda",
-        "256229087dde7b849001869e0f0467a4f12c8f3f76acd9b99bf8ebc2fde1d30e",
+        "e68ff12b8232a2507b274f68f336219a4365a2bb03a45eb595dc92239151d535",
+        "546d59758a3720111e7301ae9befa7a7b8f9938c16c2ee9d257386040e6aaa43",
     ),
     "detect_no_record-which_way_channels_off-collapse": (
-        "c36908644ff1160934571a5ef44b30f262df4afa395e2233d8c7dcfbf70090c4",
-        "ecd81cef8cdbfcdbeca2a9e62adb3b5b253ae2e9d4bdbc5b2b60cb7937390113",
+        "9a2fbe7be45a14ba521abb8d5230c2faa6a22d2079992ede5be1674995d936cd",
+        "43bc3b16acf1a30d49aba0691a1cd91494872878d9b67ec2080f233c132636e6",
     ),
     "detect_no_record-which_way_channels_off-render": (
-        "b1842f54e6ceef2a5efd08344ff3207843231d211bc9db7509edce1068facca0",
-        "cc921b15de0abfb5d84535cac34aa5664291b26d83984dea00c5145588d98624",
+        "c10184f38e5300a4edb74a29697bcb25e163d20bcd8ffd723dc45bec0db32221",
+        "2066b073ee20a0944c68f599d3f61594172c2bf1aabc529f3c2bf1bec95c270f",
     ),
     "double_slit-at_t0-collapse": (
         "2899777b6bc9765c05b080fb311a1dd2e0322ce57b412903c105f3338050c357",
@@ -186,12 +186,12 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
         "1adc538c10e51d8a942a5e2cebbe798fe9ae990db23d4761e725805f07c16b48",
     ),
     "double_slit-not_recording-collapse": (
-        "c2c535a57d07d94876128181e4c52b19370d5fc60b3eda120cdfd2f4741722dd",
-        "cd6ecb46d8ef0dbe228895e8cb4943108943823ef9cd92b9a5392dbd2ff390dc",
+        "4858c7c4b3ff9e08ef0943a1edb23cc60cdb1135cfac747dbb1bb052f0431760",
+        "77ef73c0c37056df320d1929714b72e3796b49f1dc8cebb73b0591977b08f945",
     ),
     "double_slit-not_recording-render": (
-        "c2c535a57d07d94876128181e4c52b19370d5fc60b3eda120cdfd2f4741722dd",
-        "841c6edf0efbed85ff1101ee37e464e488f6a2c64058784858a8f6d4e1ef7a41",
+        "4858c7c4b3ff9e08ef0943a1edb23cc60cdb1135cfac747dbb1bb052f0431760",
+        "33cfec1df3792f140253324b43a4e886d65124bd585bc55f51dc7d9e980e7b5f",
     ),
     "double_slit-recording-collapse": (
         "390e4f63066e0be317380e77bc73fbaf0e8e8d5e83c62d4f53c290a8ff203e34",
@@ -203,199 +203,199 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "macroscopic_erasure-at_t0-collapse": (
         "c7dba11f6d4112b7bb249c045e6613e260d102ce1270741fa764b004927d6c6b",
-        "8991d63ed6fa5378ad7c40dfbdf449f3a9d68e78f1e95d56120918e357241ff0",
+        "376b5de5fab3e2a4f5f163cce4a31e6233af78e2fd69b11d2dd93c0864eff736",
     ),
     "macroscopic_erasure-at_t0-render": (
         "c7dba11f6d4112b7bb249c045e6613e260d102ce1270741fa764b004927d6c6b",
-        "d5f413482ca868a63816803227c656e9035d0635be65f494f1eff54626f7f14b",
+        "c917ae8d658ddb301de132238050dc8468ef6c297ec15c299840682b3c3a30f4",
     ),
     "macroscopic_erasure-coin-collapse": (
         "9c0477c36192b2a7c691858701e25399dd64be42135d65abc0b3c0b28c84adf4",
-        "beac9cd456bdd65450603c1139d906774081b6c5bf5940ea4c1a598ed12c72e4",
+        "25d322308cc3b6e05d14b65b6235ed5d564459f0cc72adf2a35dc4bc9f896d84",
     ),
     "macroscopic_erasure-coin-render": (
-        "589802075ea813a658a1cf94e55564c57fff7f2ee8724ff25b171ed745dbf498",
-        "d30322522d3dcfc3df93c8ce76e79159bbf48c6c11c6388199ea86ab925570cc",
+        "f8dc985cc954d9b101443571876dd3d1513b8527f81c839fc12c853a595305b0",
+        "b6821c32f0a8ebd87c2e5a0553b41c0f622c789014de41f735c43f4f2a4949bf",
     ),
     "macroscopic_erasure-coin-render-at_impact": (
         "9c0477c36192b2a7c691858701e25399dd64be42135d65abc0b3c0b28c84adf4",
-        "8648f01989a31a4361608f017aaf6bb347b86fad96f9d04a943ccf94febbceab",
+        "abddcebdbd425da6624726a3aca85b7f84ea19e720d7da08462be75efd01f6f1",
     ),
     "macroscopic_erasure-half-collapse": (
         "f73475ed6123bdb679977810a058799be58245e178bd6c0c7685d45a7eb9ded4",
-        "b5d7a42663f3852e7e0425595ccaadc48251b0d1c58f4274232059ecf97a491e",
+        "8d5a0116779c2abee661b65300171d5b19e8b11616f9b4ab681e6d0cb7777edc",
     ),
     "macroscopic_erasure-half-render": (
-        "f9894fba4d2913f8ef47dd7edf37ac1ea4675a9a5cde0c723ad851b80b14386d",
-        "d3faf291bdba306723f894827ce98e608b07c709b164af3a695eb7a9003bf8c9",
+        "6cbfb5813e711c91e61a39052e29494e27ae35e1719b95ec94a1182416355190",
+        "6e8f9d0fa82bc5faffc75087d778c8a18a614686d63cd361f13c8bf67266dfa0",
     ),
     "perishable-a-collapse": (
         "36ee50c19bbcf935fbe42df9de7e178000f52a74c658142812bb9e0a2ca8df00",
-        "4fd911571f375ebff5bbc5de0229b6965017fdae4caee46c694f725f7cb78326",
+        "2d694ab37c2f71e0212f1c5d190e5e18b582f3eb84cc74d7ea0a64bac6389460",
     ),
     "perishable-a-render": (
         "36ee50c19bbcf935fbe42df9de7e178000f52a74c658142812bb9e0a2ca8df00",
-        "7b87f07663ae56b0e35ce0512c73927c42e918b807dd529499a1d96f892109d4",
+        "77d67b05533184bcb3cebb8d22712e9fdcb2b1a194584cc70203e5ffe8bfa93a",
     ),
     "perishable-a-short_ttl-collapse": (
         "c3ba90fa25752c87cd47422be78a5ce3a6034707d175c12c9f397d1876f9c6e3",
-        "7dcc19515034fe8adff277b0b7d0e5a54564e807576274f532f238ebd7ddf06c",
+        "1490fca5e8fbe8beb9086acbef9649a0ed456f92e39bc75f6a9977e0b95ac751",
     ),
     "perishable-a-short_ttl-render": (
         "c3ba90fa25752c87cd47422be78a5ce3a6034707d175c12c9f397d1876f9c6e3",
-        "2268012d02dbee942848cb4bc744e48c17c2a90c606fed0de863f6fa27243867",
+        "9e39fdb15170a767cc5d066b2c8d3eb9a05251ae95f60bd601e0ce0bf22dedec",
     ),
     "perishable-b-empty-collapse": (
-        "d88a22953ac809a1554fc918d8a08dc7455cd28b656a7107c9ac3a368f83c047",
-        "1cc794cdd01e94057ba6b70c8aa0249e11a6aec9a9728b3033d58d6cda58bc9b",
+        "300001e4ce4ff330f4f0cfb4c5b6344713052950a7df319b4677f2a4fbd4902b",
+        "e08e8a039f8ec2e5f5cb8a3153fb4337aa7892a1973a75f3790cbac915b46ed3",
     ),
     "perishable-b-empty-render": (
-        "d88a22953ac809a1554fc918d8a08dc7455cd28b656a7107c9ac3a368f83c047",
-        "4ba94a27898dcc26505eb3aa9a0f4361b551cbc9cdc2f08aa51d7ef124b55aa2",
+        "300001e4ce4ff330f4f0cfb4c5b6344713052950a7df319b4677f2a4fbd4902b",
+        "1d18bacfd995715e4bf610f7cb8c770c4779089bc4a8b85657c14352d89be131",
     ),
     "perishable-b-indistinguishable-collapse": (
-        "ece39e0b414809240f2be18df0c5c8cd5645ca0e406a8d90bf43edba18cb21aa",
-        "12746d1d79b48d6842032d67a63fd7027489e1a3783b2150d2aaf8ba252918f7",
+        "09864db5cce6c1858a0cf8f2a3d139ff414f813be6e030e229eb73815867b6f7",
+        "07e5ee665250a5f5bdfa2be470c8fd96600b9545b666722e428757adade7c10c",
     ),
     "perishable-b-indistinguishable-render": (
-        "ece39e0b414809240f2be18df0c5c8cd5645ca0e406a8d90bf43edba18cb21aa",
-        "41892333d9b107a1bc6f0bab20e6a110c393b1f18f388d11663edbcb12fe361e",
+        "09864db5cce6c1858a0cf8f2a3d139ff414f813be6e030e229eb73815867b6f7",
+        "6583bf9b3f92f0983f1cb43ba9a505ac841ff1c5105278652c975fec44a091cf",
     ),
     "perishable-b-refused-collapse": (
         None,
-        "b6e326abed606f099b6c6f20cabcc8a6d994b00dae5641301f19fcd067de3c77",
+        "7a5ca1cccdded24fb82c61a0c11ada7b224f371980107bf8682156f1eeca2cc5",
     ),
     "perishable-b-refused-render": (
         None,
-        "b6e326abed606f099b6c6f20cabcc8a6d994b00dae5641301f19fcd067de3c77",
+        "7a5ca1cccdded24fb82c61a0c11ada7b224f371980107bf8682156f1eeca2cc5",
     ),
     "predictor-collapse": (
-        "a9e3720a7d72f7a752218c0691d50c9947495f0f3c712c414639bf8e01dea467",
-        "4f73ea540edf1584645874e0a0446ae9a5517b30dc639a8684e2e0e2ac5c9e1f",
+        "3eb9497b9155251a862f69fdc0478e3ec759f2358dfd381f668e85c583b26d31",
+        "63266711ca3213d20cd7cdcdd6b4510bd85a443c5b405f6f110ad47a8ce7c901",
     ),
     "predictor-m2_29-collapse": (
-        "613d82bc5541b018ccb4221fd5cc6bccdbe9f7c543d1e43762f63026daba2713",
-        "14391b487101d5ade82fb342609ca17c1911c89f9d932c6a74c537866127df1c",
+        "30706ca0cac8f79b73f4c180536886de2a6fe35e711225a5416133c414ded13d",
+        "359673ffd1b886495c626a86226d6c4a62d1b26ebb1566393f0ccf5d03c457e0",
     ),
     "predictor-m2_29-render": (
-        "613d82bc5541b018ccb4221fd5cc6bccdbe9f7c543d1e43762f63026daba2713",
-        "ebdfa251113b5ce2569c4119f423afa625aac13a21d35d291867955999aabf98",
+        "30706ca0cac8f79b73f4c180536886de2a6fe35e711225a5416133c414ded13d",
+        "e59ea01b30c10bbe4579f83a23a2d355a7565f694b04ee37c55fe5e57adf3506",
     ),
     "predictor-render": (
-        "a9e3720a7d72f7a752218c0691d50c9947495f0f3c712c414639bf8e01dea467",
-        "8f9e8cb842aa44909a73c56d485b3d80c19d5d52580a6ccd2f86e1361a8b6ec8",
+        "3eb9497b9155251a862f69fdc0478e3ec759f2358dfd381f668e85c583b26d31",
+        "b0e8fa239cbc618157811e687f230056714130e185e06d4617c83d8eb02f1e67",
     ),
     "quantum_eraser-at_t0-collapse": (
-        "61c39e8352347a1dc47407706999fc50e748ab91e8fa187ffd1444071ad81742",
-        "6083ea48bee69813e78b2fd07d945dfbdf614e8f0408acac1155f1ee18f83ee5",
+        "56365269ea7ceb42a8bf096d76a6768b3392b64282af678e62b1907d0948323e",
+        "a79e4d9bbd94c79bfb5a4d88bd331c82ed60518a1814ad35d55003d48c11cf8c",
     ),
     "quantum_eraser-at_t0-render": (
-        "61c39e8352347a1dc47407706999fc50e748ab91e8fa187ffd1444071ad81742",
-        "9bb78d2acfc930278b9eeb1d79e2a6505766797ec73b038af4e9f0b4307bb63a",
+        "56365269ea7ceb42a8bf096d76a6768b3392b64282af678e62b1907d0948323e",
+        "49ba7dd71fa1df6401258dc6fc1209b93378de8e40b8fb65dce60b73b03b04df",
     ),
     "quantum_eraser-collapse": (
-        "b9b2ef41823e3d51b846fda8059ece406de654e4867fff5c8695d39c3f62d5ed",
-        "ca98b04b4c3a14da4a67b78eb496b64d3a3d3654ea295b32cbd9890d81f30b7a",
+        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
+        "d13d5d965ca2bfb389796841b37e81f7f5613e80e86d4f78403be1232dee6df6",
     ),
     "quantum_eraser-envelope-collapse": (
-        "2f276a90b83970a1bc536513e333e34838d7ec43731edff243ed71e641557e35",
-        "f05af63a4c0f0063bda467b215afbb181d3a6861da4c0a2500587aa1c42c64bb",
+        "25c9f39fa714d316ccce8d4630713131972e1e354d1735ad351d2bb0d1420ebd",
+        "c7c40cd00e47b5fbcc442fe008df2f5f537c24e9c1ab7347f62be418ba2eaeff",
     ),
     "quantum_eraser-envelope-render": (
-        "2f276a90b83970a1bc536513e333e34838d7ec43731edff243ed71e641557e35",
-        "195fea35a1c60a4ebe5e66ea27caafa8b1d5e20a3a4267bedfca135983b9c005",
+        "25c9f39fa714d316ccce8d4630713131972e1e354d1735ad351d2bb0d1420ebd",
+        "99fc131d605c5fba7135ab60f8adf787457eef871c0ea3d01fd54979d4327016",
     ),
     "quantum_eraser-greedy-collapse": (
-        "b9b2ef41823e3d51b846fda8059ece406de654e4867fff5c8695d39c3f62d5ed",
-        "f000d9863a83e59581c4f0a5d1a6612eaea8b089a7686f24c3dd6b3ccf887498",
+        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
+        "4d927cb30293de5fb75a8a015151c69797101f18309f92113711325c75350e25",
     ),
     "quantum_eraser-greedy-render": (
-        "b9b2ef41823e3d51b846fda8059ece406de654e4867fff5c8695d39c3f62d5ed",
-        "6d7615c6e2f619f9402790e56e526657f6175dd0d3532181d22f727391e05491",
+        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
+        "18d22c4d04f73d6099933cdc991169c64a5b858a2a9fbd3e63bd9a2d1831bd42",
     ),
     "quantum_eraser-m2_29-collapse": (
-        "48f1553cf4bb3c20f0308b45447656524e854369dbb75ef6c0316a26bee0e359",
-        "edc68eb2a7e91408cf3d118cdc85e35e4051c9ba78bc750450d3d882e7c55f62",
+        "9e0cbf26c43bbb8d0a4dd330b33f316c063b626380fc0022e93dbc4fcb58762b",
+        "96f76e0dd8300c4c69b327e1e10d5e4031d30f84db94f84fc54d21449f17f1cc",
     ),
     "quantum_eraser-m2_29-render": (
-        "48f1553cf4bb3c20f0308b45447656524e854369dbb75ef6c0316a26bee0e359",
-        "ee82a3d6031e20ed9be133ef7925503271ef417b225c4c98eb52c0a1f31d89a4",
+        "9e0cbf26c43bbb8d0a4dd330b33f316c063b626380fc0022e93dbc4fcb58762b",
+        "6080286e7f7c879d365ddd7ed8270a8679df6dece9efce3da80ca3dfb22c7789",
     ),
     "quantum_eraser-render": (
-        "b9b2ef41823e3d51b846fda8059ece406de654e4867fff5c8695d39c3f62d5ed",
-        "8ce0dd7b2c20381d96120005bfe2684c4e0ae42d4e31906658fe2af946bdd5d1",
+        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
+        "cefb51d8145c502fa03d3432501162015d76e2fc081d7e065f6fc8a96fe78b8a",
     ),
     "switch-a-collapse": (
-        "7b86229abc1ae8d93721eaa500a168b2d1cce4379d2b35a5c64533d0bd5ed37b",
-        "a7967391e8885b8ac6c02e1ff68207ffa4423caa7965e8d7416d6b568f65d44f",
+        "aa70673de4b2e882b24f2d3d8918d761d1556ab2df9f241ae2442cf164beb225",
+        "b900a9b1ce8a7a0f1c6d407c739a2f7b23b133b41b6feecdff66eaeaff616cc6",
     ),
     "switch-a-render": (
-        "7b86229abc1ae8d93721eaa500a168b2d1cce4379d2b35a5c64533d0bd5ed37b",
-        "32473965a437f2f2f4e746b1bbaf87149a2c5ef27b3ec2353a846de3b211ae06",
+        "aa70673de4b2e882b24f2d3d8918d761d1556ab2df9f241ae2442cf164beb225",
+        "3fe2c35382df5fdc45825fb9612ee42643b84c006bf08c201bcccc57edeef3a5",
     ),
     "switch-a-slow-collapse": (
-        "ae79cc03f419e057295f9373a4b6fbb2ab113cb492059f2e61e4070795cf4195",
-        "f8a7e9517d1724627e1f0d7020b9c906d8f2fa0dcf9ce759f0d637b98ff2525d",
+        "742ecd0c48563777c283bd410c4437aa3b85a5571111ff10ab4e5d029dbdcef3",
+        "32dc94574e21226fed5dd84d67d34f264a609b83a6b1f5788c3f8b681107711c",
     ),
     "switch-a-slow-render": (
-        "ae79cc03f419e057295f9373a4b6fbb2ab113cb492059f2e61e4070795cf4195",
-        "2613f8869ceefbc922c433b085c59af40972e7d3cc50f7a47f6276710b97237c",
+        "742ecd0c48563777c283bd410c4437aa3b85a5571111ff10ab4e5d029dbdcef3",
+        "cb2635f69c6350fd47e4586589e5bfa1a183e8545677e2967fae7e56fc25369a",
     ),
     "switch-d-i-custom-collapse": (
-        "31cacd49f1a4f3dd8f428f2ae1cc5827629b24ad4093c2a57e75bf6500363b4c",
-        "ebd16f3ba1ce22f80a493721da0a0f09f186b923ca26b1a7faf6a5bd95735bb0",
+        "a15e76296ef249c7ea7e23771cc12b5aa438dd630a5321d3bdfa3ba25b41890d",
+        "4490fff6a822a78cafb3afcc3a461712ebcf1386af764f7a274e50924b2e9a5a",
     ),
     "switch-d-i-custom-render": (
-        "31cacd49f1a4f3dd8f428f2ae1cc5827629b24ad4093c2a57e75bf6500363b4c",
-        "3b7770642b92b80a121b1b8c51022ab3bc734c0b693afa485443308221757008",
+        "a15e76296ef249c7ea7e23771cc12b5aa438dd630a5321d3bdfa3ba25b41890d",
+        "4a44b56d81b87fd3ac4b482288142e7f1b70731953ec1f400d67d9e04f38cf15",
     ),
     "switch-d-i-empty-collapse": (
-        "c8ae4cb15467893faaf6376f3575cbbc6378c61312cd4a262be37799a04b3c21",
-        "574be6cbb284ad8cabf3cb6a5c7d99c76a62c367ddec2edbe2ee15c294787dc9",
+        "f8cd168c3a9fb5add075853d6a482ef6565f5d017e095f4dff33c40b388fe712",
+        "fda2dbdd5762e666352927ab453b769c3db4c50497eacaffeaace5446c9a9404",
     ),
     "switch-d-i-empty-render": (
-        "c8ae4cb15467893faaf6376f3575cbbc6378c61312cd4a262be37799a04b3c21",
-        "9fb02d60be6b9f5e418c651cf74c694630ecd8e3115691335fcefe4388fc7ba6",
+        "f8cd168c3a9fb5add075853d6a482ef6565f5d017e095f4dff33c40b388fe712",
+        "4547be4cb1c9d60e574b064f95925cc12b99e26eac7e2319601eb7aa974cfbfa",
     ),
     "switch-d-i-full-collapse": (
         "f1a4b5f0ada9355b338a0b25b5786e85c2cd2794731a953db7c9b75462fb925c",
-        "be5ad9e2639859edf57ce352d4ff245d09db3b75d54761d3ab305ebce29ca174",
+        "616c67db6bce368fce794545188a152ec554c6c9738ff7280c2cc7992fb5dc83",
     ),
     "switch-d-i-full-render": (
         "f1a4b5f0ada9355b338a0b25b5786e85c2cd2794731a953db7c9b75462fb925c",
-        "28918cde157066ba44aad5d07de118f336a7a5fa60141526998beba7893b8319",
+        "9165f16db10b2e821cef064689679325fa2b05863a1ca24002559dd9c03659ef",
     ),
     "switch-d-i-indistinguishable-collapse": (
-        "d26af0c78fbb7e3dddbf9974114302d622f40fc85ebd551ffaf10d4b43c5459d",
-        "7d69a10a2a8d0197a21b6dc69350aa63d551865d9c695b1dce5403cc88c5c66a",
+        "5ef2e8006b3cc819ac760d8de5d2c8d37b38783b59bd15825835a87ec58abe87",
+        "031b8864daced90aaa547177b9ba2493138e779b05ec5c42d0cc1e3cb821cd75",
     ),
     "switch-d-i-indistinguishable-render": (
-        "d26af0c78fbb7e3dddbf9974114302d622f40fc85ebd551ffaf10d4b43c5459d",
-        "4aa72d32dfc481943f5f2ebe98fa590dd5aac2d09409d207af6453280555a642",
+        "5ef2e8006b3cc819ac760d8de5d2c8d37b38783b59bd15825835a87ec58abe87",
+        "95a38e88c84bdc44f815bd66a4c1c61b5ae7b72c08eba053d5857a56db872c32",
     ),
     "switch-d-i-refused-collapse": (
         None,
-        "1c497ce182bb39dceb1540c4e732604c209f2bb9a3bb33e87ba2a478b80ef720",
+        "8d1f02055dcf66db9c4954b61fb5d949bc28cf300d803c4099a4cae0d10c8cde",
     ),
     "switch-d-i-refused-render": (
         None,
-        "1c497ce182bb39dceb1540c4e732604c209f2bb9a3bb33e87ba2a478b80ef720",
+        "8d1f02055dcf66db9c4954b61fb5d949bc28cf300d803c4099a4cae0d10c8cde",
     ),
     "switch-d-ii-collapse": (
         "fbb19d93b463343ca46f12604f90119ea63a6298a4b09e21138143a513897ad3",
-        "cdd7fe721d114b8fde793ed6da7b760965353d4becd287329e32eee6afb0f5e0",
+        "cf2e2cd49b0db130d017e52d1753b690206467e13a8ba1290f8597dc83220560",
     ),
     "switch-d-ii-render": (
         "fbb19d93b463343ca46f12604f90119ea63a6298a4b09e21138143a513897ad3",
-        "3f343500d9d97dc808b9bdc4c1a252f1b4b0bbf8a0cdf539836a5c51ca0bc3ed",
+        "bd47289df8163d3891de75421054352fde7b55fb574b770c56147963c61ecd8f",
     ),
     "switch-d-iii-collapse": (
-        "69e2d5a9a93f508b5a051017a0aece5703f679e4086615fc379ea7bb7bd0fa9b",
-        "c6f499b8557219da85f6f1f98cbd662a9a5bc016f5223e80437c3d28f2fc7c81",
+        "b336fb3fa08f40517a39fc139a436013a01d04c8e75423223206fa5891091716",
+        "0d5a41dcd901f65ee3ceee952ff3a0321cc93ff5882930492c44e3e2129ec958",
     ),
     "switch-d-iii-render": (
-        "69e2d5a9a93f508b5a051017a0aece5703f679e4086615fc379ea7bb7bd0fa9b",
-        "08aaefe5bfd9c541c5b7f06c86ee1a3f8dc38b33001fe4f928f8f2bacca98387",
+        "b336fb3fa08f40517a39fc139a436013a01d04c8e75423223206fa5891091716",
+        "38cc8e059893f5f27a0b562dd274c65c8681d1eaa5e801839cc575cfc72c98df",
     ),
     "switch-d-iv-collapse": (
         "708f394cff759d3a00fb8e8ee5d4ab05262c6aad32a70136a159e8bac16492e9",
@@ -409,18 +409,18 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
 
 MANIFEST_DIGESTS: dict[str, str | None] = {
     "dnr_collapse": "f2cac148442bbe40974e1f13fb4beb7beafbda870bcbd604ae230c765236d902",
-    "dnr_render": "044b5dd9379edacb0e3e43b183f61172c4db2a6787bf0d85d2224903377bfe32",
-    "eraser_main": "41b1ea1e332f07483490d71e3b2df28833ed545f6f8c2611debdf9629f9a8c16",
+    "dnr_render": "0fcb8d4beef8aaf163888f5ec9466fb3bb9e20aac0deac21f368ab6e4e7e3b43",
+    "eraser_main": "b46e1cd6d844e8654208fcf6c025065dde8b854b2494c300affff71d8719b95c",
     "macro_collapse": "db0f66e8c16b3d33f24071eb98b9495a61d91c0a5e662f6c0197d7852dd06973",
-    "macro_render": "9260522ba8c470ad9dd870c91a713dca41799a4db8d1e59536afe888b92ce41a",
-    "predictor_main": "278caeabd25dce14a764ee2bb98ca6746574ef6666aa1ff13c7d5d8f80b001f0",
-    "switch_a_fast": "e13ca9591ccc84acfbc1a203972912cbf3732d0bdeba8c3ecd3f4396430f0031",
-    "switch_a_slow": "02b2ca223e230c73ebe873aa4d0553dac3dc2e219aa6d04ca723f658a10d767d",
-    "switch_b_fast": "e13ca9591ccc84acfbc1a203972912cbf3732d0bdeba8c3ecd3f4396430f0031",
-    "switch_b_slow": "02b2ca223e230c73ebe873aa4d0553dac3dc2e219aa6d04ca723f658a10d767d",
-    "switch_c_fast": "e13ca9591ccc84acfbc1a203972912cbf3732d0bdeba8c3ecd3f4396430f0031",
-    "switch_c_slow": "02b2ca223e230c73ebe873aa4d0553dac3dc2e219aa6d04ca723f658a10d767d",
-    "switch_empty": "f34206daf039584949e6244842ab8708e4e7297857a22a2e33f6a862ae6a5903",
+    "macro_render": "946705208a2486789a2cf1b49892141a54e5afbf6bd184343086c971bc9e94a9",
+    "predictor_main": "9c67f42db083d5775c193a7bfc2e6a44c573cda9d84fff2b89284815aefb927b",
+    "switch_a_fast": "8eda19e617d9fa1c815ea7f24d0321b93a6ed8bf31d9214864aa194964a30845",
+    "switch_a_slow": "c96733279c3ace7c3f61e98556df2f3c6ae0074652eb6dadbe4221c2bf564d8b",
+    "switch_b_fast": "8eda19e617d9fa1c815ea7f24d0321b93a6ed8bf31d9214864aa194964a30845",
+    "switch_b_slow": "c96733279c3ace7c3f61e98556df2f3c6ae0074652eb6dadbe4221c2bf564d8b",
+    "switch_c_fast": "8eda19e617d9fa1c815ea7f24d0321b93a6ed8bf31d9214864aa194964a30845",
+    "switch_c_slow": "c96733279c3ace7c3f61e98556df2f3c6ae0074652eb6dadbe4221c2bf564d8b",
+    "switch_empty": "384ae2ffdffde672fb45977dd525903dc08468f1cc610390fc428e4d0209fd9b",
     "switch_full": "2240f938187f77c4f36fbd9c241a2ae7c2779606708f574ec3bffd6ea11d6080",
     "switch_refused": None,
 }
@@ -471,14 +471,14 @@ def csv_cases() -> dict[str, ProtocolConfig]:
 
 CSV_GOLDEN: dict[str, str] = {
     "double_slit-recording-collapse": "0990d6b52c929c3d2a1ee88923c6b40f47d6cfbd1c9747abaedd210be192124e",
-    "macroscopic_erasure-coin-render": "4a8d6c10e6f8bd2c2663b4663596e7c4498e1c3b689768092eb4c2d84fc79f87",
+    "macroscopic_erasure-coin-render": "8f04bccad6d7b81f2c20adffa2d5490f8a25d0e86e19c966a330d0aa5ff5bb1f",
     "perishable-a-collapse": "057bd9c26f644d97dcdef96e8cd0caf6953ac7e8adeb8d980398abb532e6238d",
     "perishable-a-inf_ttl": "82c8efb079b5dfd2229ba8e3aca0b0e22ad52848a0139c5892bfccc5d128a496",
-    "quantum_eraser-render": "7d59e44a54cf7ffc416d93497ae7896aab3d89fa9dcb66e60ac644bc35a0d9a5",
+    "quantum_eraser-render": "675306a9f9e5a50944945e8e6f6240c980445c60b1062a5a5c41e04ada46db5f",
     "quantum_eraser-render-n1": "5ecc692a3c20fb77352d122271fdbd9da28939f65a3dd704edccf88f766ca537",
-    "quantum_eraser-render-n16384": "6f960a42a4863baf62d0cc94fe8fdb1be6d2e194617a4d2bfc58faf0ad4584ff",
-    "quantum_eraser-render-n32769": "6921b6f93dc293169be195dcb1cf1c84235d32818f29eb2d7ab7490048a66e38",
-    "switch-d-i-custom-collapse": "9b1c6f647454b9bc4793f0f90f2e34f3cc82b24bfcc6ed9e10cea5fd71fa62da",
+    "quantum_eraser-render-n16384": "c3d8b7fdc7dd32cdab7aa6cc6a1c83c04cb24b62630f9e795c5894c245bab0a0",
+    "quantum_eraser-render-n32769": "9a1f3e32200bd372df35591d8b959a4f4a5099caad39c51b6d4798d286add016",
+    "switch-d-i-custom-collapse": "b6d2cb36d5896924ef030db80332a5c459be35705b294a4b491c73a8399fa5c5",
 }
 
 CSV_CASES = csv_cases()

@@ -5,8 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid, quad
 
 from dualitysim.numerics import invert_monotone
 from dualitysim.optics import (
@@ -14,6 +14,7 @@ from dualitysim.optics import (
     _PPF_BLOCK,
     BINS_PER_FRINGE,
     SAMPLER_CDF_TOL,
+    _cumulative_trapezoid,
     DomainError,
     IntervalSet,
     OpticsConfig,
@@ -25,9 +26,10 @@ from dualitysim.optics import (
     particle_density,
     wave_density,
 )
+from dualitysim.stats import bhattacharyya_coefficient
 
 DEFAULT = OpticsConfig()
-# 10/7 fringe periods: closed-form normalization does not apply
+# 10/7 fringe periods: a window that cuts a fringe
 ODD = OpticsConfig(screen_halfwidth_m=0.5e-3)
 
 WINDOW_LO, WINDOW_HI = DEFAULT.window
@@ -126,6 +128,20 @@ class TestParticleDensity:
         dens = np.asarray(dist.density(xs))
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
         assert dens.max() > 1.5 * dens.min()
+
+    def test_envelope_cdf_integrates_as_scipy_does(self):
+        """The numpy running trapezoid gives scipy's bits on the default
+        envelope grid and on random grids."""
+        dist = PatternDistribution(PatternKind.PARTICLE, OpticsConfig(envelope_enabled=True))
+        xs, dens, _ = dist._envelope_table
+        grids = [(dens, xs)]
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            size = int(rng.integers(2, 2000))
+            grids.append((rng.random(size) * 10.0 ** rng.uniform(-3, 3), np.sort(rng.uniform(-1.0, 1.0, size))))
+        for y, x in grids:
+            want = cumulative_trapezoid(y, x, initial=0.0)
+            np.testing.assert_array_equal(_cumulative_trapezoid(y, x).view(np.int64), want.view(np.int64))
 
     def test_default_slit_width_keeps_the_envelope_gentle(self):
         cfg = OpticsConfig(envelope_enabled=True)
@@ -267,7 +283,7 @@ def _assert_same_bits(dist: PatternDistribution, u) -> None:
 
 
 #: integer, non-integer and sub-fringe windows, the envelope, and tiny
-#: windows whose rounding-noisy CDF tables are unsorted at phase pi/2
+#: windows with a dark fringe at their centre at phase pi/2
 BIT_LAWS = {
     "m1": DEFAULT,
     "m2_29": OpticsConfig(screen_halfwidth_m=0.8e-3),
@@ -276,9 +292,11 @@ BIT_LAWS = {
     "hw1e-4": OpticsConfig(screen_halfwidth_m=1e-4),
     "hw1e-6": OpticsConfig(screen_halfwidth_m=1e-6),
     "hw1e-7": OpticsConfig(screen_halfwidth_m=1e-7),
+    "hw5e-8": OpticsConfig(screen_halfwidth_m=5e-8),
+    "hw1e-9": OpticsConfig(screen_halfwidth_m=1e-9),
 }
-#: laws whose every table level inverts without error
-SORTED_LAWS = ["envelope", "hw1e-4", "m1", "m20_29", "m2_29"]
+#: laws whose every table level inverts without error: all of them
+SORTED_LAWS = sorted(BIT_LAWS)
 BIT_PHASES = [0.0, 0.5 * math.pi, 2.0713]
 
 
@@ -290,6 +308,33 @@ def _table_levels(dist: PatternDistribution) -> np.ndarray:
     below = np.nextafter(edges[1:], 0.0)
     above = np.nextafter(edges[:-1], 1.0)
     return np.concatenate((cs, edges, below, above, [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)]))
+
+
+class TestWaveLawOnEveryWindow:
+    """One closed form serves every window, down to a nanometre."""
+
+    @pytest.mark.parametrize("phase", BIT_PHASES)
+    @pytest.mark.parametrize("name", SORTED_LAWS)
+    def test_quantile_table_is_sorted(self, name, phase):
+        _, cs = PatternDistribution(PatternKind.WAVE, BIT_LAWS[name], phase)._quantile_table
+        assert np.all(np.diff(cs) >= 0.0)
+
+    @given(
+        halfwidth=st.floats(math.log(1e-9), math.log(0.1)).map(lambda t: min(math.exp(t), 0.1)),
+        phase=st.one_of(st.just(0.5 * math.pi), st.floats(-10.0, 10.0)),
+    )
+    @example(halfwidth=1e-9, phase=0.5 * math.pi)
+    @example(halfwidth=5e-8, phase=0.5 * math.pi)
+    @example(halfwidth=0.1, phase=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_table_tight_inverse_and_coefficient(self, halfwidth, phase):
+        cfg = OpticsConfig(screen_halfwidth_m=halfwidth)
+        dist = PatternDistribution(PatternKind.WAVE, cfg, phase)
+        _, cs = dist._quantile_table
+        assert np.all(np.diff(cs) >= 0.0)
+        u = np.concatenate((np.random.default_rng(6).random(4000), [0.0, 1.0]))
+        assert np.max(np.abs(np.asarray(dist.cdf(dist.ppf(u))) - u)) <= SAMPLER_CDF_TOL
+        assert 0.0 < bhattacharyya_coefficient(cfg) <= 1.0
 
 
 class TestSamplerBits:
@@ -319,18 +364,6 @@ class TestSamplerBits:
     def test_every_table_level(self, name, phase):
         dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS[name], phase)
         _assert_same_bits(dist, _table_levels(dist))
-
-    def test_unsorted_table_keeps_the_whole_input_searches(self):
-        """The interior nodes of an unsorted table invert, in any order, from
-        the start points the searches over the whole input give."""
-        dist = PatternDistribution(PatternKind.WAVE, BIT_LAWS["hw1e-7"], 0.5 * math.pi)
-        _, cs = dist._quantile_table
-        assert np.any(np.diff(cs) < 0.0)
-        inner = cs[1:-1]
-        # node 1998 right after a block of lanes: its cell depends on the lane before
-        past_block = np.append(np.resize(inner, _PPF_BLOCK), cs[1998])
-        for u in (inner, np.random.default_rng(4).permutation(inner), past_block):
-            np.testing.assert_array_equal(dist.ppf(u).view(np.int64), _reference_ppf(dist, u).view(np.int64))
 
     @given(
         name=st.sampled_from(sorted(BIT_LAWS)),

@@ -452,6 +452,15 @@ class TestQuantumEraser:
         assert eraser_run.coincidences.unmatched_signals == 0
         assert eraser_run.coincidences.ambiguities == 0
 
+    @pytest.mark.parametrize("model", [COLLAPSE, RENDER], ids=["collapse", "render"])
+    @pytest.mark.parametrize("halfwidth", [1e-6, 1e-7, 5e-8, 1e-9])
+    def test_tiny_windows_complete(self, halfwidth, model):
+        optics = OpticsConfig(screen_halfwidth_m=halfwidth)
+        cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, model=model, n_pairs=4_000, seed=26, optics=optics)
+        run = run_protocol(cfg)
+        assert isinstance(run, RunResult)
+        assert run.coincidences.matched == 4_000
+
 
 class TestDetectNoRecord:
     def verdicts(self, variant, model, n=24_000, seed=27):

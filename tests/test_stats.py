@@ -1,6 +1,9 @@
 """Posteriors, the interval-mass functional, classification, and sample sizing."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +268,21 @@ class TestSampleSizing:
     def test_odd_window_frozen_oracle(self):
         assert bhattacharyya_coefficient(ODD) == pytest.approx(ODD_RHO, abs=1e-10)
 
+    @pytest.mark.parametrize("halfwidth", [0.8e-3, 20.29 * 0.35e-3, 1e-4, 1e-6])
+    def test_closed_form_matches_piecewise_quadrature(self, halfwidth):
+        cfg = OpticsConfig(screen_halfwidth_m=halfwidth)
+        wave = PatternDistribution(PatternKind.WAVE, cfg)
+        lo, hi = cfg.window
+        level = 1.0 / cfg.window_width_m
+        # split at the dark fringes, where the integrand has kinks
+        darks = [(j + 0.5) * A for j in range(math.floor(lo / A) - 1, math.ceil(hi / A) + 1)]
+        edges = [lo, *(x for x in darks if lo < x < hi), hi]
+        pieces = [
+            quad(lambda x: math.sqrt(float(np.asarray(wave.density(x))) * level), p, q, epsabs=0.0, epsrel=1e-13)[0]
+            for p, q in zip(edges, edges[1:])
+        ]
+        assert bhattacharyya_coefficient(cfg) == pytest.approx(math.fsum(pieces), rel=1e-12)
+
     @pytest.mark.parametrize("target,expected", [(1e-3, 60), (0.25, 7)])
     def test_required_sample_size(self, target, expected):
         plan = required_sample_size(target, DEFAULT)
@@ -278,8 +296,8 @@ class TestSampleSizing:
         assert sizes == sorted(sizes)
 
     def test_required_sample_size_on_a_narrow_window(self):
-        # 2/7 of a fringe: the quadrature's fringe-unit bounds land an ulp
-        # outside the window, which must not reach the density's domain check
+        # 2/7 of a fringe, where a numeric integral's fringe-unit bounds once
+        # landed an ulp outside the window and raised DomainError
         plan = required_sample_size(1e-3, OpticsConfig(screen_halfwidth_m=1e-4))
         assert 0.999 < plan.bhattacharyya < 1.0
         assert 0.5 * plan.bhattacharyya**plan.n_samples <= 1e-3
@@ -307,3 +325,14 @@ class TestEmpiricalTv:
         b = np.asarray(particle.sample(rng, 100_000))
         # the histogram estimator is positively biased, so small but not zero
         assert tv_distance_empirical(a, b, DEFAULT) < 0.05
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy serves only the enveloped law's root search, imported on use."""
+    import dualitysim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualitysim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dualitysim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
