@@ -1,10 +1,56 @@
-"""Shared numerics: adaptive Simpson quadrature and vectorized monotone inversion."""
+"""Shared numerics: adaptive Simpson quadrature, vectorized monotone inversion,
+and the thread pool that runs fixed blocks of elementwise work."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="dualitysim")
+
+
+#: one worker per CPU this process may run on; its tasks are leaf work (numpy
+#: kernels and sha256, which release the GIL) and never wait on another task,
+#: so even a one-worker pool cannot deadlock
+_POOL: ThreadPoolExecutor
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool object but none of its threads
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def submit(fn: Callable, *args) -> Future:
+    """Run ``fn(*args)`` on the shared pool. ``fn`` must not wait on pool work."""
+    return _POOL.submit(fn, *args)
+
+
+def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:
+    """``[fn(s) for s in slices]`` over the fixed blocks ``[0, block)``,
+    ``[block, 2 block)``, ... of ``range(n)``.
+
+    The blocks depend on ``n`` and ``block`` only, never on the worker count.
+    Two or more blocks run on the shared pool; once all have finished, the
+    first exception in block order is raised, as a serial loop would raise it.
+    """
+    blocks = [slice(start, start + block) for start in range(0, n, block)]
+    if len(blocks) < 2:
+        return [fn(s) for s in blocks]
+    futures = [_POOL.submit(fn, s) for s in blocks]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def adaptive_simpson(

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # adaptive_simpson is not called here; the benchmark tracer patches optics.adaptive_simpson
-from .numerics import adaptive_simpson, invert_monotone  # noqa: F401
+from .numerics import adaptive_simpson, invert_monotone, map_blocks  # noqa: F401
 
 
 class ValidationError(ValueError):
@@ -43,7 +43,7 @@ _ENVELOPE_GRID_NODES = 32769
 #: u-buckets of the quantile cell index; a power of two, so u * K is exact
 _GUIDE_BUCKETS = 8192
 #: lanes per wave-sampler block
-_PPF_BLOCK = 65536
+_PPF_BLOCK = 16384
 #: below this angle span d, 2d - sin 2d comes from its Taylor series
 _SERIES_SPAN = 0.125
 #: (y - sin y) / y**3 as a polynomial in y**2, highest power first; double precision at |y| < 0.25
@@ -400,10 +400,9 @@ class PatternDistribution:
             return float(out) if np.ndim(u) == 0 else out
         xs, _ = self._quantile_table
         flat = np.atleast_1d(arr).ravel()
-        # lanes are independent, so fixed blocks keep temporaries small and change no bit
         out = np.empty_like(flat)
-        for start in range(0, flat.size, _PPF_BLOCK):
-            block = slice(start, start + _PPF_BLOCK)
+
+        def solve(block: slice) -> None:
             cell, x0 = self._start_points(flat[block])
             out[block] = invert_monotone(
                 self._cdf_raw,
@@ -414,6 +413,9 @@ class PatternDistribution:
                 fprime=self._density_raw,
                 x0=x0,
             )
+
+        # lanes are independent, so fixed blocks on the pool keep temporaries small and change no bit
+        map_blocks(solve, flat.size, _PPF_BLOCK)
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(arr.shape)
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:

@@ -50,6 +50,7 @@ from .models import (
     availability_query_time,
     available_mask,
 )
+from .numerics import submit
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -775,7 +776,9 @@ def _assemble(
     warnings_: tuple[str, ...] = (),
 ) -> RunResult:
     """Classify each subset of the partition and the pooled screen (none for an
-    empty partition), then digest the log into a RunResult."""
+    empty partition), then digest the log into a RunResult. Nothing writes
+    the log from here on, so it is hashed on the pool while the subsets classify."""
+    digest = submit(log.digest)
     edges = fringe_aligned_edges(cfg.optics)
     subsets = {
         key: _subset_result(key, x, mask, log.slit, cfg, edges, phase, region)
@@ -803,7 +806,7 @@ def _assemble(
         empirical_tv=empirical_tv,
         markers=markers,
         warnings=warnings_,
-        event_digest=log.digest(),
+        event_digest=digest.result(),
         events=log,
     )
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import adaptive_simpson
+from .numerics import adaptive_simpson, map_blocks
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -34,6 +34,8 @@ DENSITY_FLOOR_FRACTION = 1e-12
 DELTA_FEASIBILITY_TOL = 1e-9
 #: default experimental-noise allowance on delta
 DEFAULT_NOISE_THRESHOLD = 0.9
+#: impacts per classifier block
+_CLASSIFY_BLOCK = 65536
 
 
 class PosteriorMode(Enum):
@@ -232,8 +234,7 @@ def classify_pattern(
         raise ValidationError("classification requires at least one sample")
     wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)
     particle = PatternDistribution(PatternKind.PARTICLE, cfg)
-    w = np.asarray(wave.density(x), dtype=float)
-    p = np.asarray(particle.density(x), dtype=float)
+    wave._check_domain(x)
     if restrict_to is not None:
         if not np.all(restrict_to.contains(x)):
             raise ValidationError("restricted classification requires all samples inside the region")
@@ -241,14 +242,22 @@ def classify_pattern(
         p_mass = particle.mass(restrict_to)
         if not (w_mass > 0.0 and p_mass > 0.0):
             raise ValidationError("restriction region carries zero mass under a hypothesis law")
-        w = w / w_mass
-        p = p / p_mass
     floor = DENSITY_FLOOR_FRACTION / cfg.window_width_m
-    per_sample = np.clip(
-        np.log(np.maximum(w, floor)) - np.log(np.maximum(p, floor)),
-        -threshold,
-        threshold,
-    )
+    per_sample = np.empty_like(x)
+
+    def contribute(block: slice) -> None:
+        w = wave._density_raw(x[block])
+        p = particle._density_raw(x[block])
+        if restrict_to is not None:
+            w /= w_mass
+            p /= p_mass
+        np.log(np.maximum(w, floor, out=w), out=w)
+        np.log(np.maximum(p, floor, out=p), out=p)
+        np.clip(np.subtract(w, p, out=w), -threshold, threshold, out=per_sample[block])
+
+    # each impact's contribution on its own, in fixed blocks on the pool; the
+    # one sum over the whole array keeps the bits of an unblocked evaluation
+    map_blocks(contribute, x.size, _CLASSIFY_BLOCK)
     llr = float(np.sum(per_sample))
     if llr > threshold:
         verdict = Verdict.WAVE
@@ -304,6 +313,11 @@ def required_sample_size(target_error: float, cfg: OpticsConfig) -> SampleSizePl
     if not (0.0 < target_error < 0.5):
         raise ValidationError("target_error must lie in (0, 0.5)")
     rho = bhattacharyya_coefficient(cfg)
+    if rho >= 1.0:
+        raise ValidationError(
+            "the Bhattacharyya coefficient rounds to 1 on this window: "
+            "no sample size separates the two laws in double precision"
+        )
     n = max(1, math.ceil(math.log(2.0 * target_error) / math.log(rho)))
     while 0.5 * rho**n > target_error:
         n += 1

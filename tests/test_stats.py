@@ -302,6 +302,20 @@ class TestSampleSizing:
         assert 0.999 < plan.bhattacharyya < 1.0
         assert 0.5 * plan.bhattacharyya**plan.n_samples <= 1e-3
 
+    def test_coefficient_that_rounds_to_one_is_refused(self):
+        # log(rho) = 0 there; this once raised ZeroDivisionError
+        cfg = OpticsConfig(screen_halfwidth_m=1.09e-9)
+        assert bhattacharyya_coefficient(cfg) == 1.0
+        with pytest.raises(ValidationError, match="rounds to 1"):
+            required_sample_size(1e-3, cfg)
+
+    @pytest.mark.parametrize("halfwidth", [5e-8, 1e-9])
+    def test_coefficient_one_ulp_below_one_still_plans(self, halfwidth):
+        cfg = OpticsConfig(screen_halfwidth_m=halfwidth)
+        plan = required_sample_size(1e-3, cfg)
+        assert plan.bhattacharyya == 1.0 - 2.0**-53
+        assert 5e16 < plan.n_samples < 6e16
+
     @pytest.mark.parametrize("target", [0.0, 0.5, 1.0, -0.1])
     def test_target_domain(self, target):
         with pytest.raises(ValidationError):
