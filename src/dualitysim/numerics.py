@@ -44,6 +44,8 @@ def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:
     The blocks depend on ``n`` and ``block`` only, never on the worker count.
     Two or more blocks run on the shared pool; once all have finished, the
     first exception in block order is raised, as a serial loop would raise it.
+    Call it from outside the pool: a pool task waiting on blocks could
+    deadlock a one-worker pool.
     """
     blocks = [slice(start, start + block) for start in range(0, n, block)]
     if len(blocks) < 2:
