@@ -192,9 +192,7 @@ def _criterion_2() -> CriterionResult:
             crossings.append(point)
         k += 1
     crossings.append(hi)
-    integrand = lambda x: abs(
-        float(np.asarray(wave_density(x, optics))) - float(np.asarray(particle_density(x, optics)))
-    )
+    integrand = lambda x: np.abs(wave_density(x, optics) - particle_density(x, optics))
     quad = 0.5 * sum(
         adaptive_simpson(integrand, p, q, tol=1e-12) for p, q in zip(crossings, crossings[1:])
     )

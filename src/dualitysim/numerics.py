@@ -1,5 +1,6 @@
-"""Shared numerics: adaptive Simpson quadrature, vectorized monotone inversion,
-and the thread pool that runs fixed blocks of elementwise work."""
+"""Shared numerics: level-wise adaptive Simpson quadrature, bracketed
+bisection, vectorized monotone inversion, and the thread pool that runs fixed
+blocks of elementwise work."""
 
 from __future__ import annotations
 
@@ -56,45 +57,101 @@ def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
     max_depth: int = 60,
 ) -> float:
-    """Adaptive Simpson quadrature of ``f`` over [a, b].
+    """Adaptive Simpson quadrature of a vectorized ``f`` over [a, b].
 
-    Intervals are split until the local Richardson estimate drops below the
-    budgeted tolerance, and the final estimate includes the Richardson
-    correction. ``f`` must be finite on [a, b].
+    Panels are split until the local Richardson estimate drops below the
+    budgeted tolerance (halved per level), and each accepted panel adds its
+    Richardson-corrected estimate. The panel tree is built one level at a
+    time, with one call of ``f`` on every new point of the level; the
+    accepted panels are then summed right to left, the order of a
+    depth-first walk that visits the right half first. ``f`` must be finite
+    on [a, b].
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
 
-    def simpson(lo: float, flo: float, hi: float, fhi: float, fmid: float) -> float:
+    def simpson(lo, flo, hi, fhi, fmid):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    m = 0.5 * (a + b)
-    fa, fm, fb = float(f(a)), float(f(m)), float(f(b))
-    whole = simpson(a, fa, b, fb, fm)
-    stack = [(a, m, b, fa, fm, fb, whole, float(tol), 0)]
-    total = 0.0
-    while stack:
-        lo, mid, hi, flo, fmid, fhi, coarse, budget, depth = stack.pop()
+    def halves(split: np.ndarray, left_half: np.ndarray, right_half: np.ndarray) -> np.ndarray:
+        # the split panels' children, each left half followed by its right half
+        return np.stack((left_half[split], right_half[split]), axis=1).ravel()
+
+    # one level's panels, left to right: ends, midpoints, f there, and the panel's Simpson estimate
+    points = np.array([a, 0.5 * (a + b), b])
+    lo, mid, hi = np.split(points, 3)
+    flo, fmid, fhi = np.split(np.asarray(f(points), dtype=float), 3)
+    coarse = simpson(lo, flo, hi, fhi, fmid)
+    budget = float(tol)
+    # per level: each panel's corrected estimate, and the index of its first
+    # child on the next level (-1 for an accepted panel)
+    levels: list[tuple[list[float], list[int]]] = []
+    for depth in range(max_depth + 1):
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
-        flm = float(f(lm))
-        frm = float(f(rm))
-        left = simpson(lo, flo, mid, fmid, flm)
-        right = simpson(mid, fmid, hi, fhi, frm)
+        fl, fr = np.split(np.asarray(f(np.concatenate((lm, rm))), dtype=float), 2)
+        left = simpson(lo, flo, mid, fmid, fl)
+        right = simpson(mid, fmid, hi, fhi, fr)
         err = left + right - coarse
-        if depth >= max_depth or abs(err) <= 15.0 * budget:
-            total += left + right + err / 15.0
+        # written so that a NaN error splits, as the accept test of a scalar loop would
+        split = ~(np.abs(err) <= 15.0 * budget) & (depth < max_depth)
+        first_child = np.where(split, 2 * np.cumsum(split) - 2, -1)
+        levels.append(((left + right + err / 15.0).tolist(), first_child.tolist()))
+        if not split.any():
+            break
+        lo, mid, hi = halves(split, lo, mid), halves(split, lm, rm), halves(split, mid, hi)
+        flo, fmid, fhi = halves(split, flo, fmid), halves(split, fl, fr), halves(split, fmid, fhi)
+        coarse = halves(split, left, right)
+        budget *= 0.5
+    # depth first, right half first
+    total = 0.0
+    stack = [(0, 0)]
+    while stack:
+        depth, i = stack.pop()
+        values, first_child = levels[depth]
+        k = first_child[i]
+        if k < 0:
+            total += values[i]
         else:
-            half = 0.5 * budget
-            stack.append((lo, lm, mid, flo, flm, fmid, left, half, depth + 1))
-            stack.append((mid, rm, hi, fmid, frm, fhi, right, half, depth + 1))
+            stack.append((depth + 1, k))
+            stack.append((depth + 1, k + 1))
     return total
+
+
+def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """One root of the vectorized ``f`` in each bracket ``[lo[i], hi[i]]``,
+    across which ``f`` changes sign.
+
+    Every bracket is halved at once until its ends are adjacent floats, and
+    the end where ``|f|`` is smaller is its root (the low end on a tie). A
+    lane whose midpoint evaluates to exactly 0 stops there.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    f_lo = np.asarray(f(lo), dtype=float)
+    f_hi = np.asarray(f(hi), dtype=float)
+    root = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    while idx.size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        adjacent = ~((lo[idx] < mid) & (mid < hi[idx]))
+        ends = idx[adjacent]
+        root[ends] = np.where(np.abs(f_hi[ends]) < np.abs(f_lo[ends]), hi[ends], lo[ends])
+        idx, mid = idx[~adjacent], mid[~adjacent]
+        f_mid = np.asarray(f(mid), dtype=float)
+        zero = f_mid == 0.0
+        root[idx[zero]] = mid[zero]
+        idx, mid, f_mid = idx[~zero], mid[~zero], f_mid[~zero]
+        low = (f_mid < 0.0) == (f_lo[idx] < 0.0)  # the root lies above mid
+        lo[idx[low]], f_lo[idx[low]] = mid[low], f_mid[low]
+        hi[idx[~low]], f_hi[idx[~low]] = mid[~low], f_mid[~low]
+    return root
 
 
 def invert_monotone(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
@@ -515,19 +516,26 @@ def coincidence_match(
         raise ValidationError(f"coincidence window must be nonnegative, got {window_s!r}")
     s = np.asarray(signal_times, dtype=float).ravel()
     d = np.asarray(detector_times, dtype=float).ravel()
-    s_order = np.argsort(s, kind="stable")
-    s_sorted = s[s_order]
-    used = np.zeros(s.size, dtype=bool)
+    # the loop runs on Python floats and ints: numpy scalars cost a
+    # conversion on every comparison
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order].tolist()
+    s_order = order.tolist()
+    d_times = d.tolist()
+    window, lag = float(window_s), float(expected_lag_s)
+    n_s = len(s_sorted)
+    used = [False] * n_s
     records: list[CoincidenceRecord] = []
     ambiguities = 0
-    for det_idx in np.argsort(d, kind="stable"):
-        target = d[det_idx] - expected_lag_s
-        pos = int(np.searchsorted(s_sorted, target))
+    for det_idx in np.argsort(d, kind="stable").tolist():
+        t_det = d_times[det_idx]
+        target = t_det - lag
+        pos = bisect_left(s_sorted, target)
         best = -1
         best_gap = math.inf
         candidates = 0
         j = pos - 1
-        while j >= 0 and target - s_sorted[j] < window_s:
+        while j >= 0 and target - s_sorted[j] < window:
             if not used[j]:
                 candidates += 1
                 gap = target - s_sorted[j]
@@ -535,7 +543,7 @@ def coincidence_match(
                     best, best_gap = j, gap
             j -= 1
         j = pos
-        while j < s_sorted.size and s_sorted[j] - target < window_s:
+        while j < n_s and s_sorted[j] - target < window:
             if not used[j]:
                 candidates += 1
                 gap = s_sorted[j] - target
@@ -546,14 +554,14 @@ def coincidence_match(
             ambiguities += 1
         if best >= 0:
             used[best] = True
-            sig_idx = int(s_order[best])
+            t_sig = s_sorted[best]
             records.append(
                 CoincidenceRecord(
-                    signal_index=sig_idx,
-                    detector_index=int(det_idx),
-                    signal_time=float(s[sig_idx]),
-                    detector_time=float(d[det_idx]),
-                    lag_s=float(d[det_idx] - s[sig_idx]),
+                    signal_index=s_order[best],
+                    detector_index=det_idx,
+                    signal_time=t_sig,
+                    detector_time=t_det,
+                    lag_s=t_det - t_sig,
                 )
             )
     summary = CoincidenceSummary(

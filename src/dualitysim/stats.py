@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import adaptive_simpson, map_blocks
+from .numerics import adaptive_simpson, bisect_roots, map_blocks
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -95,8 +95,8 @@ def _sign_intervals(cfg: OpticsConfig) -> list[tuple[float, float, bool]]:
     """Partition the window where the wave-minus-particle difference keeps one sign.
 
     Returns (lo, hi, wave_exceeds) triples. The default flat-pattern pair has
-    analytic crossings every half period; the enveloped pair is handled by a
-    dense scan with root refinement.
+    analytic crossings every half period; on the enveloped pair a dense scan
+    brackets the crossings and bisection refines them to adjacent floats.
     """
     wave, particle = _pattern_pair(cfg)
     wlo, whi = cfg.window
@@ -113,14 +113,11 @@ def _sign_intervals(cfg: OpticsConfig) -> list[tuple[float, float, bool]]:
                     crossings.append(x)
         crossings.sort()
     else:
-        from scipy.optimize import brentq  # imported here so that importing the package loads no scipy
-
-        diff = lambda x: wave.density(x) - particle.density(x)
+        diff = lambda x: wave._density_raw(x) - particle._density_raw(x)
         grid = np.linspace(wlo, whi, 16385)
         vals = diff(grid)
-        crossings = []
-        for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-            crossings.append(float(brentq(diff, grid[i], grid[i + 1], xtol=1e-18, rtol=1e-15)))
+        i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        crossings = bisect_roots(diff, grid[i], grid[i + 1]).tolist()
     # densities on all midpoints at once, as tv_distance takes its CDFs
     edges = np.array([wlo, *crossings, whi])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -291,10 +288,10 @@ def bhattacharyya_coefficient(cfg: OpticsConfig) -> float:
     lo, hi = cfg.window
     if cfg.envelope_enabled:
 
-        def integrand(t: float) -> float:
+        def integrand(t: np.ndarray) -> np.ndarray:
             # the round trip through fringe units can land an ulp outside the window
-            x = min(max(t * a, lo), hi)
-            return math.sqrt(wave.density(x) * particle.density(x))
+            x = np.clip(t * a, lo, hi)
+            return np.sqrt(wave._density_raw(x) * particle._density_raw(x))
 
         return min(1.0, a * adaptive_simpson(integrand, lo / a, hi / a, tol=1e-12))
     t_lo, t_hi = math.pi * lo / a, math.pi * hi / a

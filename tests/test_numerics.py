@@ -1,10 +1,14 @@
-"""Monotone inversion: the whole-array first sweep against the lane-indexed loop."""
+"""Shared numerics against their oracles: monotone inversion's whole-array
+first sweep against the lane-indexed loop, bracketed bisection, and the
+level-wise adaptive Simpson rule against the one-panel-at-a-time loop."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualitysim.numerics import invert_monotone
+from dualitysim.numerics import adaptive_simpson, bisect_roots, invert_monotone
 
 
 def _reference_invert(f, targets, lo, hi, tol, fprime, x0, max_iter=200):
@@ -78,3 +82,107 @@ def test_exhausted_iterations_raise(newton, max_iter):
     fprime = _flat_spot_slope if newton else None
     with pytest.raises(ArithmeticError, match="failed to reach"):
         invert_monotone(_flat_spot, targets, -1.0, 1.0, tol=1e-15, fprime=fprime, x0=np.full(4, 0.9), max_iter=max_iter)
+
+
+def _flat_zero_band(x):
+    """Zero on [-0.25, 0.25], x -/+ 0.25 outside."""
+    return np.sign(x) * np.maximum(np.abs(x) - 0.25, 0.0)
+
+
+def test_bisection_stops_on_an_exact_zero():
+    # first midpoints: 0.0; -0.25 (a zero at the band's edge); 1.0, then 0.0
+    roots = bisect_roots(_flat_zero_band, [-1.0, -1.0, -1.0], [1.0, 0.5, 3.0])
+    np.testing.assert_array_equal(roots, [0.0, -0.25, 0.0])
+
+
+def test_bisection_without_a_zero_ends_on_adjacent_floats():
+    step = lambda x: np.where(x < 1.0 / 3.0, -1.0, 2.0)
+    root = bisect_roots(step, [0.0], [1.0])[0]
+    assert root == np.nextafter(1.0 / 3.0, 0.0)  # the low end of the last bracket wins the |f| tie-break
+
+
+@given(
+    c=st.floats(-1e3, 1e3, allow_nan=False),
+    below=st.floats(1e-12, 1e3),
+    above=st.floats(1e-12, 1e3),
+)
+@settings(max_examples=80, deadline=None)
+def test_bisection_finds_a_representable_root_exactly(c, below, above):
+    lo, hi = c - below, c + above
+    if not lo < c < hi:
+        return
+    assert bisect_roots(lambda x: x - c, [lo], [hi])[0] == c
+
+
+def _stack_simpson(f, a, b, tol=1e-10, max_depth=60):
+    """The one-panel-at-a-time stack loop the level-wise rule replaced, kept as its oracle."""
+
+    def simpson(lo, flo, hi, fhi, fmid):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    m = 0.5 * (a + b)
+    fa, fm, fb = float(f(a)), float(f(m)), float(f(b))
+    whole = simpson(a, fa, b, fb, fm)
+    stack = [(a, m, b, fa, fm, fb, whole, float(tol), 0)]
+    total = 0.0
+    while stack:
+        lo, mid, hi, flo, fmid, fhi, coarse, budget, depth = stack.pop()
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        flm = float(f(lm))
+        frm = float(f(rm))
+        left = simpson(lo, flo, mid, fmid, flm)
+        right = simpson(mid, fmid, hi, fhi, frm)
+        err = left + right - coarse
+        if depth >= max_depth or abs(err) <= 15.0 * budget:
+            total += left + right + err / 15.0
+        else:
+            half = 0.5 * budget
+            stack.append((lo, lm, mid, flo, flm, fmid, left, half, depth + 1))
+            stack.append((mid, rm, hi, fmid, frm, fhi, right, half, depth + 1))
+    return total
+
+
+_INTEGRANDS = {
+    "sin": (np.sin, 0.0, math.pi, 1e-12, 60),
+    "gaussian": (lambda x: np.exp(-x * x), -3.0, 3.0, 1e-13, 60),
+    "kink": (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, 1e-12, 60),
+    "fringes": (lambda x: np.cos(40.0 * x) ** 2 * np.exp(-x), 0.0, 2.0, 1e-11, 60),
+    # a jump never meets the budget: near 0.001 the panels split down to
+    # max_depth; near 1/3 they shrink to zero width first and are accepted there
+    "jump": (lambda x: np.where(x < 0.001, 0.0, 1.0), 0.0, 1.0, 1e-12, 60),
+    "jump-below-an-ulp": (lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0, 1e-12, 60),
+    "shallow": (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, 1e-15, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+def test_level_wise_simpson_matches_the_stack_loop_bit_for_bit(name):
+    f, a, b, tol, depth = _INTEGRANDS[name]
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return f(x)
+
+    got = adaptive_simpson(counted, a, b, tol=tol, max_depth=depth)
+    want = _stack_simpson(lambda x: float(f(np.array([x]))[0]), a, b, tol=tol, max_depth=depth)
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    assert len(calls) <= depth + 2  # the three first points, then one call per level
+
+
+def test_simpson_reaches_max_depth_on_a_jump():
+    calls = []
+
+    def jump(x):
+        calls.append(x)
+        return np.where(x < 0.001, 0.0, 1.0)
+
+    adaptive_simpson(jump, 0.0, 1.0, tol=1e-12, max_depth=60)
+    assert len(calls) == 62  # the root's three points plus levels 0 through 60
+
+
+def test_simpson_rejects_an_empty_interval():
+    with pytest.raises(ValueError, match="a < b"):
+        adaptive_simpson(np.sin, 1.0, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from dualitysim.protocols import (
     EVENT_LOG_COLUMNS,
     PAIR_SPACING_FACTOR,
     _CSV_BLOCK_ROWS,
+    CoincidenceRecord,
+    CoincidenceSummary,
     DetectNoRecordVariant,
     EventLog,
     ObservationSchedule,
@@ -200,7 +203,103 @@ class TestSwitchStrategy:
             bad.activation_region(OPTICS)
 
 
+def _reference_match(signal_times, detector_times, window_s, expected_lag_s=0.0):
+    """The greedy matcher's loop over numpy scalars, kept as the oracle of the list-based loop."""
+    s = np.asarray(signal_times, dtype=float).ravel()
+    d = np.asarray(detector_times, dtype=float).ravel()
+    s_order = np.argsort(s, kind="stable")
+    s_sorted = s[s_order]
+    used = np.zeros(s.size, dtype=bool)
+    records = []
+    ambiguities = 0
+    for det_idx in np.argsort(d, kind="stable"):
+        target = d[det_idx] - expected_lag_s
+        pos = int(np.searchsorted(s_sorted, target))
+        best = -1
+        best_gap = math.inf
+        candidates = 0
+        j = pos - 1
+        while j >= 0 and target - s_sorted[j] < window_s:
+            if not used[j]:
+                candidates += 1
+                gap = target - s_sorted[j]
+                if gap < best_gap:
+                    best, best_gap = j, gap
+            j -= 1
+        j = pos
+        while j < s_sorted.size and s_sorted[j] - target < window_s:
+            if not used[j]:
+                candidates += 1
+                gap = s_sorted[j] - target
+                if gap < best_gap:
+                    best, best_gap = j, gap
+            j += 1
+        if candidates >= 2:
+            ambiguities += 1
+        if best >= 0:
+            used[best] = True
+            sig_idx = int(s_order[best])
+            records.append(
+                CoincidenceRecord(
+                    signal_index=sig_idx,
+                    detector_index=int(det_idx),
+                    signal_time=float(s[sig_idx]),
+                    detector_time=float(d[det_idx]),
+                    lag_s=float(d[det_idx] - s[sig_idx]),
+                )
+            )
+    summary = CoincidenceSummary(
+        matched=len(records),
+        unmatched_signals=int(s.size - len(records)),
+        unmatched_detectors=int(d.size - len(records)),
+        ambiguities=ambiguities,
+    )
+    return records, summary
+
+
+def _typed_fields(obj) -> list[tuple[str, str, str]]:
+    """(name, type, repr) of each field: repr tells -0.0 from 0.0 and matches NaN with NaN."""
+    return [(f.name, type(getattr(obj, f.name)).__name__, repr(getattr(obj, f.name))) for f in fields(obj)]
+
+
+#: times on a quarter-unit grid, so that gaps of exactly a window (0.25, 0.5, 1) occur
+_MATCH_GRID = [k * 0.25 for k in range(-8, 9)]
+_MATCH_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+
+
+@st.composite
+def match_inputs(draw):
+    window = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 4.0))
+    lag = draw(st.sampled_from([0.0, 0.5, -0.25]) | st.floats(-2.0, 2.0))
+    time = st.sampled_from(_MATCH_GRID + _MATCH_SPECIAL) | st.floats(-3.0, 3.0) | st.floats()
+    signals = draw(st.lists(time, max_size=12))
+    # detector times also on the grid shifted by the lag, so lags of exactly the window occur
+    detectors = draw(st.lists(time | st.sampled_from([t + lag for t in _MATCH_GRID]), max_size=12))
+    return signals, detectors, window, lag
+
+
 class TestCoincidence:
+    @given(case=match_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_list_loop_matches_the_numpy_scalar_loop(self, case):
+        signals, detectors, window, lag = case
+        records, summary = coincidence_match(signals, detectors, window, expected_lag_s=lag)
+        with np.errstate(invalid="ignore"):  # inf - inf on numpy scalars
+            want_records, want_summary = _reference_match(signals, detectors, window, expected_lag_s=lag)
+        assert [_typed_fields(r) for r in records] == [_typed_fields(r) for r in want_records]
+        assert _typed_fields(summary) == _typed_fields(want_summary)
+
+    def test_list_loop_matches_the_numpy_scalar_loop_on_a_crowded_stream(self):
+        rng = np.random.default_rng(5)
+        signals = np.sort(rng.uniform(0.0, 50.0, 2000))
+        detectors = signals + 0.5 + rng.normal(0.0, 0.05, 2000)
+        detectors[::9] = np.nan
+        got = coincidence_match(signals, detectors, 0.08, expected_lag_s=0.5)
+        want = _reference_match(signals, detectors, 0.08, expected_lag_s=0.5)
+        assert [_typed_fields(r) for r in got[0]] == [_typed_fields(r) for r in want[0]]
+        assert got[1] == want[1]
+        assert got[1].ambiguities > 0
+
     def test_matches_at_the_expected_lag(self):
         signals = [0.0, 1.0, 2.0]
         detectors = [0.5, 1.5, 2.5]
