@@ -340,10 +340,10 @@ def execute_manifest(
     to the RunResult/FeasibilityReport (None for an errored run). Individual
     run failures are isolated: siblings still execute and write their files.
     """
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if jobs < 1:
         raise ManifestError(f"jobs must be at least 1, got {jobs}")
+    out = Path(manifest.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def one(entry: ManifestRun):
         config = entry.config

@@ -8,15 +8,17 @@ identical event logs, digests, and reports. Pair i is created at
 impact is at creation (transit treated as zero), and the idler resolves a
 fixed ``delta_t_s`` later.
 
-One pipeline renders every run: (1) record each pair's which-way fate in the
-event log; (2) observation time: the impact under ``AT_T0``, else
+One pipeline renders every run; a runner supplies only its own draws,
+which-way routing and subset names. (1) record each pair's which-way fate in
+the event log; (2) observation time: the impact under ``AT_T0``, else
 ``delta_t_s`` after the fate resolves; (3) availability query at that time
 (at the impact under the impact-time horizon); (4) law per group: the
 structureless law where which-way is available, else the interference law at
-the pair's fringe phase; (5) ``ppf`` of the pair's ``u_x``; (6) assemble:
-classify the subsets and the pooled screen, digest the log. Switch stage d
-and perishable media fix the law from an interval rule instead (steps 3-4)
-and record after sampling.
+the pair's fringe phase; (5) ``ppf`` of the pair's ``u_x``, the run's last
+draw; (6) assemble: classify the subsets and the pooled screen, digest the
+log. Switch stage d and perishable media share one sampling path instead: an
+interval rule fixes the law (steps 3-4) and the log is recorded after
+sampling. Stage d hypothesis iv samples nothing and draws only ``u_slit``.
 
 =====================  ==========================================
 protocol               draw order
@@ -27,7 +29,8 @@ quantum_eraser         u_slit, u_route, u_port, u_x
 detect_no_record       u_slit[, u_route, u_port], u_x
 macroscopic_erasure    u_slit, destruction draw, u_x
 predictor              u_slit, u_record, u_x
-switch_experiment      u_slit, u_component (stage d only), u_x
+switch_experiment      u_slit[, u_component (stage d)], u_x
+                       u_slit (stage d, hypothesis iv)
 perishable_media       u_slit, u_component, u_x
 =====================  ==========================================
 """
@@ -39,13 +42,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from functools import reduce
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .models import (
     AvailabilityRecord,
     Medium,
+    OBJECTIVE_MEDIA,
     RenderingModel,
     RenderingPolicy,
     availability_query_time,
@@ -715,6 +720,11 @@ def _echo(value):
 
 # -- shared runner plumbing --------------------------------------------------------
 
+#: fringe phase of the eraser's D2 port; every other subset and port carries 0
+_D2_PHASE = 0.5 * np.pi
+#: medium codes of OBJECTIVE_MEDIA, whose live records make which-way available
+_OBJECTIVE_CODES = [_MEDIUM_CODES[medium] for medium in OBJECTIVE_MEDIA]
+
 
 def _truncated_quantile(dist: PatternDistribution, region: IntervalSet, u: np.ndarray) -> np.ndarray:
     """Sample the law conditioned on the region via stretched quantiles."""
@@ -740,20 +750,19 @@ def _truncated_quantile(dist: PatternDistribution, region: IntervalSet, u: np.nd
 def _subset_result(
     key: str,
     x: np.ndarray,
-    mask: np.ndarray,
+    mask: np.ndarray | slice,
     slit: np.ndarray,
     cfg: ProtocolConfig,
     edges: np.ndarray,
-    phase_offset_rad: float = 0.0,
     region: IntervalSet | None = None,
 ) -> SubsetResult:
     samples = x[mask]
     counts, _ = np.histogram(samples, bins=edges)
     if samples.size:
-        restrict = None
-        if region is not None and region.measure < cfg.optics.window_width_m:
-            restrict = region
-        cls = classify_pattern(samples, cfg.optics, phase_offset_rad=phase_offset_rad, restrict_to=restrict)
+        # an empty or full-window region restricts nothing
+        restrict = region if region and region.measure < cfg.optics.window_width_m else None
+        phase = _D2_PHASE if key == "D2" else 0.0
+        cls = classify_pattern(samples, cfg.optics, phase_offset_rad=phase, restrict_to=restrict)
         verdict, llr = cls.verdict, cls.log_likelihood_ratio
         visibility = fringe_visibility(counts, edges, cfg.optics)
     else:
@@ -775,38 +784,44 @@ def _assemble(
     cfg: ProtocolConfig,
     log: EventLog,
     x: np.ndarray,
-    partition: list[tuple[str, np.ndarray, float, IntervalSet | None]],
+    subsets: dict[str, np.ndarray] | None = None,
+    regions: dict[str, IntervalSet] | None = None,
+    tv: tuple[str, str] | None = None,
     coincidences: CoincidenceSummary | None = None,
     predictor: PredictorStats | None = None,
     feasibility: FeasibilityReport | None = None,
-    empirical_tv: float | None = None,
     markers: tuple[str, ...] = (),
-    warnings_: tuple[str, ...] = (),
 ) -> RunResult:
-    """Classify each subset of the partition and the pooled screen (none for an
-    empty partition), then digest the log into a RunResult. Nothing writes
-    the log from here on, so it is hashed on the pool while the subsets classify."""
+    """Classify each subset ``{key: mask}`` (by default one "screen" subset of
+    every pair) and the pooled screen (none when ``subsets`` is empty), then
+    digest the log into a RunResult. An interval-rule subset is classified on
+    its region in ``regions``; ``tv`` names the two subsets whose empirical TV
+    distance is reported when both are nonempty. Nothing writes the log from
+    here on, so it is hashed on the pool while the subsets classify."""
     digest = submit(log.digest)
     edges = fringe_aligned_edges(cfg.optics)
-    subsets = {
-        key: _subset_result(key, x, mask, log.slit, cfg, edges, phase, region)
-        for key, mask, phase, region in partition
-    }
-    pooled = _subset_result("pooled", x, np.ones(len(log), dtype=bool), log.slit, cfg, edges) if partition else None
+    pooled = _subset_result("pooled", x, slice(None), log.slit, cfg, edges) if subsets is None or subsets else None
+    if subsets is None:  # the screen subset holds every pair: it is the pooled screen
+        results = {"screen": replace(pooled, key="screen")}
+    else:
+        regions = regions or {}
+        results = {k: _subset_result(k, x, mask, log.slit, cfg, edges, regions.get(k)) for k, mask in subsets.items()}
+    empirical_tv = None
+    if tv is not None and all(results[key].count for key in tv):
+        empirical_tv = tv_distance_empirical(x[subsets[tv[0]]], x[subsets[tv[1]]], cfg.optics)
+    warnings_: tuple[str, ...] = ()
     if coincidences is not None and coincidences.matched:
         mismatch = (coincidences.unmatched_detectors + coincidences.ambiguities) / max(
             1, coincidences.matched + coincidences.unmatched_detectors
         )
         if mismatch > 0.01:
-            warnings_ = warnings_ + (
-                f"coincidence mismatch rate {mismatch:.3f} exceeds 1%: timing structure violated",
-            )
+            warnings_ = (f"coincidence mismatch rate {mismatch:.3f} exceeds 1%: timing structure violated",)
     return RunResult(
         protocol=cfg.protocol,
         seed=cfg.seed,
         n_pairs=cfg.n_pairs,
         config=cfg,
-        subsets=subsets,
+        subsets=results,
         pooled=pooled,
         coincidences=coincidences,
         predictor=predictor,
@@ -819,39 +834,50 @@ def _assemble(
     )
 
 
-def _draw_slit(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)
+def _draws(cfg: ProtocolConfig, expected: Protocol) -> tuple[np.random.Generator, np.ndarray]:
+    """The run's seeded generator and its first draw, each pair's slit
+    (``u_slit``), for a config meant for this runner."""
+    if cfg.protocol is not expected:
+        raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
+    rng = np.random.default_rng(cfg.seed)
+    return rng, np.where(rng.random(cfg.n_pairs) < 0.5, 1, 2).astype(np.int8)
 
 
-def _base_log(cfg: ProtocolConfig, slit: np.ndarray) -> EventLog:
+def _base_log(cfg: ProtocolConfig, slit: np.ndarray, idler: bool = False) -> EventLog:
+    """A log of the pairs' creation, slit and impact times; with ``idler``,
+    each idler also registers ``delta_t_s`` after its pair's creation."""
     n = cfg.n_pairs
     log = EventLog.blank(n)
     log.t_created_s[:] = np.arange(n, dtype=np.float64) * (PAIR_SPACING_FACTOR * cfg.delta_t_s)
     log.slit[:] = slit
     log.t_signal_impact_s[:] = log.t_created_s
+    if idler:
+        np.add(log.t_created_s, cfg.delta_t_s, out=log.t_detector_s)
     return log
 
 
-def _record(log: EventLog, mask: np.ndarray, at: np.ndarray) -> None:
-    """Pairs in ``mask`` are detected at ``at`` and written to a persistent
-    which-way record; the rest leave no which-way trace (erased)."""
+def _record(log: EventLog, mask: np.ndarray, at: np.ndarray, kept: bool = True) -> None:
+    """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
+    a persistent which-way record; the rest leave no which-way trace (erased)."""
     log.detected[:] = mask
-    log.recorded[:] = mask
-    log.medium[:] = np.where(mask, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE])
     log.detected_at_s[:] = np.where(mask, at, np.nan)
     log.erased[:] = ~mask
+    if kept:
+        log.recorded[:] = mask
+        log.medium[:] = np.where(mask, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE])
 
 
 def _render(
     cfg: ProtocolConfig,
     log: EventLog,
-    u_x: np.ndarray,
+    rng: np.random.Generator,
     resolved_at: np.ndarray,
     phases: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
-    resolves at ``resolved_at``; fills ``observation_time_s`` and
-    ``signal_x_m`` and returns the impacts."""
+    resolves at ``resolved_at``; draws the run's last variate, u_x, fills
+    ``observation_time_s`` and ``signal_x_m`` and returns the impacts."""
+    u_x = rng.random(cfg.n_pairs)
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
         log.observation_time_s[:] = log.t_signal_impact_s
     else:
@@ -862,7 +888,7 @@ def _render(
         cfg.model.policy,
         log.detected,
         log.recorded,
-        log.medium == _MEDIUM_CODES[Medium.PERSISTENT],
+        reduce(np.logical_or, [log.medium == code for code in _OBJECTIVE_CODES]),
         log.erased_at_s,
         log.expires_at_s,
         at,
@@ -880,54 +906,65 @@ def _render(
     return x
 
 
-def _delta_normalized_impacts(
+def _run_interval_rule(
     cfg: ProtocolConfig,
+    rng: np.random.Generator,
+    slit: np.ndarray,
     region: IntervalSet,
-    u_component: np.ndarray,
-    u_x: np.ndarray,
+    law: PatternKind | None,
+    markers: tuple[str, ...],
     refusal_marker: str,
-) -> tuple[np.ndarray | None, FeasibilityReport, tuple[str, ...]]:
-    """(impacts, feasibility, markers) when the structureless law holds exactly
-    on ``region``, a rule that implies total probability delta(region).
+    keys: tuple[str, str],
+    route: Callable[[EventLog, np.ndarray], None],
+    idler: bool = False,
+) -> RunResult | FeasibilityReport:
+    """Switch stage d and perishable media: an interval rule on ``region``
+    fixes the law instead of pipeline steps 3-4, and the log is recorded
+    after sampling, so its columns do not add to the sampler's peak memory.
 
-    Below the noise threshold the impacts are None and the report carries
-    ``refusal_marker``. Otherwise each pair draws one of the two laws truncated
-    to the region (structureless) or its complement (interference), weighted
-    by their masses, and a deviation from unit mass that noise hides is flagged.
+    Draws u_component, then u_x. With a fixed ``law`` every pair draws it.
+    Otherwise the structureless law must hold exactly on the region, a rule
+    that implies total probability delta(region): below the noise threshold
+    the run refuses with a report carrying ``refusal_marker``; above it each
+    pair draws one of the two laws truncated to the region (structureless) or
+    its complement (interference), weighted by their masses, and a deviation
+    from unit mass that noise hides is flagged. ``route(log, inside)`` then
+    records the which-way fate of the pairs whose impact lands in the region;
+    ``keys`` name the subsets inside and outside it.
     """
     optics = cfg.optics
-    feasibility = contradiction_margin(region, optics)
-    markers: tuple[str, ...] = ()
-    if not feasibility.feasible_under_outcome_i:
-        if feasibility.delta_value < cfg.noise_threshold:
-            return None, replace(feasibility, marker=refusal_marker), ()
-        markers = ("statistically_indistinguishable_from_consistency",)
-    particle = PatternDistribution(PatternKind.PARTICLE, optics)
-    wave = PatternDistribution(PatternKind.WAVE, optics)
+    u_component = rng.random(cfg.n_pairs)
+    u_x = rng.random(cfg.n_pairs)
+    feasibility: FeasibilityReport | None = None
     complement = region.complement(optics.window)
-    p_in = particle.mass(region)
-    w_out = wave.mass(complement)
-    weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
-    from_particle = u_component < weight
-    x = np.empty(cfg.n_pairs, dtype=np.float64)
-    if from_particle.any():
-        x[from_particle] = _truncated_quantile(particle, region, u_x[from_particle])
-    if (~from_particle).any():
-        x[~from_particle] = _truncated_quantile(wave, complement, u_x[~from_particle])
-    return x, feasibility, markers
-
-
-def _generator(cfg: ProtocolConfig, expected: Protocol) -> np.random.Generator:
-    """The run's seeded generator, for a config meant for this runner."""
-    if cfg.protocol is not expected:
-        raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
-    return np.random.default_rng(cfg.seed)
-
-
-def _subset_tv(x: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray, cfg: ProtocolConfig) -> float | None:
-    if mask_a.any() and mask_b.any():
-        return tv_distance_empirical(x[mask_a], x[mask_b], cfg.optics)
-    return None
+    if law is not None:
+        del u_component
+        x = np.asarray(PatternDistribution(law, optics).ppf(u_x), dtype=np.float64)
+    else:
+        feasibility = contradiction_margin(region, optics)
+        if not feasibility.feasible_under_outcome_i:
+            if feasibility.delta_value < cfg.noise_threshold:
+                return replace(feasibility, marker=refusal_marker)
+            markers += ("statistically_indistinguishable_from_consistency",)
+        particle = PatternDistribution(PatternKind.PARTICLE, optics)
+        wave = PatternDistribution(PatternKind.WAVE, optics)
+        p_in = particle.mass(region)
+        w_out = wave.mass(complement)
+        weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
+        from_particle = u_component < weight
+        x = np.empty(cfg.n_pairs, dtype=np.float64)
+        if from_particle.any():
+            x[from_particle] = _truncated_quantile(particle, region, u_x[from_particle])
+        if (~from_particle).any():
+            x[~from_particle] = _truncated_quantile(wave, complement, u_x[~from_particle])
+    inside = region.contains(x)
+    log = _base_log(cfg, slit, idler)
+    route(log, inside)
+    log.observation_time_s[:] = log.t_signal_impact_s
+    log.signal_x_m[:] = x
+    inner, outer = keys
+    subsets, regions = {inner: inside, outer: ~inside}, {inner: region, outer: complement}
+    return _assemble(cfg, log, x, subsets, regions, feasibility=feasibility, markers=markers)
 
 
 # -- protocol runners ---------------------------------------------------------------
@@ -938,13 +975,10 @@ def run_double_slit(cfg: ProtocolConfig) -> RunResult:
 
     Draw order: u_slit, u_x.
     """
-    rng = _generator(cfg, Protocol.DOUBLE_SLIT)
-    n = cfg.n_pairs
-    log = _base_log(cfg, _draw_slit(rng, n))
-    u_x = rng.random(n)
-    _record(log, np.full(n, cfg.detectors_recording), log.t_signal_impact_s)
-    x = _render(cfg, log, u_x, log.t_signal_impact_s)
-    return _assemble(cfg, log, x, [("screen", np.ones(n, dtype=bool), 0.0, None)])
+    rng, slit = _draws(cfg, Protocol.DOUBLE_SLIT)
+    log = _base_log(cfg, slit)
+    _record(log, np.full(cfg.n_pairs, cfg.detectors_recording), log.t_signal_impact_s)
+    return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
 
 
 def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
@@ -952,47 +986,36 @@ def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
 
     Draw order: u_slit, u_choice, u_x.
     """
-    rng = _generator(cfg, Protocol.DELAYED_CHOICE)
-    n = cfg.n_pairs
-    log = _base_log(cfg, _draw_slit(rng, n))
-    chose_record = rng.random(n) < cfg.choice_record_prob
-    u_x = rng.random(n)
-    log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
+    rng, slit = _draws(cfg, Protocol.DELAYED_CHOICE)
+    log = _base_log(cfg, slit, idler=True)
+    chose_record = rng.random(cfg.n_pairs) < cfg.choice_record_prob
     _record(log, chose_record, log.t_detector_s)
-    x = _render(cfg, log, u_x, log.t_detector_s)
-    return _assemble(
-        cfg,
-        log,
-        x,
-        [
-            ("recorded", chose_record, 0.0, None),
-            ("unrecorded", ~chose_record, 0.0, None),
-        ],
-        empirical_tv=_subset_tv(x, chose_record, ~chose_record, cfg),
-    )
+    x = _render(cfg, log, rng, log.t_detector_s)
+    subsets = {"recorded": chose_record, "unrecorded": ~chose_record}
+    return _assemble(cfg, log, x, subsets, tv=("recorded", "unrecorded"))
 
 
-def _eraser_bench(cfg: ProtocolConfig, rng: np.random.Generator) -> tuple[EventLog, np.ndarray, np.ndarray, np.ndarray]:
-    """Eraser-bench routing: (log, to_which_way, u_x, fringe phases, pi/2 on D2).
+def _eraser_bench(
+    cfg: ProtocolConfig, rng: np.random.Generator, slit: np.ndarray, kept: bool
+) -> tuple[EventLog, np.ndarray, np.ndarray]:
+    """Eraser-bench routing: (log, to_which_way, fringe phases).
 
     Reflected idlers head to the slit-tagged detectors (slit 1 -> D3, slit 2
-    -> D4), transmitted idlers merge and exit one of two ports (0 -> D1, 1 ->
-    D2), all registering ``delta_t_s`` after creation. Draw order: u_slit,
-    u_route, u_port, u_x.
+    -> D4), which detect them and, when ``kept``, write a persistent record;
+    transmitted idlers merge and exit one of two ports (0 -> D1, 1 -> D2,
+    which carries ``_D2_PHASE``), all registering ``delta_t_s`` after
+    creation. Draw order after u_slit: u_route, u_port.
     """
-    n = cfg.n_pairs
-    slit = _draw_slit(rng, n)
-    to_which_way = rng.random(n) < 0.5
-    port = (rng.random(n) < 0.5).astype(np.int8)
-    u_x = rng.random(n)
-    log = _base_log(cfg, slit)
-    log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
+    to_which_way = rng.random(cfg.n_pairs) < 0.5
+    port = (rng.random(cfg.n_pairs) < 0.5).astype(np.int8)
+    log = _base_log(cfg, slit, idler=True)
     s1 = slit == 1
     log.bs_a[s1] = to_which_way[s1]
     log.bs_b[~s1] = to_which_way[~s1]
     log.bs_c[~to_which_way] = port[~to_which_way]
     log.detector[:] = np.where(to_which_way, np.where(s1, 3, 4), port + 1)
-    return log, to_which_way, u_x, np.where(log.detector == 2, 0.5 * np.pi, 0.0)
+    _record(log, to_which_way, log.t_detector_s, kept)
+    return log, to_which_way, np.where(log.detector == 2, _D2_PHASE, 0.0)
 
 
 def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
@@ -1004,18 +1027,12 @@ def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
     phases (0 and pi/2) so the pooled screen marginal stays flat.
     Draw order: u_slit, u_route, u_port, u_x.
     """
-    log, to_which_way, u_x, phases = _eraser_bench(cfg, _generator(cfg, Protocol.QUANTUM_ERASER))
-    _record(log, to_which_way, log.t_detector_s)
-    x = _render(cfg, log, u_x, log.t_detector_s, phases)
+    rng, slit = _draws(cfg, Protocol.QUANTUM_ERASER)
+    log, _, phases = _eraser_bench(cfg, rng, slit, kept=True)
+    x = _render(cfg, log, rng, log.t_detector_s, phases)
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
-    detector = log.detector
-    partition = [
-        ("D1", detector == 1, 0.0, None),
-        ("D2", detector == 2, 0.5 * np.pi, None),
-        ("D3", detector == 3, 0.0, None),
-        ("D4", detector == 4, 0.0, None),
-    ]
-    return _assemble(cfg, log, x, partition, coincidences=summary)
+    d = log.detector
+    return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "D3": d == 3, "D4": d == 4}, coincidences=summary)
 
 
 def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
@@ -1029,40 +1046,26 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     objective record keeps the interference law under RENDER_AT_AVAILABILITY.
     Draw order: u_slit[, u_route, u_port], u_x.
     """
-    rng = _generator(cfg, Protocol.DETECT_NO_RECORD)
-    n = cfg.n_pairs
-    screen = [("screen", np.ones(n, dtype=bool), 0.0, None)]
+    rng, slit = _draws(cfg, Protocol.DETECT_NO_RECORD)
     if cfg.variant is DetectNoRecordVariant.UNPLUGGED_DETECTORS:
-        log = _base_log(cfg, _draw_slit(rng, n))
-        u_x = rng.random(n)
-        log.detected[:] = 1
-        log.detected_at_s[:] = log.t_signal_impact_s
-        log.erased[:] = 1
-        x = _render(cfg, log, u_x, log.t_signal_impact_s)
-        return _assemble(cfg, log, x, screen)
-    log, to_which_way, u_x, phases = _eraser_bench(cfg, rng)
-    log.detected[:] = to_which_way
-    log.detected_at_s[:] = np.where(to_which_way, log.t_detector_s, np.nan)
-    log.erased[:] = ~to_which_way
+        log = _base_log(cfg, slit)
+        _record(log, np.ones(cfg.n_pairs, dtype=bool), log.t_signal_impact_s, kept=False)
+        log.erased[:] = 1  # the unplugged outputs keep nothing
+        return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
+    log, to_which_way, phases = _eraser_bench(cfg, rng, slit, kept=False)
     if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER:
         # detectors all fire but nothing can be sorted or kept
         if cfg.model.policy is RenderingPolicy.RENDER_AT_AVAILABILITY:
             phases = 0.0  # nothing sortable survives: the plain interference law
-        x = _render(cfg, log, u_x, log.t_detector_s, phases)
-        return _assemble(cfg, log, x, screen)
+        return _assemble(cfg, log, _render(cfg, log, rng, log.t_detector_s, phases))
     # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
     # nowhere; the pair still resolves delta_t_s after creation
-    x = _render(cfg, log, u_x, log.t_detector_s, phases)
+    x = _render(cfg, log, rng, log.t_detector_s, phases)
     log.detector[to_which_way] = 0
     log.t_detector_s[to_which_way] = np.nan
-    detector = log.detector
-    partition = [
-        ("D1", detector == 1, 0.0, None),
-        ("D2", detector == 2, 0.5 * np.pi, None),
-        ("unsorted", detector == 0, 0.0, None),
-    ]
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
-    return _assemble(cfg, log, x, partition, coincidences=summary)
+    d = log.detector
+    return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "unsorted": d == 0}, coincidences=summary)
 
 
 def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
@@ -1072,28 +1075,19 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
     ``destruction_prob``) or an exact uniformly chosen half when
     ``pairing_mode`` asks for it. Draw order: u_slit, destruction draw, u_x.
     """
-    rng = _generator(cfg, Protocol.MACROSCOPIC_ERASURE)
+    rng, slit = _draws(cfg, Protocol.MACROSCOPIC_ERASURE)
     n = cfg.n_pairs
-    log = _base_log(cfg, _draw_slit(rng, n))
+    log = _base_log(cfg, slit)
     if cfg.pairing_mode is PairingMode.EXACT_HALF_SUBSET:
         destroyed = rng.permutation(n) < n // 2
     else:
         destroyed = rng.random(n) < cfg.destruction_prob
-    u_x = rng.random(n)
     _record(log, np.ones(n, dtype=bool), log.t_signal_impact_s)
     log.erased[:] = destroyed
     log.erased_at_s[:] = np.where(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s, np.nan)
-    x = _render(cfg, log, u_x, log.t_signal_impact_s + cfg.erasure_delay_s)
-    return _assemble(
-        cfg,
-        log,
-        x,
-        [
-            ("destroyed", destroyed, 0.0, None),
-            ("surviving", ~destroyed, 0.0, None),
-        ],
-        empirical_tv=_subset_tv(x, ~destroyed, destroyed, cfg),
-    )
+    x = _render(cfg, log, rng, log.t_signal_impact_s + cfg.erasure_delay_s)
+    subsets = {"destroyed": destroyed, "surviving": ~destroyed}
+    return _assemble(cfg, log, x, subsets, tv=("surviving", "destroyed"))
 
 
 def run_predictor(cfg: ProtocolConfig) -> RunResult:
@@ -1105,25 +1099,13 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
     R=1 when the flat-pattern posterior exceeds one half. Draw order: u_slit,
     u_record, u_x.
     """
-    rng = _generator(cfg, Protocol.PREDICTOR)
-    n = cfg.n_pairs
-    log = _base_log(cfg, _draw_slit(rng, n))
-    recorded = rng.random(n) < 0.5
-    u_x = rng.random(n)
-    log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
+    rng, slit = _draws(cfg, Protocol.PREDICTOR)
+    log = _base_log(cfg, slit, idler=True)
+    recorded = rng.random(cfg.n_pairs) < 0.5
     _record(log, recorded, log.t_detector_s)
-    x = _render(cfg, log, u_x, log.t_detector_s)
-    return _assemble(
-        cfg,
-        log,
-        x,
-        [
-            ("recorded", recorded, 0.0, None),
-            ("erased", ~recorded, 0.0, None),
-        ],
-        predictor=_predictor_stats(cfg, x, recorded),
-        empirical_tv=_subset_tv(x, recorded, ~recorded, cfg),
-    )
+    x = _render(cfg, log, rng, log.t_detector_s)
+    subsets = {"recorded": recorded, "erased": ~recorded}
+    return _assemble(cfg, log, x, subsets, tv=("recorded", "erased"), predictor=_predictor_stats(cfg, x, recorded))
 
 
 def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray) -> PredictorStats:
@@ -1167,6 +1149,13 @@ def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray) -
     )
 
 
+#: stage d hypotheses that fix the law, with the marker their runs carry
+_FIXED_LAWS = {
+    OutcomeHypothesis.II: (PatternKind.PARTICLE, ("rendered_on_availability_at_t0",)),
+    OutcomeHypothesis.III: (PatternKind.WAVE, ("interference_with_recordable_which_way",)),
+}
+
+
 def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     """Staged bench where a switch decides, per pair, whether which-way is kept.
 
@@ -1186,53 +1175,33 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
       noise threshold, and otherwise samples the delta-normalized law,
       flagging any statistically invisible deviation from unit mass.
 
-    Draw order: u_slit, u_component (stage d only), u_x.
+    Draw order: u_slit, u_x (stages a-c); u_slit, u_component, u_x (stage d,
+    hypotheses i-iii); u_slit (stage d, hypothesis iv).
     """
-    rng = _generator(cfg, Protocol.SWITCH_EXPERIMENT)
-    n = cfg.n_pairs
-    slit = _draw_slit(rng, n)
-
+    rng, slit = _draws(cfg, Protocol.SWITCH_EXPERIMENT)
     if cfg.switch_stage is not SwitchStage.D:
-        u_x = rng.random(n)
-        log = _base_log(cfg, slit)
+        log = _base_log(cfg, slit, idler=True)
         log.erased[:] = 1
-        x = _render(cfg, log, u_x, log.t_created_s + cfg.delta_t_s)
-        return _assemble(cfg, log, x, [("screen", np.ones(n, dtype=bool), 0.0, None)])
-
-    optics = cfg.optics
-    region = cfg.strategy.activation_region(optics)
-    hypothesis = cfg.outcome_hypothesis
-    feasibility: FeasibilityReport | None = None
-    u_component = rng.random(n)
-    u_x = rng.random(n)
-    # the event log is built after sampling so its columns do not add to the sampler's peak memory
-    if hypothesis is OutcomeHypothesis.IV:
+        x = _render(cfg, log, rng, log.t_detector_s)
+        log.t_detector_s[:] = np.nan  # the idler resolves the pair but registers nowhere
+        return _assemble(cfg, log, x)
+    if cfg.outcome_hypothesis is OutcomeHypothesis.IV:
         log = _base_log(cfg, slit)
         log.observation_time_s[:] = log.t_signal_impact_s
-        return _assemble(cfg, log, log.signal_x_m, [], markers=("discontinuity",))
-    if hypothesis is OutcomeHypothesis.I:
-        x, feasibility, markers = _delta_normalized_impacts(cfg, region, u_component, u_x, "outcome_i_infeasible")
-        if x is None:
-            return feasibility
-    elif hypothesis is OutcomeHypothesis.II:
-        markers = ("rendered_on_availability_at_t0",)
-        x = np.asarray(PatternDistribution(PatternKind.PARTICLE, optics).ppf(u_x), dtype=np.float64)
-    else:  # OutcomeHypothesis.III
-        markers = ("interference_with_recordable_which_way",)
-        x = np.asarray(PatternDistribution(PatternKind.WAVE, optics).ppf(u_x), dtype=np.float64)
-    switch_on = region.contains(x)
-
-    log = _base_log(cfg, slit)
-    log.t_detector_s[:] = log.t_created_s + cfg.delta_t_s
-    _record(log, switch_on, log.t_detector_s)
-    log.observation_time_s[:] = log.t_signal_impact_s
-    log.signal_x_m[:] = x
-    complement = region.complement(optics.window)
-    partition = [
-        ("switch_on", switch_on, 0.0, region if region else None),
-        ("switch_off", ~switch_on, 0.0, complement if complement else None),
-    ]
-    return _assemble(cfg, log, x, partition, feasibility=feasibility, markers=markers)
+        return _assemble(cfg, log, log.signal_x_m, {}, markers=("discontinuity",))
+    law, markers = _FIXED_LAWS.get(cfg.outcome_hypothesis, (None, ()))
+    return _run_interval_rule(
+        cfg,
+        rng,
+        slit,
+        cfg.strategy.activation_region(cfg.optics),
+        law,
+        markers,
+        "outcome_i_infeasible",
+        ("switch_on", "switch_off"),
+        lambda log, switch_on: _record(log, switch_on, log.t_detector_s),
+        idler=True,
+    )
 
 
 def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
@@ -1247,39 +1216,23 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     the run refuses with an intent-adjustment marker when that is below the
     noise threshold (branch b). Draw order: u_slit, u_component, u_x.
     """
-    rng = _generator(cfg, Protocol.PERISHABLE_MEDIA)
-    optics = cfg.optics
-    region = cfg.rule_intervals if cfg.rule_intervals is not None else optimal_interval_set(optics)
-    region = IntervalSet.from_pairs(region.intervals, window=optics.window)
-    n = cfg.n_pairs
-    slit = _draw_slit(rng, n)
-    u_component = rng.random(n)
-    u_x = rng.random(n)
-
-    feasibility: FeasibilityReport | None = None
+    rng, slit = _draws(cfg, Protocol.PERISHABLE_MEDIA)
+    rule = cfg.rule_intervals if cfg.rule_intervals is not None else optimal_interval_set(cfg.optics)
+    region = IntervalSet.from_pairs(rule.intervals, window=cfg.optics.window)
     if cfg.recording_rule is RecordingRule.PERMANENT_ONLY:
-        x, feasibility, markers = _delta_normalized_impacts(cfg, region, u_component, u_x, "intent_adjustment_required")
-        if x is None:
-            return feasibility
-        markers = ("branch_b",) + markers
+        law, markers = None, ("branch_b",)
     else:
-        markers = ("branch_a",)
-        x = np.asarray(PatternDistribution(PatternKind.PARTICLE, optics).ppf(u_x), dtype=np.float64)
+        law, markers = PatternKind.PARTICLE, ("branch_a",)
 
-    copied = region.contains(x)
-    log = _base_log(cfg, slit)
-    _record(log, np.ones(n, dtype=bool), log.t_signal_impact_s)
-    log.medium[~copied] = _MEDIUM_CODES[Medium.PERISHABLE]
-    log.expires_at_s[:] = np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s)
-    log.erased[:] = ~copied
-    log.observation_time_s[:] = log.t_signal_impact_s
-    log.signal_x_m[:] = x
-    complement = region.complement(optics.window)
-    partition = [
-        ("recorded", copied, 0.0, region if region else None),
-        ("perished", ~copied, 0.0, complement if complement else None),
-    ]
-    return _assemble(cfg, log, x, partition, feasibility=feasibility, markers=markers)
+    def route(log: EventLog, copied: np.ndarray) -> None:
+        _record(log, np.ones(cfg.n_pairs, dtype=bool), log.t_signal_impact_s)
+        log.medium[~copied] = _MEDIUM_CODES[Medium.PERISHABLE]
+        log.expires_at_s[:] = np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s)
+        log.erased[:] = ~copied
+
+    return _run_interval_rule(
+        cfg, rng, slit, region, law, markers, "intent_adjustment_required", ("recorded", "perished"), route
+    )
 
 
 _RUNNERS = {

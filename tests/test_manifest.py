@@ -686,6 +686,13 @@ class TestExecution:
         digests2 = {r["name"]: r["event_digest"] for r in s2["runs"]}
         assert digests1 == digests2
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_bad_job_count_is_refused_before_anything_is_written(self, tmp_path, jobs):
+        manifest = quick_manifest(tmp_path, "never")
+        with pytest.raises(ManifestError, match="jobs must be at least 1"):
+            execute_manifest(manifest, jobs=jobs)
+        assert not (tmp_path / "never").exists()
+
     def test_seed_override_pins_every_run(self, tmp_path):
         manifest = replace(quick_manifest(tmp_path, "seeded"), seed_override=99)
         _, summary, _ = execute_manifest(manifest)

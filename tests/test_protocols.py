@@ -2,14 +2,15 @@
 
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualitysim.models import Medium, RenderingModel, RenderingPolicy
+from dualitysim import protocols
+from dualitysim.models import Medium, RenderingModel, RenderingPolicy, which_way_available
 from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
 from dualitysim.protocols import (
     DELTA_T_FAST,
@@ -17,6 +18,7 @@ from dualitysim.protocols import (
     EVENT_LOG_COLUMNS,
     PAIR_SPACING_FACTOR,
     _CSV_BLOCK_ROWS,
+    _MEDIUM_CODES,
     CoincidenceRecord,
     CoincidenceSummary,
     DetectNoRecordVariant,
@@ -31,6 +33,7 @@ from dualitysim.protocols import (
     SwitchStage,
     SwitchStrategy,
     _match_structured,
+    _render,
     coincidence_match,
     run_delayed_choice,
     run_detect_no_record,
@@ -815,6 +818,58 @@ class TestPerishableMedia:
         run = run_perishable_media(cfg)
         assert isinstance(run, RunResult)
         assert run.markers == ("branch_b", "statistically_indistinguishable_from_consistency")
+
+
+class TestSharedPipeline:
+    @pytest.mark.parametrize("model", [COLLAPSE, RENDER], ids=["collapse", "render"])
+    def test_render_reads_availability_as_the_record_does(self, model, monkeypatch):
+        """The vector availability mask agrees lane by lane with
+        ``which_way_available`` on a hand-built log that holds every medium,
+        live and dead perishable records among them."""
+        n = 8
+        cfg = ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, model=model, delta_t_s=1.0, coincidence_window_s=0.1)
+        log = EventLog.blank(n)
+        log.t_created_s[:] = log.t_signal_impact_s[:] = np.arange(n, dtype=float)
+        media = [Medium.PERISHABLE, Medium.PERISHABLE, Medium.PERISHABLE, Medium.PERSISTENT,
+                 Medium.PERSISTENT, Medium.VOLATILE, Medium.NONE, Medium.NONE]
+        log.medium[:] = [_MEDIUM_CODES[m] for m in media]
+        log.detected[:] = [1, 1, 1, 1, 1, 1, 1, 0]
+        log.recorded[:] = [1, 1, 1, 1, 1, 0, 0, 0]
+        log.detected_at_s[:] = np.where(log.detected == 1, log.t_created_s, np.nan)
+        # lane 0 lives past the observation, lane 1 expires before it, lane 2 never expires;
+        # lane 4's persistent record is erased before the observation
+        log.expires_at_s[:3] = log.t_created_s[:3] + [5.0, 0.5, np.nan]
+        log.erased_at_s[4] = log.t_created_s[4] + 0.5
+        real, masks = protocols.available_mask, []
+
+        def spy(*args):
+            masks.append(real(*args))
+            return masks[-1]
+
+        monkeypatch.setattr(protocols, "available_mask", spy)
+        _render(cfg, log, np.random.default_rng(0), log.t_created_s)
+        expected = [which_way_available(ev.availability, model) for ev in log.iter_events()]
+        assert masks[0].tolist() == expected
+        if model is RENDER:
+            assert expected == [True, False, True, True, False, False, False, False]
+
+    @pytest.mark.parametrize(
+        "cfg, empty",
+        [
+            (ProtocolConfig(protocol=Protocol.DELAYED_CHOICE, choice_record_prob=0.0), "recorded"),
+            (ProtocolConfig(protocol=Protocol.DELAYED_CHOICE, choice_record_prob=1.0), "unrecorded"),
+            (ProtocolConfig(protocol=Protocol.MACROSCOPIC_ERASURE, destruction_prob=0.0), "destroyed"),
+            (ProtocolConfig(protocol=Protocol.MACROSCOPIC_ERASURE, destruction_prob=1.0), "surviving"),
+        ],
+        ids=["choice-0", "choice-1", "destruction-0", "destruction-1"],
+    )
+    def test_an_empty_side_of_a_split_completes_without_a_distance(self, cfg, empty):
+        run = run_protocol(replace(cfg, n_pairs=2000, seed=49))
+        assert isinstance(run, RunResult)
+        assert run.empirical_tv is None
+        side = run.subsets[empty]
+        assert (side.count, side.verdict, side.visibility) == (0, Verdict.INDETERMINATE, None)
+        assert sum(s.count for s in run.subsets.values()) == run.pooled.count == 2000
 
 
 class TestDispatch:
