@@ -3,8 +3,9 @@
 Every case of a small branch matrix (n = 2,000, both rendering policies) is
 run and its event digest and the sha256 of its canonical report are compared
 with recorded values; a refusal pins the sha256 of its FeasibilityReport JSON
-instead. The acceptance manifest's event digests are pinned as well. A pinned
-value may move only with a CHANGES.md entry that says why.
+instead. The acceptance manifest's event digests, some events.csv files and
+every file that execute_manifest writes for a small batch are pinned as well.
+A pinned value may move only with a CHANGES.md entry that says why.
 """
 
 import hashlib
@@ -14,9 +15,10 @@ from dataclasses import replace
 import pytest
 
 from dualitysim.acceptance import builtin_manifest
-from dualitysim.cli import canonical_json
+from dualitysim import protocols
+from dualitysim.cli import REPORT_FORMATS, ManifestRun, RunManifest, canonical_json, execute_manifest
 from dualitysim.models import AvailabilityHorizon, RenderingModel, RenderingPolicy
-from dualitysim.optics import IntervalSet, OpticsConfig
+from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
 from dualitysim.protocols import (
     DELTA_T_SLOW,
     DetectNoRecordVariant,
@@ -489,3 +491,65 @@ def test_events_csv_bytes_are_pinned(name, tmp_path):
     path = tmp_path / "events.csv"
     run_protocol(CSV_CASES[name]).events.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_GOLDEN[name]
+
+
+def cli_manifest(out_dir) -> RunManifest:
+    """A small batch covering every report shape: completed runs (subsets and
+    pooled screen, coincidences, predictor statistics, a stage-d feasibility
+    report with a parameter-free strategy, an infinite TTL, no subsets at
+    all), a refused switch run and a run whose runner raises."""
+    m = {name: MATRIX[name] for name in ("quantum_eraser-render", "predictor-collapse", "switch-d-i-custom-collapse")}
+    return RunManifest(
+        runs=(
+            ManifestRun("eraser", m["quantum_eraser-render"]),
+            ManifestRun("predictor", replace(m["predictor-collapse"], n_pairs=300)),  # empty bins: NaN posteriors
+            ManifestRun("custom", m["switch-d-i-custom-collapse"]),
+            ManifestRun("empty", MATRIX["switch-d-i-empty-render"]),
+            ManifestRun("discontinuity", MATRIX["switch-d-iv-collapse"]),
+            ManifestRun("perishable_inf", replace(MATRIX["perishable-a-collapse"], ttl_s=math.inf)),
+            ManifestRun("refused", MATRIX["switch-d-i-refused-collapse"]),
+            ManifestRun("bad", MATRIX["detect_no_record-unplugged_detectors-render"]),
+        ),
+        out_dir=str(out_dir),
+        formats=frozenset(REPORT_FORMATS),
+        name="cli pins",
+    )
+
+
+CLI_GOLDEN: dict[str, str] = {
+    "bad.json": "788526873d465a5077000b8c75dbfb217303bfcea3040ce2cee08499b0bb4efd",
+    "custom.events.csv": "b6d2cb36d5896924ef030db80332a5c459be35705b294a4b491c73a8399fa5c5",
+    "custom.hist.txt": "2f789858dedbae087be649e7f0c0713db7c8cb620e46ebf9f2783a00691fe925",
+    "custom.json": "cdbf372ecb9477890d98b4c88d8e4842adb6f3e46c98ddf922e875f989e47802",
+    "discontinuity.events.csv": "a18e37dac3bea4fc25b03d77eb98705135cac4c7f47deeb0da80d940840daa28",
+    "discontinuity.hist.txt": "1508eca17867e7d510d0519d4353950491644988d7fb51fbab65e03a0f541719",
+    "discontinuity.json": "3497f14a8be98c72f599795c7346ee10678c5b1a3770986ebc22de75dd89ed05",
+    "empty.events.csv": "799c21bb79aa8aaad013decd575253c86fbdc38fe034af914256d1a9fdb93192",
+    "empty.hist.txt": "cab52e860366f0d85fc3147f91a8a1175b41a606b8e4cd122690aab4844a4166",
+    "empty.json": "c4728465a2dc8c61e04bb71533e94609ffe3dbc1920467c03ecfa58b41da669a",
+    "eraser.events.csv": "675306a9f9e5a50944945e8e6f6240c980445c60b1062a5a5c41e04ada46db5f",
+    "eraser.hist.txt": "afade8ad2177dbd77caf50cfddb346b5d91db558be3b80223e98049df7979ecf",
+    "eraser.json": "a387a26b05f5a3f28067021600155d30db65187cd6e51e0ff1147149e035a25b",
+    "perishable_inf.events.csv": "82c8efb079b5dfd2229ba8e3aca0b0e22ad52848a0139c5892bfccc5d128a496",
+    "perishable_inf.hist.txt": "3af9e57dfb5eaf14deabacd388044db3da96d7a2721a4b214d8c124ad9fec32a",
+    "perishable_inf.json": "0db782cc1bad42c283343a791fe270a63e97f63bfd77a8f4b050ad6f4596e3c7",
+    "predictor.events.csv": "13c451d26e8e0f0cd3daa3083527a62b2c29982dc1bd6c417f464a94cd3e5932",
+    "predictor.hist.txt": "2a77ce15c6efb0af6515a7676b2c721d70854b6143f7c38007b93ed7ad31b783",
+    "predictor.json": "6680f5d2a87bb5e84f3cdb8f35c64c0aa31ad1cb79a2be0a4143c7405400f92e",
+    "refused.json": "08d6e9e527e6394e8c838b0a415db76536fb999d1bfb20590ed6311b1b0dab8a",
+    "summary.json": "318b6a23bc3a212a86252f157074de6b3b5a0a26ff6eb82824f32e07855fe74a",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """sha256 of every file execute_manifest writes: per-run reports, event
+    logs and text histograms, and summary.json."""
+
+    def explode(cfg):
+        raise ValidationError("raised mid-run")
+
+    monkeypatch.setitem(protocols._RUNNERS, Protocol.DETECT_NO_RECORD, explode)
+    code, _, _ = execute_manifest(cli_manifest(tmp_path))
+    assert code == 1
+    found = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+    assert found == CLI_GOLDEN
