@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -388,7 +388,7 @@ def _criterion_9(outcomes, manifest) -> CriterionResult:
         slow = run_protocol(configs[f"switch_{stage}_slow"])
         equal_ok = equal_ok and np.array_equal(fast.events.signal_x_m, slow.events.signal_x_m)
         equal_ok = equal_ok and np.array_equal(
-            fast.subsets["screen"].histogram_counts, slow.subsets["screen"].histogram_counts
+            fast.subsets["screen"].histogram.counts, slow.subsets["screen"].histogram.counts
         )
     ok = verdicts_ok and equal_ok
     detail = (

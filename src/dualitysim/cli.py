@@ -36,7 +36,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
@@ -44,7 +44,7 @@ from typing import Any, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .optics import IntervalSet, OpticsConfig, ValidationError
-from .protocols import ProtocolConfig, RunResult, config_to_json_dict, run_protocol
+from .protocols import ProtocolConfig, RunResult, SwitchStrategy, run_protocol
 from .stats import FeasibilityReport
 
 REPORT_FORMATS = ("json", "csv", "ascii")
@@ -254,57 +254,65 @@ def serialize_manifest(manifest: RunManifest) -> str:
         "out_dir": manifest.out_dir,
         "formats": sorted(manifest.formats),
         "seed": manifest.seed_override,
-        "runs": [{"name": run.name, **config_to_json_dict(run.config)} for run in manifest.runs],
+        "runs": [{"name": run.name, **_json_form(run.config)} for run in manifest.runs],
     }
     return canonical_json(doc)
 
 
-# -- report emission ----------------------------------------------------------------
+# -- report emission: a report is its result's fields -------------------------------
+
+#: characters per line of a text histogram
+_HISTOGRAM_WIDTH = 80
 
 
-def _sanitize(obj):
+def _json_form(obj):
+    """``obj`` in JSON values. A dataclass is the object of its fields, less
+    those with ``metadata={"report": False}``, and a strategy lists only the
+    parameters its kind takes. An enum is its value; a tuple, interval set or
+    array is a list; a numpy scalar is its item; NaN is null and an infinity
+    is "inf" or "-inf"."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
+        return {key: _json_form(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple, IntervalSet)):
+        return [_json_form(value) for value in obj]
+    if is_dataclass(obj):
+        omit_none = isinstance(obj, SwitchStrategy)
+        items = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.metadata.get("report", True))
+        return {name: _json_form(value) for name, value in items if not (omit_none and value is None)}
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, np.generic):
-        return _sanitize(obj.item())
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
 def canonical_json(obj) -> str:
-    """Sorted-key JSON with NaN mapped to null; identical inputs give identical bytes."""
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted-key JSON of ``obj``'s JSON form; identical inputs give identical bytes."""
+    return json.dumps(_json_form(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def ascii_histogram(result: RunResult, width: int = 80) -> str:
+def ascii_histogram(result: RunResult) -> str:
     """Fixed-width text histograms for the pooled screen and each subset."""
     lines = [
         f"protocol {result.protocol.value}  n_pairs={result.n_pairs}  seed={result.seed}",
     ]
-    blocks = []
-    if result.pooled is not None:
-        blocks.append(result.pooled)
-    blocks.extend(result.subsets[key] for key in sorted(result.subsets))
-    for subset in blocks:
+    blocks = [] if result.pooled is None else [("pooled", result.pooled)]
+    blocks += sorted(result.subsets.items())
+    for key, subset in blocks:
         vis = "n/a" if subset.visibility is None else f"{subset.visibility:.4f}"
         lines.append("")
-        lines.append(
-            f"subset {subset.key}: count={subset.count} verdict={subset.verdict.value} visibility={vis}"
-        )
-        counts = subset.histogram_counts
-        edges = subset.histogram_edges
+        lines.append(f"subset {key}: count={subset.count} verdict={subset.verdict.value} visibility={vis}")
+        counts, edges = subset.histogram.counts, subset.histogram.edges
         if subset.count == 0:
             lines.append("  (no samples)")
             continue
         peak = max(1, int(counts.max()))
         count_w = len(str(peak))
-        bar_w = max(10, width - 24 - count_w)
+        bar_w = max(10, _HISTOGRAM_WIDTH - 24 - count_w)
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
             bar = "#" * int(round(bar_w * c / peak))
             lines.append(f"  [{lo * 1e3:+8.4f},{hi * 1e3:+8.4f}) {bar.ljust(bar_w)} {int(c):>{count_w}}")
@@ -313,19 +321,13 @@ def ascii_histogram(result: RunResult, width: int = 80) -> str:
 
 
 def _run_report(name: str, config: ProtocolConfig, outcome, error: str | None) -> dict:
+    """A run's report in JSON form: a completed run's result fields, else its
+    config with the refusal or the error."""
     if error is not None:
-        return {"name": name, "status": "error", "error": error, "config": config_to_json_dict(config)}
+        return _json_form({"name": name, "status": "error", "error": error, "config": config})
     if isinstance(outcome, FeasibilityReport):
-        return {
-            "name": name,
-            "status": "refused",
-            "config": config_to_json_dict(config),
-            "feasibility": outcome.to_json_dict(),
-        }
-    report = outcome.to_json_dict()
-    report["name"] = name
-    report["status"] = "completed"
-    return report
+        return _json_form({"name": name, "status": "refused", "config": config, "feasibility": outcome})
+    return {**_json_form(outcome), "name": name, "status": "completed"}
 
 
 def execute_manifest(

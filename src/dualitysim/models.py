@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .optics import OpticsConfig, PatternDistribution, PatternKind, ValidationError
+from .optics import ValidationError
 
 
 class RenderingPolicy(Enum):
@@ -146,10 +146,3 @@ def availability_query_time(model: RenderingModel, impact_time, observation_time
     ):
         return impact_time
     return observation_time
-
-
-def select_pattern(available: bool, cfg: OpticsConfig, phase_offset_rad: float = 0.0) -> PatternDistribution:
-    """Structureless law when which-way is available, else the interference law."""
-    if available:
-        return PatternDistribution(PatternKind.PARTICLE, cfg)
-    return PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)

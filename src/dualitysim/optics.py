@@ -116,9 +116,9 @@ class OpticsConfig:
     def effective_slit_width_m(self) -> float:
         return self.slit_width_m if self.slit_width_m is not None else 0.25 * self.slit_separation_m
 
-    def is_integer_fringe_window(self, tol: float = INTEGER_FRINGE_TOL) -> bool:
+    def is_integer_fringe_window(self) -> bool:
         m = self.fringe_count
-        return abs(m - round(m)) <= tol * max(1.0, m) and round(m) >= 1
+        return abs(m - round(m)) <= INTEGER_FRINGE_TOL * max(1.0, m) and round(m) >= 1
 
     def require_integer_fringe_window(self) -> None:
         if not self.is_integer_fringe_window():
@@ -443,14 +443,11 @@ def particle_density(x, cfg: OpticsConfig):
     return PatternDistribution(PatternKind.PARTICLE, cfg).density(x)
 
 
-def fringe_aligned_edges(
-    cfg: OpticsConfig,
-    bins_per_period: int = BINS_PER_FRINGE,
-    max_bins: int = MAX_HISTOGRAM_BINS,
-) -> np.ndarray:
-    """Equal-width bin edges over the window, bins_per_period per fringe, capped."""
-    n = int(round(bins_per_period * cfg.fringe_count))
-    n = max(20, min(n, max_bins))
+def fringe_aligned_edges(cfg: OpticsConfig) -> np.ndarray:
+    """Equal-width bin edges over the window, BINS_PER_FRINGE per fringe, at
+    least 20 and at most MAX_HISTOGRAM_BINS bins."""
+    n = int(round(BINS_PER_FRINGE * cfg.fringe_count))
+    n = max(20, min(n, MAX_HISTOGRAM_BINS))
     lo, hi = cfg.window
     return np.linspace(lo, hi, n + 1)
 

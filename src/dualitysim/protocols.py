@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import reduce
 from typing import Callable, Iterator, Sequence
@@ -495,14 +495,6 @@ class CoincidenceSummary:
     unmatched_detectors: int
     ambiguities: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "unmatched_signals": self.unmatched_signals,
-            "unmatched_detectors": self.unmatched_detectors,
-            "ambiguities": self.ambiguities,
-        }
-
 
 def coincidence_match(
     signal_times,
@@ -605,29 +597,22 @@ def _match_structured(
 # -- results ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Histogram:
+    """``counts`` of impacts in the bins between consecutive ``edges``."""
+
+    edges: np.ndarray
+    counts: np.ndarray
+
+
 @dataclass
 class SubsetResult:
-    key: str
     count: int
     verdict: Verdict
     log_likelihood_ratio: float
     visibility: float | None
-    histogram_counts: np.ndarray
-    histogram_edges: np.ndarray
+    histogram: Histogram
     slit_counts: tuple[int, int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "verdict": self.verdict.value,
-            "log_likelihood_ratio": self.log_likelihood_ratio,
-            "visibility": self.visibility,
-            "slit_counts": list(self.slit_counts),
-            "histogram": {
-                "edges": [float(e) for e in self.histogram_edges],
-                "counts": [int(c) for c in self.histogram_counts],
-            },
-        }
 
 
 @dataclass
@@ -645,23 +630,6 @@ class PredictorStats:
     accuracy_empirical: float
     accuracy_expected: float
 
-    def to_json_dict(self) -> dict:
-        def clean(arr):
-            return [None if (isinstance(v, float) and math.isnan(v)) else float(v) for v in arr.tolist()]
-
-        return {
-            "bin_edges": [float(e) for e in self.bin_edges],
-            "bin_counts": [int(c) for c in self.bin_counts],
-            "empirical_posterior": clean(self.empirical_posterior),
-            "curve_at_centers": [float(v) for v in self.curve_at_centers],
-            "exact_bin_posterior": [float(v) for v in self.exact_bin_posterior],
-            "max_abs_deviation_curve": self.max_abs_deviation_curve,
-            "max_abs_deviation_exact": self.max_abs_deviation_exact,
-            "dark_fringe_min_empirical": self.dark_fringe_min_empirical,
-            "accuracy_empirical": self.accuracy_empirical,
-            "accuracy_expected": self.accuracy_expected,
-        }
-
 
 @dataclass
 class RunResult:
@@ -678,44 +646,7 @@ class RunResult:
     markers: tuple[str, ...]
     warnings: tuple[str, ...]
     event_digest: str
-    events: EventLog | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "protocol": self.protocol.value,
-            "seed": self.seed,
-            "n_pairs": self.n_pairs,
-            "config": config_to_json_dict(self.config),
-            "subsets": {k: v.to_json_dict() for k, v in sorted(self.subsets.items())},
-            "pooled": self.pooled.to_json_dict() if self.pooled else None,
-            "coincidences": self.coincidences.to_json_dict() if self.coincidences else None,
-            "predictor": self.predictor.to_json_dict() if self.predictor else None,
-            "feasibility": self.feasibility.to_json_dict() if self.feasibility else None,
-            "empirical_tv": self.empirical_tv,
-            "markers": list(self.markers),
-            "warnings": list(self.warnings),
-            "event_digest": self.event_digest,
-        }
-
-
-def config_to_json_dict(cfg: ProtocolConfig) -> dict:
-    """Stable JSON echo of a run configuration, in the manifest's form: enums
-    as their values, tuples and interval sets as lists, nested configs as
-    objects (``canonical_json`` writes an infinite ``ttl_s`` as "inf")."""
-    return _echo(cfg)
-
-
-def _echo(value):
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (tuple, IntervalSet)):
-        return [_echo(item) for item in value]
-    if is_dataclass(value):
-        # a strategy echoes only the parameters its kind takes
-        omit_none = isinstance(value, SwitchStrategy)
-        items = ((f.name, getattr(value, f.name)) for f in fields(value))
-        return {name: _echo(item) for name, item in items if not (omit_none and item is None)}
-    return value
+    events: EventLog | None = field(metadata={"report": False})
 
 
 # -- shared runner plumbing --------------------------------------------------------
@@ -756,6 +687,7 @@ def _subset_result(
     edges: np.ndarray,
     region: IntervalSet | None = None,
 ) -> SubsetResult:
+    """Classify and histogram the impacts in ``mask``; ``key`` names the subset."""
     samples = x[mask]
     counts, _ = np.histogram(samples, bins=edges)
     if samples.size:
@@ -769,13 +701,11 @@ def _subset_result(
         verdict, llr, visibility = Verdict.INDETERMINATE, 0.0, None
     sl = slit[mask]
     return SubsetResult(
-        key=key,
         count=int(samples.size),
         verdict=verdict,
         log_likelihood_ratio=float(llr),
         visibility=visibility,
-        histogram_counts=counts,
-        histogram_edges=edges,
+        histogram=Histogram(edges, counts),
         slit_counts=(int(np.count_nonzero(sl == 1)), int(np.count_nonzero(sl == 2))),
     )
 
@@ -788,7 +718,6 @@ def _assemble(
     regions: dict[str, IntervalSet] | None = None,
     tv: tuple[str, str] | None = None,
     coincidences: CoincidenceSummary | None = None,
-    predictor: PredictorStats | None = None,
     feasibility: FeasibilityReport | None = None,
     markers: tuple[str, ...] = (),
 ) -> RunResult:
@@ -802,7 +731,7 @@ def _assemble(
     edges = fringe_aligned_edges(cfg.optics)
     pooled = _subset_result("pooled", x, slice(None), log.slit, cfg, edges) if subsets is None or subsets else None
     if subsets is None:  # the screen subset holds every pair: it is the pooled screen
-        results = {"screen": replace(pooled, key="screen")}
+        results = {"screen": pooled}
     else:
         regions = regions or {}
         results = {k: _subset_result(k, x, mask, log.slit, cfg, edges, regions.get(k)) for k, mask in subsets.items()}
@@ -824,7 +753,7 @@ def _assemble(
         subsets=results,
         pooled=pooled,
         coincidences=coincidences,
-        predictor=predictor,
+        predictor=None,
         feasibility=feasibility,
         empirical_tv=empirical_tv,
         markers=markers,
@@ -1104,19 +1033,21 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
     recorded = rng.random(cfg.n_pairs) < 0.5
     _record(log, recorded, log.t_detector_s)
     x = _render(cfg, log, rng, log.t_detector_s)
-    subsets = {"recorded": recorded, "erased": ~recorded}
-    return _assemble(cfg, log, x, subsets, tv=("recorded", "erased"), predictor=_predictor_stats(cfg, x, recorded))
+    result = _assemble(cfg, log, x, {"recorded": recorded, "erased": ~recorded}, tv=("recorded", "erased"))
+    result.predictor = _predictor_stats(cfg, x, recorded, result)
+    return result
 
 
-def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray) -> PredictorStats:
+def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray, result: RunResult) -> PredictorStats:
+    """Calibration on the pooled screen's bins: the recorded share of each
+    bin's impacts, from the histograms ``result`` already holds."""
     # imported at call time, so a wrapper on ``stats.tv_distance`` (perfbench tracing) sees these calls
     from .stats import approx_posterior, tv_distance
 
     optics = cfg.optics
-    edges = fringe_aligned_edges(optics)
+    edges, total = result.pooled.histogram.edges, result.pooled.histogram.counts
+    hits = result.subsets["recorded"].histogram.counts
     centers = 0.5 * (edges[:-1] + edges[1:])
-    total, _ = np.histogram(x, bins=edges)
-    hits, _ = np.histogram(x[recorded], bins=edges)
     with np.errstate(invalid="ignore", divide="ignore"):
         empirical = np.where(total > 0, hits / np.maximum(total, 1), np.nan)
     curve = np.asarray(approx_posterior(centers, optics), dtype=float)

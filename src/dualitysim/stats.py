@@ -32,30 +32,8 @@ VERDICT_LLR_THRESHOLD = math.log(999.0)
 DENSITY_FLOOR_FRACTION = 1e-12
 #: |delta - 1| tolerance under which outcome-(i) generation is exactly consistent
 DELTA_FEASIBILITY_TOL = 1e-9
-#: default experimental-noise allowance on delta
-DEFAULT_NOISE_THRESHOLD = 0.9
 #: impacts per classifier block
 _CLASSIFY_BLOCK = 65536
-
-
-class PosteriorMode(Enum):
-    EXACT = "exact"
-    APPROXIMATE = "approximate"
-
-
-@dataclass(frozen=True)
-class PosteriorCurve:
-    """P[which-way recorded | impact coordinate] as a callable curve."""
-
-    config: OpticsConfig
-    mode: PosteriorMode = PosteriorMode.EXACT
-
-    def evaluate(self, x):
-        if self.mode is PosteriorMode.EXACT:
-            return exact_posterior(x, self.config)
-        return approx_posterior(x, self.config)
-
-    __call__ = evaluate
 
 
 def _pattern_pair(cfg: OpticsConfig) -> tuple[PatternDistribution, PatternDistribution]:
@@ -170,16 +148,6 @@ class FeasibilityReport:
         if self.feasible_under_outcome_i != (abs(self.delta_value - 1.0) <= DELTA_FEASIBILITY_TOL):
             raise ValidationError("feasibility flag inconsistent with delta")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "interval_set": [list(pair) for pair in self.interval_set],
-            "delta_value": self.delta_value,
-            "tv_value": self.tv_value,
-            "margin": self.margin,
-            "feasible_under_outcome_i": self.feasible_under_outcome_i,
-            "marker": self.marker,
-        }
-
 
 def contradiction_margin(iset: IntervalSet, cfg: OpticsConfig, marker: str | None = None) -> FeasibilityReport:
     """FeasibilityReport for activating the switch exactly on ``iset``."""
@@ -208,21 +176,19 @@ class ClassificationResult:
     verdict: Verdict
     log_likelihood_ratio: float
     n_samples: int
-    threshold: float
 
 
 def classify_pattern(
     samples,
     cfg: OpticsConfig,
     phase_offset_rad: float = 0.0,
-    threshold: float = VERDICT_LLR_THRESHOLD,
     restrict_to: IntervalSet | None = None,
 ) -> ClassificationResult:
     """Wave-vs-particle verdict from the summed per-impact log-likelihood ratio.
 
     Each impact contributes ``log(w(x)/p(x))`` with both densities floored at
     a fixed fraction of the uniform level and the contribution clipped to
-    ``[-threshold, +threshold]``, so no single impact can force a verdict.
+    ``+/-VERDICT_LLR_THRESHOLD``, so no single impact can force a verdict.
     ``restrict_to`` classifies against the renormalized truncated laws, for
     subsets that were carved out of the screen by an interval rule.
     """
@@ -250,19 +216,19 @@ def classify_pattern(
             p /= p_mass
         np.log(np.maximum(w, floor, out=w), out=w)
         np.log(np.maximum(p, floor, out=p), out=p)
-        np.clip(np.subtract(w, p, out=w), -threshold, threshold, out=per_sample[block])
+        np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=per_sample[block])
 
     # each impact's contribution on its own, in fixed blocks on the pool; the
     # one sum over the whole array keeps the bits of an unblocked evaluation
     map_blocks(contribute, x.size, _CLASSIFY_BLOCK)
     llr = float(np.sum(per_sample))
-    if llr > threshold:
+    if llr > VERDICT_LLR_THRESHOLD:
         verdict = Verdict.WAVE
-    elif llr < -threshold:
+    elif llr < -VERDICT_LLR_THRESHOLD:
         verdict = Verdict.PARTICLE
     else:
         verdict = Verdict.INDETERMINATE
-    return ClassificationResult(verdict, llr, int(x.size), float(threshold))
+    return ClassificationResult(verdict, llr, int(x.size))
 
 
 # -- sample-size planning -------------------------------------------------------
@@ -323,24 +289,17 @@ def required_sample_size(target_error: float, cfg: OpticsConfig) -> SampleSizePl
     return SampleSizePlan(n, rho, target_error)
 
 
-def tv_distance_empirical(samples_p, samples_q, cfg: OpticsConfig, bins: int | None = None) -> float:
-    """Plug-in TV estimate over a common equal-width binning.
+def tv_distance_empirical(samples_p, samples_q, cfg: OpticsConfig) -> float:
+    """Plug-in TV estimate over the fringe-aligned binning.
 
     The estimator carries a positive bias of order sqrt(bins / n) from
-    counting noise, on top of the (negative) discretization bias; keep bins
-    well below the sample count.
+    counting noise, on top of the (negative) discretization bias.
     """
     a = np.asarray(samples_p, dtype=float).ravel()
     b = np.asarray(samples_q, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ValidationError("empirical TV requires nonempty sample sets")
-    if bins is None:
-        edges = fringe_aligned_edges(cfg)
-    else:
-        if bins < 10:
-            raise ValidationError("empirical TV requires at least 10 bins")
-        lo, hi = cfg.window
-        edges = np.linspace(lo, hi, bins + 1)
+    edges = fringe_aligned_edges(cfg)
     wlo, whi = cfg.window
     for arr in (a, b):
         if np.any(arr < wlo) or np.any(arr > whi):

@@ -129,7 +129,7 @@ def matrix() -> dict[str, ProtocolConfig]:
 
 def fingerprint(outcome) -> tuple[str | None, str]:
     """(event digest or None for a refusal, sha256 of the canonical report)."""
-    text = canonical_json(outcome.to_json_dict())
+    text = canonical_json(outcome)
     digest = outcome.event_digest if isinstance(outcome, RunResult) else None
     return digest, hashlib.sha256(text.encode()).hexdigest()
 

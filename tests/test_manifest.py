@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -617,6 +618,32 @@ class TestRoundTrip:
         assert text == canonical_json(doc)
         assert json.loads(text) == {"a": ["inf", "-inf", 1.25], "b": None}
         assert text.endswith("\n")
+        edge = {
+            "scalars": [np.float32(0.5), np.int64(-3), np.bool_(True), np.float64("nan")],
+            "negative_zero": -0.0,
+            "array": np.array([1.0, np.nan, np.inf]),
+            "nested": ((1, (2.5, "x")), ()),
+            "intervals": IntervalSet.from_pairs([(-1e-4, 0.0), (1e-4, 2e-4)]),
+            "enum": Protocol.PREDICTOR,
+            "strategy": SwitchStrategy.always_on(),
+        }
+        text = canonical_json(edge)
+        assert json.loads(text) == {
+            "scalars": [0.5, -3, True, None],
+            "negative_zero": -0.0,
+            "array": [1.0, None, "inf"],
+            "nested": [[1, [2.5, "x"]], []],
+            "intervals": [[-1e-4, 0.0], [1e-4, 2e-4]],
+            "enum": "predictor",
+            "strategy": {"kind": "always_on"},
+        }
+        assert '"negative_zero": -0.0' in text
+        assert '"scalars": [\n    0.5,\n    -3,\n    true,\n    null\n  ]' in text
+        run = run_protocol(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=200))
+        report = json.loads(canonical_json(run))
+        assert run.events is not None and "events" not in report
+        assert report["event_digest"] == run.event_digest
+        assert set(report["pooled"]["histogram"]) == {"edges", "counts"}
 
 
 def quick_manifest(tmp_path, sub="a"):

@@ -15,10 +15,9 @@ from dualitysim.models import (
     RenderingPolicy,
     availability_query_time,
     available_mask,
-    select_pattern,
     which_way_available,
 )
-from dualitysim.optics import OpticsConfig, PatternKind, ValidationError
+from dualitysim.optics import ValidationError
 
 COLLAPSE = RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION)
 RENDER = RenderingModel(RenderingPolicy.RENDER_AT_AVAILABILITY)
@@ -134,11 +133,3 @@ def test_available_mask_matches_scalar_logic(rows, policy):
             if not math.isnan(expires_at[i]) and at[i] >= expires_at[i]:
                 want = False
         assert bool(got[i]) == bool(want)
-
-
-def test_select_pattern():
-    cfg = OpticsConfig()
-    assert select_pattern(True, cfg).kind is PatternKind.PARTICLE
-    dist = select_pattern(False, cfg, phase_offset_rad=0.4)
-    assert dist.kind is PatternKind.WAVE
-    assert dist.phase_offset_rad == 0.4

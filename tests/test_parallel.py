@@ -179,7 +179,7 @@ def _outcomes(workers: int, names: list[str], n: int | None) -> dict[str, tuple]
         for name in names:
             cfg = cases[name] if n is None else replace(cases[name], n_pairs=n)
             outcome = run_protocol(cfg)
-            text = canonical_json(outcome.to_json_dict()).encode()
+            text = canonical_json(outcome).encode()
             out[name] = (outcome.event_digest if isinstance(outcome, RunResult) else None, text)
     return out
 

@@ -483,7 +483,7 @@ class TestEventLog:
         assert sum(s.count for s in run.subsets.values()) == 3000
         assert run.pooled.count == 3000
         for s in run.subsets.values():
-            assert s.histogram_counts.sum() == s.count
+            assert s.histogram.counts.sum() == s.count
 
 
 class TestDoubleSlit:
@@ -651,6 +651,18 @@ class TestPredictor:
         assert np.all(stats.empirical_posterior[filled] >= 0)
         assert np.isnan(stats.empirical_posterior[~filled]).all()
 
+    def test_posterior_bins_are_the_screen_histograms(self):
+        cfg = ProtocolConfig(protocol=Protocol.PREDICTOR, n_pairs=5000, seed=34)
+        run = run_predictor(cfg)
+        x, recorded = run.events.signal_x_m, run.events.recorded.astype(bool)
+        edges = run.pooled.histogram.edges
+        np.testing.assert_array_equal(run.predictor.bin_edges, edges)
+        np.testing.assert_array_equal(run.predictor.bin_counts, np.histogram(x, bins=edges)[0])
+        hits = run.subsets["recorded"].histogram.counts
+        np.testing.assert_array_equal(hits, np.histogram(x[recorded], bins=edges)[0])
+        filled = run.predictor.bin_counts > 0
+        np.testing.assert_array_equal(run.predictor.empirical_posterior[filled], (hits / run.predictor.bin_counts)[filled])
+
 
 class TestSwitchEarlyStages:
     @pytest.mark.parametrize("stage", [SwitchStage.A, SwitchStage.B, SwitchStage.C])
@@ -674,7 +686,7 @@ class TestSwitchEarlyStages:
         fast, slow = runs[DELTA_T_FAST], runs[DELTA_T_SLOW]
         np.testing.assert_array_equal(fast.events.signal_x_m, slow.events.signal_x_m)
         np.testing.assert_array_equal(
-            fast.subsets["screen"].histogram_counts, slow.subsets["screen"].histogram_counts
+            fast.subsets["screen"].histogram.counts, slow.subsets["screen"].histogram.counts
         )
         assert not np.array_equal(fast.events.t_created_s, slow.events.t_created_s)
 

@@ -1,5 +1,6 @@
 """Posteriors, the interval-mass functional, classification, and sample sizing."""
 
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from dualitysim.cli import canonical_json
 from dualitysim.optics import (
     IntervalSet,
     OpticsConfig,
@@ -21,8 +23,6 @@ from dualitysim.stats import (
     DENSITY_FLOOR_FRACTION,
     VERDICT_LLR_THRESHOLD,
     FeasibilityReport,
-    PosteriorCurve,
-    PosteriorMode,
     Verdict,
     _sign_intervals,
     approx_posterior,
@@ -89,13 +89,6 @@ class TestPosteriors:
     def test_approx_posterior_bounds(self, x):
         value = float(np.asarray(approx_posterior(x, DEFAULT)))
         assert 1.0 / 3.0 - 1e-12 <= value <= 1.0
-
-    def test_curve_object_dispatches_modes(self):
-        exact_curve = PosteriorCurve(DEFAULT, PosteriorMode.EXACT)
-        approx_curve = PosteriorCurve(DEFAULT, PosteriorMode.APPROXIMATE)
-        xs = np.linspace(-3e-4, 3e-4, 7)
-        np.testing.assert_allclose(np.asarray(exact_curve(xs)), np.asarray(exact_posterior(xs, DEFAULT)))
-        np.testing.assert_allclose(np.asarray(approx_curve(xs)), np.asarray(approx_posterior(xs, DEFAULT)))
 
     def test_posterior_outside_window_fails(self):
         with pytest.raises(Exception):
@@ -221,7 +214,7 @@ class TestFeasibility:
 
     def test_json_dict_round_trips_fields(self):
         report = contradiction_margin(optimal_interval_set(DEFAULT), DEFAULT, marker="outcome_i_infeasible")
-        doc = report.to_json_dict()
+        doc = json.loads(canonical_json(report))
         assert doc["feasible_under_outcome_i"] is False
         assert doc["marker"] == "outcome_i_infeasible"
         assert doc["interval_set"] == [list(p) for p in report.interval_set]
