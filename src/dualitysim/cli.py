@@ -271,22 +271,25 @@ def _json_form(obj):
     parameters its kind takes. An enum is its value; a tuple, interval set or
     array is a list; a numpy scalar is its item; NaN is null and an infinity
     is "inf" or "-inf"."""
+    # scalars first: they are nearly all of a report's values
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if isinstance(obj, dict):
         return {key: _json_form(value) for key, value in obj.items()}
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple, IntervalSet)):
         return [_json_form(value) for value in obj]
+    if isinstance(obj, Enum):
+        return obj.value
     if is_dataclass(obj):
         omit_none = isinstance(obj, SwitchStrategy)
         items = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.metadata.get("report", True))
         return {name: _json_form(value) for name, value in items if not (omit_none and value is None)}
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
