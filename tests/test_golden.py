@@ -14,8 +14,8 @@ from dataclasses import replace
 
 import pytest
 
-from dualitysim.acceptance import builtin_manifest
 from dualitysim import protocols
+from dualitysim.acceptance import builtin_manifest
 from dualitysim.cli import REPORT_FORMATS, ManifestRun, RunManifest, canonical_json, execute_manifest
 from dualitysim.models import AvailabilityHorizon, RenderingModel, RenderingPolicy
 from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
@@ -498,12 +498,11 @@ def cli_manifest(out_dir) -> RunManifest:
     pooled screen, coincidences, predictor statistics, a stage-d feasibility
     report with a parameter-free strategy, an infinite TTL, no subsets at
     all), a refused switch run and a run whose runner raises."""
-    m = {name: MATRIX[name] for name in ("quantum_eraser-render", "predictor-collapse", "switch-d-i-custom-collapse")}
     return RunManifest(
         runs=(
-            ManifestRun("eraser", m["quantum_eraser-render"]),
-            ManifestRun("predictor", replace(m["predictor-collapse"], n_pairs=300)),  # empty bins: NaN posteriors
-            ManifestRun("custom", m["switch-d-i-custom-collapse"]),
+            ManifestRun("eraser", MATRIX["quantum_eraser-render"]),
+            ManifestRun("predictor", replace(MATRIX["predictor-collapse"], n_pairs=300)),  # empty bins: NaN posteriors
+            ManifestRun("custom", MATRIX["switch-d-i-custom-collapse"]),
             ManifestRun("empty", MATRIX["switch-d-i-empty-render"]),
             ManifestRun("discontinuity", MATRIX["switch-d-iv-collapse"]),
             ManifestRun("perishable_inf", replace(MATRIX["perishable-a-collapse"], ttl_s=math.inf)),

@@ -661,7 +661,8 @@ class TestPredictor:
         hits = run.subsets["recorded"].histogram.counts
         np.testing.assert_array_equal(hits, np.histogram(x[recorded], bins=edges)[0])
         filled = run.predictor.bin_counts > 0
-        np.testing.assert_array_equal(run.predictor.empirical_posterior[filled], (hits / run.predictor.bin_counts)[filled])
+        share = hits[filled] / run.predictor.bin_counts[filled]
+        np.testing.assert_array_equal(run.predictor.empirical_posterior[filled], share)
 
 
 class TestSwitchEarlyStages:
