@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cli import ManifestRun, RunManifest, execute_manifest
 from .models import RenderingModel, RenderingPolicy
 from .numerics import adaptive_simpson
 from .optics import (
@@ -37,10 +38,9 @@ from .protocols import (
     run_protocol,
 )
 from .stats import (
-    DENSITY_FLOOR_FRACTION,
-    VERDICT_LLR_THRESHOLD,
     FeasibilityReport,
     Verdict,
+    classify_pattern,
     delta_of_interval_set,
     optimal_interval_set,
     required_sample_size,
@@ -79,77 +79,35 @@ class AcceptanceReport:
 
 def builtin_manifest(out_dir: str = "acceptance-runs"):
     """The acceptance batch: every criterion's simulated inputs in one manifest."""
-    from .cli import ManifestRun, RunManifest
-
     collapse = RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION)
     render = RenderingModel(RenderingPolicy.RENDER_AT_AVAILABILITY)
     optics = OpticsConfig()
-    star = optimal_interval_set(optics)
     runs = [
-        ManifestRun(
-            "predictor_main",
-            ProtocolConfig(protocol=Protocol.PREDICTOR, model=collapse, n_pairs=1_000_000, seed=101),
-        ),
-        ManifestRun(
-            "eraser_main",
-            ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, model=collapse, n_pairs=400_000, seed=102),
-        ),
-        ManifestRun(
-            "dnr_collapse",
-            ProtocolConfig(protocol=Protocol.DETECT_NO_RECORD, model=collapse, n_pairs=100_000, seed=103),
-        ),
-        ManifestRun(
-            "dnr_render",
-            ProtocolConfig(protocol=Protocol.DETECT_NO_RECORD, model=render, n_pairs=100_000, seed=103),
-        ),
-        ManifestRun(
-            "macro_collapse",
-            ProtocolConfig(protocol=Protocol.MACROSCOPIC_ERASURE, model=collapse, n_pairs=100_000, seed=104),
-        ),
-        ManifestRun(
-            "macro_render",
-            ProtocolConfig(protocol=Protocol.MACROSCOPIC_ERASURE, model=render, n_pairs=100_000, seed=104),
-        ),
-        ManifestRun(
-            "switch_refused",
-            ProtocolConfig(
-                protocol=Protocol.SWITCH_EXPERIMENT,
-                model=collapse,
-                n_pairs=10_000,
-                seed=106,
-                switch_stage=SwitchStage.D,
-                observation_schedule=ObservationSchedule.AT_T0,
-                strategy=SwitchStrategy.strategy_1(star),
-                outcome_hypothesis=OutcomeHypothesis.I,
-            ),
-        ),
-        ManifestRun(
-            "switch_empty",
-            ProtocolConfig(
-                protocol=Protocol.SWITCH_EXPERIMENT,
-                model=collapse,
-                n_pairs=20_000,
-                seed=107,
-                switch_stage=SwitchStage.D,
-                observation_schedule=ObservationSchedule.AT_T0,
-                strategy=SwitchStrategy.strategy_1(IntervalSet.empty()),
-                outcome_hypothesis=OutcomeHypothesis.I,
-            ),
-        ),
-        ManifestRun(
-            "switch_full",
-            ProtocolConfig(
-                protocol=Protocol.SWITCH_EXPERIMENT,
-                model=collapse,
-                n_pairs=20_000,
-                seed=108,
-                switch_stage=SwitchStage.D,
-                observation_schedule=ObservationSchedule.AT_T0,
-                strategy=SwitchStrategy.strategy_1(IntervalSet.full_window(optics)),
-                outcome_hypothesis=OutcomeHypothesis.I,
-            ),
-        ),
+        ManifestRun(name, ProtocolConfig(protocol=protocol, model=model, n_pairs=n_pairs, seed=seed))
+        for name, protocol, model, n_pairs, seed in (
+            ("predictor_main", Protocol.PREDICTOR, collapse, 1_000_000, 101),
+            ("eraser_main", Protocol.QUANTUM_ERASER, collapse, 400_000, 102),
+            ("dnr_collapse", Protocol.DETECT_NO_RECORD, collapse, 100_000, 103),
+            ("dnr_render", Protocol.DETECT_NO_RECORD, render, 100_000, 103),
+            ("macro_collapse", Protocol.MACROSCOPIC_ERASURE, collapse, 100_000, 104),
+            ("macro_render", Protocol.MACROSCOPIC_ERASURE, render, 100_000, 104),
+        )
     ]
+    # the stage-d runs differ only in size, seed and the switch's interval set
+    stage_d = dict(
+        protocol=Protocol.SWITCH_EXPERIMENT,
+        model=collapse,
+        switch_stage=SwitchStage.D,
+        observation_schedule=ObservationSchedule.AT_T0,
+        outcome_hypothesis=OutcomeHypothesis.I,
+    )
+    for name, n_pairs, seed, iset in (
+        ("switch_refused", 10_000, 106, optimal_interval_set(optics)),
+        ("switch_empty", 20_000, 107, IntervalSet.empty()),
+        ("switch_full", 20_000, 108, IntervalSet.full_window(optics)),
+    ):
+        strategy = SwitchStrategy.strategy_1(iset)
+        runs.append(ManifestRun(name, ProtocolConfig(n_pairs=n_pairs, seed=seed, strategy=strategy, **stage_d)))
     for stage in (SwitchStage.A, SwitchStage.B, SwitchStage.C):
         for tag, dt in (("fast", DELTA_T_FAST), ("slow", DELTA_T_SLOW)):
             runs.append(
@@ -281,22 +239,15 @@ def _criterion_5(outcomes) -> CriterionResult:
 
 
 def _replicate_errors(n_samples: int, replicates_per_law: int, seed: int) -> int:
-    """Maximum-likelihood sign-rule errors over seeded replicate classifications."""
+    """Sign errors of ``classify_pattern``'s LLR over seeded replicates of each law."""
     optics = OpticsConfig()
-    wave = PatternDistribution(PatternKind.WAVE, optics)
-    particle = PatternDistribution(PatternKind.PARTICLE, optics)
-    floor = DENSITY_FLOOR_FRACTION / optics.window_width_m
-    tau = VERDICT_LLR_THRESHOLD
-
-    def llr_sums(x: np.ndarray) -> np.ndarray:
-        w = np.maximum(np.asarray(wave_density(x.ravel(), optics)), floor).reshape(x.shape)
-        p = np.maximum(np.asarray(particle_density(x.ravel(), optics)), floor).reshape(x.shape)
-        return np.clip(np.log(w / p), -tau, tau).sum(axis=1)
-
     rng = np.random.default_rng(seed)
-    lam_wave = llr_sums(np.asarray(wave.ppf(rng.random((replicates_per_law, n_samples)))))
-    lam_part = llr_sums(np.asarray(particle.ppf(rng.random((replicates_per_law, n_samples)))))
-    return int(np.sum(lam_wave <= 0) + np.sum(lam_part > 0))
+    errors = 0
+    for kind, wrong_sign in ((PatternKind.WAVE, np.less_equal), (PatternKind.PARTICLE, np.greater)):
+        draws = np.asarray(PatternDistribution(kind, optics).ppf(rng.random((replicates_per_law, n_samples))))
+        llrs = [classify_pattern(row, optics).log_likelihood_ratio for row in draws]
+        errors += int(np.sum(wrong_sign(llrs, 0.0)))
+    return errors
 
 
 def _criterion_6(outcomes) -> CriterionResult:
@@ -354,26 +305,18 @@ def _compare_trees(dir_a: Path, dir_b: Path) -> tuple[bool, str]:
     return True, f"{len(names_a)} files byte-identical"
 
 
-def _criterion_8(base_dir: Path, jobs: int) -> CriterionResult:
-    from .cli import execute_manifest
-
+def _criterion_8(base_dir: Path, summary: dict, jobs: int) -> CriterionResult:
     repeat_dir = base_dir.parent / (base_dir.name + "-repeat")
     threads_dir = base_dir.parent / (base_dir.name + "-threads")
-    code_r, summary_r, _ = execute_manifest(builtin_manifest(str(repeat_dir)), jobs=jobs)
+    code_r, _, _ = execute_manifest(builtin_manifest(str(repeat_dir)), jobs=jobs)
     code_t, summary_t, _ = execute_manifest(builtin_manifest(str(threads_dir)), jobs=max(4, jobs))
     identical, why = _compare_trees(base_dir, repeat_dir)
-    digests_base = {r["name"]: r["event_digest"] for r in _load_summary(base_dir)["runs"]}
+    digests_base = {r["name"]: r["event_digest"] for r in summary["runs"]}
     digests_threads = {r["name"]: r["event_digest"] for r in summary_t["runs"]}
     digests_ok = digests_base == digests_threads
     ok = code_r == 0 and code_t == 0 and identical and digests_ok
     detail = f"re-execution: {why}; event digests invariant across thread counts = {digests_ok}"
     return CriterionResult(8, "same seed reproduces reports byte for byte", ok, detail)
-
-
-def _load_summary(out_dir: Path) -> dict:
-    import json as _json
-
-    return _json.loads((out_dir / "summary.json").read_text())
 
 
 def _criterion_9(outcomes, manifest) -> CriterionResult:
@@ -400,8 +343,6 @@ def _criterion_9(outcomes, manifest) -> CriterionResult:
 
 def run_acceptance(out_dir: str | None = None, jobs: int = 1) -> AcceptanceReport:
     """Execute the built-in manifest and evaluate all nine criteria."""
-    from .cli import execute_manifest
-
     cleanup = None
     if out_dir is None:
         cleanup = tempfile.TemporaryDirectory(prefix="acceptance-")
@@ -424,7 +365,7 @@ def run_acceptance(out_dir: str | None = None, jobs: int = 1) -> AcceptanceRepor
             _criterion_5(outcomes),
             _criterion_6(outcomes),
             _criterion_7(),
-            _criterion_8(base, jobs),
+            _criterion_8(base, summary, jobs),
             _criterion_9(outcomes, manifest),
         ]
         return AcceptanceReport(criteria, None if cleanup else str(out_dir))

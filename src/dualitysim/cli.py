@@ -333,17 +333,14 @@ def _run_report(name: str, config: ProtocolConfig, outcome, error: str | None) -
     return {**_json_form(outcome), "name": name, "status": "completed"}
 
 
-def execute_manifest(
-    manifest: RunManifest,
-    jobs: int = 1,
-    verbose: bool = False,
-    keep_events: bool = False,
-):
+def execute_manifest(manifest: RunManifest, jobs: int = 1, verbose: bool = False):
     """Run every entry, write per-run reports plus summary.json.
 
     Returns (exit_code, summary_dict, outcomes) where outcomes maps run name
-    to the RunResult/FeasibilityReport (None for an errored run). Individual
-    run failures are isolated: siblings still execute and write their files.
+    to the RunResult/FeasibilityReport (None for an errored run). A RunResult
+    comes without its event log; ``run_protocol`` returns one that keeps it.
+    Individual run failures are isolated: siblings still execute and write
+    their files.
     """
     if jobs < 1:
         raise ManifestError(f"jobs must be at least 1, got {jobs}")
@@ -370,8 +367,7 @@ def execute_manifest(
                 outcome.events.to_csv(out / f"{entry.name}.events.csv")
             if "ascii" in manifest.formats:
                 (out / f"{entry.name}.hist.txt").write_text(ascii_histogram(outcome))
-            if not keep_events:
-                outcome.events = None
+            outcome.events = None
         if verbose:
             print(f"[{report['status']}] {entry.name}", file=sys.stderr)
         return entry.name, report, outcome
@@ -447,6 +443,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     if args.command == "run":
         try:
             text = Path(args.manifest).read_text()
@@ -466,8 +465,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if not formats:
                     raise ManifestError("--formats: at least one format is required")
                 manifest = replace(manifest, formats=formats)
-            if args.jobs < 1:
-                raise ManifestError(f"--jobs must be at least 1, got {args.jobs}")
         except ManifestError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -483,9 +480,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # acceptance
     from .acceptance import run_acceptance
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     report = run_acceptance(out_dir=args.out, jobs=args.jobs)
     for criterion in report.criteria:
         print(criterion.line())

@@ -316,8 +316,9 @@ class PatternDistribution:
 
     def _check_domain(self, x: np.ndarray) -> None:
         lo, hi = self.config.window
-        if x.size and (np.any(x < lo) | np.any(x > hi)):
-            bad = x[(x < lo) | (x > hi)]
+        # NaN fails both tests; taken one at a time, they keep one mask alive, not three
+        if not (np.all(x >= lo) and np.all(x <= hi)):
+            bad = x[~((x >= lo) & (x <= hi))]
             raise DomainError(f"x={bad.flat[0]!r} lies outside the screen window [{lo!r}, {hi!r}]")
 
     def density(self, x) -> np.ndarray | float:

@@ -302,7 +302,7 @@ def tv_distance_empirical(samples_p, samples_q, cfg: OpticsConfig) -> float:
     edges = fringe_aligned_edges(cfg)
     wlo, whi = cfg.window
     for arr in (a, b):
-        if np.any(arr < wlo) or np.any(arr > whi):
+        if not (np.all(arr >= wlo) and np.all(arr <= whi)):  # NaN fails too
             raise ValidationError("samples must lie inside the screen window")
     pa, _ = np.histogram(a, bins=edges)
     qa, _ = np.histogram(b, bins=edges)

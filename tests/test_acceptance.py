@@ -5,9 +5,12 @@ test then reports a single criterion so `pytest -v` shows one verdict line per
 criterion. `simrun acceptance` prints the same lines from the command line.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from dualitysim.acceptance import run_acceptance
+from dualitysim import acceptance
+from dualitysim.acceptance import REPLICATE_SEED, _replicate_errors, run_acceptance
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +64,17 @@ def test_criterion_8_reports_reproduce_byte_for_byte(report):
 
 def test_criterion_9_idler_delay_never_alters_the_pattern(report):
     _check(report, 9)
+
+
+def test_replicate_errors_come_from_the_shipped_classifier(monkeypatch):
+    """Criterion 6 counts the sign errors of ``classify_pattern`` itself: a
+    classifier with its log-likelihood ratio negated gets every replicate wrong."""
+    assert _replicate_errors(60, 50, REPLICATE_SEED) == 0
+    classify = acceptance.classify_pattern
+
+    def negated(samples, cfg):
+        result = classify(samples, cfg)
+        return replace(result, log_likelihood_ratio=-result.log_likelihood_ratio)
+
+    monkeypatch.setattr(acceptance, "classify_pattern", negated)
+    assert _replicate_errors(60, 50, REPLICATE_SEED) == 100

@@ -785,8 +785,6 @@ class TestExecution:
         )
         _, _, outcomes = execute_manifest(manifest)
         assert outcomes["flat"].events is None
-        _, _, outcomes = execute_manifest(manifest, keep_events=True)
-        assert len(outcomes["flat"].events) == 200
 
 
 class TestAsciiHistogram:
@@ -836,6 +834,16 @@ class TestMain:
         assert "completed" in captured and "only" in captured
         report = json.loads((out / "only.json").read_text())
         assert report["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("command", ["run", "acceptance"])
+    def test_jobs_below_one_is_refused_before_any_output(self, tmp_path, capsys, command):
+        path = tmp_path / "m.json"
+        path.write_text(manifest_doc({"name": "only", "protocol": "double_slit", "n_pairs": 100}))
+        out = tmp_path / "never"
+        argv = [command, str(path)] if command == "run" else [command]
+        assert main([*argv, "--out", str(out), "--jobs", "0"]) == 2
+        assert "error: --jobs must be at least 1, got 0\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -13,11 +13,14 @@ from scipy.integrate import quad
 
 from dualitysim.cli import canonical_json
 from dualitysim.optics import (
+    DomainError,
     IntervalSet,
     OpticsConfig,
     PatternDistribution,
     PatternKind,
     ValidationError,
+    particle_density,
+    wave_density,
 )
 from dualitysim.stats import (
     DENSITY_FLOOR_FRACTION,
@@ -373,20 +376,60 @@ class TestEmpiricalTv:
         assert tv_distance_empirical(a, b, DEFAULT) < 0.05
 
 
-def _run_in_fresh_interpreter(code: str) -> str:
+#: the text each refusal carries
+_OUT_OF_WINDOW = {
+    DomainError: "lies outside the screen window",
+    ValidationError: "samples must lie inside the screen window",
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, [0.0, math.nan, 1e-4]], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda x: classify_pattern(x, DEFAULT), DomainError),
+        (lambda x: wave_density(x, DEFAULT), DomainError),
+        (lambda x: particle_density(x, DEFAULT), DomainError),
+        (lambda x: PatternDistribution(PatternKind.WAVE, DEFAULT).cdf(x), DomainError),
+        (lambda x: approx_posterior(x, DEFAULT), DomainError),
+        (lambda x: exact_posterior(x, DEFAULT), DomainError),
+        (lambda x: tv_distance_empirical(x, [0.0, 1e-4], DEFAULT), ValidationError),
+        (lambda x: tv_distance_empirical([0.0, 1e-4], x, DEFAULT), ValidationError),
+    ],
+    ids=["classify", "wave_density", "particle_density", "cdf", "approx_posterior", "exact_posterior", "tv_p", "tv_q"],
+)
+def test_a_nan_screen_coordinate_is_refused(call, error, x):
+    """NaN lies in no window: it is refused as an out-of-window coordinate,
+    not carried into a NaN density, an indeterminate verdict or a histogram."""
+    with pytest.raises(error, match=_OUT_OF_WINDOW[error]):
+        call(x)
+
+
+def _run_in_fresh_interpreter(*args: str) -> str:
+    """stdout of ``python *args`` in a new process that imports this checkout."""
     import dualitysim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(dualitysim.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
 
 def test_importing_the_package_loads_no_scipy():
-    """The run time is numpy-only: scipy serves the tests as an oracle, nothing else."""
-    code = "import sys, dualitysim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _run_in_fresh_interpreter(code) == "[]"
+    """The run time is numpy-only: scipy serves the tests as an oracle, nothing else.
+    Nor does the package root load the command line or the acceptance gate."""
+    code = (
+        "import sys, dualitysim; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "[m for m in ('dualitysim.cli', 'dualitysim.acceptance') if m in sys.modules])"
+    )
+    assert _run_in_fresh_interpreter("-c", code) == "[] []"
+
+
+def test_the_module_entry_point_runs_without_a_warning():
+    """``python -m dualitysim.cli`` finds no half-imported ``cli`` in sys.modules."""
+    assert "simrun" in _run_in_fresh_interpreter("-W", "error::RuntimeWarning", "-m", "dualitysim.cli", "--help")
 
 
 def test_envelope_planning_and_runs_need_no_scipy():
@@ -413,4 +456,4 @@ run_protocol(ProtocolConfig(
 ))
 print("ok")
 """
-    assert _run_in_fresh_interpreter(code) == "ok"
+    assert _run_in_fresh_interpreter("-c", code) == "ok"
