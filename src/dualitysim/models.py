@@ -127,12 +127,14 @@ def available_mask(
     """Vector form of :func:`which_way_available` over parallel record columns.
 
     ``erased_at``/``expires_at`` use NaN for "never"; ``objective`` flags media
-    in :data:`OBJECTIVE_MEDIA`.
+    in :data:`OBJECTIVE_MEDIA`. Any of them may be a scalar that holds for
+    every lane; the mask has the inputs' broadcast shape under both policies.
     """
+    shape = np.broadcast_shapes(*map(np.shape, (detected, recorded, objective, erased_at, expires_at, at)))
     if policy is RenderingPolicy.COLLAPSE_AT_DETECTION:
-        return np.asarray(detected, dtype=bool).copy()
+        return np.broadcast_to(np.asarray(detected, dtype=bool), shape).copy()
     at = np.asarray(at, dtype=float)
-    ok = np.asarray(recorded, dtype=bool) & np.asarray(objective, dtype=bool)
+    ok = np.broadcast_to(np.asarray(recorded, dtype=bool) & np.asarray(objective, dtype=bool), shape).copy()
     ok &= ~(np.isfinite(erased_at) & (at >= erased_at))
     ok &= ~(np.isfinite(expires_at) & (at >= expires_at))
     return ok

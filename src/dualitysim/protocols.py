@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
 from typing import Callable, Iterator, Sequence
@@ -316,84 +316,143 @@ class PhotonPairEvent:
     availability: AvailabilityRecord
 
 
-@dataclass
+#: the log's columns in digest and CSV order, each with its dtype and the fill
+#: of a blank log (``None``: the row index)
+_COLUMNS: dict[str, tuple[type, float | None]] = {
+    "pair_id": (np.int64, None),
+    "t_created_s": (np.float64, 0.0),
+    "slit": (np.int8, 0),
+    "t_signal_impact_s": (np.float64, 0.0),
+    "signal_x_m": (np.float64, np.nan),
+    "bs_a": (np.int8, -1),
+    "bs_b": (np.int8, -1),
+    "bs_c": (np.int8, -1),
+    "detector": (np.int8, 0),
+    "t_detector_s": (np.float64, np.nan),
+    "erased": (np.int8, 0),
+    "detected": (np.int8, 0),
+    "recorded": (np.int8, 0),
+    "medium": (np.int8, 0),
+    "detected_at_s": (np.float64, np.nan),
+    "erased_at_s": (np.float64, np.nan),
+    "expires_at_s": (np.float64, np.nan),
+    "observation_time_s": (np.float64, np.nan),
+}
+
+#: column order of the digest and the CSV form
+EVENT_LOG_COLUMNS = tuple(_COLUMNS)
+
+#: rows per block of the digest and of ``EventLog.to_csv``: the cell strings
+#: of one block are all the CSV writer holds in memory at once
+_BLOCK_ROWS = 16384
+
+
+def _fill_rows(name: str, fill: float | None, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of column ``name`` held as ``fill``."""
+    dtype = _COLUMNS[name][0]
+    if fill is None:
+        return np.arange(start, stop, dtype=dtype)
+    return np.full(stop - start, fill, dtype=dtype)
+
+
 class EventLog:
     """Columnar per-pair event log; one row per generated pair.
 
+    A column is held either as an array of the log's length or as one fill
+    value for every row: a blank log holds only fills, ``pair_id``'s being the
+    row index. Reading a column as an attribute expands its fill to an array
+    on first use; assigning a scalar to a column stores a fill. An array that
+    two columns share (the creation times are the impact times) is made
+    read-only, so an in-place write cannot change two columns at once.
+
     The digest is a SHA-256 over the raw column bytes in the documented
     column order, so it is identical for identical runs regardless of how
-    the work was scheduled.
+    the work was scheduled or whether a column is held as a fill.
     """
 
-    pair_id: np.ndarray
-    t_created_s: np.ndarray
-    slit: np.ndarray
-    t_signal_impact_s: np.ndarray
-    signal_x_m: np.ndarray
-    bs_a: np.ndarray
-    bs_b: np.ndarray
-    bs_c: np.ndarray
-    detector: np.ndarray
-    t_detector_s: np.ndarray
-    erased: np.ndarray
-    detected: np.ndarray
-    recorded: np.ndarray
-    medium: np.ndarray
-    detected_at_s: np.ndarray
-    erased_at_s: np.ndarray
-    expires_at_s: np.ndarray
-    observation_time_s: np.ndarray
+    def __init__(self, n: int) -> None:
+        self.__dict__.update(_n=int(n), _fills={name: fill for name, (_, fill) in _COLUMNS.items()})
 
     @classmethod
     def blank(cls, n: int) -> "EventLog":
-        f8 = lambda fill: np.full(n, fill, dtype=np.float64)
-        i8 = lambda fill: np.full(n, fill, dtype=np.int8)
-        return cls(
-            pair_id=np.arange(n, dtype=np.int64),
-            t_created_s=f8(0.0),
-            slit=i8(0),
-            t_signal_impact_s=f8(0.0),
-            signal_x_m=f8(np.nan),
-            bs_a=i8(-1),
-            bs_b=i8(-1),
-            bs_c=i8(-1),
-            detector=i8(0),
-            t_detector_s=f8(np.nan),
-            erased=i8(0),
-            detected=i8(0),
-            recorded=i8(0),
-            medium=i8(0),
-            detected_at_s=f8(np.nan),
-            erased_at_s=f8(np.nan),
-            expires_at_s=f8(np.nan),
-            observation_time_s=f8(np.nan),
-        )
+        """A log of ``n`` rows whose every column holds its blank fill."""
+        return cls(n)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for a column held as a fill: an array is an instance attribute
+        if name not in _COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        held = self._held(name)
+        if isinstance(held, np.ndarray):  # another thread expanded it meanwhile
+            return held
+        # two threads expanding at once both return the array stored first
+        col = self.__dict__.setdefault(name, _fill_rows(name, held, 0, self._n))
+        self._fills.pop(name, None)
+        return col
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _COLUMNS:
+            raise AttributeError(f"an event log has no column {name!r}")
+        dtype = _COLUMNS[name][0]
+        if np.ndim(value) == 0:
+            self._fills[name] = np.asarray(value, dtype=dtype)[()]
+            self.__dict__.pop(name, None)
+            return
+        col = np.ascontiguousarray(value, dtype=dtype)
+        if col.shape != (self._n,):
+            raise ValueError(f"column {name!r} needs shape ({self._n},), got {col.shape}")
+        for other_name, other in self.__dict__.items():
+            if other_name != name and isinstance(other, np.ndarray) and np.may_share_memory(col, other):
+                col.flags.writeable = other.flags.writeable = False
+        self.__dict__[name] = col
+        self._fills.pop(name, None)
+
+    def _held(self, name: str) -> np.ndarray | np.generic | None:
+        """Column ``name`` as held: its array, or its fill unexpanded."""
+        try:
+            return self._fills[name]
+        except KeyError:  # an array: expanding stores it before dropping the fill
+            return self.__dict__[name]
+
+    def _blocks(self, name: str) -> Iterator[np.ndarray]:
+        """Column ``name`` in slices of ``_BLOCK_ROWS`` rows. A fill is read
+        from one reused block, the row index from ``arange`` per block."""
+        held, n = self._held(name), self._n
+        if not isinstance(held, np.ndarray) and held is not None:
+            block = _fill_rows(name, held, 0, min(_BLOCK_ROWS, n))
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            if isinstance(held, np.ndarray):
+                yield held[start:stop]
+            elif held is None:
+                yield _fill_rows(name, None, start, stop)
+            else:
+                yield block[: stop - start]
 
     def __len__(self) -> int:
-        return int(self.pair_id.size)
+        return self._n
 
     def digest(self) -> str:
         h = hashlib.sha256(b"dualitysim-event-log-v1\x00")
         h.update(",".join(EVENT_LOG_COLUMNS).encode())
-        for name in EVENT_LOG_COLUMNS:
-            col = np.ascontiguousarray(getattr(self, name))
+        for name, (dtype, _) in _COLUMNS.items():
             h.update(name.encode())
-            h.update(col.dtype.str.encode())
-            h.update(col)
+            h.update(np.dtype(dtype).str.encode())
+            for block in self._blocks(name):
+                h.update(block)
         return h.hexdigest()
 
     def to_csv(self, path) -> None:
         """Write the documented CSV form: header row, one row per pair, empty
         cells for not-applicable timestamps, -1 route codes for unused splitters.
 
-        Rows are formatted and written in blocks of ``_CSV_BLOCK_ROWS``, so
+        Rows are formatted and written in blocks of ``_BLOCK_ROWS``, so
         memory stays bounded by one block whatever the log's length. The
         output bytes are pinned by ``tests/test_golden.py``."""
-        columns = [getattr(self, name) for name in EVENT_LOG_COLUMNS]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(EVENT_LOG_COLUMNS) + "\n")
-            for start in range(0, len(self), _CSV_BLOCK_ROWS):
-                fh.write(_csv_block([col[start : start + _CSV_BLOCK_ROWS] for col in columns]))
+            for columns in zip(*map(self._blocks, EVENT_LOG_COLUMNS)):
+                fh.write(_csv_block(columns))
 
     def iter_events(self) -> Iterator[PhotonPairEvent]:
         route_names = {0: "transmit", 1: "reflect"}
@@ -436,15 +495,7 @@ class EventLog:
             )
 
 
-#: column order of the digest and the CSV form
-EVENT_LOG_COLUMNS = tuple(f.name for f in fields(EventLog))
-
-#: rows per block of ``EventLog.to_csv``: the cell strings of one block are
-#: all that is held in memory at once
-_CSV_BLOCK_ROWS = 16384
-
-
-def _csv_block(columns: list[np.ndarray]) -> str:
+def _csv_block(columns: Sequence[np.ndarray]) -> str:
     """CSV rows of one block of column slices, each row newline-terminated.
 
     Float64 cells print as ``%.17g`` (round-trips float64), NaN as an empty
@@ -509,7 +560,7 @@ def coincidence_match(
     matches nothing). A detector event seeing two or more unmatched in-window
     candidates counts one ambiguity; it still takes the nearest.
     """
-    if window_s < 0:
+    if not window_s >= 0:  # NaN fails it
         raise ValidationError(f"coincidence window must be nonnegative, got {window_s!r}")
     s = np.asarray(signal_times, dtype=float).ravel()
     d = np.asarray(detector_times, dtype=float).ravel()
@@ -769,31 +820,33 @@ def _draws(cfg: ProtocolConfig, expected: Protocol) -> tuple[np.random.Generator
     if cfg.protocol is not expected:
         raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
     rng = np.random.default_rng(cfg.seed)
-    return rng, np.where(rng.random(cfg.n_pairs) < 0.5, 1, 2).astype(np.int8)
+    return rng, np.where(rng.random(cfg.n_pairs) < 0.5, np.int8(1), np.int8(2))
 
 
 def _base_log(cfg: ProtocolConfig, slit: np.ndarray, idler: bool = False) -> EventLog:
-    """A log of the pairs' creation, slit and impact times; with ``idler``,
-    each idler also registers ``delta_t_s`` after its pair's creation."""
-    n = cfg.n_pairs
-    log = EventLog.blank(n)
-    log.t_created_s[:] = np.arange(n, dtype=np.float64) * (PAIR_SPACING_FACTOR * cfg.delta_t_s)
-    log.slit[:] = slit
-    log.t_signal_impact_s[:] = log.t_created_s
+    """A log of the pairs' creation, slit and impact times, the impact times
+    being the creation times' array; with ``idler``, each idler also
+    registers ``delta_t_s`` after its pair's creation."""
+    log = EventLog(cfg.n_pairs)
+    created = np.arange(cfg.n_pairs, dtype=np.float64) * (PAIR_SPACING_FACTOR * cfg.delta_t_s)
+    log.t_created_s = log.t_signal_impact_s = created
+    log.slit = slit
     if idler:
-        np.add(log.t_created_s, cfg.delta_t_s, out=log.t_detector_s)
+        log.t_detector_s = created + cfg.delta_t_s
     return log
 
 
-def _record(log: EventLog, mask: np.ndarray, at: np.ndarray, kept: bool = True) -> None:
+def _record(log: EventLog, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
     """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
-    a persistent which-way record; the rest leave no which-way trace (erased)."""
-    log.detected[:] = mask
-    log.detected_at_s[:] = np.where(mask, at, np.nan)
-    log.erased[:] = ~mask
+    a persistent which-way record; the rest leave no which-way trace (erased).
+    A scalar ``mask`` holds for every pair and leaves fills in the log."""
+    flag = np.asarray(mask, dtype=np.int8)
+    log.detected = flag
+    log.detected_at_s = np.where(mask, at, np.nan) if flag.ndim else (at if mask else np.nan)
+    log.erased = 1 - flag
     if kept:
-        log.recorded[:] = mask
-        log.medium[:] = np.where(mask, _MEDIUM_CODES[Medium.PERSISTENT], _MEDIUM_CODES[Medium.NONE])
+        log.recorded = flag
+        log.medium = np.where(mask, np.int8(_MEDIUM_CODES[Medium.PERSISTENT]), np.int8(_MEDIUM_CODES[Medium.NONE]))
 
 
 def _render(
@@ -804,22 +857,24 @@ def _render(
     phases: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
-    resolves at ``resolved_at``; draws the run's last variate, u_x, fills
-    ``observation_time_s`` and ``signal_x_m`` and returns the impacts."""
+    resolves at ``resolved_at``; draws the run's last variate, u_x, sets
+    ``observation_time_s`` and ``signal_x_m`` and returns the impacts. The
+    record columns reach the availability query as held, fills unexpanded."""
     u_x = rng.random(cfg.n_pairs)
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
-        log.observation_time_s[:] = log.t_signal_impact_s
+        log.observation_time_s = log.t_signal_impact_s
     else:
-        np.add(resolved_at, cfg.delta_t_s, out=log.observation_time_s)
+        log.observation_time_s = resolved_at + cfg.delta_t_s
     del resolved_at  # a temporary from the caller must not live through sampling
     at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
+    medium = log._held("medium")
     avail = available_mask(
         cfg.model.policy,
-        log.detected,
-        log.recorded,
-        reduce(np.logical_or, [log.medium == code for code in _OBJECTIVE_CODES]),
-        log.erased_at_s,
-        log.expires_at_s,
+        log._held("detected"),
+        log._held("recorded"),
+        reduce(np.logical_or, [medium == code for code in _OBJECTIVE_CODES]),
+        log._held("erased_at_s"),
+        log._held("expires_at_s"),
         at,
     )
     wave = ~avail
@@ -828,10 +883,11 @@ def _render(
         groups.append((wave, PatternKind.WAVE, float(phases)))
     else:
         groups += [(wave & (phases == p), PatternKind.WAVE, float(p)) for p in np.unique(phases[wave])]
-    x = log.signal_x_m
+    x = np.empty(cfg.n_pairs)  # the groups cover every pair
     for mask, kind, phase in groups:
         if mask.any():
             x[mask] = PatternDistribution(kind, cfg.optics, phase).ppf(u_x[mask])
+    log.signal_x_m = x
     return x
 
 
@@ -889,8 +945,8 @@ def _run_interval_rule(
     inside = region.contains(x)
     log = _base_log(cfg, slit, idler)
     route(log, inside)
-    log.observation_time_s[:] = log.t_signal_impact_s
-    log.signal_x_m[:] = x
+    log.observation_time_s = log.t_signal_impact_s
+    log.signal_x_m = x
     inner, outer = keys
     subsets, regions = {inner: inside, outer: ~inside}, {inner: region, outer: complement}
     return _assemble(cfg, log, x, subsets, regions, feasibility=feasibility, markers=markers)
@@ -906,7 +962,7 @@ def run_double_slit(cfg: ProtocolConfig) -> RunResult:
     """
     rng, slit = _draws(cfg, Protocol.DOUBLE_SLIT)
     log = _base_log(cfg, slit)
-    _record(log, np.full(cfg.n_pairs, cfg.detectors_recording), log.t_signal_impact_s)
+    _record(log, cfg.detectors_recording, log.t_signal_impact_s)
     return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
 
 
@@ -939,10 +995,11 @@ def _eraser_bench(
     port = (rng.random(cfg.n_pairs) < 0.5).astype(np.int8)
     log = _base_log(cfg, slit, idler=True)
     s1 = slit == 1
-    log.bs_a[s1] = to_which_way[s1]
-    log.bs_b[~s1] = to_which_way[~s1]
-    log.bs_c[~to_which_way] = port[~to_which_way]
-    log.detector[:] = np.where(to_which_way, np.where(s1, 3, 4), port + 1)
+    unused = np.int8(-1)
+    log.bs_a = np.where(s1, to_which_way, unused)
+    log.bs_b = np.where(s1, unused, to_which_way)
+    log.bs_c = np.where(to_which_way, unused, port)
+    log.detector = np.where(to_which_way, np.where(s1, np.int8(3), np.int8(4)), port + 1)
     _record(log, to_which_way, log.t_detector_s, kept)
     return log, to_which_way, np.where(log.detector == 2, _D2_PHASE, 0.0)
 
@@ -978,8 +1035,8 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     rng, slit = _draws(cfg, Protocol.DETECT_NO_RECORD)
     if cfg.variant is DetectNoRecordVariant.UNPLUGGED_DETECTORS:
         log = _base_log(cfg, slit)
-        _record(log, np.ones(cfg.n_pairs, dtype=bool), log.t_signal_impact_s, kept=False)
-        log.erased[:] = 1  # the unplugged outputs keep nothing
+        _record(log, True, log.t_signal_impact_s, kept=False)
+        log.erased = 1  # the unplugged outputs keep nothing
         return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
     log, to_which_way, phases = _eraser_bench(cfg, rng, slit, kept=False)
     if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER:
@@ -1011,9 +1068,9 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
         destroyed = rng.permutation(n) < n // 2
     else:
         destroyed = rng.random(n) < cfg.destruction_prob
-    _record(log, np.ones(n, dtype=bool), log.t_signal_impact_s)
-    log.erased[:] = destroyed
-    log.erased_at_s[:] = np.where(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s, np.nan)
+    _record(log, True, log.t_signal_impact_s)
+    log.erased = destroyed
+    log.erased_at_s = np.where(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s, np.nan)
     x = _render(cfg, log, rng, log.t_signal_impact_s + cfg.erasure_delay_s)
     subsets = {"destroyed": destroyed, "surviving": ~destroyed}
     return _assemble(cfg, log, x, subsets, tv=("surviving", "destroyed"))
@@ -1112,13 +1169,13 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     rng, slit = _draws(cfg, Protocol.SWITCH_EXPERIMENT)
     if cfg.switch_stage is not SwitchStage.D:
         log = _base_log(cfg, slit, idler=True)
-        log.erased[:] = 1
+        log.erased = 1
         x = _render(cfg, log, rng, log.t_detector_s)
-        log.t_detector_s[:] = np.nan  # the idler resolves the pair but registers nowhere
+        log.t_detector_s = np.nan  # the idler resolves the pair but registers nowhere
         return _assemble(cfg, log, x)
     if cfg.outcome_hypothesis is OutcomeHypothesis.IV:
         log = _base_log(cfg, slit)
-        log.observation_time_s[:] = log.t_signal_impact_s
+        log.observation_time_s = log.t_signal_impact_s
         return _assemble(cfg, log, log.signal_x_m, {}, markers=("discontinuity",))
     law, markers = _FIXED_LAWS.get(cfg.outcome_hypothesis, (None, ()))
     return _run_interval_rule(
@@ -1156,10 +1213,10 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
         law, markers = PatternKind.PARTICLE, ("branch_a",)
 
     def route(log: EventLog, copied: np.ndarray) -> None:
-        _record(log, np.ones(cfg.n_pairs, dtype=bool), log.t_signal_impact_s)
-        log.medium[~copied] = _MEDIUM_CODES[Medium.PERISHABLE]
-        log.expires_at_s[:] = np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s)
-        log.erased[:] = ~copied
+        _record(log, True, log.t_signal_impact_s)
+        log.medium = np.where(copied, np.int8(_MEDIUM_CODES[Medium.PERSISTENT]), np.int8(_MEDIUM_CODES[Medium.PERISHABLE]))
+        log.expires_at_s = np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s)
+        log.erased = ~copied
 
     return _run_interval_rule(
         cfg, rng, slit, region, law, markers, "intent_adjustment_required", ("recorded", "perished"), route

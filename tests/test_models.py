@@ -133,3 +133,39 @@ def test_available_mask_matches_scalar_logic(rows, policy):
             if not math.isnan(expires_at[i]) and at[i] >= expires_at[i]:
                 want = False
         assert bool(got[i]) == bool(want)
+
+
+@given(
+    row=record_strategy,
+    n=st.integers(1, 4),
+    as_array=st.lists(st.booleans(), min_size=6, max_size=6),
+    model=st.sampled_from([COLLAPSE, RENDER]),
+)
+def test_available_mask_broadcasts_scalar_columns(row, n, as_array, model):
+    """Each record column may be one scalar for every lane or an array; under
+    both policies the mask has the inputs' broadcast shape and agrees with
+    ``which_way_available`` on the one record they describe."""
+    recorded = row["recorded"] and row["detected"] and row["objective"]
+    perishable = row["objective"] and row["expires_at"] is not None
+    medium = Medium.PERISHABLE if perishable else Medium.PERSISTENT if row["objective"] else Medium.NONE
+    rec = AvailabilityRecord(
+        detected=row["detected"],
+        recorded=recorded,
+        medium=medium,
+        detected_at=-1.0,
+        erased_at=row["erased_at"],
+        ttl_s=row["expires_at"] + 1.0 if perishable else None,
+    )
+    columns = [
+        row["detected"],
+        recorded,
+        row["objective"],
+        math.nan if row["erased_at"] is None else row["erased_at"],
+        rec.expires_at if perishable else math.nan,
+        row["at"],
+    ]
+    args = [np.full(n, value) if array else value for value, array in zip(columns, as_array)]
+    got = available_mask(model.policy, *args)
+    assert got.shape == ((n,) if any(as_array) else ())
+    assert got.dtype == bool
+    assert (got == which_way_available(rec, model, at=row["at"])).all()

@@ -1,7 +1,10 @@
 """Runner behavior: validation, the event log, coincidence sorting, verdicts."""
 
+import gc
+import hashlib
 import math
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from dualitysim.protocols import (
     DELTA_T_SLOW,
     EVENT_LOG_COLUMNS,
     PAIR_SPACING_FACTOR,
-    _CSV_BLOCK_ROWS,
+    _BLOCK_ROWS,
     _MEDIUM_CODES,
     CoincidenceRecord,
     CoincidenceSummary,
@@ -327,6 +330,10 @@ class TestCoincidence:
         with pytest.raises(ValidationError):
             coincidence_match([0.0], [0.0], -1.0)
 
+    def test_nan_window_is_rejected(self):
+        with pytest.raises(ValidationError):
+            coincidence_match([0.0], [1e-9], math.nan)
+
     def test_two_candidates_count_one_ambiguity_and_take_the_nearest(self):
         records, summary = coincidence_match([-0.05, 0.06], [0.0], 0.1)
         assert summary.ambiguities == 1
@@ -387,32 +394,58 @@ def _reference_csv(log: EventLog) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+def _reference_digest(log: EventLog) -> str:
+    """Whole-column digest the block walk replaced, kept as its oracle. It
+    reads every column as an attribute, so it expands every fill."""
+    h = hashlib.sha256(b"dualitysim-event-log-v1\x00")
+    h.update(",".join(EVENT_LOG_COLUMNS).encode())
+    for name in EVENT_LOG_COLUMNS:
+        col = np.ascontiguousarray(getattr(log, name))
+        h.update(name.encode())
+        h.update(col.dtype.str.encode())
+        h.update(col)
+    return h.hexdigest()
+
+
 @st.composite
 def event_logs(draw):
     """Logs of the documented dtypes holding edge values, with row counts on
-    both sides of the CSV block size and columns that repeat (or sign-flip
-    the zeros of) an earlier column."""
-    edge = _CSV_BLOCK_ROWS
+    both sides of the block size; columns that stay fills (blank or
+    assigned), columns that share an earlier column's array, and columns
+    that repeat (or sign-flip the zeros of) an earlier column."""
+    edge = _BLOCK_ROWS
     n = draw(st.one_of(st.integers(0, 40), st.sampled_from([edge - 1, edge, edge + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     log = EventLog.blank(n)
-    log.pair_id[:] = np.arange(n) + draw(st.integers(0, 2**63 - 1 - n))
-    floats: list[np.ndarray] = []
+    if draw(st.booleans()):  # else the row index stays a fill
+        log.pair_id = np.arange(n) + draw(st.integers(0, 2**63 - 1 - n))
+    arrays: dict[type, list[np.ndarray]] = {np.float64: [], np.int8: []}
     for name in EVENT_LOG_COLUMNS[1:]:
-        col = getattr(log, name)
-        if col.dtype != np.float64:
-            col[:] = rng.integers(-128, 128, n, dtype=np.int8)
+        dtype = protocols._COLUMNS[name][0]
+        earlier = arrays[dtype]
+        modes = ["blank", "fill", "array"] + (["shared", "copy"] if earlier else [])
+        if dtype == np.float64 and earlier:
+            modes.append("flipped_zeros")
+        mode = draw(st.sampled_from(modes))
+        if mode == "blank":
             continue
-        mode = draw(st.sampled_from(["blank", "mixed", "copy", "flipped_zeros"] if floats else ["blank", "mixed"]))
-        if mode == "mixed":
+        if mode == "fill":
+            setattr(log, name, rng.choice(_EDGE_FLOATS) if dtype == np.float64 else rng.integers(-128, 128))
+            continue
+        if mode == "array" and dtype == np.float64:
             scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
-            col[:] = np.where(rng.random(n) < 0.5, rng.choice(_EDGE_FLOATS, n), scaled)
+            col = np.where(rng.random(n) < 0.5, rng.choice(_EDGE_FLOATS, n), scaled)
+        elif mode == "array":
+            col = rng.integers(-128, 128, n, dtype=np.int8)
+        elif mode == "shared":
+            col = earlier[draw(st.integers(0, len(earlier) - 1))]
         elif mode == "copy":
-            col[:] = floats[draw(st.integers(0, len(floats) - 1))]
-        elif mode == "flipped_zeros":
-            source = floats[draw(st.integers(0, len(floats) - 1))]
-            col[:] = np.where(source == 0.0, -source, source)
-        floats.append(col)
+            col = earlier[draw(st.integers(0, len(earlier) - 1))].copy()
+        else:
+            source = earlier[draw(st.integers(0, len(earlier) - 1))]
+            col = np.where(source == 0.0, -source, source)
+        setattr(log, name, col)
+        earlier.append(col)
     return log
 
 
@@ -450,6 +483,70 @@ class TestEventLog:
                 getattr(log, name).astype(float),
                 err_msg=name,
             )
+
+    @given(log=event_logs())
+    @settings(max_examples=25, deadline=None)
+    def test_digest_matches_the_reference_digest(self, log):
+        fills = set(log._fills)
+        digest = log.digest()
+        assert set(log._fills) == fills  # the walk leaves fills unexpanded
+        assert digest == _reference_digest(log)
+
+    def test_columns_are_fills_until_read(self):
+        log = EventLog.blank(5)
+        log.erased = 1
+        assert isinstance(log._held("erased"), np.int8)
+        np.testing.assert_array_equal(log.pair_id, np.arange(5))
+        assert log.erased.dtype == np.int8 and log.erased.tolist() == [1] * 5
+        log.erased[0] = 0  # the expanded array is the column from now on
+        assert log.erased.tolist() == [0, 1, 1, 1, 1]
+        assert np.isnan(log.signal_x_m).all() and log.bs_a.tolist() == [-1] * 5
+        with pytest.raises(ValueError):
+            log.slit = np.ones(4, dtype=np.int8)
+        with pytest.raises(AttributeError):
+            log.no_such_column = 1
+
+    def test_runs_keep_constant_columns_as_fills(self):
+        log = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1)).events
+        for name in ("pair_id", "bs_a", "bs_b", "bs_c", "detector", "t_detector_s", "detected", "erased_at_s"):
+            assert not isinstance(log._held(name), np.ndarray), name
+
+    def test_an_array_shared_by_two_columns_is_read_only(self):
+        log = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1)).events
+        assert log.t_signal_impact_s is log.t_created_s
+        with pytest.raises(ValueError, match="read-only"):
+            log.t_signal_impact_s[0] = 1.0
+        log.signal_x_m[0] = 0.0  # an unshared column stays writable
+        log.erased_at_s = log.signal_x_m[:]  # a view shares the memory
+        with pytest.raises(ValueError, match="read-only"):
+            log.signal_x_m[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            log.erased_at_s[0] = 1.0
+
+    def test_double_slit_memory_per_pair(self):
+        """Bytes per pair that tracemalloc counts (numpy reports its buffers
+        to it, so the figure does not depend on the process's heap layout):
+        the log a 200,000-pair run keeps, and the run's peak."""
+        n = 200_000
+        cfg = ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, seed=3)
+        run_double_slit(replace(cfg, n_pairs=1000))  # law caches and the pool exist before counting
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run = run_double_slit(cfg)
+            current, peak = tracemalloc.get_traced_memory()
+            run.events = None
+            gc.collect()
+            held = current - tracemalloc.get_traced_memory()[0]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held / n <= 32
+        assert (peak - base) / n <= 64
 
     @given(log=event_logs())
     @settings(max_examples=25, deadline=None)
