@@ -180,13 +180,15 @@ def invert_monotone(
         x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), t.shape).copy(), lo_a, hi_a)
 
     res = np.asarray(f(x)) - t
-    idx = np.nonzero(np.abs(res) > tol)[0]
-    for _ in range(max_iter):
+    active = np.abs(res) > tol
+    idx = np.nonzero(active)[0]
+    for sweep in range(max_iter):
         if idx.size == 0:
             break
-        # while every lane is active (at most the first sweep), work on the
-        # whole arrays in place instead of gathering and scattering by index
-        whole = idx.size == t.size
+        # the first sweep works on the whole arrays in place instead of
+        # gathering and scattering by index; lanes that start converged keep
+        # their x and residual
+        whole = sweep == 0
         if whole:
             xi, ri, ti, lo_i, hi_i = x, res, t, lo_a, hi_a
         else:
@@ -205,6 +207,8 @@ def invert_monotone(
             xn = mid
         rn = np.asarray(f(xn)) - ti
         if whole:
+            np.copyto(xn, x, where=~active)
+            np.copyto(rn, res, where=~active)
             x, res = xn, rn
             idx = np.nonzero(np.abs(res) > tol)[0]
         else:

@@ -342,8 +342,8 @@ _COLUMNS: dict[str, tuple[type, float | None]] = {
 #: column order of the digest and the CSV form
 EVENT_LOG_COLUMNS = tuple(_COLUMNS)
 
-#: rows per block of the digest and of ``EventLog.to_csv``: the cell strings
-#: of one block are all the CSV writer holds in memory at once
+#: rows per block of the digest and of ``EventLog.to_csv``: the cells of one
+#: block are all the CSV writer holds in memory at once
 _BLOCK_ROWS = 16384
 
 
@@ -449,8 +449,8 @@ class EventLog:
         Rows are formatted and written in blocks of ``_BLOCK_ROWS``, so
         memory stays bounded by one block whatever the log's length. The
         output bytes are pinned by ``tests/test_golden.py``."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(EVENT_LOG_COLUMNS) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(",".join(EVENT_LOG_COLUMNS).encode() + b"\n")
             for columns in zip(*map(self._blocks, EVENT_LOG_COLUMNS)):
                 fh.write(_csv_block(columns))
 
@@ -495,36 +495,174 @@ class EventLog:
             )
 
 
-def _csv_block(columns: Sequence[np.ndarray]) -> str:
+def _csv_block(columns: Sequence[np.ndarray]) -> bytes:
     """CSV rows of one block of column slices, each row newline-terminated.
 
-    Float64 cells print as ``%.17g`` (round-trips float64), NaN as an empty
-    cell; other columns print as integers. A slice whose dtype and bytes
-    equal an earlier slice's reuses that slice's text (the impact time is the
-    creation time in every runner). Bytes, not float ``==``, decide equality,
-    so ``-0.0`` never borrows the text of ``0.0``.
+    Float64 cells print as the bytes of ``"%.17g" % x`` (round-trips
+    float64), NaN as an empty cell; other columns print as integers. Each
+    column becomes an array of NUL-padded cells, cut to the bytes some cell
+    uses; the rows are laid out with their separators and the padding is
+    dropped. A slice whose dtype and bytes equal an earlier slice's reuses
+    that slice's cells (the impact time is the creation time in every
+    runner). Bytes, not float ``==``, decide equality, so ``-0.0`` never
+    borrows the cells of ``0.0``.
     """
-    cells: list[list[str]] = []
-    seen: dict[tuple[str, bytes], list[str]] = {}
+    n = columns[0].size
+    comma = np.full((n, 1), ord(","), dtype=np.uint8)
+    parts: list[np.ndarray] = []
+    seen: dict[tuple[str, bytes], np.ndarray] = {}
     for col in columns:
         key = (col.dtype.str, col.tobytes())
-        text = seen.get(key)
-        if text is None:
-            if col.dtype != np.float64:
-                text = list(map(str, col.tolist()))
-            else:
-                nan = np.isnan(col)
-                if nan.all():
-                    text = [""] * col.size
-                elif nan.any():
-                    filled = np.full(col.size, "", dtype=object)
-                    filled[~nan] = list(map("%.17g".__mod__, col[~nan].tolist()))
-                    text = filled.tolist()
-                else:
-                    text = list(map("%.17g".__mod__, col.tolist()))
-            seen[key] = text
-        cells.append(text)
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+        cells = seen.get(key)
+        if cells is None:
+            if col.dtype == np.float64:
+                cells = _float_cells(col)
+            elif col.dtype == np.int8:
+                cells = np.take(_INT8_CELLS, col.view(np.uint8)).view(np.uint8).reshape(n, 4)
+            else:  # int64, which numpy's cast to bytes writes as "%d"
+                cells = col.astype("S20").view(np.uint8).reshape(n, 20)
+            used = np.flatnonzero(cells.any(axis=0))
+            cells = seen[key] = cells[:, used[0] : used[-1] + 1] if used.size else cells[:, :0]
+        parts += [cells, comma]
+    parts[-1] = np.full((n, 1), ord("\n"), dtype=np.uint8)
+    rows = np.concatenate(parts, axis=1)
+    return rows[rows != 0].tobytes()
+
+
+#: the text of every int8, NUL-padded to four bytes held as one uint32,
+#: indexed by the value's byte
+_INT8_CELLS = np.array(
+    [b"%d" % v for v in np.arange(256, dtype=np.uint8).view(np.int8).tolist()], dtype="S4"
+).view(np.uint32)
+#: "%04d" of 0..9999, the four ASCII digits held as one uint32
+_DIGIT_QUADS = (
+    (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+)
+
+
+def _digits20(values: np.ndarray) -> np.ndarray:
+    """The 20 decimal digits of every nonnegative integer in ``values``,
+    leading zeros included: (n, 20) ASCII bytes, four digits per
+    ``_DIGIT_QUADS`` lookup."""
+    quads = np.empty((values.size, 5), dtype=np.intp)
+    rest = values
+    for j, place in enumerate((10**16, 10**12, 10**8, 10**4)):
+        quads[:, j] = rest // place
+        rest = rest % place
+    quads[:, 4] = rest
+    return np.take(_DIGIT_QUADS, quads).view(np.uint8)
+
+
+#: 10**0, ..., 10**22: the powers of ten a float64 holds exactly
+_POW10 = np.array([float(10**k) for k in range(23)])
+#: decimal exponents of the exact path: 10**(16 - e) is one of ``_POW10``
+_EXACT_EXPONENTS = (-6, 16)
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``hi + lo == a`` exactly, each half of 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**k`` exactly, as ``hi + lo`` with ``hi`` the rounded product
+    (Dekker's product, exact in round-to-nearest without an FMA)."""
+    hi = a * _POW10[k]
+    a_hi, a_lo = _veltkamp(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+#: in a layout, mantissa digit j stands as ``_MANTISSA[j]``; a lane's layout
+#: source is its 17 mantissa digits followed by ``_LAYOUT_CONSTANTS``
+_MANTISSA = "ABCDEFGHIJKLMNOPQ"
+_LAYOUT_CONSTANTS = "\0.e+-0123456789"
+
+
+def _g_layout(exponent: int, significant: int) -> str:
+    """``"%.17g"`` of a positive value whose 17-digit mantissa has decimal
+    exponent ``exponent`` and ``significant`` digits left once trailing zeros
+    go, mantissa digits written as in ``_MANTISSA``. As C99 gives ``%g``:
+    fixed notation when -4 <= exponent < 17, else ``d.ddde+XX``; trailing
+    zeros and a bare point dropped."""
+    d = _MANTISSA
+    if not -4 <= exponent < 17:
+        return d[0] + ("." + d[1:significant] if significant > 1 else "") + "e%+03d" % exponent
+    if exponent < 0:
+        return "0." + "0" * (-exponent - 1) + d[:significant]
+    whole, fraction = d[: exponent + 1], d[exponent + 1 : significant]
+    return whole + ("." + fraction if fraction else "")
+
+
+def _layout_table() -> np.ndarray:
+    """Row ``(exponent + 6) * 17 + significant - 1``: that ``_g_layout`` as
+    indices into a lane's layout source, NUL-padded to 23 bytes."""
+    source = np.frombuffer((_MANTISSA + _LAYOUT_CONSTANTS).encode(), dtype=np.uint8)
+    index_of = np.zeros(128, dtype=np.intp)
+    index_of[source] = np.arange(source.size)
+    lo_e, hi_e = _EXACT_EXPONENTS
+    text = "".join(_g_layout(e, s).ljust(23, "\0") for e in range(lo_e, hi_e + 1) for s in range(1, 18))
+    return index_of[np.frombuffer(text.encode(), dtype=np.uint8)].reshape(-1, 23)
+
+
+_LAYOUTS = _layout_table()
+
+
+def _float_cells(col: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.17g" % x`` for every x in ``col``, NaN as an empty
+    cell: (n, 24) bytes, NUL-padded.
+
+    Finite x whose decimal exponent e lies in -6..16 take an exact path: the
+    product |x| * 10**(16 - e) is formed exactly as ``hi + lo``, which also
+    settles e where ``log10`` misjudged it, and rounded half-to-even to the
+    17-digit mantissa. Zeros and infinities are laid out directly; every
+    other value (subnormal, below 1e-6, from 1e17) is formatted per cell.
+    """
+    n = col.size
+    cells = np.zeros((n, 24), dtype=np.uint8)
+    a = np.abs(col)
+    cells[:, 0] = np.where(np.signbit(col) & (a == a), ord("-"), 0)
+    cells[a == 0.0, 1] = ord("0")
+    cells[a == np.inf, 1:4] = np.frombuffer(b"inf", dtype=np.uint8)
+    lanes = np.flatnonzero((a >= 1e-6) & (a < 1e17))
+    lo_e, hi_e = _EXACT_EXPONENTS
+    a_lanes = a[lanes]
+    e = np.clip(np.floor(np.log10(a_lanes)).astype(np.int64), lo_e, hi_e)
+    hi, lo = _times_pow10(a_lanes, 16 - e)
+    # e is right when 10**16 <= hi + lo < 10**17; test the exact sum, not its rounding
+    e_true = e - ((hi < 1e16) | ((hi == 1e16) & (lo < 0.0))) + ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0)))
+    moved = np.flatnonzero(e_true != e)
+    if moved.size:
+        inside = (e_true >= lo_e) & (e_true <= hi_e)
+        redo = moved[inside[moved]]
+        e[redo] = e_true[redo]
+        hi[redo], lo[redo] = _times_pow10(a_lanes[redo], 16 - e[redo])
+        lanes, e, hi, lo = lanes[inside], e[inside], hi[inside], lo[inside]
+    # hi >= 10**16 is an even integer, so rounding lo half-to-even rounds
+    # hi + lo so. It never carries to 10**17: no float in [1e-6, 1e17) lies
+    # within 5e-18 (relative) below a power of ten
+    mantissa = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    m = lanes.size
+    source = np.empty((m, 17 + len(_LAYOUT_CONSTANTS)), dtype=np.uint8)
+    source[:, :17] = _digits20(mantissa)[:, 3:]
+    source[:, 17:] = np.frombuffer(_LAYOUT_CONSTANTS.encode(), dtype=np.uint8)
+    significant = 17 - np.argmax(source[:, 16::-1] != ord("0"), axis=1)
+    layout = np.take(_LAYOUTS, (e - lo_e) * 17 + significant - 1, axis=0)
+    layout += np.arange(0, source.size, source.shape[1])[:, None]
+    cells[lanes, 1:] = np.take(source, layout)
+    rest = (a > 0.0) & (a < np.inf)
+    rest[lanes] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        text = [b"%.17g" % x for x in col[rest].tolist()]
+        cells[rest] = np.array(text, dtype="S24").view(np.uint8).reshape(rest.size, 24)
+    return cells
 
 
 # -- coincidence matching --------------------------------------------------------
@@ -854,12 +992,14 @@ def _render(
     log: EventLog,
     rng: np.random.Generator,
     resolved_at: np.ndarray,
-    phases: np.ndarray | float = 0.0,
+    d2: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
     resolves at ``resolved_at``; draws the run's last variate, u_x, sets
     ``observation_time_s`` and ``signal_x_m`` and returns the impacts. The
-    record columns reach the availability query as held, fills unexpanded."""
+    record columns reach the availability query as held, fills unexpanded.
+    Wave pairs in the ``d2`` mask take the fringe phase ``_D2_PHASE``, the
+    others phase 0."""
     u_x = rng.random(cfg.n_pairs)
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
         log.observation_time_s = log.t_signal_impact_s
@@ -879,10 +1019,10 @@ def _render(
     )
     wave = ~avail
     groups = [(avail, PatternKind.PARTICLE, 0.0)]
-    if np.ndim(phases) == 0:
-        groups.append((wave, PatternKind.WAVE, float(phases)))
+    if d2 is None:
+        groups.append((wave, PatternKind.WAVE, 0.0))
     else:
-        groups += [(wave & (phases == p), PatternKind.WAVE, float(p)) for p in np.unique(phases[wave])]
+        groups += [(wave & ~d2, PatternKind.WAVE, 0.0), (wave & d2, PatternKind.WAVE, _D2_PHASE)]
     x = np.empty(cfg.n_pairs)  # the groups cover every pair
     for mask, kind, phase in groups:
         if mask.any():
@@ -982,8 +1122,8 @@ def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
 
 def _eraser_bench(
     cfg: ProtocolConfig, rng: np.random.Generator, slit: np.ndarray, kept: bool
-) -> tuple[EventLog, np.ndarray, np.ndarray]:
-    """Eraser-bench routing: (log, to_which_way, fringe phases).
+) -> tuple[EventLog, np.ndarray]:
+    """Eraser-bench routing: (log, to_which_way).
 
     Reflected idlers head to the slit-tagged detectors (slit 1 -> D3, slit 2
     -> D4), which detect them and, when ``kept``, write a persistent record;
@@ -1001,7 +1141,7 @@ def _eraser_bench(
     log.bs_c = np.where(to_which_way, unused, port)
     log.detector = np.where(to_which_way, np.where(s1, np.int8(3), np.int8(4)), port + 1)
     _record(log, to_which_way, log.t_detector_s, kept)
-    return log, to_which_way, np.where(log.detector == 2, _D2_PHASE, 0.0)
+    return log, to_which_way
 
 
 def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
@@ -1014,8 +1154,8 @@ def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
     Draw order: u_slit, u_route, u_port, u_x.
     """
     rng, slit = _draws(cfg, Protocol.QUANTUM_ERASER)
-    log, _, phases = _eraser_bench(cfg, rng, slit, kept=True)
-    x = _render(cfg, log, rng, log.t_detector_s, phases)
+    log, _ = _eraser_bench(cfg, rng, slit, kept=True)
+    x = _render(cfg, log, rng, log.t_detector_s, log.detector == 2)
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
     d = log.detector
     return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "D3": d == 3, "D4": d == 4}, coincidences=summary)
@@ -1038,15 +1178,16 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
         _record(log, True, log.t_signal_impact_s, kept=False)
         log.erased = 1  # the unplugged outputs keep nothing
         return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
-    log, to_which_way, phases = _eraser_bench(cfg, rng, slit, kept=False)
+    log, to_which_way = _eraser_bench(cfg, rng, slit, kept=False)
+    d2 = log.detector == 2
     if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER:
         # detectors all fire but nothing can be sorted or kept
         if cfg.model.policy is RenderingPolicy.RENDER_AT_AVAILABILITY:
-            phases = 0.0  # nothing sortable survives: the plain interference law
-        return _assemble(cfg, log, _render(cfg, log, rng, log.t_detector_s, phases))
+            d2 = None  # nothing sortable survives: the plain interference law
+        return _assemble(cfg, log, _render(cfg, log, rng, log.t_detector_s, d2))
     # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
     # nowhere; the pair still resolves delta_t_s after creation
-    x = _render(cfg, log, rng, log.t_detector_s, phases)
+    x = _render(cfg, log, rng, log.t_detector_s, d2)
     log.detector[to_which_way] = 0
     log.t_detector_s[to_which_way] = np.nan
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)

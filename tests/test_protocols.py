@@ -6,6 +6,7 @@ import math
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,86 @@ class TestEventLog:
         assert run.pooled.count == 3000
         for s in run.subsets.values():
             assert s.histogram.counts.sum() == s.count
+
+
+def _csv_cells(values) -> bytes:
+    """The events.csv cells of one column, one per line."""
+    return protocols._csv_block([np.asarray(values)])
+
+
+def _printf_cells(values) -> bytes:
+    """The reference: ``b"%.17g" % x`` per float cell (NaN empty), ``b"%d"`` per integer."""
+    values = np.asarray(values)
+    if values.dtype != np.float64:
+        return b"".join(b"%d\n" % v for v in values.tolist())
+    return b"".join(b"\n" if x != x else b"%.17g\n" % x for x in values.tolist())
+
+
+def _assert_cells_match_printf(values) -> None:
+    got, want = _csv_cells(values).split(b"\n"), _printf_cells(values).split(b"\n")
+    wrong = [(x, g, w) for x, g, w in zip(np.asarray(values).tolist(), got, want) if g != w]
+    assert not wrong, wrong[:5]
+    assert len(got) == len(want)
+
+
+#: exact ties at the 17th significant digit, a * 2**-j with a odd and a * 5**j
+#: of 18 digits, from 1000000000000000.25 down to 2**-25 = 2.98023223876953125e-08
+_TIES = [math.ldexp(-(-(10**17) // 5**j) | 1, -j) for j in range(2, 26)]
+
+
+class TestCsvFloatCells:
+    """events.csv float cells against ``b"%.17g" % x``, the bytes they must equal."""
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_cells_of_raw_bit_patterns(self, bits):
+        _assert_cells_match_printf(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @given(
+        sign=st.integers(0, 1),
+        exponent=st.integers(1000, 1080),  # binary exponents around the exact range: 1.2e-7 .. 2.9e17
+        fraction=st.integers(0, 2**52 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_csv_cells_across_the_exact_range(self, sign, exponent, fraction):
+        bits = np.array([sign << 63 | exponent << 52 | fraction], dtype=np.uint64)
+        _assert_cells_match_printf(bits.view(np.float64))
+
+    def test_csv_cells_of_many_values(self):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
+        _assert_cells_match_printf(bits.view(np.float64))
+        _assert_cells_match_printf(10.0 ** rng.uniform(-8, 18, 100_000) * rng.choice([-1.0, 1.0], 100_000))
+
+    def test_csv_cells_next_to_powers_of_ten(self):
+        """10**k and its neighbours for every k a float reaches; a value just
+        below a power of ten that rounds up to it (1e-14 is one) checks that
+        the exact path never meets a carry to an 18th digit."""
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+        _assert_cells_match_printf(np.concatenate([near, -near]))
+        assert Decimal(1e-14) < Decimal("1e-14") and b"%.17g" % 1e-14 == b"1e-14"
+
+    def test_csv_cells_round_ties_half_to_even(self):
+        for x in _TIES:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, x
+        assert _TIES[-1] == 2.0**-25
+        _assert_cells_match_printf(np.array(_TIES + [-t for t in _TIES]))
+
+    def test_csv_cells_of_special_values(self):
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), 5e-324, -5e-324]
+        values += [2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, 1e17, 1e-6]
+        # row 66 of an eraser's t_detector_s: its exponent is -7; taken at -6, its mantissa rounds to 1e-06
+        values += [9.9999999999999995e-07]
+        assert _csv_cells(values) == _printf_cells(values)
+        assert _csv_cells([np.copysign(np.nan, -1.0), -0.0]) == b"\n-0\n"
+        assert _csv_cells([9.9999999999999995e-07]) == b"9.9999999999999995e-07\n"
+
+    def test_csv_cells_of_integers(self):
+        assert _csv_cells(np.arange(-128, 128, dtype=np.int8)) == _printf_cells(np.arange(-128, 128))
+        wide = np.array([0, -1, 7, 10**16, -(10**18), 2**63 - 1, -(2**63)], dtype=np.int64)
+        assert _csv_cells(wide) == _printf_cells(wide)
 
 
 class TestDoubleSlit:
