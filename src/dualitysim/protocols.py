@@ -48,7 +48,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .models import (
-    AvailabilityRecord,
     Medium,
     OBJECTIVE_MEDIA,
     RenderingModel,
@@ -296,24 +295,6 @@ class ProtocolConfig:
 # -- event log ------------------------------------------------------------------
 
 _MEDIUM_CODES = {Medium.NONE: 0, Medium.VOLATILE: 1, Medium.PERSISTENT: 2, Medium.PERISHABLE: 3}
-_MEDIUM_FROM_CODE = {v: k for k, v in _MEDIUM_CODES.items()}
-_DETECTOR_NAMES = {0: None, 1: "D1", 2: "D2", 3: "D3", 4: "D4"}
-
-
-@dataclass(frozen=True)
-class PhotonPairEvent:
-    """One pair's full story, materialized from the columnar log on demand."""
-
-    pair_id: int
-    t_created: float
-    slit: int
-    t_signal_impact: float
-    signal_x: float
-    idler_route: tuple[str, ...]
-    detector: str | None
-    t_detector: float | None
-    erased: bool
-    availability: AvailabilityRecord
 
 
 #: the log's columns in digest and CSV order, each with its dtype and the fill
@@ -453,46 +434,6 @@ class EventLog:
             fh.write(",".join(EVENT_LOG_COLUMNS).encode() + b"\n")
             for columns in zip(*map(self._blocks, EVENT_LOG_COLUMNS)):
                 fh.write(_csv_block(columns))
-
-    def iter_events(self) -> Iterator[PhotonPairEvent]:
-        route_names = {0: "transmit", 1: "reflect"}
-        for i in range(len(self)):
-            route = []
-            if self.bs_a[i] >= 0:
-                route.append(f"bs_a:{route_names[int(self.bs_a[i])]}")
-            if self.bs_b[i] >= 0:
-                route.append(f"bs_b:{route_names[int(self.bs_b[i])]}")
-            if self.bs_c[i] >= 0:
-                route.append(f"bs_c:port{int(self.bs_c[i]) + 1}")
-            medium = _MEDIUM_FROM_CODE[int(self.medium[i])]
-            detected_at = None if np.isnan(self.detected_at_s[i]) else float(self.detected_at_s[i])
-            expires = self.expires_at_s[i]
-            ttl = None
-            if medium is Medium.PERISHABLE and detected_at is not None and not np.isnan(expires):
-                ttl = float(expires) - detected_at
-            elif medium is Medium.PERISHABLE:
-                ttl = math.inf
-            rec = AvailabilityRecord(
-                detected=bool(self.detected[i]),
-                recorded=bool(self.recorded[i]),
-                medium=medium,
-                detected_at=detected_at,
-                erased_at=None if np.isnan(self.erased_at_s[i]) else float(self.erased_at_s[i]),
-                ttl_s=ttl,
-                observation_time=float(self.observation_time_s[i]),
-            )
-            yield PhotonPairEvent(
-                pair_id=int(self.pair_id[i]),
-                t_created=float(self.t_created_s[i]),
-                slit=int(self.slit[i]),
-                t_signal_impact=float(self.t_signal_impact_s[i]),
-                signal_x=float(self.signal_x_m[i]),
-                idler_route=tuple(route),
-                detector=_DETECTOR_NAMES[int(self.detector[i])],
-                t_detector=None if np.isnan(self.t_detector_s[i]) else float(self.t_detector_s[i]),
-                erased=bool(self.erased[i]),
-                availability=rec,
-            )
 
 
 def _csv_block(columns: Sequence[np.ndarray]) -> bytes:
@@ -765,22 +706,36 @@ def _match_structured(
     window_s: float,
     expected_lag_s: float,
 ) -> CoincidenceSummary:
-    """Coincidence summary for runner-generated, pair-aligned event streams.
+    """The summary :func:`coincidence_match` gives for a runner's event
+    streams: row i holds pair i's signal time and its detector time, NaN for
+    an idler that registers nowhere.
 
-    Uses the O(n) aligned fast path when the stream provably has at most one
-    in-window candidate per detector event, else falls back to the greedy
-    matcher.
+    When the signal times rise and no detector event's window holds the
+    signal of the row before or after its own, each window holds at most its
+    own row's signal, which no other window holds. Every detector event whose
+    window holds its own signal then matches it, none is ambiguous, and the
+    summary needs no greedy loop. The windows are tested with the loop's own
+    float comparisons for the side each neighbour lies on (an own signal in
+    the window on either side is ``|s - target| < window``), a block of rows
+    at a time so that no temporary has the streams' length. Any other stream
+    runs the greedy loop.
     """
-    has_det = ~np.isnan(t_detector)
-    d = t_detector[has_det]
-    if d.size == 0:
-        return CoincidenceSummary(0, int(t_signal.size), 0, 0)
-    lags = d - t_signal[has_det] - expected_lag_s
-    spacing_ok = t_signal.size < 2 or float(np.min(np.diff(t_signal))) >= 2.0 * window_s
-    if spacing_ok and bool(np.all(np.abs(lags) < window_s)):
-        return CoincidenceSummary(int(d.size), int(t_signal.size - d.size), 0, 0)
-    _, summary = coincidence_match(t_signal, d, window_s, expected_lag_s)
-    return summary
+    matched = 0
+    for start in range(0, t_signal.size, _BLOCK_ROWS):
+        # the block's rows and the next block's first row
+        s = t_signal[start : start + _BLOCK_ROWS + 1]
+        d = t_detector[start : start + _BLOCK_ROWS + 1]
+        target, silent = d - expected_lag_s, np.isnan(d)
+        # the signals rise, s[i + 1] lies outside row i's window and s[i]
+        # outside row i + 1's
+        clear = (s[1:] >= s[:-1]) & ((s[1:] - target[:-1] >= window_s) | silent[:-1])
+        clear &= (target[1:] - s[:-1] >= window_s) | silent[1:]
+        if not clear.all():
+            registered = np.compress(~np.isnan(t_detector), t_detector)
+            return coincidence_match(t_signal, registered, window_s, expected_lag_s)[1]
+        matched += int(np.count_nonzero(np.abs(s[:_BLOCK_ROWS] - target[:_BLOCK_ROWS]) < window_s))
+    n_d = int(np.count_nonzero(~np.isnan(t_detector)))
+    return CoincidenceSummary(matched, t_signal.size - matched, n_d - matched, 0)
 
 
 # -- results ----------------------------------------------------------------------
@@ -845,6 +800,39 @@ _D2_PHASE = 0.5 * np.pi
 #: medium codes of OBJECTIVE_MEDIA, whose live records make which-way available
 _OBJECTIVE_CODES = [_MEDIUM_CODES[medium] for medium in OBJECTIVE_MEDIA]
 
+# The per-pair masks (slit, route, record, availability, subset) are coin
+# flips, on which numpy takes boolean-mask indexing and ``np.where`` branch by
+# branch: several times slower than ``np.compress`` for a gather, block-wise
+# integer indices for a scatter, and arithmetic for an int8 select, which give
+# the same values.
+
+
+def _lanes(mask: np.ndarray) -> Iterator[np.ndarray]:
+    """The indices of the true lanes of ``mask``, one ``_BLOCK_ROWS`` block
+    at a time, so no index array of the whole length exists."""
+    for start in range(0, mask.size, _BLOCK_ROWS):
+        lanes = np.flatnonzero(mask[start : start + _BLOCK_ROWS])
+        lanes += start
+        yield lanes
+
+
+def _scatter(out: np.ndarray, mask: np.ndarray, values) -> None:
+    """``out[mask] = values``, ``values`` a scalar or one value per true lane
+    of ``mask``."""
+    many, done = np.ndim(values) > 0, 0
+    for lanes in _lanes(mask):
+        out[lanes] = values[done : done + lanes.size] if many else values
+        done += lanes.size
+
+
+def _nan_except(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.where(mask, values, np.nan)`` for float64 ``values`` of the
+    mask's length."""
+    out = np.full(mask.size, np.nan)
+    for lanes in _lanes(mask):
+        out[lanes] = values[lanes]
+    return out
+
 
 def _truncated_quantile(dist: PatternDistribution, region: IntervalSet, u: np.ndarray) -> np.ndarray:
     """Sample the law conditioned on the region via stretched quantiles."""
@@ -870,14 +858,15 @@ def _truncated_quantile(dist: PatternDistribution, region: IntervalSet, u: np.nd
 def _subset_result(
     key: str,
     x: np.ndarray,
-    mask: np.ndarray | slice,
+    mask: np.ndarray | None,
     slit: np.ndarray,
     cfg: ProtocolConfig,
     edges: np.ndarray,
     region: IntervalSet | None = None,
 ) -> SubsetResult:
-    """Classify and histogram the impacts in ``mask``; ``key`` names the subset."""
-    samples = x[mask]
+    """Classify and histogram the impacts in ``mask`` (every impact for
+    ``None``); ``key`` names the subset."""
+    samples = x if mask is None else np.compress(mask, x)
     counts, _ = np.histogram(samples, bins=edges)
     if samples.size:
         # an empty or full-window region restricts nothing
@@ -888,14 +877,14 @@ def _subset_result(
         visibility = fringe_visibility(counts, edges, cfg.optics)
     else:
         verdict, llr, visibility = Verdict.INDETERMINATE, 0.0, None
-    sl = slit[mask]
+    in_slit = ((slit == k) if mask is None else mask & (slit == k) for k in (1, 2))
     return SubsetResult(
         count=int(samples.size),
         verdict=verdict,
         log_likelihood_ratio=float(llr),
         visibility=visibility,
         histogram=Histogram(edges, counts),
-        slit_counts=(int(np.count_nonzero(sl == 1)), int(np.count_nonzero(sl == 2))),
+        slit_counts=tuple(int(np.count_nonzero(flags)) for flags in in_slit),
     )
 
 
@@ -918,7 +907,7 @@ def _assemble(
     here on, so it is hashed on the pool while the subsets classify."""
     digest = submit(log.digest)
     edges = fringe_aligned_edges(cfg.optics)
-    pooled = _subset_result("pooled", x, slice(None), log.slit, cfg, edges) if subsets is None or subsets else None
+    pooled = _subset_result("pooled", x, None, log.slit, cfg, edges) if subsets is None or subsets else None
     if subsets is None:  # the screen subset holds every pair: it is the pooled screen
         results = {"screen": pooled}
     else:
@@ -926,7 +915,7 @@ def _assemble(
         results = {k: _subset_result(k, x, mask, log.slit, cfg, edges, regions.get(k)) for k, mask in subsets.items()}
     empirical_tv = None
     if tv is not None and all(results[key].count for key in tv):
-        empirical_tv = tv_distance_empirical(x[subsets[tv[0]]], x[subsets[tv[1]]], cfg.optics)
+        empirical_tv = tv_distance_empirical(*(np.compress(subsets[key], x) for key in tv), cfg.optics)
     warnings_: tuple[str, ...] = ()
     if coincidences is not None and coincidences.matched:
         mismatch = (coincidences.unmatched_detectors + coincidences.ambiguities) / max(
@@ -958,7 +947,7 @@ def _draws(cfg: ProtocolConfig, expected: Protocol) -> tuple[np.random.Generator
     if cfg.protocol is not expected:
         raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
     rng = np.random.default_rng(cfg.seed)
-    return rng, np.where(rng.random(cfg.n_pairs) < 0.5, np.int8(1), np.int8(2))
+    return rng, np.subtract(np.int8(2), rng.random(cfg.n_pairs) < 0.5, dtype=np.int8)
 
 
 def _base_log(cfg: ProtocolConfig, slit: np.ndarray, idler: bool = False) -> EventLog:
@@ -980,11 +969,11 @@ def _record(log: EventLog, mask: np.ndarray | bool, at: np.ndarray, kept: bool =
     A scalar ``mask`` holds for every pair and leaves fills in the log."""
     flag = np.asarray(mask, dtype=np.int8)
     log.detected = flag
-    log.detected_at_s = np.where(mask, at, np.nan) if flag.ndim else (at if mask else np.nan)
+    log.detected_at_s = _nan_except(mask, at) if flag.ndim else (at if mask else np.nan)
     log.erased = 1 - flag
     if kept:
         log.recorded = flag
-        log.medium = np.where(mask, np.int8(_MEDIUM_CODES[Medium.PERSISTENT]), np.int8(_MEDIUM_CODES[Medium.NONE]))
+        log.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
 
 
 def _render(
@@ -1026,7 +1015,7 @@ def _render(
     x = np.empty(cfg.n_pairs)  # the groups cover every pair
     for mask, kind, phase in groups:
         if mask.any():
-            x[mask] = PatternDistribution(kind, cfg.optics, phase).ppf(u_x[mask])
+            _scatter(x, mask, PatternDistribution(kind, cfg.optics, phase).ppf(np.compress(mask, u_x)))
     log.signal_x_m = x
     return x
 
@@ -1078,10 +1067,9 @@ def _run_interval_rule(
         weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
         from_particle = u_component < weight
         x = np.empty(cfg.n_pairs, dtype=np.float64)
-        if from_particle.any():
-            x[from_particle] = _truncated_quantile(particle, region, u_x[from_particle])
-        if (~from_particle).any():
-            x[~from_particle] = _truncated_quantile(wave, complement, u_x[~from_particle])
+        for mask, dist, part in ((from_particle, particle, region), (~from_particle, wave, complement)):
+            if mask.any():
+                _scatter(x, mask, _truncated_quantile(dist, part, np.compress(mask, u_x)))
     inside = region.contains(x)
     log = _base_log(cfg, slit, idler)
     route(log, inside)
@@ -1134,12 +1122,13 @@ def _eraser_bench(
     to_which_way = rng.random(cfg.n_pairs) < 0.5
     port = (rng.random(cfg.n_pairs) < 0.5).astype(np.int8)
     log = _base_log(cfg, slit, idler=True)
-    s1 = slit == 1
-    unused = np.int8(-1)
-    log.bs_a = np.where(s1, to_which_way, unused)
-    log.bs_b = np.where(s1, unused, to_which_way)
-    log.bs_c = np.where(to_which_way, unused, port)
-    log.detector = np.where(to_which_way, np.where(s1, np.int8(3), np.int8(4)), port + 1)
+    # int8 selects by arithmetic: a splitter an idler skips reads -1, and
+    # slit is 1 or 2, so 2 - slit flags slit 1
+    w, s1 = to_which_way.view(np.int8), 2 - slit
+    log.bs_a = s1 * (w + 1) - 1
+    log.bs_b = (1 - s1) * (w + 1) - 1
+    log.bs_c = (1 - w) * (port + 1) - 1
+    log.detector = w * (slit + 2) + (1 - w) * (port + 1)
     _record(log, to_which_way, log.t_detector_s, kept)
     return log, to_which_way
 
@@ -1188,8 +1177,8 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
     # nowhere; the pair still resolves delta_t_s after creation
     x = _render(cfg, log, rng, log.t_detector_s, d2)
-    log.detector[to_which_way] = 0
-    log.t_detector_s[to_which_way] = np.nan
+    log.detector *= ~to_which_way
+    _scatter(log.t_detector_s, to_which_way, np.nan)
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
     d = log.detector
     return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "unsorted": d == 0}, coincidences=summary)
@@ -1211,7 +1200,7 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
         destroyed = rng.random(n) < cfg.destruction_prob
     _record(log, True, log.t_signal_impact_s)
     log.erased = destroyed
-    log.erased_at_s = np.where(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s, np.nan)
+    log.erased_at_s = _nan_except(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s)
     x = _render(cfg, log, rng, log.t_signal_impact_s + cfg.erasure_delay_s)
     subsets = {"destroyed": destroyed, "surviving": ~destroyed}
     return _assemble(cfg, log, x, subsets, tv=("surviving", "destroyed"))
@@ -1355,8 +1344,9 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
 
     def route(log: EventLog, copied: np.ndarray) -> None:
         _record(log, True, log.t_signal_impact_s)
-        log.medium = np.where(copied, np.int8(_MEDIUM_CODES[Medium.PERSISTENT]), np.int8(_MEDIUM_CODES[Medium.PERISHABLE]))
-        log.expires_at_s = np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s)
+        # a copy is persistent, whose code is one below the perishable one
+        log.medium = _MEDIUM_CODES[Medium.PERISHABLE] - copied.view(np.int8)
+        log.expires_at_s = _nan_except(~copied, log.t_signal_impact_s + cfg.ttl_s)
         log.erased = ~copied
 
     return _run_interval_rule(

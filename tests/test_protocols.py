@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualitysim import protocols
-from dualitysim.models import Medium, RenderingModel, RenderingPolicy, which_way_available
+from dualitysim.models import AvailabilityRecord, Medium, RenderingModel, RenderingPolicy, which_way_available
 from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
 from dualitysim.protocols import (
     DELTA_T_FAST,
@@ -55,6 +55,35 @@ COLLAPSE = RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION)
 RENDER = RenderingModel(RenderingPolicy.RENDER_AT_AVAILABILITY)
 OPTICS = OpticsConfig()
 A = OPTICS.fringe_scale_m
+
+
+def _availability_records(log: EventLog) -> list[AvailabilityRecord]:
+    """Each pair's availability record, read from the log's columns: NaN
+    times are absent, and a perishable record's lifetime runs from its
+    detection to its expiry, forever when it never expires."""
+    medium_of = {code: medium for medium, code in _MEDIUM_CODES.items()}
+
+    def time(x: float) -> float | None:
+        return None if math.isnan(x) else x
+
+    records = []
+    columns = (log.detected, log.recorded, log.medium, log.detected_at_s, log.erased_at_s, log.expires_at_s,
+               log.observation_time_s)
+    for detected, recorded, code, detected_at, erased_at, expires_at, observed in zip(*(c.tolist() for c in columns)):
+        medium = medium_of[code]
+        ttl = None
+        if medium is Medium.PERISHABLE:
+            ttl = math.inf if math.isnan(expires_at) else expires_at - detected_at
+        records.append(AvailabilityRecord(
+            detected=bool(detected),
+            recorded=bool(recorded),
+            medium=medium,
+            detected_at=time(detected_at),
+            erased_at=time(erased_at),
+            ttl_s=ttl,
+            observation_time=observed,
+        ))
+    return records
 
 
 def switch_d(strategy, hypothesis, **kw):
@@ -285,6 +314,31 @@ def match_inputs(draw):
     return signals, detectors, window, lag
 
 
+@st.composite
+def aligned_streams(draw):
+    """Pair-aligned streams as a runner makes them: signal times three units
+    apart, each detector time its pair's signal time plus the lag. A few rows
+    then take a shorter step (a repeat at zero), an offset idler or a silent
+    one (NaN), and the rows may be shuffled out of time order. Steps, offsets
+    and windows share a quarter-unit grid, so gaps of exactly a window occur."""
+    n = draw(st.integers(0, 8))
+    steps, offsets = [3.0] * n, [0.0] * n
+    quarters = [k * 0.25 for k in range(9)]
+    rows = st.lists(st.integers(0, n - 1), max_size=3) if n else st.just([])
+    for i in draw(rows):
+        steps[i] = draw(st.sampled_from(quarters) | st.floats(0.0, 3.0))
+    for i in draw(rows):
+        offsets[i] = draw(st.sampled_from([q - 1.0 for q in quarters]) | st.floats(-1.0, 1.0))
+    for i in draw(rows):
+        offsets[i] = math.nan
+    window = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0))
+    lag = draw(st.sampled_from([0.0, 0.5, -0.25, 1e-8]) | st.floats(-2.0, 2.0))
+    signals = np.cumsum(steps).tolist()
+    if draw(st.booleans()):
+        signals = draw(st.permutations(signals))
+    return signals, [t + lag + dt for t, dt in zip(signals, offsets)], window, lag
+
+
 class TestCoincidence:
     @given(case=match_inputs())
     @settings(max_examples=300, deadline=None)
@@ -372,6 +426,37 @@ class TestCoincidence:
         fast = _match_structured(t_signal, t_detector, 0.4, 0.0)
         _, slow = coincidence_match(t_signal, t_detector[~np.isnan(t_detector)], 0.4)
         assert fast == slow
+
+    @given(case=st.one_of(aligned_streams(), match_inputs()))
+    @example(case=([0.0, 0.5], [0.0, math.nan], 1.0, 0.0))  # the next signal in the window
+    @example(case=([0.0, 0.5], [math.nan, 0.5], 1.0, 0.0))  # the previous signal in the window
+    @example(case=([0.0, 10.0, 20.0, 0.5], [0.0, math.nan, math.nan, 50.0], 1.0, 0.0))  # falling signal times
+    @settings(max_examples=500, deadline=None)
+    def test_structured_summary_matches_the_greedy_matcher(self, case):
+        signals, detectors, window, lag = case
+        n = min(len(signals), len(detectors))  # a runner's streams are pair-aligned
+        t_signal, t_detector = np.array(signals[:n], dtype=float), np.array(detectors[:n], dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = _match_structured(t_signal, t_detector, window, lag)
+            _, want = coincidence_match(t_signal, t_detector[~np.isnan(t_detector)], window, expected_lag_s=lag)
+        assert _typed_fields(got) == _typed_fields(want)
+
+    @pytest.mark.parametrize(
+        "window_s, silent",
+        [(1e-9, slice(0)), (0.8e-8, slice(0)), (1e-9, slice(None, None, 2)), (1e-9, slice(_BLOCK_ROWS, None))],
+        ids=["default", "wide-window", "every-other-silent", "silent-after-one-block"],
+    )
+    def test_runner_streams_skip_the_greedy_loop(self, monkeypatch, window_s, silent):
+        """The streams the eraser bench makes (with the which-way channels
+        off, some idlers register nowhere) are summarised without the loop."""
+        n = 3 * _BLOCK_ROWS + 5
+        t_signal = np.arange(n, dtype=np.float64) * (PAIR_SPACING_FACTOR * DELTA_T_FAST)
+        t_detector = t_signal + DELTA_T_FAST
+        t_detector[silent] = np.nan
+        _, want = coincidence_match(t_signal, t_detector[~np.isnan(t_detector)], window_s, DELTA_T_FAST)
+        monkeypatch.setattr(protocols, "coincidence_match", None)  # calling it fails the test
+        assert _match_structured(t_signal, t_detector, window_s, DELTA_T_FAST) == want
+        assert want.matched == np.count_nonzero(~np.isnan(t_detector))
 
 
 #: float cells the CSV form must print exactly as the reference does
@@ -557,23 +642,29 @@ class TestEventLog:
             log.to_csv(path)
             assert path.read_bytes() == _reference_csv(log)
 
-    def test_iter_events_reconstructs_the_story(self):
+    def test_log_columns_tell_each_pairs_story(self):
         cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=200, seed=13)
-        run = run_quantum_eraser(cfg)
-        events = list(run.events.iter_events())
-        assert len(events) == 200
-        for ev in events:
-            assert ev.detector in {"D1", "D2", "D3", "D4"}
-            if ev.detector in {"D3", "D4"}:
+        log = run_quantum_eraser(cfg).events
+        records = _availability_records(log)
+        assert len(records) == 200
+        for i, rec in enumerate(records):
+            slit, detector = int(log.slit[i]), int(log.detector[i])
+            first_splitter = log.bs_a[i] if slit == 1 else log.bs_b[i]
+            assert (log.bs_b[i] if slit == 1 else log.bs_a[i]) == -1  # the other slit's splitter
+            assert detector in {1, 2, 3, 4}
+            if detector in {3, 4}:
                 # reflected at the idler's first splitter, slit-tagged record kept
-                assert ev.idler_route[0].endswith("reflect")
-                assert ev.availability.recorded
-                assert ev.availability.medium is Medium.PERSISTENT
-                assert ev.detector == ("D3" if ev.slit == 1 else "D4")
+                assert first_splitter == 1
+                assert log.bs_c[i] == -1
+                assert rec.recorded
+                assert rec.medium is Medium.PERSISTENT
+                assert detector == (3 if slit == 1 else 4)
             else:
-                assert any(leg.startswith("bs_c:port") for leg in ev.idler_route)
-                assert ev.erased
-                assert not ev.availability.recorded
+                # transmitted, then out of an eraser port
+                assert first_splitter == 0
+                assert log.bs_c[i] == detector - 1
+                assert log.erased[i]
+                assert not rec.recorded
 
     def test_subset_counts_partition_the_pairs(self):
         cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=3000, seed=17)
@@ -960,13 +1051,13 @@ class TestPerishableMedia:
         assert run.subsets["recorded"].verdict is Verdict.PARTICLE
         assert run.subsets["perished"].verdict is Verdict.PARTICLE
         assert run.subsets["recorded"].count == pytest.approx(20_000, abs=600)
-        for ev in list(run.events.iter_events())[:50]:
-            medium = ev.availability.medium
-            if ev.erased:
-                assert medium is Medium.PERISHABLE
-                assert ev.availability.ttl_s == pytest.approx(cfg.ttl_s)
+        log = run.events
+        for erased, rec in zip(log.erased[:50].tolist(), _availability_records(log)[:50]):
+            if erased:
+                assert rec.medium is Medium.PERISHABLE
+                assert rec.ttl_s == pytest.approx(cfg.ttl_s)
             else:
-                assert medium is Medium.PERSISTENT
+                assert rec.medium is Medium.PERSISTENT
 
     def test_permanent_only_accounting_is_refused_on_the_extremal_rule(self):
         cfg = ProtocolConfig(
@@ -1039,7 +1130,7 @@ class TestSharedPipeline:
 
         monkeypatch.setattr(protocols, "available_mask", spy)
         _render(cfg, log, np.random.default_rng(0), log.t_created_s)
-        expected = [which_way_available(ev.availability, model) for ev in log.iter_events()]
+        expected = [which_way_available(rec, model) for rec in _availability_records(log)]
         assert masks[0].tolist() == expected
         if model is RENDER:
             assert expected == [True, False, True, True, False, False, False, False]
@@ -1061,6 +1152,117 @@ class TestSharedPipeline:
         side = run.subsets[empty]
         assert (side.count, side.verdict, side.visibility) == (0, Verdict.INDETERMINATE, None)
         assert sum(s.count for s in run.subsets.values()) == run.pooled.count == 2000
+
+
+def _traced_peak_per_pair(cfg: ProtocolConfig) -> float:
+    """Bytes per pair of the tracemalloc peak of ``run_protocol(cfg)`` above
+    what was held before it (numpy reports its buffers to tracemalloc, so the
+    figure does not depend on the process's heap layout)."""
+    run_protocol(replace(cfg, n_pairs=1000))  # law caches and the pool exist before counting
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_protocol(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (peak - base) / cfg.n_pairs
+
+
+#: tracemalloc peaks of 200,000-pair runs in bytes per pair, the higher of
+#: the two policies, as measured with boolean-mask gathers and scatters on
+#: the per-pair path (x86-64, numpy 2.4); the eraser's varies by 4% with when
+#: the pool hashes the log
+_MASKED_PATH_PEAKS = {"double_slit": 51.03, "quantum_eraser": 91.32, "switch_d_i_empty": 91.51}
+
+
+class TestPerPairKernels:
+    """The branch-free per-pair passes against the boolean-mask and
+    ``np.where`` forms they replaced."""
+
+    @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("lanes", ["none", "all", "random"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "array"])
+    def test_scatter_matches_boolean_assignment(self, n, lanes, dtype, scalar):
+        rng = np.random.default_rng(n)
+        mask = {"none": np.zeros(n, bool), "all": np.ones(n, bool), "random": rng.random(n) < 0.5}[lanes]
+        values = dtype(-1) if scalar else rng.integers(-100, 100, np.count_nonzero(mask)).astype(dtype)
+        want = rng.integers(-100, 100, n).astype(dtype)
+        got = want.copy()
+        want[mask] = values
+        protocols._scatter(got, mask, values)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "not-kept"])
+    def test_eraser_routing_matches_the_select_reference(self, kept):
+        n = 2 * _BLOCK_ROWS + 7
+        cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=50)
+        rng, slit = protocols._draws(cfg, Protocol.QUANTUM_ERASER)
+        log, to_which_way = protocols._eraser_bench(cfg, rng, slit, kept)
+        # the same draws, routed by np.where
+        ref = np.random.default_rng(cfg.seed)
+        s1 = ref.random(n) < 0.5
+        w = ref.random(n) < 0.5
+        port = (ref.random(n) < 0.5).astype(np.int8)
+        unused = np.int8(-1)
+        want = {
+            "slit": np.where(s1, np.int8(1), np.int8(2)),
+            "bs_a": np.where(s1, w, unused),
+            "bs_b": np.where(s1, unused, w),
+            "bs_c": np.where(w, unused, port),
+            "detector": np.where(w, np.where(s1, np.int8(3), np.int8(4)), port + 1),
+            "detected": w,
+            "detected_at_s": np.where(w, log.t_detector_s, np.nan),
+            "erased": ~w,
+            "recorded": w if kept else np.zeros(n, bool),
+            "medium": np.where(w, np.int8(2), np.int8(0)) if kept else np.zeros(n, np.int8),
+        }
+        assert to_which_way.tolist() == w.tolist()
+        for name, column in want.items():
+            dtype = protocols._COLUMNS[name][0]
+            assert getattr(log, name).tobytes() == np.asarray(column, dtype=dtype).tobytes(), name
+
+    def test_float_selects_match_the_select_reference(self):
+        erasure = run_macroscopic_erasure(ProtocolConfig(protocol=Protocol.MACROSCOPIC_ERASURE, n_pairs=40_000, seed=51))
+        log = erasure.events
+        want = np.where(log.erased == 1, log.t_signal_impact_s + erasure.config.erasure_delay_s, np.nan)
+        assert log.erased_at_s.tobytes() == want.tobytes()
+        cfg = ProtocolConfig(protocol=Protocol.PERISHABLE_MEDIA, observation_schedule=ObservationSchedule.AT_T0,
+                             n_pairs=40_000, seed=52)
+        log = run_perishable_media(cfg).events
+        copied = log.erased == 0
+        assert log.expires_at_s.tobytes() == np.where(copied, np.nan, log.t_signal_impact_s + cfg.ttl_s).tobytes()
+        assert log.medium.tolist() == np.where(copied, 2, 3).tolist()
+
+    @pytest.mark.parametrize("protocol", [Protocol.DELAYED_CHOICE, Protocol.QUANTUM_ERASER])
+    def test_slit_counts_match_the_boolean_index_reference(self, protocol):
+        run = run_protocol(ProtocolConfig(protocol=protocol, n_pairs=3 * _BLOCK_ROWS + 5, seed=53))
+        log = run.events
+        masks = {"pooled": np.ones(len(log), bool), "recorded": log.detected == 1, "unrecorded": log.detected == 0}
+        masks.update({f"D{k}": log.detector == k for k in range(1, 5)})
+        subsets = {"pooled": run.pooled, **run.subsets}
+        for key, subset in subsets.items():
+            slits = log.slit[masks[key]]
+            assert subset.slit_counts == (np.count_nonzero(slits == 1), np.count_nonzero(slits == 2)), key
+        assert run.pooled.slit_counts[0] > 0 and run.pooled.slit_counts[1] > 0
+
+    @pytest.mark.parametrize("name", sorted(_MASKED_PATH_PEAKS))
+    def test_peak_memory_stays_within_the_masked_paths(self, name):
+        n = 200_000
+        cfgs = {
+            "double_slit": ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, seed=3),
+            "quantum_eraser": ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=3),
+            "switch_d_i_empty": switch_d(SwitchStrategy.strategy_1(IntervalSet.empty()), OutcomeHypothesis.I,
+                                         n_pairs=n, seed=3),
+        }
+        for model in (COLLAPSE, RENDER):
+            assert _traced_peak_per_pair(replace(cfgs[name], model=model)) <= 1.05 * _MASKED_PATH_PEAKS[name]
 
 
 class TestDispatch:
