@@ -1,6 +1,6 @@
-"""Shared numerics: level-wise adaptive Simpson quadrature, bracketed
-bisection, vectorized monotone inversion, and the thread pool that runs fixed
-blocks of elementwise work."""
+"""Shared numerics: level-wise adaptive Simpson quadrature, vectorized
+monotone inversion, and the thread pool that runs fixed blocks of elementwise
+work."""
 
 from __future__ import annotations
 
@@ -122,36 +122,6 @@ def adaptive_simpson(
             stack.append((depth + 1, k))
             stack.append((depth + 1, k + 1))
     return total
-
-
-def bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
-    """One root of the vectorized ``f`` in each bracket ``[lo[i], hi[i]]``,
-    across which ``f`` changes sign.
-
-    Every bracket is halved at once until its ends are adjacent floats, and
-    the end where ``|f|`` is smaller is its root (the low end on a tie). A
-    lane whose midpoint evaluates to exactly 0 stops there.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    f_lo = np.asarray(f(lo), dtype=float)
-    f_hi = np.asarray(f(hi), dtype=float)
-    root = np.empty_like(lo)
-    idx = np.arange(lo.size)
-    while idx.size:
-        mid = 0.5 * (lo[idx] + hi[idx])
-        adjacent = ~((lo[idx] < mid) & (mid < hi[idx]))
-        ends = idx[adjacent]
-        root[ends] = np.where(np.abs(f_hi[ends]) < np.abs(f_lo[ends]), hi[ends], lo[ends])
-        idx, mid = idx[~adjacent], mid[~adjacent]
-        f_mid = np.asarray(f(mid), dtype=float)
-        zero = f_mid == 0.0
-        root[idx[zero]] = mid[zero]
-        idx, mid, f_mid = idx[~zero], mid[~zero], f_mid[~zero]
-        low = (f_mid < 0.0) == (f_lo[idx] < 0.0)  # the root lies above mid
-        lo[idx[low]], f_lo[idx[low]] = mid[low], f_mid[low]
-        hi[idx[~low]], f_hi[idx[~low]] = mid[~low], f_mid[~low]
-    return root
 
 
 def invert_monotone(

@@ -4,7 +4,8 @@ The fringe scale ``a = wavelength * distance / separation`` sets the period of
 the interference law; the screen window is ``[-halfwidth, +halfwidth]``. Two
 normalized pattern laws live on that window: an interference ("wave") law
 proportional to ``cos^2(pi x / a + phase)`` and a structureless ("particle")
-law, uniform by default or an optional two-slit diffraction-envelope sum.
+law, uniform by default or, with the optional diffraction envelope, constant
+on each cell of a dense CDF table of the two-slit sinc^2 sum.
 The interference law's normalization and CDF come from one closed form of the
 integral of cos^2, written so that it does not cancel on any window, however
 small or however many fringes it spans.
@@ -272,21 +273,32 @@ class PatternDistribution:
         return self._wave_terms[0] * self._wave_terms[3]
 
     @cached_property
-    def _envelope_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (x, density, cdf) grid defining the enveloped particle law."""
+    def _cell_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, cdf) nodes of the structureless law, which ``cdf`` and ``ppf``
+        interpolate linearly: its density is constant on each cell between two
+        nodes. The uniform law is one cell; the envelope's CDF is the running
+        trapezoid integral of the two-slit sinc^2 sum on a dense grid."""
         cfg = self.config
         lo, hi = cfg.window
+        if not cfg.envelope_enabled:
+            return np.array([lo, hi]), np.array([0.0, 1.0])
         xs = np.linspace(lo, hi, _ENVELOPE_GRID_NODES)
         b = cfg.effective_slit_width_m
         scale = cfg.wavelength_m * cfg.slit_screen_distance_m
         half = 0.5 * cfg.slit_separation_m
         raw = np.sinc(b * (xs - half) / scale) ** 2 + np.sinc(b * (xs + half) / scale) ** 2
-        cum = _cumulative_trapezoid(raw, xs)
-        total = cum[-1]
-        dens = raw / total
-        cdf = cum / total
+        cdf = _cumulative_trapezoid(raw, xs)
+        cdf /= cdf[-1]
         cdf[0], cdf[-1] = 0.0, 1.0
-        return xs, dens, cdf
+        return xs, cdf
+
+    @cached_property
+    def _cell_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell densities as ``np.interp`` nodes: every inner node doubled,
+        so that interpolation is constant on each cell and gives a node the
+        level of the cell above it."""
+        xs, cdf = self._cell_table
+        return np.repeat(xs, 2)[1:-1], np.repeat(np.diff(cdf) / np.diff(xs), 2)
 
     def _density_raw(self, x: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -294,8 +306,7 @@ class PatternDistribution:
             a = cfg.fringe_scale_m
             return self._wave_norm * np.cos(np.pi * x / a + self.phase_offset_rad) ** 2
         if cfg.envelope_enabled:
-            xs, dens, _ = self._envelope_table
-            return np.interp(x, xs, dens)
+            return np.interp(x, *self._cell_levels)
         return np.full_like(np.asarray(x, dtype=float), 1.0 / cfg.window_width_m)
 
     def _cdf_raw(self, x: np.ndarray) -> np.ndarray:
@@ -308,8 +319,7 @@ class PatternDistribution:
             raw = _cos2_integral(spans, cos0, sin0, scale=inv_total)
             return np.clip(raw, 0.0, 1.0, out=raw).reshape(np.shape(x))
         if cfg.envelope_enabled:
-            xs, _, cdf = self._envelope_table
-            return np.interp(x, xs, cdf)
+            return np.interp(x, *self._cell_table)
         return np.clip((x - lo) / cfg.window_width_m, 0.0, 1.0)
 
     # -- public surface ------------------------------------------------------
@@ -396,7 +406,7 @@ class PatternDistribution:
             if not cfg.envelope_enabled:
                 out = lo + arr * cfg.window_width_m
                 return float(out) if np.ndim(u) == 0 else out
-            xs, _, cdf = self._envelope_table
+            xs, cdf = self._cell_table
             out = np.interp(arr, cdf, xs)
             return float(out) if np.ndim(u) == 0 else out
         xs, _ = self._quantile_table
@@ -440,7 +450,7 @@ def wave_density(x, cfg: OpticsConfig, phase_offset_rad: float = 0.0):
 
 
 def particle_density(x, cfg: OpticsConfig):
-    """Normalized structureless density: uniform, or the enveloped two-slit sum."""
+    """Normalized structureless density: uniform, or constant on each cell of the envelope's CDF table."""
     return PatternDistribution(PatternKind.PARTICLE, cfg).density(x)
 
 

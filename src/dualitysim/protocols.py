@@ -257,6 +257,15 @@ class ProtocolConfig:
             raise ValidationError(f"erasure_delay_s must be positive, got {self.erasure_delay_s!r}")
         if not self.ttl_s > 0:
             raise ValidationError(f"ttl_s must be positive (math.inf allowed), got {self.ttl_s!r}")
+        # the latest time a run forms: the last pair's creation, its fate
+        # (the idler, or the erasure) and the observation delta_t_s after it
+        created = (self.n_pairs - 1) * (PAIR_SPACING_FACTOR * self.delta_t_s)
+        erased = self.protocol is Protocol.MACROSCOPIC_ERASURE
+        if not math.isfinite(created + (self.erasure_delay_s if erased else self.delta_t_s) + self.delta_t_s):
+            raise ValidationError(
+                "the run's timestamps overflow: lower n_pairs, delta_t_s"
+                + (" or erasure_delay_s" if erased else "")
+            )
         if not (0.0 < self.noise_threshold <= 1.0):
             raise ValidationError(f"noise_threshold must lie in (0, 1], got {self.noise_threshold!r}")
         if (
@@ -610,15 +619,6 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoincidenceRecord:
-    signal_index: int
-    detector_index: int
-    signal_time: float
-    detector_time: float
-    lag_s: float
-
-
-@dataclass(frozen=True)
 class CoincidenceSummary:
     matched: int
     unmatched_signals: int
@@ -631,7 +631,7 @@ def coincidence_match(
     detector_times,
     window_s: float,
     expected_lag_s: float = 0.0,
-) -> tuple[list[CoincidenceRecord], CoincidenceSummary]:
+) -> CoincidenceSummary:
     """Greedy nearest-in-time matching of detector events to signal events.
 
     A detector event at t matches the nearest unmatched signal event s with
@@ -645,17 +645,12 @@ def coincidence_match(
     d = np.asarray(detector_times, dtype=float).ravel()
     # the loop runs on Python floats and ints: numpy scalars cost a
     # conversion on every comparison
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order].tolist()
-    s_order = order.tolist()
-    d_times = d.tolist()
+    s_sorted = np.sort(s).tolist()
     window, lag = float(window_s), float(expected_lag_s)
     n_s = len(s_sorted)
     used = [False] * n_s
-    records: list[CoincidenceRecord] = []
-    ambiguities = 0
-    for det_idx in np.argsort(d, kind="stable").tolist():
-        t_det = d_times[det_idx]
+    matched = ambiguities = 0
+    for t_det in np.sort(d).tolist():
         target = t_det - lag
         pos = bisect_left(s_sorted, target)
         best = -1
@@ -681,23 +676,8 @@ def coincidence_match(
             ambiguities += 1
         if best >= 0:
             used[best] = True
-            t_sig = s_sorted[best]
-            records.append(
-                CoincidenceRecord(
-                    signal_index=s_order[best],
-                    detector_index=det_idx,
-                    signal_time=t_sig,
-                    detector_time=t_det,
-                    lag_s=t_det - t_sig,
-                )
-            )
-    summary = CoincidenceSummary(
-        matched=len(records),
-        unmatched_signals=int(s.size - len(records)),
-        unmatched_detectors=int(d.size - len(records)),
-        ambiguities=ambiguities,
-    )
-    return records, summary
+            matched += 1
+    return CoincidenceSummary(matched, s.size - matched, d.size - matched, ambiguities)
 
 
 def _match_structured(
@@ -732,7 +712,7 @@ def _match_structured(
         clear &= (target[1:] - s[:-1] >= window_s) | silent[1:]
         if not clear.all():
             registered = np.compress(~np.isnan(t_detector), t_detector)
-            return coincidence_match(t_signal, registered, window_s, expected_lag_s)[1]
+            return coincidence_match(t_signal, registered, window_s, expected_lag_s)
         matched += int(np.count_nonzero(np.abs(s[:_BLOCK_ROWS] - target[:_BLOCK_ROWS]) < window_s))
     n_d = int(np.count_nonzero(~np.isnan(t_detector)))
     return CoincidenceSummary(matched, t_signal.size - matched, n_d - matched, 0)

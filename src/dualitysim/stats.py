@@ -16,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import adaptive_simpson, bisect_roots, map_blocks
+# adaptive_simpson is not called here; the benchmark tracer patches stats.adaptive_simpson
+from .numerics import adaptive_simpson, map_blocks  # noqa: F401
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -69,38 +70,49 @@ def delta_of_interval_set(iset: IntervalSet, cfg: OpticsConfig) -> float:
     return particle.mass(iset) + (1.0 - wave.mass(iset))
 
 
-def _sign_intervals(cfg: OpticsConfig) -> list[tuple[float, float, bool]]:
+def _sign_intervals(wave: PatternDistribution, particle: PatternDistribution) -> list[tuple[float, float, bool]]:
     """Partition the window where the wave-minus-particle difference keeps one sign.
 
-    Returns (lo, hi, wave_exceeds) triples. The default flat-pattern pair has
-    analytic crossings every half period; on the enveloped pair a dense scan
-    brackets the crossings and bisection refines them to adjacent floats.
+    Returns (lo, hi, wave_exceeds) triples. The particle density is a
+    constant h on each cell of its table, and c cos^2(pi x / a) exceeds h
+    exactly on [k a - theta, k a + theta), theta = a acos(sqrt(h / c)) / pi (0
+    once h >= c). Such an interval holds x when floor((x - theta) / a) < k <=
+    floor((x + theta) / a), so the floors at a cell's edges give both its
+    crossings and its sign at each edge. A node where the level jumps across
+    the wave density is a boundary too.
     """
-    wave, particle = _pattern_pair(cfg)
-    wlo, whi = cfg.window
-    if not cfg.envelope_enabled:
-        # crossings solve c cos^2(pi x / a) = 1/W; on integer-fringe windows
-        # c = 2/W puts them at a/4 + k a/2, otherwise the level shifts
-        a = cfg.fringe_scale_m
-        level = 1.0 / (wave._wave_norm * cfg.window_width_m)
-        theta = math.acos(math.sqrt(level)) * a / math.pi
-        crossings = []
-        for k in range(math.floor(wlo / a) - 1, math.ceil(whi / a) + 2):
-            for x in (k * a - theta, k * a + theta):
-                if wlo < x < whi:
-                    crossings.append(x)
-        crossings.sort()
-    else:
-        diff = lambda x: wave._density_raw(x) - particle._density_raw(x)
-        grid = np.linspace(wlo, whi, 16385)
-        vals = diff(grid)
-        i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        crossings = bisect_roots(diff, grid[i], grid[i + 1]).tolist()
-    # densities on all midpoints at once, as tv_distance takes its CDFs
-    edges = np.array([wlo, *crossings, whi])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    above = wave.density(mids) > particle.density(mids)
-    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), above.tolist()))
+    a = wave.config.fringe_scale_m
+    xs, cdf = particle._cell_table
+    # the per-cell arrays set the call's peak memory, so they are worked in place
+    theta = np.diff(cdf) / (wave._wave_norm * np.diff(xs))  # h / c
+    np.arccos(np.sqrt(np.minimum(theta, 1.0, out=theta), out=theta), out=theta)
+    theta *= a
+    theta /= np.pi
+    lo, hi = xs[:-1], xs[1:]
+    # floor((x + theta) / a) and floor((x - theta) / a) at both edges of every cell
+    rise_lo, rise_hi, fall_lo, fall_hi = floors = [op(x, theta) for op in (np.add, np.subtract) for x in (lo, hi)]
+    for k in floors:
+        np.floor(np.divide(k, a, out=k), out=k)
+
+    def crossings(k_lo: np.ndarray, k_hi: np.ndarray, sign: float) -> np.ndarray:
+        # k a + sign theta for every k in (k_lo, k_hi] of every cell
+        counts = (k_hi - k_lo).astype(np.intp)
+        cell = np.repeat(np.arange(counts.size), counts)
+        k = k_lo[cell] + 1.0 + (np.arange(cell.size) - (np.cumsum(counts) - counts)[cell])
+        return k * a + sign * theta[cell]
+
+    exceeds_lo, exceeds_hi = rise_lo > fall_lo, rise_hi > fall_hi  # just above each cell edge
+    jumps = hi[:-1][exceeds_hi[:-1] != exceeds_lo[1:]]
+    flips = np.sort(np.concatenate((crossings(rise_lo, rise_hi, -1.0), crossings(fall_lo, fall_hi, 1.0), jumps)))
+    # the sign flips at every crossing and jump: drop the pieces of zero width
+    # that coincident flips leave, then merge neighbours of one sign
+    edges = np.concatenate((xs[:1], flips, xs[-1:]))
+    above = np.arange(edges.size - 1) % 2 != exceeds_lo[0]
+    wide = edges[1:] > edges[:-1]
+    above, starts = above[wide], edges[:-1][wide]
+    keep = np.concatenate(([True], above[1:] != above[:-1]))
+    starts = starts[keep]
+    return list(zip(starts.tolist(), [*starts[1:].tolist(), float(xs[-1])], above[keep].tolist()))
 
 
 def tv_distance(cfg: OpticsConfig) -> float:
@@ -108,7 +120,7 @@ def tv_distance(cfg: OpticsConfig) -> float:
     wave, particle = _pattern_pair(cfg)
     # one CDF call per law on every interval edge: per-interval scalar calls
     # take about 90 ms on a window of 200 fringes
-    edges = np.array([cfg.window[0], *(hi for _, hi, _ in _sign_intervals(cfg))])
+    edges = np.array([cfg.window[0], *(hi for _, hi, _ in _sign_intervals(wave, particle))])
     p_mass = np.diff(particle.cdf(edges))
     w_mass = np.diff(wave.cdf(edges))
     return 0.5 * float(np.sum(np.abs(p_mass - w_mass)))
@@ -120,7 +132,7 @@ def optimal_interval_set(cfg: OpticsConfig) -> IntervalSet:
     For the default pair these are the half-period intervals centered on the
     bright fringes; delta there equals 1 - TV.
     """
-    pieces = [(lo, hi) for lo, hi, wave_exceeds in _sign_intervals(cfg) if wave_exceeds]
+    pieces = [(lo, hi) for lo, hi, wave_exceeds in _sign_intervals(*_pattern_pair(cfg)) if wave_exceeds]
     return IntervalSet.from_pairs(pieces, window=cfg.window)
 
 
@@ -246,29 +258,23 @@ def bhattacharyya_coefficient(cfg: OpticsConfig) -> float:
     error is bounded by half its n-th power. It is at most 1 (Cauchy-Schwarz),
     and clamped there so that rounding cannot push it over.
 
-    Against the uniform law sqrt(w * p) = sqrt(c / W) |cos(pi x / a)| has a
-    closed-form integral; the enveloped law is integrated numerically.
+    On a cell of the particle law's table, where p is a constant h,
+    sqrt(w * p) = sqrt(c h) |cos(pi x / a)| has a closed-form integral.
     """
     wave, particle = _pattern_pair(cfg)
     a = cfg.fringe_scale_m
-    lo, hi = cfg.window
-    if cfg.envelope_enabled:
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            # the round trip through fringe units can land an ulp outside the window
-            x = np.clip(t * a, lo, hi)
-            return np.sqrt(wave._density_raw(x) * particle._density_raw(x))
-
-        return min(1.0, a * adaptive_simpson(integrand, lo / a, hi / a, tol=1e-12))
-    t_lo, t_hi = math.pi * lo / a, math.pi * hi / a
-    j_lo, j_hi = round(t_lo / math.pi), round(t_hi / math.pi)
-    if j_lo == j_hi:
-        # within one half period the difference of sines, taken as a product, does not cancel
-        mass = 2.0 * abs(math.cos(0.5 * (t_lo + t_hi)) * math.sin(0.5 * (t_hi - t_lo)))
-    else:
-        # 2j + sin(t - j pi), j = round(t / pi), is an antiderivative of |cos t|
-        mass = 2.0 * (j_hi - j_lo) + math.sin(t_hi - j_hi * math.pi) - math.sin(t_lo - j_lo * math.pi)
-    return min(1.0, math.sqrt(wave._wave_norm / cfg.window_width_m) * mass * a / math.pi)
+    xs, cdf = particle._cell_table
+    t = np.pi * xs / a
+    j = np.rint(t / np.pi)
+    t_lo, t_hi = t[:-1], t[1:]
+    # within one half period the difference of sines, taken as a product, does not cancel
+    mass = 2.0 * np.abs(np.cos(0.5 * (t_lo + t_hi)) * np.sin(0.5 * (t_hi - t_lo)))
+    # across a dark fringe 2j + sin(t - j pi), j = round(t / pi), is an antiderivative of |cos t|
+    far = np.flatnonzero(j[:-1] != j[1:])
+    t_lo, t_hi, j_lo, j_hi = t_lo[far], t_hi[far], j[far], j[far + 1]
+    mass[far] = 2.0 * (j_hi - j_lo) + np.sin(t_hi - j_hi * np.pi) - np.sin(t_lo - j_lo * np.pi)
+    total = float(np.sum(np.sqrt(wave._wave_norm * np.diff(cdf) / np.diff(xs)) * mass))
+    return min(1.0, total * a / math.pi)
 
 
 def required_sample_size(target_error: float, cfg: OpticsConfig) -> SampleSizePlan:

@@ -301,11 +301,11 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "quantum_eraser-envelope-collapse": (
         "25c9f39fa714d316ccce8d4630713131972e1e354d1735ad351d2bb0d1420ebd",
-        "c7c40cd00e47b5fbcc442fe008df2f5f537c24e9c1ab7347f62be418ba2eaeff",
+        "a71059b6ceff8f55fbb38fbd80870919b80e407ab67093a789e6a34db9fbe7cb",
     ),
     "quantum_eraser-envelope-render": (
         "25c9f39fa714d316ccce8d4630713131972e1e354d1735ad351d2bb0d1420ebd",
-        "99fc131d605c5fba7135ab60f8adf787457eef871c0ea3d01fd54979d4327016",
+        "910edefe34f80b351a060c1ccf76569ecf4f94414c3a8b1a1088a99cbb1a6bdb",
     ),
     "quantum_eraser-greedy-collapse": (
         "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",

@@ -1,6 +1,6 @@
 """Shared numerics against their oracles: monotone inversion's whole-array
-first sweep against the lane-indexed loop, bracketed bisection, and the
-level-wise adaptive Simpson rule against the one-panel-at-a-time loop."""
+first sweep against the lane-indexed loop, and the level-wise adaptive
+Simpson rule against the one-panel-at-a-time loop."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualitysim.numerics import adaptive_simpson, bisect_roots, invert_monotone
+from dualitysim.numerics import adaptive_simpson, invert_monotone
 
 
 def _reference_invert(f, targets, lo, hi, tol, fprime, x0, max_iter=200):
@@ -82,36 +82,6 @@ def test_exhausted_iterations_raise(newton, max_iter):
     fprime = _flat_spot_slope if newton else None
     with pytest.raises(ArithmeticError, match="failed to reach"):
         invert_monotone(_flat_spot, targets, -1.0, 1.0, tol=1e-15, fprime=fprime, x0=np.full(4, 0.9), max_iter=max_iter)
-
-
-def _flat_zero_band(x):
-    """Zero on [-0.25, 0.25], x -/+ 0.25 outside."""
-    return np.sign(x) * np.maximum(np.abs(x) - 0.25, 0.0)
-
-
-def test_bisection_stops_on_an_exact_zero():
-    # first midpoints: 0.0; -0.25 (a zero at the band's edge); 1.0, then 0.0
-    roots = bisect_roots(_flat_zero_band, [-1.0, -1.0, -1.0], [1.0, 0.5, 3.0])
-    np.testing.assert_array_equal(roots, [0.0, -0.25, 0.0])
-
-
-def test_bisection_without_a_zero_ends_on_adjacent_floats():
-    step = lambda x: np.where(x < 1.0 / 3.0, -1.0, 2.0)
-    root = bisect_roots(step, [0.0], [1.0])[0]
-    assert root == np.nextafter(1.0 / 3.0, 0.0)  # the low end of the last bracket wins the |f| tie-break
-
-
-@given(
-    c=st.floats(-1e3, 1e3, allow_nan=False),
-    below=st.floats(1e-12, 1e3),
-    above=st.floats(1e-12, 1e3),
-)
-@settings(max_examples=80, deadline=None)
-def test_bisection_finds_a_representable_root_exactly(c, below, above):
-    lo, hi = c - below, c + above
-    if not lo < c < hi:
-        return
-    assert bisect_roots(lambda x: x - c, [lo], [hi])[0] == c
 
 
 def _stack_simpson(f, a, b, tol=1e-10, max_depth=60):

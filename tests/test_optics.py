@@ -129,12 +129,26 @@ class TestParticleDensity:
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-6)
         assert dens.max() > 1.5 * dens.min()
 
+    def test_envelope_density_is_the_slope_of_its_cdf(self):
+        """The density is constant on each cell of the table that ``cdf``
+        and ``ppf`` interpolate: the cell's CDF increment over its width. A
+        node takes the level of the cell above it, the last node the last's."""
+        cfg = OpticsConfig(envelope_enabled=True, slit_width_m=0.9e-3)
+        dist = PatternDistribution(PatternKind.PARTICLE, cfg)
+        xs, cdf = dist._cell_table
+        slopes = np.diff(cdf) / np.diff(xs)
+        np.testing.assert_array_equal(dist.density(0.5 * (xs[:-1] + xs[1:])), slopes)
+        np.testing.assert_array_equal(dist.density(xs), np.append(slopes, slopes[-1]))
+        np.testing.assert_array_equal(dist.cdf(xs), cdf)
+
     def test_envelope_cdf_integrates_as_scipy_does(self):
         """The numpy running trapezoid gives scipy's bits on the default
         envelope grid and on random grids."""
-        dist = PatternDistribution(PatternKind.PARTICLE, OpticsConfig(envelope_enabled=True))
-        xs, dens, _ = dist._envelope_table
-        grids = [(dens, xs)]
+        cfg = OpticsConfig(envelope_enabled=True)
+        xs, _ = PatternDistribution(PatternKind.PARTICLE, cfg)._cell_table
+        scale = cfg.wavelength_m * cfg.slit_screen_distance_m / cfg.effective_slit_width_m
+        half = 0.5 * cfg.slit_separation_m
+        grids = [(np.sinc((xs - half) / scale) ** 2 + np.sinc((xs + half) / scale) ** 2, xs)]
         rng = np.random.default_rng(12)
         for _ in range(200):
             size = int(rng.integers(2, 2000))
