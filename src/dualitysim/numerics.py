@@ -1,6 +1,6 @@
 """Shared numerics: level-wise adaptive Simpson quadrature, vectorized
-monotone inversion, and the thread pool that runs fixed blocks of elementwise
-work."""
+monotone inversion, the thread pool that runs fixed blocks of elementwise
+work, and the one thread that hashes event-log columns."""
 
 from __future__ import annotations
 
@@ -23,19 +23,34 @@ def _new_pool() -> None:
     _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="dualitysim")
 
 
+def _new_hasher() -> None:
+    global _HASHER
+    _HASHER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualitysim-hash")
+
+
 #: one worker per CPU this process may run on; its tasks are leaf work (numpy
 #: kernels and sha256, which release the GIL) and never wait on another task,
 #: so even a one-worker pool cannot deadlock
 _POOL: ThreadPoolExecutor
 _new_pool()
+#: one thread of its own for sha256 records, so that pool blocks never queue
+#: behind hashing; a second hashing thread runs no faster in one process
+_HASHER: ThreadPoolExecutor
+_new_hasher()
 if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool object but none of its threads
-    os.register_at_fork(after_in_child=_new_pool)
+    # a forked child inherits the executor objects but none of their threads
+    os.register_at_fork(after_in_child=lambda: (_new_pool(), _new_hasher()))
 
 
 def submit(fn: Callable, *args) -> Future:
     """Run ``fn(*args)`` on the shared pool. ``fn`` must not wait on pool work."""
     return _POOL.submit(fn, *args)
+
+
+def submit_hash(fn: Callable, *args) -> Future:
+    """Run ``fn(*args)`` on the hashing thread, in submission order. ``fn``
+    must be leaf work: it must not call ``map_blocks`` or wait on a future."""
+    return _HASHER.submit(fn, *args)
 
 
 def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:
@@ -54,6 +69,22 @@ def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:
     futures = [_POOL.submit(fn, s) for s in blocks]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def libm_log(x: np.ndarray) -> np.ndarray:
+    """Natural log of a 1-D float64 array, with the C library's ``log`` bits
+    on every CPU.
+
+    numpy runs a float64 ``log`` on an AVX-512 kernel where the CPU has one,
+    and its last bit differs from the C library's in about 2 lanes in 10,000.
+    numpy takes its C-library loop instead when the output overlaps the input
+    at an offset, so ``x`` is copied one element up a buffer and its log is
+    written one element below, over it.
+    """
+    buf = np.empty(x.size + 1)
+    buf[1:] = x
+    np.log(buf[1:], out=buf[:-1])
+    return buf[:-1]
 
 
 def adaptive_simpson(
@@ -124,6 +155,26 @@ def adaptive_simpson(
     return total
 
 
+def _newton_sweep(f, fprime, x, res, t, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """One safeguarded Newton sweep over lanes with residuals ``res``: each
+    bracket ``[lo, hi]`` shrinks in place to the side of ``x`` its residual
+    shows, and the step goes to the Newton point where it falls inside the
+    bracket, else to the bracket's midpoint. Returns the new x and residuals."""
+    above = res > 0.0
+    np.copyto(hi, x, where=above)
+    np.copyto(lo, x, where=~above)
+    mid = 0.5 * (lo + hi)
+    if fprime is not None:
+        fp = np.asarray(fprime(x), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - res / fp
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi) | (fp <= 0.0)
+        xn = np.where(bad, mid, xn)
+    else:
+        xn = mid
+    return xn, np.asarray(f(xn)) - t
+
+
 def invert_monotone(
     f: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
@@ -142,50 +193,39 @@ def invert_monotone(
     with ``|f(x) - target| <= tol`` in every lane.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=float))
-    lo_a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
-    hi_a = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
+    lo_a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape)
+    hi_a = np.broadcast_to(np.asarray(hi, dtype=float), t.shape)
     if x0 is None:
         x = 0.5 * (lo_a + hi_a)
     else:
-        x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), t.shape).copy(), lo_a, hi_a)
+        x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), t.shape), lo_a, hi_a)
 
     res = np.asarray(f(x)) - t
     active = np.abs(res) > tol
-    idx = np.nonzero(active)[0]
-    for sweep in range(max_iter):
+    sweeps = max_iter
+    if sweeps and 2 * np.count_nonzero(active) > t.size:
+        # most lanes need a step: the first sweep works on the whole arrays in
+        # place instead of gathering and scattering by index; lanes that start
+        # converged keep their x and residual
+        lo_a, hi_a = lo_a.copy(), hi_a.copy()
+        xn, rn = _newton_sweep(f, fprime, x, res, t, lo_a, hi_a)
+        np.copyto(xn, x, where=~active)
+        np.copyto(rn, res, where=~active)
+        x, res = xn, rn
+        active = np.abs(res) > tol
+        sweeps -= 1
+    # the unconverged lanes, gathered once and shrunk as they converge; each
+    # lane takes the same steps as on the whole arrays
+    idx = np.flatnonzero(active)
+    xi, ri, ti, lo_i, hi_i = x[idx], res[idx], t[idx], lo_a[idx], hi_a[idx]
+    for _ in range(sweeps):
         if idx.size == 0:
             break
-        # the first sweep works on the whole arrays in place instead of
-        # gathering and scattering by index; lanes that start converged keep
-        # their x and residual
-        whole = sweep == 0
-        if whole:
-            xi, ri, ti, lo_i, hi_i = x, res, t, lo_a, hi_a
-        else:
-            xi, ri, ti, lo_i, hi_i = x[idx], res[idx], t[idx], lo_a[idx], hi_a[idx]
-        above = ri > 0.0
-        np.copyto(hi_i, xi, where=above)
-        np.copyto(lo_i, xi, where=~above)
-        mid = 0.5 * (lo_i + hi_i)
-        if fprime is not None:
-            fp = np.asarray(fprime(xi), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = xi - ri / fp
-            bad = ~np.isfinite(xn) | (xn <= lo_i) | (xn >= hi_i) | (fp <= 0.0)
-            xn = np.where(bad, mid, xn)
-        else:
-            xn = mid
-        rn = np.asarray(f(xn)) - ti
-        if whole:
-            np.copyto(xn, x, where=~active)
-            np.copyto(rn, res, where=~active)
-            x, res = xn, rn
-            idx = np.nonzero(np.abs(res) > tol)[0]
-        else:
-            x[idx], res[idx] = xn, rn
-            lo_a[idx], hi_a[idx] = lo_i, hi_i
-            idx = idx[np.abs(rn) > tol]
+        xi, ri = _newton_sweep(f, fprime, xi, ri, ti, lo_i, hi_i)
+        keep = np.abs(ri) > tol
+        x[idx[~keep]] = xi[~keep]
+        idx, xi, ri, ti, lo_i, hi_i = idx[keep], xi[keep], ri[keep], ti[keep], lo_i[keep], hi_i[keep]
     if idx.size:
-        worst = float(np.max(np.abs(res[idx])))
+        worst = float(np.max(np.abs(ri)))
         raise ArithmeticError(f"monotone inversion failed to reach tol={tol} (worst residual {worst:.3e})")
     return x if np.ndim(targets) else x[0]

@@ -369,10 +369,29 @@ class PatternDistribution:
             slopes = np.diff(xs) / np.diff(cs)
         return guide, wide, cs_pad, slopes
 
+    @cached_property
+    def _cubic_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per cell of the quantile table, the cubic Hermite interpolant of the
+        quantile function Q, as ``x_i + d (m0 + t (b + t c))`` with ``d`` the
+        level above the cell's lower CDF node and ``t = d / h``, ``h`` the
+        cell's CDF step: ``(1 / h, m0, b, c)``. The node slopes ``m = dQ/du``
+        are 1 / density (inf where it vanishes); with ``s`` the cell's secant
+        slope, ``b = 3 s - 2 m0 - m1`` and ``c = m0 + m1 - 2 s``."""
+        xs, cs = self._quantile_table
+        s = self._cell_index[3]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m = 1.0 / self._density_raw(xs)
+            m0, m1 = m[:-1], m[1:]
+            return 1.0 / np.diff(cs), m0, 3.0 * s - 2.0 * m0 - m1, m0 + m1 - 2.0 * s
+
     def _start_points(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Newton bracket cell and start point of each level in [0, 1]; the
-        same bits as ``clip(searchsorted(cs, u, "right") - 1, 0, len - 2)``
-        and ``np.interp(u, cs, xs)``."""
+        """Newton bracket cell and start point of each level in [0, 1].
+
+        The cell is ``clip(searchsorted(cs, u, "right") - 1, 0, len - 2)``.
+        The start is the cell's cubic Hermite quantile (``_cubic_cells``)
+        where that is finite and inside the cell, else the bits of
+        ``np.interp(u, cs, xs)``. Both use only IEEE arithmetic, and the
+        block's temporaries are reused in place."""
         xs, cs = self._quantile_table
         guide, wide, cs_pad, slopes = self._cell_index
         # u * K is exact, so bucket k holds exactly the levels in [k/K, (k+1)/K);
@@ -382,15 +401,36 @@ class PatternDistribution:
         cell += cs_pad[cell + 1] <= u
         cell += cs_pad[cell + 1] <= u
         far = wide[k]
+        del k
         if far.any():
             cell[far] = np.searchsorted(cs, u[far], side="right") - 1
         np.minimum(cell, len(xs) - 2, out=cell)
-        # np.interp's arithmetic and its special cases: a level on a node maps
-        # to that node, and a level at the top of the table to its last node
-        c0 = cs[cell]
         x_cell = xs[cell]
-        with np.errstate(invalid="ignore"):
-            x0 = np.where(u == c0, x_cell, slopes[cell] * (u - c0) + x_cell)
+        d = cs[cell]
+        on_node = u == d
+        np.subtract(u, d, out=d)
+        inv_h, m0, b, c = self._cubic_cells
+        with np.errstate(invalid="ignore", over="ignore"):
+            t = inv_h[cell]
+            t *= d
+            x0 = c[cell]
+            x0 *= t
+            x0 += b[cell]
+            x0 *= t
+            del t
+            x0 += m0[cell]
+            x0 *= d
+            x0 += x_cell
+            # np.interp's arithmetic and its special cases: a level on a node
+            # maps to that node, and a level at the top of the table to its last node
+            linear = slopes[cell]
+            linear *= d
+            linear += x_cell
+        np.copyto(linear, x_cell, where=on_node)
+        # NaN and infinite cubic starts fail both tests
+        inside = x0 >= x_cell
+        inside &= x0 <= xs[cell + 1]
+        np.copyto(x0, linear, where=~inside)
         x0[u >= cs[-1]] = xs[-1]
         return cell, x0
 

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import reduce
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .models import (
     availability_query_time,
     available_mask,
 )
-from .numerics import submit
+from .numerics import submit, submit_hash
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -345,23 +346,63 @@ def _fill_rows(name: str, fill: float | None, start: int, stop: int) -> np.ndarr
     return np.full(stop - start, fill, dtype=dtype)
 
 
+def _hash_list(block_hashes: Iterable[bytes]) -> bytes:
+    """A column's digest record: the sha256 over its blocks' sha256s."""
+    h = hashlib.sha256()
+    for block_hash in block_hashes:
+        h.update(block_hash)
+    return h.digest()
+
+
+def _array_record(col: np.ndarray) -> bytes:
+    """The record of a column held as a contiguous array."""
+    starts = range(0, col.size, _BLOCK_ROWS)
+    return _hash_list(hashlib.sha256(col[start : start + _BLOCK_ROWS]).digest() for start in starts)
+
+
+@lru_cache(maxsize=64)
+def _fill_record(dtype: str, value: bytes, n: int) -> bytes:
+    """The record of ``n`` rows holding the one value whose bytes as
+    ``dtype`` are ``value``: a full block is hashed once for all."""
+    full, rest = divmod(n, _BLOCK_ROWS)
+    block = np.full(min(n, _BLOCK_ROWS), np.frombuffer(value, dtype=dtype)[0], dtype=dtype)
+    hashes = [hashlib.sha256(block).digest()] * full
+    if rest:
+        hashes.append(hashlib.sha256(block[:rest]).digest())
+    return _hash_list(hashes)
+
+
+@lru_cache(maxsize=8)
+def _row_index_record(n: int) -> bytes:
+    """The record of ``pair_id``'s row index, hashed once per ``n``."""
+    return _hash_list(
+        hashlib.sha256(_fill_rows("pair_id", None, start, min(start + _BLOCK_ROWS, n))).digest()
+        for start in range(0, n, _BLOCK_ROWS)
+    )
+
+
 class EventLog:
     """Columnar per-pair event log; one row per generated pair.
 
     A column is held either as an array of the log's length or as one fill
     value for every row: a blank log holds only fills, ``pair_id``'s being the
     row index. Reading a column as an attribute expands its fill to an array
-    on first use; assigning a scalar to a column stores a fill. An array that
-    two columns share (the creation times are the impact times) is made
-    read-only, so an in-place write cannot change two columns at once.
+    on first use; assigning a scalar to a column stores a fill.
 
-    The digest is a SHA-256 over the raw column bytes in the documented
-    column order, so it is identical for identical runs regardless of how
-    the work was scheduled or whether a column is held as a fill.
+    Assigning an array seals it: the array, and any array it is a view of,
+    becomes read-only, and its digest record is hashed on the hashing thread
+    while the run goes on. An array that is an earlier column's buffer (the
+    creation times are the impact times) reuses that column's record. A
+    column expanded from its fill stays writable and is hashed when the
+    digest is taken. ``digest`` joins the records (``dualitysim-event-log-v2``,
+    laid out in the README); a column gets the same record whether it is held
+    as a fill or as an array.
     """
 
     def __init__(self, n: int) -> None:
-        self.__dict__.update(_n=int(n), _fills={name: fill for name, (_, fill) in _COLUMNS.items()})
+        # _sealed: column name -> (its sealed array, the future of its record,
+        # the id of the process that submitted it)
+        self.__dict__.update(_n=int(n), _fills={name: fill for name, (_, fill) in _COLUMNS.items()}, _sealed={})
 
     @classmethod
     def blank(cls, n: int) -> "EventLog":
@@ -385,17 +426,34 @@ class EventLog:
             raise AttributeError(f"an event log has no column {name!r}")
         dtype = _COLUMNS[name][0]
         if np.ndim(value) == 0:
+            self._unseal(name)
             self._fills[name] = np.asarray(value, dtype=dtype)[()]
             self.__dict__.pop(name, None)
             return
         col = np.ascontiguousarray(value, dtype=dtype)
         if col.shape != (self._n,):
             raise ValueError(f"column {name!r} needs shape ({self._n},), got {col.shape}")
-        for other_name, other in self.__dict__.items():
-            if other_name != name and isinstance(other, np.ndarray) and np.may_share_memory(col, other):
-                col.flags.writeable = other.flags.writeable = False
+        base = col
+        while isinstance(base, np.ndarray):
+            base.flags.writeable = False
+            base = base.base
+        self._unseal(name)
+        address = col.__array_interface__["data"][0]
+        shared = [
+            (record, pid)
+            for other, record, pid in self._sealed.values()
+            if other.__array_interface__["data"][0] == address and other.dtype == col.dtype
+        ]
+        self._sealed[name] = (col, *(shared[0] if shared else (submit_hash(_array_record, col), os.getpid())))
         self.__dict__[name] = col
         self._fills.pop(name, None)
+
+    def _unseal(self, name: str) -> None:
+        """Forget column ``name``'s record; a pending one that no other
+        column shares is not hashed."""
+        sealed = self._sealed.pop(name, None)
+        if sealed is not None and all(record is not sealed[1] for _, record, _ in self._sealed.values()):
+            sealed[1].cancel()
 
     def _held(self, name: str) -> np.ndarray | np.generic | None:
         """Column ``name`` as held: its array, or its fill unexpanded."""
@@ -403,6 +461,21 @@ class EventLog:
             return self._fills[name]
         except KeyError:  # an array: expanding stores it before dropping the fill
             return self.__dict__[name]
+
+    def _record(self, name: str) -> bytes:
+        """Column ``name``'s digest record."""
+        held, n = self._held(name), self._n
+        if held is None:
+            return _row_index_record(n)
+        if not isinstance(held, np.ndarray):
+            value = np.asarray(held, dtype=_COLUMNS[name][0])
+            return _fill_record(value.dtype.str, value.tobytes(), n)
+        sealed = self._sealed.get(name)
+        # a record still pending when this process was forked from the one
+        # that submitted it is never finished here
+        if sealed is not None and (sealed[1].done() or sealed[2] == os.getpid()):
+            return sealed[1].result()
+        return _array_record(held)
 
     def _blocks(self, name: str) -> Iterator[np.ndarray]:
         """Column ``name`` in slices of ``_BLOCK_ROWS`` rows. A fill is read
@@ -423,13 +496,13 @@ class EventLog:
         return self._n
 
     def digest(self) -> str:
-        h = hashlib.sha256(b"dualitysim-event-log-v1\x00")
-        h.update(",".join(EVENT_LOG_COLUMNS).encode())
+        """The sha256 over a header, the row count and each column's name,
+        dtype and record, in ``EVENT_LOG_COLUMNS`` order."""
+        h = hashlib.sha256(b"dualitysim-event-log-v2\x00")
+        h.update(self._n.to_bytes(8, "little"))
         for name, (dtype, _) in _COLUMNS.items():
-            h.update(name.encode())
-            h.update(np.dtype(dtype).str.encode())
-            for block in self._blocks(name):
-                h.update(block)
+            h.update(b"%s\x00%s\x00" % (name.encode(), np.dtype(dtype).str.encode()))
+            h.update(self._record(name))
         return h.hexdigest()
 
     def to_csv(self, path) -> None:
@@ -847,16 +920,18 @@ def _subset_result(
     """Classify and histogram the impacts in ``mask`` (every impact for
     ``None``); ``key`` names the subset."""
     samples = x if mask is None else np.compress(mask, x)
-    counts, _ = np.histogram(samples, bins=edges)
+    # the histogram's sort runs on the pool while the subset classifies
+    histogram = submit(np.histogram, samples, edges)
     if samples.size:
         # an empty or full-window region restricts nothing
         restrict = region if region and region.measure < cfg.optics.window_width_m else None
         phase = _D2_PHASE if key == "D2" else 0.0
         cls = classify_pattern(samples, cfg.optics, phase_offset_rad=phase, restrict_to=restrict)
         verdict, llr = cls.verdict, cls.log_likelihood_ratio
-        visibility = fringe_visibility(counts, edges, cfg.optics)
     else:
-        verdict, llr, visibility = Verdict.INDETERMINATE, 0.0, None
+        verdict, llr = Verdict.INDETERMINATE, 0.0
+    counts, _ = histogram.result()
+    visibility = fringe_visibility(counts, edges, cfg.optics) if samples.size else None
     in_slit = ((slit == k) if mask is None else mask & (slit == k) for k in (1, 2))
     return SubsetResult(
         count=int(samples.size),
@@ -883,9 +958,8 @@ def _assemble(
     every pair) and the pooled screen (none when ``subsets`` is empty), then
     digest the log into a RunResult. An interval-rule subset is classified on
     its region in ``regions``; ``tv`` names the two subsets whose empirical TV
-    distance is reported when both are nonempty. Nothing writes the log from
-    here on, so it is hashed on the pool while the subsets classify."""
-    digest = submit(log.digest)
+    distance is reported when both are nonempty. The log's sealed columns
+    hash on the hashing thread meanwhile."""
     edges = fringe_aligned_edges(cfg.optics)
     pooled = _subset_result("pooled", x, None, log.slit, cfg, edges) if subsets is None or subsets else None
     if subsets is None:  # the screen subset holds every pair: it is the pooled screen
@@ -916,7 +990,7 @@ def _assemble(
         empirical_tv=empirical_tv,
         markers=markers,
         warnings=warnings_,
-        event_digest=digest.result(),
+        event_digest=log.digest(),
         events=log,
     )
 
@@ -945,12 +1019,13 @@ def _base_log(cfg: ProtocolConfig, slit: np.ndarray, idler: bool = False) -> Eve
 
 def _record(log: EventLog, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
     """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
-    a persistent which-way record; the rest leave no which-way trace (erased).
-    A scalar ``mask`` holds for every pair and leaves fills in the log."""
+    a persistent which-way record; every pair left with no which-way record
+    is erased. A scalar ``mask`` holds for every pair and leaves fills in the
+    log."""
     flag = np.asarray(mask, dtype=np.int8)
     log.detected = flag
     log.detected_at_s = _nan_except(mask, at) if flag.ndim else (at if mask else np.nan)
-    log.erased = 1 - flag
+    log.erased = 1 - flag if kept else 1
     if kept:
         log.recorded = flag
         log.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
@@ -1144,8 +1219,7 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     rng, slit = _draws(cfg, Protocol.DETECT_NO_RECORD)
     if cfg.variant is DetectNoRecordVariant.UNPLUGGED_DETECTORS:
         log = _base_log(cfg, slit)
-        _record(log, True, log.t_signal_impact_s, kept=False)
-        log.erased = 1  # the unplugged outputs keep nothing
+        _record(log, True, log.t_signal_impact_s, kept=False)  # the unplugged outputs keep nothing
         return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
     log, to_which_way = _eraser_bench(cfg, rng, slit, kept=False)
     d2 = log.detector == 2
@@ -1157,8 +1231,8 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
     # nowhere; the pair still resolves delta_t_s after creation
     x = _render(cfg, log, rng, log.t_detector_s, d2)
-    log.detector *= ~to_which_way
-    _scatter(log.t_detector_s, to_which_way, np.nan)
+    log.detector = log.detector * ~to_which_way
+    log.t_detector_s = _nan_except(~to_which_way, log.t_detector_s)
     summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
     d = log.detector
     return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "unsorted": d == 0}, coincidences=summary)

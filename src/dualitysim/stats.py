@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 # adaptive_simpson is not called here; the benchmark tracer patches stats.adaptive_simpson
-from .numerics import adaptive_simpson, map_blocks  # noqa: F401
+from .numerics import adaptive_simpson, libm_log, map_blocks  # noqa: F401
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -210,6 +210,7 @@ def classify_pattern(
     wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)
     particle = PatternDistribution(PatternKind.PARTICLE, cfg)
     wave._check_domain(x)
+    w_mass = p_mass = 1.0
     if restrict_to is not None:
         if not np.all(restrict_to.contains(x)):
             raise ValidationError("restricted classification requires all samples inside the region")
@@ -220,14 +221,19 @@ def classify_pattern(
     floor = DENSITY_FLOOR_FRACTION / cfg.window_width_m
     per_sample = np.empty_like(x)
 
-    def contribute(block: slice) -> None:
-        w = wave._density_raw(x[block])
-        p = particle._density_raw(x[block])
+    def log_density(law: PatternDistribution, mass: float, at: np.ndarray) -> np.ndarray:
+        density = law._density_raw(at)
         if restrict_to is not None:
-            w /= w_mass
-            p /= p_mass
-        np.log(np.maximum(w, floor, out=w), out=w)
-        np.log(np.maximum(p, floor, out=p), out=p)
+            density /= mass
+        # the C library's log, so that no bit depends on the CPU
+        return libm_log(np.maximum(density, floor, out=density))
+
+    # the uniform law's density is one value on every lane: its log is taken once
+    log_p = None if cfg.envelope_enabled else float(log_density(particle, p_mass, x[:1])[0])
+
+    def contribute(block: slice) -> None:
+        w = log_density(wave, w_mass, x[block])
+        p = log_density(particle, p_mass, x[block]) if log_p is None else log_p
         np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=per_sample[block])
 
     # each impact's contribution on its own, in fixed blocks on the pool; the

@@ -136,132 +136,132 @@ def fingerprint(outcome) -> tuple[str | None, str]:
 
 GOLDEN: dict[str, tuple[str | None, str]] = {
     "delayed_choice-at_t0-collapse": (
-        "1d67d38a33342e2e2e4c3a509ceff41cfb1bf4fa9791254e15f97d6522dc50ff",
-        "9b798953b2d91483fd0bd773f376e66180ca3efa1baa8eccf022b0a98a275968",
+        "2cae31d13df658fb9830f403f03e507c915875bcc04405a041c015822209f035",
+        "b95048d0eda532b9a3bb55073a9cea96bc827da68a22b2a46803146d07b5a61d",
     ),
     "delayed_choice-at_t0-render": (
-        "1d67d38a33342e2e2e4c3a509ceff41cfb1bf4fa9791254e15f97d6522dc50ff",
-        "34278bcc135d94575a9ec263ba99ea4fea78bc9cc45c41737d8f7dc52ed8180a",
+        "2cae31d13df658fb9830f403f03e507c915875bcc04405a041c015822209f035",
+        "cba3bc35d933d00eb43f05287ff3137eb4e2608bde2f57c37cd7c719bacd41bf",
     ),
     "delayed_choice-collapse": (
-        "355be6e2497810287e6f4848803ab986b1e8e256efb21c69c663f2e6cd07558f",
-        "c191692028db055902f10de83d780df30b7c1c40436fac48295272e9df4ad7c7",
+        "ecd5cf6e95268e766523b24db35da2ea867bcdddda7a8bfb0103227113bf5aa6",
+        "94aa8d36dd0101ce46c3ab7a987d5abbc37ad1489b4cce6814bd9afda078b91e",
     ),
     "delayed_choice-render": (
-        "355be6e2497810287e6f4848803ab986b1e8e256efb21c69c663f2e6cd07558f",
-        "cccfe09a69c085ce152795351bd515fe5f5f3bfc95c8437a5c54e4d6255c6826",
+        "ecd5cf6e95268e766523b24db35da2ea867bcdddda7a8bfb0103227113bf5aa6",
+        "11fb415165b2d2a8a634b6797bdd338b1afaf483fd75adbe767df14c214b1412",
     ),
     "delayed_choice-render-at_impact": (
-        "355be6e2497810287e6f4848803ab986b1e8e256efb21c69c663f2e6cd07558f",
-        "3a4fe67c7db376a908a61917acc9d909dc1bdfa1fe4a63a2a62d7f5baa905dd9",
+        "ecd5cf6e95268e766523b24db35da2ea867bcdddda7a8bfb0103227113bf5aa6",
+        "ff4824c8dd08649327319df787bc42c1522887f16beb4191fdcbbd99b51fa863",
     ),
     "detect_no_record-no_coincidence_counter-collapse": (
-        "96d3cfe8a6a190675b3e0d142366448d29eec2dcd79e264f0d14d1a8ba8ea571",
-        "68b409a8b2338d1f629a4a1eb717fd5bfc8599a8dc48dc1a6efb63ac6fc0ca52",
+        "716ab4bdde5a8126268b296d466199ae6250aec3201504fe5027d2f2e6229e1b",
+        "4b41ab98a36d5e06074e106b9b5574e0b8be9e58453cebe6220cb0239b647bdc",
     ),
     "detect_no_record-no_coincidence_counter-render": (
-        "6f632effde87e04975bb7a456d889e538526f8cb683bdf9dfbdc7f10e36fb5a8",
-        "d15d5dde752a0efb1e899ccea2201e8fb84edb37bab8fdb227741a257a3c7c84",
+        "914835b07680bf3d0414a3a0212dd7dea9b7da936cc2fd508d8e4523d640c017",
+        "06fac062e0ad637044f233ce16acb04cd73bfe9bf8d1081a1fcb54a2d801dd62",
     ),
     "detect_no_record-unplugged_detectors-collapse": (
-        "82adb9265ef249c658bf5606f677f4a008abeb0081612442c8c37d71042841f6",
-        "27885f68d41aac2d1af0e257ac04c04867479c4b4899277a69e43b9625ae4299",
+        "bbc03729e85dedb67b4711cf52dce80615080a563aee0b48698f602a099cf2bc",
+        "f8e2b1642d003b34ff806c74f75319617322e7980d2c11807ca2f91aa46f3924",
     ),
     "detect_no_record-unplugged_detectors-render": (
-        "e68ff12b8232a2507b274f68f336219a4365a2bb03a45eb595dc92239151d535",
-        "546d59758a3720111e7301ae9befa7a7b8f9938c16c2ee9d257386040e6aaa43",
+        "58e32690674bf448e4b2467fc4b727b4045da568a3741a845b5e2847f489ebd4",
+        "f8a95b1550c3187ea4cf49dd8e685cc6405850c50e143003c6c0b029e23b6406",
     ),
     "detect_no_record-which_way_channels_off-collapse": (
-        "9a2fbe7be45a14ba521abb8d5230c2faa6a22d2079992ede5be1674995d936cd",
-        "43bc3b16acf1a30d49aba0691a1cd91494872878d9b67ec2080f233c132636e6",
+        "8f85ad2b13eda309515a1bc0f6031981ccb926f3ab60da289ff558a3ea8c4d7a",
+        "969abac50de02993463208338667481e667a02a41db20968394df37a699d7b1a",
     ),
     "detect_no_record-which_way_channels_off-render": (
-        "c10184f38e5300a4edb74a29697bcb25e163d20bcd8ffd723dc45bec0db32221",
-        "2066b073ee20a0944c68f599d3f61594172c2bf1aabc529f3c2bf1bec95c270f",
+        "a915aa2a1aef85065148703d4e4cde3fdbdb90707d97ada45d82df36e01f3469",
+        "274e486dd1a33966eb664bf8ab3cd092752e7e6310e27cb81bc99d971535882f",
     ),
     "double_slit-at_t0-collapse": (
-        "2899777b6bc9765c05b080fb311a1dd2e0322ce57b412903c105f3338050c357",
-        "82db24a8b27fa3251274c0d59f4a5fca501756e63833ba1024b9822b91c4c768",
+        "1b3fd3c6aa5d14607841960c589c0c6d5062b8830962d26232b04d6101f6ea63",
+        "37effc9ff53590f65190d75d069fe6b60fc67ce7142d8c13ab8e096a04d61aeb",
     ),
     "double_slit-at_t0-render": (
-        "2899777b6bc9765c05b080fb311a1dd2e0322ce57b412903c105f3338050c357",
-        "1adc538c10e51d8a942a5e2cebbe798fe9ae990db23d4761e725805f07c16b48",
+        "1b3fd3c6aa5d14607841960c589c0c6d5062b8830962d26232b04d6101f6ea63",
+        "5f45b812ed53faa4b66447f9756b0b643cb39541d6c9907308fcbe2909b6cc38",
     ),
     "double_slit-not_recording-collapse": (
-        "4858c7c4b3ff9e08ef0943a1edb23cc60cdb1135cfac747dbb1bb052f0431760",
-        "77ef73c0c37056df320d1929714b72e3796b49f1dc8cebb73b0591977b08f945",
+        "905c98ba37aeea91bf969c6c63be62c5031d6cfbfba0ce4131d502bf4f2c7b69",
+        "2906c265ad1a680699d4b06ed8d6c4389ea5768206361de6717a6b10a906505e",
     ),
     "double_slit-not_recording-render": (
-        "4858c7c4b3ff9e08ef0943a1edb23cc60cdb1135cfac747dbb1bb052f0431760",
-        "33cfec1df3792f140253324b43a4e886d65124bd585bc55f51dc7d9e980e7b5f",
+        "905c98ba37aeea91bf969c6c63be62c5031d6cfbfba0ce4131d502bf4f2c7b69",
+        "929d44dfb9200f76ea995d306bc9725511cfec27550495f8213dbcf57ef92893",
     ),
     "double_slit-recording-collapse": (
-        "390e4f63066e0be317380e77bc73fbaf0e8e8d5e83c62d4f53c290a8ff203e34",
-        "a7110de07aad99bca89fce15a2c7e6d5d2cf91f2e97403e718dc81ce0a6d7cd1",
+        "52d4574c9246f3de60fa1b56a82702026c9e3d130878fb59a22e72770631b15f",
+        "d05b6236b35fb6d92fbe61c1faf09bac038084aee704219743d2b2f6d61e5155",
     ),
     "double_slit-recording-render": (
-        "390e4f63066e0be317380e77bc73fbaf0e8e8d5e83c62d4f53c290a8ff203e34",
-        "c9c07ddda264cc88ba0ff494d65d81c6eca6d313d0275ae71ba971344447d123",
+        "52d4574c9246f3de60fa1b56a82702026c9e3d130878fb59a22e72770631b15f",
+        "f0fceb002ba50f76d422ac2c947dd1b9dac9d403bd026365c56c14ebdaed99f3",
     ),
     "macroscopic_erasure-at_t0-collapse": (
-        "c7dba11f6d4112b7bb249c045e6613e260d102ce1270741fa764b004927d6c6b",
-        "376b5de5fab3e2a4f5f163cce4a31e6233af78e2fd69b11d2dd93c0864eff736",
+        "0a1503558c99b0e54a5f21e80738f91e4f158860b5173dc22d120e397781f5f5",
+        "4a7cce0b45ec37a5cf371972a5046568f80f368c060e7069d501dd88c71bcccd",
     ),
     "macroscopic_erasure-at_t0-render": (
-        "c7dba11f6d4112b7bb249c045e6613e260d102ce1270741fa764b004927d6c6b",
-        "c917ae8d658ddb301de132238050dc8468ef6c297ec15c299840682b3c3a30f4",
+        "0a1503558c99b0e54a5f21e80738f91e4f158860b5173dc22d120e397781f5f5",
+        "6d823a755611a02b07c6e2eef3abf691fb66e2aec19bbc319d25042d5d891f2f",
     ),
     "macroscopic_erasure-coin-collapse": (
-        "9c0477c36192b2a7c691858701e25399dd64be42135d65abc0b3c0b28c84adf4",
-        "25d322308cc3b6e05d14b65b6235ed5d564459f0cc72adf2a35dc4bc9f896d84",
+        "aec015ff20fea07c19805463b93f323f93d87b5a1850dc65409aef284e63d2fa",
+        "4c8a433f05c36216cb8baa379f2c4c3d0c0141748f9ffec1a2d8e65129531ae6",
     ),
     "macroscopic_erasure-coin-render": (
-        "f8dc985cc954d9b101443571876dd3d1513b8527f81c839fc12c853a595305b0",
-        "b6821c32f0a8ebd87c2e5a0553b41c0f622c789014de41f735c43f4f2a4949bf",
+        "ec8f3defe00ea36207e9e66a47b83ff20b6f951bdb8189d8dd0074fa1bf62530",
+        "43a0627e23005b3a80c3861853a4b1b8caf298817a8a4cfc4fe937bf7f232812",
     ),
     "macroscopic_erasure-coin-render-at_impact": (
-        "9c0477c36192b2a7c691858701e25399dd64be42135d65abc0b3c0b28c84adf4",
-        "abddcebdbd425da6624726a3aca85b7f84ea19e720d7da08462be75efd01f6f1",
+        "aec015ff20fea07c19805463b93f323f93d87b5a1850dc65409aef284e63d2fa",
+        "3a9dfabbd0bd8b8ad15191fe6909593b5b627fd4913000bfa17fa7c1d5f4f968",
     ),
     "macroscopic_erasure-half-collapse": (
-        "f73475ed6123bdb679977810a058799be58245e178bd6c0c7685d45a7eb9ded4",
-        "8d5a0116779c2abee661b65300171d5b19e8b11616f9b4ab681e6d0cb7777edc",
+        "9050b9d601ff45dd0a3cdb0bcdb750877013a391d4556bc7fd3577a3d59f6bd9",
+        "1e0d86201d570f80f6cca979a2f751cd00628c38e93a991043be036c803e015e",
     ),
     "macroscopic_erasure-half-render": (
-        "6cbfb5813e711c91e61a39052e29494e27ae35e1719b95ec94a1182416355190",
-        "6e8f9d0fa82bc5faffc75087d778c8a18a614686d63cd361f13c8bf67266dfa0",
+        "4c2345f59593b7da510a73527e98673898e4569e296adb8210a76095550d22d8",
+        "c0a26d7bf0d891afd04f94a68d209fac3f6cbe577f8840ebfe1ab6fe03abdcee",
     ),
     "perishable-a-collapse": (
-        "36ee50c19bbcf935fbe42df9de7e178000f52a74c658142812bb9e0a2ca8df00",
-        "2d694ab37c2f71e0212f1c5d190e5e18b582f3eb84cc74d7ea0a64bac6389460",
+        "80624c71f64d2888928b643e1d73227ad16b45bdef2ac6ff621927767b56b478",
+        "d34469e4c8273d7eaff9fae158cfdc2a77494c20b6fe8a006b069ab02ae1d8dc",
     ),
     "perishable-a-render": (
-        "36ee50c19bbcf935fbe42df9de7e178000f52a74c658142812bb9e0a2ca8df00",
-        "77d67b05533184bcb3cebb8d22712e9fdcb2b1a194584cc70203e5ffe8bfa93a",
+        "80624c71f64d2888928b643e1d73227ad16b45bdef2ac6ff621927767b56b478",
+        "860912673cc19a90f5075f935ea8760f776f127034c2fd591f90fd33bd9d8950",
     ),
     "perishable-a-short_ttl-collapse": (
-        "c3ba90fa25752c87cd47422be78a5ce3a6034707d175c12c9f397d1876f9c6e3",
-        "1490fca5e8fbe8beb9086acbef9649a0ed456f92e39bc75f6a9977e0b95ac751",
+        "96c80a561663217f9c5cae961b432b6d9fc41d4fe9285165f194c899862e75cc",
+        "d37e8216b03aff8ffd54525574f08821d9cf9f49983f10bd8e41f15a68e12aed",
     ),
     "perishable-a-short_ttl-render": (
-        "c3ba90fa25752c87cd47422be78a5ce3a6034707d175c12c9f397d1876f9c6e3",
-        "9e39fdb15170a767cc5d066b2c8d3eb9a05251ae95f60bd601e0ce0bf22dedec",
+        "96c80a561663217f9c5cae961b432b6d9fc41d4fe9285165f194c899862e75cc",
+        "a9fcb5a17a44f73df66d272620db1991ae6ac6c378e4f911e1595b441aeda533",
     ),
     "perishable-b-empty-collapse": (
-        "300001e4ce4ff330f4f0cfb4c5b6344713052950a7df319b4677f2a4fbd4902b",
-        "e08e8a039f8ec2e5f5cb8a3153fb4337aa7892a1973a75f3790cbac915b46ed3",
+        "64203e09b372f50cea2bbed3ce6bd6f166feb6dee920af8402c1773738730d3c",
+        "c8459e5d2847a3add97423d49b588926ef4de16162f9ee2d946fa4d673f06d60",
     ),
     "perishable-b-empty-render": (
-        "300001e4ce4ff330f4f0cfb4c5b6344713052950a7df319b4677f2a4fbd4902b",
-        "1d18bacfd995715e4bf610f7cb8c770c4779089bc4a8b85657c14352d89be131",
+        "64203e09b372f50cea2bbed3ce6bd6f166feb6dee920af8402c1773738730d3c",
+        "21a8e7bd2801e6b952497728838364ece9d9e05e4219a8e8685f632c674b928c",
     ),
     "perishable-b-indistinguishable-collapse": (
-        "09864db5cce6c1858a0cf8f2a3d139ff414f813be6e030e229eb73815867b6f7",
-        "07e5ee665250a5f5bdfa2be470c8fd96600b9545b666722e428757adade7c10c",
+        "ea201b213add5a945f690bc50dccc4507c94e3d9084be1c0b3e0a4c1cee7d290",
+        "d44d1177437071f411292fee8a75cae5f9b05d906fa265ffb748ab6fb679d684",
     ),
     "perishable-b-indistinguishable-render": (
-        "09864db5cce6c1858a0cf8f2a3d139ff414f813be6e030e229eb73815867b6f7",
-        "6583bf9b3f92f0983f1cb43ba9a505ac841ff1c5105278652c975fec44a091cf",
+        "ea201b213add5a945f690bc50dccc4507c94e3d9084be1c0b3e0a4c1cee7d290",
+        "d904b3c09a09ebe1aa6cd4b9fd5aeb274e399766dacbc45e5f85247ae08c164b",
     ),
     "perishable-b-refused-collapse": (
         None,
@@ -272,108 +272,108 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
         "7a5ca1cccdded24fb82c61a0c11ada7b224f371980107bf8682156f1eeca2cc5",
     ),
     "predictor-collapse": (
-        "3eb9497b9155251a862f69fdc0478e3ec759f2358dfd381f668e85c583b26d31",
-        "63266711ca3213d20cd7cdcdd6b4510bd85a443c5b405f6f110ad47a8ce7c901",
+        "4b162fd8aac55d105aed6e883ce860f4a9293047e9c7b71d3ecc811c5a6c20e2",
+        "e8705148e92a632b5a6040505a6db347a69200a7059469c53b341e239abda4b2",
     ),
     "predictor-m2_29-collapse": (
-        "30706ca0cac8f79b73f4c180536886de2a6fe35e711225a5416133c414ded13d",
-        "359673ffd1b886495c626a86226d6c4a62d1b26ebb1566393f0ccf5d03c457e0",
+        "b7f65e0889b27a2ce3e58e3b3cc82569a63ded1c25737f0ac3bf7327d0273f6d",
+        "4c355760aea99eda00d15d45746b5f822f219eb8fac7cc9d9c8eee6f429ce42d",
     ),
     "predictor-m2_29-render": (
-        "30706ca0cac8f79b73f4c180536886de2a6fe35e711225a5416133c414ded13d",
-        "e59ea01b30c10bbe4579f83a23a2d355a7565f694b04ee37c55fe5e57adf3506",
+        "b7f65e0889b27a2ce3e58e3b3cc82569a63ded1c25737f0ac3bf7327d0273f6d",
+        "a6754d29fef467ee457c47403938c1a571ee779d9db04e319585540ea07b05a9",
     ),
     "predictor-render": (
-        "3eb9497b9155251a862f69fdc0478e3ec759f2358dfd381f668e85c583b26d31",
-        "b0e8fa239cbc618157811e687f230056714130e185e06d4617c83d8eb02f1e67",
+        "4b162fd8aac55d105aed6e883ce860f4a9293047e9c7b71d3ecc811c5a6c20e2",
+        "789343f51566ab71ec10d9030eb76a10e674671beeccf56991d7f14e713303c2",
     ),
     "quantum_eraser-at_t0-collapse": (
-        "56365269ea7ceb42a8bf096d76a6768b3392b64282af678e62b1907d0948323e",
-        "a79e4d9bbd94c79bfb5a4d88bd331c82ed60518a1814ad35d55003d48c11cf8c",
+        "43ad87d919b6ce1f3acdd41ce3cc87bed3db683de57be94a3e87f23c558cb892",
+        "a7645e2b4595d563e674a5fe6ea9aeac509c8b8b03a77a92780dfdf7ca8b9058",
     ),
     "quantum_eraser-at_t0-render": (
-        "56365269ea7ceb42a8bf096d76a6768b3392b64282af678e62b1907d0948323e",
-        "49ba7dd71fa1df6401258dc6fc1209b93378de8e40b8fb65dce60b73b03b04df",
+        "43ad87d919b6ce1f3acdd41ce3cc87bed3db683de57be94a3e87f23c558cb892",
+        "76851bb8eb8e9070b3c7c73b109d1ace68a7a90af2d4f58e90d89520b80dc795",
     ),
     "quantum_eraser-collapse": (
-        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
-        "d13d5d965ca2bfb389796841b37e81f7f5613e80e86d4f78403be1232dee6df6",
+        "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
+        "b2cf9ba01f21d35ea0a84e70276650897d8ed0a8d7a8f8f9a95d9ee9149289f2",
     ),
     "quantum_eraser-envelope-collapse": (
-        "25c9f39fa714d316ccce8d4630713131972e1e354d1735ad351d2bb0d1420ebd",
-        "a71059b6ceff8f55fbb38fbd80870919b80e407ab67093a789e6a34db9fbe7cb",
+        "8bdf93a5d463360222d4dfab5c4821babfa6ea878b6dba1cb2c456d7939fad99",
+        "221091b1d0d44f49b5eab2228d59d65c3a8059c537631988f1f5fe2e50d16c91",
     ),
     "quantum_eraser-envelope-render": (
-        "25c9f39fa714d316ccce8d4630713131972e1e354d1735ad351d2bb0d1420ebd",
-        "910edefe34f80b351a060c1ccf76569ecf4f94414c3a8b1a1088a99cbb1a6bdb",
+        "8bdf93a5d463360222d4dfab5c4821babfa6ea878b6dba1cb2c456d7939fad99",
+        "ef1cbbfa0186a66b4a66d17807c424b58c9714dcffd7f2f09a20c30ba00da54d",
     ),
     "quantum_eraser-greedy-collapse": (
-        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
-        "4d927cb30293de5fb75a8a015151c69797101f18309f92113711325c75350e25",
+        "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
+        "e7a6e9d1fa199372ea9c947301ab9c0390305088b3fab0e4c7a00e3ea1e426f8",
     ),
     "quantum_eraser-greedy-render": (
-        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
-        "18d22c4d04f73d6099933cdc991169c64a5b858a2a9fbd3e63bd9a2d1831bd42",
+        "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
+        "99a12aeed0a54cea8aaf257389c8f7425560804a218bd3192cd2062ee046d346",
     ),
     "quantum_eraser-m2_29-collapse": (
-        "9e0cbf26c43bbb8d0a4dd330b33f316c063b626380fc0022e93dbc4fcb58762b",
-        "96f76e0dd8300c4c69b327e1e10d5e4031d30f84db94f84fc54d21449f17f1cc",
+        "6de39050fe241537a4469e7bf2760690ec74d3c229beffbbbb654d364530971a",
+        "1f70500939dc55385cda89a7e93bdace95daaed736b3753b3c04c7144c8bb00f",
     ),
     "quantum_eraser-m2_29-render": (
-        "9e0cbf26c43bbb8d0a4dd330b33f316c063b626380fc0022e93dbc4fcb58762b",
-        "6080286e7f7c879d365ddd7ed8270a8679df6dece9efce3da80ca3dfb22c7789",
+        "6de39050fe241537a4469e7bf2760690ec74d3c229beffbbbb654d364530971a",
+        "8e5188a4c08b292f2141cfa6f365fdb1a8eaf4c9c45c5803b021960d069c5aeb",
     ),
     "quantum_eraser-render": (
-        "f3f6b9832210fec611eac6ddd312591719485d13e4eb0ad2763ab45c1d73a187",
-        "cefb51d8145c502fa03d3432501162015d76e2fc081d7e065f6fc8a96fe78b8a",
+        "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
+        "b249666d4aee3415bc6eabde1617d57ddc1081316457249a26b9f250fbd144b7",
     ),
     "switch-a-collapse": (
-        "aa70673de4b2e882b24f2d3d8918d761d1556ab2df9f241ae2442cf164beb225",
-        "b900a9b1ce8a7a0f1c6d407c739a2f7b23b133b41b6feecdff66eaeaff616cc6",
+        "180e77ead1bfca87bf75954b3501b6b8b32ba902188e52899ef72b876d75a0ba",
+        "928bc876b66556886698d6cc4781f04566b191eb51bf13adea8886b94f3d4efa",
     ),
     "switch-a-render": (
-        "aa70673de4b2e882b24f2d3d8918d761d1556ab2df9f241ae2442cf164beb225",
-        "3fe2c35382df5fdc45825fb9612ee42643b84c006bf08c201bcccc57edeef3a5",
+        "180e77ead1bfca87bf75954b3501b6b8b32ba902188e52899ef72b876d75a0ba",
+        "4dab269033801762c856faf7849640027b9b99f6a0e520adc604849bdc16ac9d",
     ),
     "switch-a-slow-collapse": (
-        "742ecd0c48563777c283bd410c4437aa3b85a5571111ff10ab4e5d029dbdcef3",
-        "32dc94574e21226fed5dd84d67d34f264a609b83a6b1f5788c3f8b681107711c",
+        "f14b3c0062abdcdeaf5cfea43c4c32b8826b920214a25347e85c4d710d0c8aec",
+        "c904867d4fc5106fe4a6df7ef76884196c385b1c2a93f0c4b8d49d59aebe60ec",
     ),
     "switch-a-slow-render": (
-        "742ecd0c48563777c283bd410c4437aa3b85a5571111ff10ab4e5d029dbdcef3",
-        "cb2635f69c6350fd47e4586589e5bfa1a183e8545677e2967fae7e56fc25369a",
+        "f14b3c0062abdcdeaf5cfea43c4c32b8826b920214a25347e85c4d710d0c8aec",
+        "dec3e9e308722f635a61b5c9a1374d0145ee2efb99c471067de4c815e4d56f10",
     ),
     "switch-d-i-custom-collapse": (
-        "a15e76296ef249c7ea7e23771cc12b5aa438dd630a5321d3bdfa3ba25b41890d",
-        "4490fff6a822a78cafb3afcc3a461712ebcf1386af764f7a274e50924b2e9a5a",
+        "83f80c523bf4914d81016fa3e7ef3edafa070f252efeaa5ad2545bcfe6eff06d",
+        "f468c53dd921c74bcfb9593d3694fd4c889db1ab5159877c63d0fee7cf6b4a33",
     ),
     "switch-d-i-custom-render": (
-        "a15e76296ef249c7ea7e23771cc12b5aa438dd630a5321d3bdfa3ba25b41890d",
-        "4a44b56d81b87fd3ac4b482288142e7f1b70731953ec1f400d67d9e04f38cf15",
+        "83f80c523bf4914d81016fa3e7ef3edafa070f252efeaa5ad2545bcfe6eff06d",
+        "d9ccdae9a7d60ba6fe5db78e61b0ee71091a0fe8da9d88fd073a8dda440d9eaa",
     ),
     "switch-d-i-empty-collapse": (
-        "f8cd168c3a9fb5add075853d6a482ef6565f5d017e095f4dff33c40b388fe712",
-        "fda2dbdd5762e666352927ab453b769c3db4c50497eacaffeaace5446c9a9404",
+        "914ab095691f40b9aa4fa4197c28d7bf556ff704a5c64cd91c3300c19c25042e",
+        "a9c15fff2e02247e6d8607480a4058448ab039088b0c902e469a45d924c41d12",
     ),
     "switch-d-i-empty-render": (
-        "f8cd168c3a9fb5add075853d6a482ef6565f5d017e095f4dff33c40b388fe712",
-        "4547be4cb1c9d60e574b064f95925cc12b99e26eac7e2319601eb7aa974cfbfa",
+        "914ab095691f40b9aa4fa4197c28d7bf556ff704a5c64cd91c3300c19c25042e",
+        "5618bd1f952dbe5c756dc503c71093f414c1c9835a9f3094aebaf85d51645c61",
     ),
     "switch-d-i-full-collapse": (
-        "f1a4b5f0ada9355b338a0b25b5786e85c2cd2794731a953db7c9b75462fb925c",
-        "616c67db6bce368fce794545188a152ec554c6c9738ff7280c2cc7992fb5dc83",
+        "9244f70432cab49a960c3c05baf8208d7b9f0790a4e8c74704a3e61afa5ebe14",
+        "ee947513a9051f320c51f40b4b2c7583443d3643529d02a2417a64ea143829d6",
     ),
     "switch-d-i-full-render": (
-        "f1a4b5f0ada9355b338a0b25b5786e85c2cd2794731a953db7c9b75462fb925c",
-        "9165f16db10b2e821cef064689679325fa2b05863a1ca24002559dd9c03659ef",
+        "9244f70432cab49a960c3c05baf8208d7b9f0790a4e8c74704a3e61afa5ebe14",
+        "062e62c39511822def0833ba5136942e3dfe2d7a5e55e252df80158da1fb0da4",
     ),
     "switch-d-i-indistinguishable-collapse": (
-        "5ef2e8006b3cc819ac760d8de5d2c8d37b38783b59bd15825835a87ec58abe87",
-        "031b8864daced90aaa547177b9ba2493138e779b05ec5c42d0cc1e3cb821cd75",
+        "d701af500ec2ae00ae4588e5acef5d5a417f20905723d9bbf169f87b9b15f6b8",
+        "4f160ff20f5ebd5b646aa7442fb7df50b75aac845abae13be03c3e1e35fe699e",
     ),
     "switch-d-i-indistinguishable-render": (
-        "5ef2e8006b3cc819ac760d8de5d2c8d37b38783b59bd15825835a87ec58abe87",
-        "95a38e88c84bdc44f815bd66a4c1c61b5ae7b72c08eba053d5857a56db872c32",
+        "d701af500ec2ae00ae4588e5acef5d5a417f20905723d9bbf169f87b9b15f6b8",
+        "7f4157c8fd1f845d654ac8ae34780486c361478fa9b8c8fa8cfc7e340c4f5f1f",
     ),
     "switch-d-i-refused-collapse": (
         None,
@@ -384,46 +384,46 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
         "8d1f02055dcf66db9c4954b61fb5d949bc28cf300d803c4099a4cae0d10c8cde",
     ),
     "switch-d-ii-collapse": (
-        "fbb19d93b463343ca46f12604f90119ea63a6298a4b09e21138143a513897ad3",
-        "cf2e2cd49b0db130d017e52d1753b690206467e13a8ba1290f8597dc83220560",
+        "665188c9a64d8dd7ceb4a8058cec262771433cca6994d5f6291ed45dff81fbf5",
+        "e018c6e2dada00f6bc9032abe7794343df2bc56f96788cda05bef079fd3f4744",
     ),
     "switch-d-ii-render": (
-        "fbb19d93b463343ca46f12604f90119ea63a6298a4b09e21138143a513897ad3",
-        "bd47289df8163d3891de75421054352fde7b55fb574b770c56147963c61ecd8f",
+        "665188c9a64d8dd7ceb4a8058cec262771433cca6994d5f6291ed45dff81fbf5",
+        "870c924005fbfb602c3edd0be7fef6c4d335683060968707c3bfb06ce1354bfa",
     ),
     "switch-d-iii-collapse": (
-        "b336fb3fa08f40517a39fc139a436013a01d04c8e75423223206fa5891091716",
-        "0d5a41dcd901f65ee3ceee952ff3a0321cc93ff5882930492c44e3e2129ec958",
+        "ef675ce9948066bb0d0a98e96223d0b2b115a6d7e32180cb7fdffecbaaaa7312",
+        "176ccf5b2da0bc6d914a7d0fa1084d5ef9546754775a6115c7e3b4f77107fc1a",
     ),
     "switch-d-iii-render": (
-        "b336fb3fa08f40517a39fc139a436013a01d04c8e75423223206fa5891091716",
-        "38cc8e059893f5f27a0b562dd274c65c8681d1eaa5e801839cc575cfc72c98df",
+        "ef675ce9948066bb0d0a98e96223d0b2b115a6d7e32180cb7fdffecbaaaa7312",
+        "87f3a52f90ab0ab51017bd95a0e713ef4436fd026723818eac28160549bf9c42",
     ),
     "switch-d-iv-collapse": (
-        "708f394cff759d3a00fb8e8ee5d4ab05262c6aad32a70136a159e8bac16492e9",
-        "17266e1d478a05985ce406567e8ba6e3e3a688ae89a1dd960224bf00414032cf",
+        "88831b0157d5b9f6cb33536d88c519e7f6c2ab3f1fc6bf6a229f8238fb52c8d5",
+        "8bfe2e48a677d9f0dba342d470f50a34011c8fed840bec99256b289643e2e00c",
     ),
     "switch-d-iv-render": (
-        "708f394cff759d3a00fb8e8ee5d4ab05262c6aad32a70136a159e8bac16492e9",
-        "49d61a6bf891a47fd0f54aee4380f27fa9959095da8a34e654a24c920018a909",
+        "88831b0157d5b9f6cb33536d88c519e7f6c2ab3f1fc6bf6a229f8238fb52c8d5",
+        "abf116f0bcdf3e614e09f760a59156ccc2fc2996a7265516c3453f0d989bfa9a",
     ),
 }
 
 MANIFEST_DIGESTS: dict[str, str | None] = {
-    "dnr_collapse": "f2cac148442bbe40974e1f13fb4beb7beafbda870bcbd604ae230c765236d902",
-    "dnr_render": "0fcb8d4beef8aaf163888f5ec9466fb3bb9e20aac0deac21f368ab6e4e7e3b43",
-    "eraser_main": "b46e1cd6d844e8654208fcf6c025065dde8b854b2494c300affff71d8719b95c",
-    "macro_collapse": "db0f66e8c16b3d33f24071eb98b9495a61d91c0a5e662f6c0197d7852dd06973",
-    "macro_render": "946705208a2486789a2cf1b49892141a54e5afbf6bd184343086c971bc9e94a9",
-    "predictor_main": "9c67f42db083d5775c193a7bfc2e6a44c573cda9d84fff2b89284815aefb927b",
-    "switch_a_fast": "8eda19e617d9fa1c815ea7f24d0321b93a6ed8bf31d9214864aa194964a30845",
-    "switch_a_slow": "c96733279c3ace7c3f61e98556df2f3c6ae0074652eb6dadbe4221c2bf564d8b",
-    "switch_b_fast": "8eda19e617d9fa1c815ea7f24d0321b93a6ed8bf31d9214864aa194964a30845",
-    "switch_b_slow": "c96733279c3ace7c3f61e98556df2f3c6ae0074652eb6dadbe4221c2bf564d8b",
-    "switch_c_fast": "8eda19e617d9fa1c815ea7f24d0321b93a6ed8bf31d9214864aa194964a30845",
-    "switch_c_slow": "c96733279c3ace7c3f61e98556df2f3c6ae0074652eb6dadbe4221c2bf564d8b",
-    "switch_empty": "384ae2ffdffde672fb45977dd525903dc08468f1cc610390fc428e4d0209fd9b",
-    "switch_full": "2240f938187f77c4f36fbd9c241a2ae7c2779606708f574ec3bffd6ea11d6080",
+    "dnr_collapse": "3d8d17f9fe5c16475c61232865fcd37af4ff00f563e2d31d652b2bcf113d7c8f",
+    "dnr_render": "fab4ac3bf15c3a16fa5d6eaabdbcdf7847ff7d05ac12743228cd0bc6d604b031",
+    "eraser_main": "5d798cd69ddbf52fa4fb1448ea05999da50661e9c1ca3357f6e0d89f08a7d03b",
+    "macro_collapse": "365c745352b1ef649e57ef9348d00e3052fe69a1033c785cc901399e16595370",
+    "macro_render": "22847aa318daefe8739d1b2edbcb9a5a697a55bc1ae0b969a5900f985d497b48",
+    "predictor_main": "cf8cb064a2fba8aca93bfe2599ea3e0d060f0b230ca6bb5f8e86b0804d3fd415",
+    "switch_a_fast": "65a433bf637b08b00cd60665ff2856d03332210e35275df9ef80127fc1387353",
+    "switch_a_slow": "4094cec98b39e6ec6514c98d697c44806ad949cca15d4f5ab40d0477a3937cb6",
+    "switch_b_fast": "65a433bf637b08b00cd60665ff2856d03332210e35275df9ef80127fc1387353",
+    "switch_b_slow": "4094cec98b39e6ec6514c98d697c44806ad949cca15d4f5ab40d0477a3937cb6",
+    "switch_c_fast": "65a433bf637b08b00cd60665ff2856d03332210e35275df9ef80127fc1387353",
+    "switch_c_slow": "4094cec98b39e6ec6514c98d697c44806ad949cca15d4f5ab40d0477a3937cb6",
+    "switch_empty": "c7bcc5db4d83824a224621c0d3e4fbb446f99abbaf7fc4edf961e0810a57c457",
+    "switch_full": "a556bcabac8f6d77dd2a810bd16915be1e8aa6583eea77a7a3d4ae77ea0e092c",
     "switch_refused": None,
 }
 
@@ -473,14 +473,14 @@ def csv_cases() -> dict[str, ProtocolConfig]:
 
 CSV_GOLDEN: dict[str, str] = {
     "double_slit-recording-collapse": "0990d6b52c929c3d2a1ee88923c6b40f47d6cfbd1c9747abaedd210be192124e",
-    "macroscopic_erasure-coin-render": "8f04bccad6d7b81f2c20adffa2d5490f8a25d0e86e19c966a330d0aa5ff5bb1f",
+    "macroscopic_erasure-coin-render": "ba4c23b3ebd7cd1e6105b5a0ed1f5a6edbb70ae06f40c6632538af3c98da8c86",
     "perishable-a-collapse": "057bd9c26f644d97dcdef96e8cd0caf6953ac7e8adeb8d980398abb532e6238d",
     "perishable-a-inf_ttl": "82c8efb079b5dfd2229ba8e3aca0b0e22ad52848a0139c5892bfccc5d128a496",
-    "quantum_eraser-render": "675306a9f9e5a50944945e8e6f6240c980445c60b1062a5a5c41e04ada46db5f",
+    "quantum_eraser-render": "bbe45ad8cb155b2522aa1d0f497d759e8855082aece128b3dfdaa488b04e382e",
     "quantum_eraser-render-n1": "5ecc692a3c20fb77352d122271fdbd9da28939f65a3dd704edccf88f766ca537",
-    "quantum_eraser-render-n16384": "c3d8b7fdc7dd32cdab7aa6cc6a1c83c04cb24b62630f9e795c5894c245bab0a0",
-    "quantum_eraser-render-n32769": "9a1f3e32200bd372df35591d8b959a4f4a5099caad39c51b6d4798d286add016",
-    "switch-d-i-custom-collapse": "b6d2cb36d5896924ef030db80332a5c459be35705b294a4b491c73a8399fa5c5",
+    "quantum_eraser-render-n16384": "1b0e6c3d8980fc2a94e6f05e912e91b2cc4edbd3ca6b0893335b0d660a717df5",
+    "quantum_eraser-render-n32769": "b5e3916afcd6b110e7cfc2444e9289783b8c4628bbf8f3ce99dc72ff6e61abd2",
+    "switch-d-i-custom-collapse": "25fb74496221cc8066837ff2230d2c76219c84ae172e012770fa5298538ec1c1",
 }
 
 CSV_CASES = csv_cases()
@@ -517,26 +517,26 @@ def cli_manifest(out_dir) -> RunManifest:
 
 CLI_GOLDEN: dict[str, str] = {
     "bad.json": "788526873d465a5077000b8c75dbfb217303bfcea3040ce2cee08499b0bb4efd",
-    "custom.events.csv": "b6d2cb36d5896924ef030db80332a5c459be35705b294a4b491c73a8399fa5c5",
+    "custom.events.csv": "25fb74496221cc8066837ff2230d2c76219c84ae172e012770fa5298538ec1c1",
     "custom.hist.txt": "2f789858dedbae087be649e7f0c0713db7c8cb620e46ebf9f2783a00691fe925",
-    "custom.json": "cdbf372ecb9477890d98b4c88d8e4842adb6f3e46c98ddf922e875f989e47802",
+    "custom.json": "65fbc549c5092c93c9f88c5e3e9e73c3068003ab92ef13c32f9cf07bd052ee6c",
     "discontinuity.events.csv": "a18e37dac3bea4fc25b03d77eb98705135cac4c7f47deeb0da80d940840daa28",
     "discontinuity.hist.txt": "1508eca17867e7d510d0519d4353950491644988d7fb51fbab65e03a0f541719",
-    "discontinuity.json": "3497f14a8be98c72f599795c7346ee10678c5b1a3770986ebc22de75dd89ed05",
-    "empty.events.csv": "799c21bb79aa8aaad013decd575253c86fbdc38fe034af914256d1a9fdb93192",
+    "discontinuity.json": "3072f0b136cca5325e4ebe23f6a03964feed15140fa0789e3b077b588fcdadeb",
+    "empty.events.csv": "1bf9f16865d791f7efb0804c43ff249446cdd40e0fd01fcf908d012923d2fad2",
     "empty.hist.txt": "cab52e860366f0d85fc3147f91a8a1175b41a606b8e4cd122690aab4844a4166",
-    "empty.json": "c4728465a2dc8c61e04bb71533e94609ffe3dbc1920467c03ecfa58b41da669a",
-    "eraser.events.csv": "675306a9f9e5a50944945e8e6f6240c980445c60b1062a5a5c41e04ada46db5f",
+    "empty.json": "27b35725d5343350eeb65a6ea6b4aec2bba8e16468b57780f436949f5698005b",
+    "eraser.events.csv": "bbe45ad8cb155b2522aa1d0f497d759e8855082aece128b3dfdaa488b04e382e",
     "eraser.hist.txt": "afade8ad2177dbd77caf50cfddb346b5d91db558be3b80223e98049df7979ecf",
-    "eraser.json": "a387a26b05f5a3f28067021600155d30db65187cd6e51e0ff1147149e035a25b",
+    "eraser.json": "80987858e7bbc7f688f7deece15cb700e3616a42a594b6445c97cb2fa555927e",
     "perishable_inf.events.csv": "82c8efb079b5dfd2229ba8e3aca0b0e22ad52848a0139c5892bfccc5d128a496",
     "perishable_inf.hist.txt": "3af9e57dfb5eaf14deabacd388044db3da96d7a2721a4b214d8c124ad9fec32a",
-    "perishable_inf.json": "0db782cc1bad42c283343a791fe270a63e97f63bfd77a8f4b050ad6f4596e3c7",
-    "predictor.events.csv": "13c451d26e8e0f0cd3daa3083527a62b2c29982dc1bd6c417f464a94cd3e5932",
+    "perishable_inf.json": "6c0ca6126ad3a19b58d0a720210ec19a8d1b674e1539f6e7a6620842778ec1dd",
+    "predictor.events.csv": "111a7d14f351f17076764b89802143a9f21221eddd402b956716b69666da44f9",
     "predictor.hist.txt": "2a77ce15c6efb0af6515a7676b2c721d70854b6143f7c38007b93ed7ad31b783",
-    "predictor.json": "6680f5d2a87bb5e84f3cdb8f35c64c0aa31ad1cb79a2be0a4143c7405400f92e",
+    "predictor.json": "2d1c310b7d78d7fc185cac1a4b02feb9edde2a1f34fcf22a0fbfec37608bec36",
     "refused.json": "08d6e9e527e6394e8c838b0a415db76536fb999d1bfb20590ed6311b1b0dab8a",
-    "summary.json": "318b6a23bc3a212a86252f157074de6b3b5a0a26ff6eb82824f32e07855fe74a",
+    "summary.json": "d4d4469a73790a45dbc26f7ebd256b358eb57ec272636318868037db2e3a95aa",
 }
 
 

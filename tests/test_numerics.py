@@ -1,6 +1,7 @@
 """Shared numerics against their oracles: monotone inversion's whole-array
-first sweep against the lane-indexed loop, and the level-wise adaptive
-Simpson rule against the one-panel-at-a-time loop."""
+and gathered first sweeps against the lane-indexed loop, the level-wise
+adaptive Simpson rule against the one-panel-at-a-time loop, and the C
+library's log against ``math.log``."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualitysim.numerics import adaptive_simpson, invert_monotone
+from dualitysim.numerics import adaptive_simpson, invert_monotone, libm_log
 
 
 def _reference_invert(f, targets, lo, hi, tol, fprime, x0, max_iter=200):
@@ -57,17 +58,18 @@ def _flat_spot_slope(x):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 300),
     newton=st.booleans(),
-    start_on_root=st.booleans(),
+    on_root=st.sampled_from([0.0, 0.01, 0.5, 0.9]),
 )
 @settings(max_examples=60, deadline=None)
-def test_first_sweep_matches_the_lane_indexed_loop(seed, n, newton, start_on_root):
+def test_first_sweep_matches_the_lane_indexed_loop(seed, n, newton, on_root):
     rng = np.random.default_rng(seed)
     lo, hi = -1.0, 1.0
     x_true = rng.uniform(lo, hi, n)
     # starts in the flat spot and on its zero-slope ends, where Newton must fall back
     x0 = np.where(rng.random(n) < 0.3, rng.choice([-0.25, 0.0, 0.25, 0.1], n), rng.uniform(lo, hi, n))
-    if start_on_root:
-        x0[0] = x_true[0]  # one lane already converged: the first sweep gathers
+    # lanes already converged: when they are the majority the first sweep gathers
+    started = rng.random(n) < on_root
+    x0[started] = x_true[started]
     targets = _flat_spot(x_true)
     fprime = _flat_spot_slope if newton else None
     got = invert_monotone(_flat_spot, targets, lo, hi, tol=1e-13, fprime=fprime, x0=x0)
@@ -156,3 +158,12 @@ def test_simpson_reaches_max_depth_on_a_jump():
 def test_simpson_rejects_an_empty_interval():
     with pytest.raises(ValueError, match="a < b"):
         adaptive_simpson(np.sin, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 65_537])
+def test_log_has_the_c_library_bits(n):
+    rng = np.random.default_rng(n)
+    x = np.concatenate((rng.uniform(1e-3, 3e3, n), 10.0 ** rng.uniform(-310, 308, n)))
+    x[:4] = [5e-324, 1.0, np.nextafter(1.0, 2.0), np.inf][: x.size]
+    want = np.array([math.log(v) for v in x.tolist()])
+    np.testing.assert_array_equal(libm_log(x).view(np.int64), want.view(np.int64))

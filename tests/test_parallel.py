@@ -1,11 +1,12 @@
 """Blocked work on the shared pool gives the bits of an unblocked serial evaluation.
 
-Wave ``ppf`` and the classifier's per-impact contributions run in fixed blocks
-on ``numerics``' thread pool, and ``_assemble`` hashes the event log there
-while the subsets classify. These tests compare both against whole-array
-references at sizes around the block boundaries, check that errors surface as
-the serial path raises them, and check that no report depends on the number
-of workers.
+Wave ``ppf``, the classifier's per-impact contributions and the subset
+histograms run on ``numerics``' thread pool, and the event log's sealed
+columns are hashed on its hashing thread. These tests compare the blocked
+work against whole-array references at sizes around the block boundaries,
+check that errors surface as the serial path raises them, and check that no
+report or digest depends on the number of workers, on forking, or on when
+the hashing thread runs.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import multiprocessing
 import queue
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -32,10 +34,11 @@ from dualitysim.optics import (
     PatternDistribution,
     PatternKind,
 )
-from dualitysim.protocols import RunResult, run_protocol
+from dualitysim.protocols import EventLog, RunResult, run_protocol
 from dualitysim.stats import DENSITY_FLOOR_FRACTION, VERDICT_LLR_THRESHOLD, classify_pattern
 
 from test_golden import GOLDEN, matrix
+from test_optics import _reference_start
 
 PPF_B = optics._PPF_BLOCK
 CLS_B = stats._CLASSIFY_BLOCK
@@ -48,16 +51,18 @@ def _sizes(block: int) -> list[int]:
 
 
 def _serial_ppf(dist: PatternDistribution, u: np.ndarray) -> np.ndarray:
-    """The wave sampler as one whole-array inversion."""
+    """The wave sampler as one whole-array inversion from the unblocked
+    cubic-start reference."""
     xs, _ = dist._quantile_table
-    cell, x0 = dist._start_points(u)
+    cell, x0 = _reference_start(dist, u)
     return invert_monotone(
         dist._cdf_raw, u, lo=xs[cell], hi=xs[cell + 1], tol=SAMPLER_CDF_TOL, fprime=dist._density_raw, x0=x0
     )
 
 
 def _serial_llr(x, cfg, phase, restrict_to=None, threshold=VERDICT_LLR_THRESHOLD) -> float:
-    """The classifier's statistic with every density taken over the whole array."""
+    """The classifier's statistic with every density taken over the whole
+    array and every log the C library's."""
     wave = PatternDistribution(PatternKind.WAVE, cfg, phase)
     particle = PatternDistribution(PatternKind.PARTICLE, cfg)
     w = np.asarray(wave.density(x), dtype=float)
@@ -66,8 +71,13 @@ def _serial_llr(x, cfg, phase, restrict_to=None, threshold=VERDICT_LLR_THRESHOLD
         w = w / wave.mass(restrict_to)
         p = p / particle.mass(restrict_to)
     floor = DENSITY_FLOOR_FRACTION / cfg.window_width_m
-    per_sample = np.clip(np.log(np.maximum(w, floor)) - np.log(np.maximum(p, floor)), -threshold, threshold)
+    per_sample = np.clip(_c_log(np.maximum(w, floor)) - _c_log(np.maximum(p, floor)), -threshold, threshold)
     return float(np.sum(per_sample))
+
+
+def _c_log(v: np.ndarray) -> np.ndarray:
+    """The C library's log, lane by lane through ``math.log``."""
+    return np.array([math.log(a) for a in v.tolist()])
 
 
 @contextlib.contextmanager
@@ -217,25 +227,78 @@ def test_one_worker_reproduces_the_golden_pins():
         assert (digest, hashlib.sha256(text).hexdigest()) == GOLDEN[name], name
 
 
+def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
+    callers = []
+    real = numerics.map_blocks
+
+    def spy(fn, n, block):
+        callers.append(threading.current_thread().name)
+        return real(fn, n, block)
+
+    for module in (numerics, optics, stats):
+        monkeypatch.setattr(module, "map_blocks", spy)
+    for name in WORKER_CASES:
+        run_protocol(replace(matrix()[name], n_pairs=N_BLOCKS))
+    assert callers
+    assert not [name for name in callers if name.startswith("dualitysim-hash")]
+
+
+def _forked_digest(results) -> None:
+    results.put(run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest)
+
+
 def _forked_ppf(results) -> None:
     u = np.linspace(0.0, 1.0, 2 * PPF_B)
     results.put(float(PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(u).sum()))
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_forked_child_gets_a_working_pool():
-    PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(np.linspace(0.0, 1.0, 2 * PPF_B))  # start the workers
+def _forked_log_digest(results) -> None:
+    results.put(_PENDING_LOG.digest())
+
+
+#: a log whose records are queued behind a sleeping hashing thread when it forks
+_PENDING_LOG = None
+
+
+def _in_forked_child(target):
+    """What ``target(results)`` puts, run in a forked child."""
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
-    child = ctx.Process(target=_forked_ppf, args=(results,))
+    child = ctx.Process(target=target, args=(results,))
     child.start()
     try:
-        got = results.get(timeout=60)
+        return results.get(timeout=60)
     except queue.Empty:
-        pytest.fail("the forked child hung on the inherited pool")
+        pytest.fail("the forked child hung on an inherited executor")
     finally:
         child.join(10)
         if child.is_alive():
             child.kill()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_forked_child_gets_a_working_pool():
+    PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(np.linspace(0.0, 1.0, 2 * PPF_B))  # start the workers
+    got = _in_forked_child(_forked_ppf)
     u = np.linspace(0.0, 1.0, 2 * PPF_B)
     assert got == float(PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(u).sum())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_forked_child_gets_a_working_hashing_thread():
+    parent = run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest
+    assert _in_forked_child(_forked_digest) == parent
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_forked_child_digests_records_pending_at_the_fork():
+    global _PENDING_LOG
+    numerics.submit_hash(time.sleep, 0.5)
+    _PENDING_LOG = log = EventLog(N_BLOCKS)
+    log.signal_x_m = np.random.default_rng(8).random(N_BLOCKS)
+    log.t_created_s = log.t_signal_impact_s = np.arange(N_BLOCKS, dtype=np.float64)
+    try:
+        assert not log._sealed["signal_x_m"][1].done()
+        assert _in_forked_child(_forked_log_digest) == log.digest()
+    finally:
+        _PENDING_LOG = None

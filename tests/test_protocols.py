@@ -473,26 +473,34 @@ def _reference_csv(log: EventLog) -> bytes:
 
 
 def _reference_digest(log: EventLog) -> str:
-    """Whole-column digest the block walk replaced, kept as its oracle. It
+    """The v2 digest from whole columns, kept as the oracle of the sealed
+    records, the fill records and the reused ones: a column's record is the
+    sha256 over the sha256s of its bytes cut every ``_BLOCK_ROWS`` rows. It
     reads every column as an attribute, so it expands every fill."""
-    h = hashlib.sha256(b"dualitysim-event-log-v1\x00")
-    h.update(",".join(EVENT_LOG_COLUMNS).encode())
+    h = hashlib.sha256(b"dualitysim-event-log-v2\x00")
+    h.update(len(log).to_bytes(8, "little"))
     for name in EVENT_LOG_COLUMNS:
         col = np.ascontiguousarray(getattr(log, name))
-        h.update(name.encode())
-        h.update(col.dtype.str.encode())
-        h.update(col)
+        raw, step = col.tobytes(), _BLOCK_ROWS * col.itemsize
+        blocks = b"".join(hashlib.sha256(raw[start : start + step]).digest() for start in range(0, len(raw), step))
+        h.update(name.encode() + b"\x00" + col.dtype.str.encode() + b"\x00")
+        h.update(hashlib.sha256(blocks).digest())
     return h.hexdigest()
 
 
+#: row counts of the digest checks: empty, one row, the block edges and several blocks
+DIGEST_SIZES = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5)
+
+
 @st.composite
-def event_logs(draw):
-    """Logs of the documented dtypes holding edge values, with row counts on
-    both sides of the block size; columns that stay fills (blank or
-    assigned), columns that share an earlier column's array, and columns
-    that repeat (or sign-flip the zeros of) an earlier column."""
+def event_logs(draw, n: int | None = None):
+    """Logs of the documented dtypes holding edge values, with ``n`` rows or
+    row counts on both sides of the block size; columns that stay fills
+    (blank or assigned), columns that share an earlier column's array, and
+    columns that repeat (or sign-flip the zeros of) an earlier column."""
     edge = _BLOCK_ROWS
-    n = draw(st.one_of(st.integers(0, 40), st.sampled_from([edge - 1, edge, edge + 1])))
+    if n is None:
+        n = draw(st.one_of(st.integers(0, 40), st.sampled_from([edge - 1, edge, edge + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     log = EventLog.blank(n)
     if draw(st.booleans()):  # else the row index stays a fill
@@ -545,7 +553,9 @@ class TestEventLog:
     def test_digest_sees_single_value_changes(self):
         run = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1))
         before = run.events.digest()
-        run.events.signal_x_m[0] += 1e-9
+        changed = run.events.signal_x_m.copy()
+        changed[0] += 1e-9
+        run.events.signal_x_m = changed
         assert run.events.digest() != before
 
     def test_csv_round_trip(self, tmp_path):
@@ -562,13 +572,50 @@ class TestEventLog:
                 err_msg=name,
             )
 
-    @given(log=event_logs())
-    @settings(max_examples=25, deadline=None)
-    def test_digest_matches_the_reference_digest(self, log):
-        fills = set(log._fills)
-        digest = log.digest()
-        assert set(log._fills) == fills  # the walk leaves fills unexpanded
-        assert digest == _reference_digest(log)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_digest_matches_the_reference_digest(self, data):
+        for n in (None,) + DIGEST_SIZES:
+            log = data.draw(event_logs(n))
+            fills = set(log._fills)
+            digest = log.digest()
+            assert set(log._fills) == fills  # the records leave fills unexpanded
+            assert digest == _reference_digest(log)
+
+    @pytest.mark.parametrize("n", DIGEST_SIZES)
+    def test_a_fill_and_its_array_give_one_digest(self, n):
+        fills, arrays = EventLog.blank(n), EventLog.blank(n)
+        fills.erased, arrays.erased = 1, np.ones(n, dtype=np.int8)
+        fills.t_detector_s, arrays.t_detector_s = -0.0, np.full(n, -0.0)
+        arrays.pair_id = np.arange(n)
+        arrays.signal_x_m = np.full(n, np.nan)
+        assert not isinstance(fills._held("erased"), np.ndarray)
+        assert fills.digest() == arrays.digest() == _reference_digest(fills)
+
+    def test_a_shared_buffer_and_its_copy_give_one_digest(self):
+        n = 2 * _BLOCK_ROWS + 3
+        times = np.random.default_rng(4).random(n)
+        shared, copied = EventLog.blank(n), EventLog.blank(n)
+        shared.t_created_s = shared.t_signal_impact_s = times
+        shared.erased_at_s = times[:]  # a view of the same buffer
+        copied.t_created_s, copied.t_signal_impact_s, copied.erased_at_s = times.copy(), times.copy(), times.copy()
+        records = {name: shared._sealed[name][1] for name in ("t_created_s", "t_signal_impact_s", "erased_at_s")}
+        assert len(set(map(id, records.values()))) == 1  # hashed once
+        assert shared.digest() == copied.digest() == _reference_digest(copied)
+
+    def test_an_in_place_write_to_an_assigned_column_raises(self):
+        log = EventLog.blank(8)
+        x = np.linspace(0.0, 1.0, 8)
+        log.signal_x_m = x
+        ids = np.arange(8)
+        log.detector = ids
+        ids[0] = 5  # converted to int8: the caller's array stays its own
+        for sealed in (log.signal_x_m, x, log.detector):
+            with pytest.raises(ValueError, match="read-only"):
+                sealed[0] = 1
+        log.bs_a[0] = 1  # a column expanded from its fill stays writable
+        assert log.bs_a.tolist() == [1] + [-1] * 7
+        assert log.digest() == _reference_digest(log)
 
     def test_columns_are_fills_until_read(self):
         log = EventLog.blank(5)
@@ -594,7 +641,7 @@ class TestEventLog:
         assert log.t_signal_impact_s is log.t_created_s
         with pytest.raises(ValueError, match="read-only"):
             log.t_signal_impact_s[0] = 1.0
-        log.signal_x_m[0] = 0.0  # an unshared column stays writable
+        log.bs_a[0] = 0  # a column expanded from its fill stays writable
         log.erased_at_s = log.signal_x_m[:]  # a view shares the memory
         with pytest.raises(ValueError, match="read-only"):
             log.signal_x_m[0] = 1.0
@@ -840,6 +887,15 @@ class TestDetectNoRecord:
         else:
             assert collapse.subsets["screen"].verdict is Verdict.PARTICLE
             assert render.subsets["screen"].verdict is Verdict.WAVE
+
+    @pytest.mark.parametrize("variant", list(DetectNoRecordVariant))
+    def test_every_unrecorded_pair_is_erased(self, variant):
+        """``erased`` means one thing in every variant: no which-way record
+        survives, whether or not a which-way detector fired."""
+        log = self.verdicts(variant, COLLAPSE, n=2_000).events
+        assert log.detected.any()
+        assert not log.recorded.any()
+        assert log.erased.tolist() == [1] * 2_000
 
     def test_dead_channels_leave_no_detector_event(self):
         run = self.verdicts(DetectNoRecordVariant.WHICH_WAY_CHANNELS_OFF, COLLAPSE)
@@ -1211,7 +1267,7 @@ class TestPerPairKernels:
             "detector": np.where(w, np.where(s1, np.int8(3), np.int8(4)), port + 1),
             "detected": w,
             "detected_at_s": np.where(w, log.t_detector_s, np.nan),
-            "erased": ~w,
+            "erased": ~w if kept else np.ones(n, bool),  # every pair without a record
             "recorded": w if kept else np.zeros(n, bool),
             "medium": np.where(w, np.int8(2), np.int8(0)) if kept else np.zeros(n, np.int8),
         }
