@@ -76,7 +76,7 @@ def libm_log(x: np.ndarray) -> np.ndarray:
     on every CPU.
 
     numpy runs a float64 ``log`` on an AVX-512 kernel where the CPU has one,
-    and its last bit differs from the C library's in about 2 lanes in 10,000.
+    and its last bit differs from the C library's in 1 to 2 lanes in 10,000.
     numpy takes its C-library loop instead when the output overlaps the input
     at an offset, so ``x`` is copied one element up a buffer and its log is
     written one element below, over it.
