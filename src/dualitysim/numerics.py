@@ -79,7 +79,9 @@ def libm_log(x: np.ndarray) -> np.ndarray:
     and its last bit differs from the C library's in 1 to 2 lanes in 10,000.
     numpy takes its C-library loop instead when the output overlaps the input
     at an offset, so ``x`` is copied one element up a buffer and its log is
-    written one element below, over it.
+    written one element below, over it. That fallback is numpy's dispatch
+    rule, not its documented API (checked with numpy 2.4):
+    ``tests/test_numerics.py`` shows it wherever numpy reports AVX-512.
     """
     buf = np.empty(x.size + 1)
     buf[1:] = x
@@ -155,26 +157,6 @@ def adaptive_simpson(
     return total
 
 
-def _newton_sweep(f, fprime, x, res, t, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """One safeguarded Newton sweep over lanes with residuals ``res``: each
-    bracket ``[lo, hi]`` shrinks in place to the side of ``x`` its residual
-    shows, and the step goes to the Newton point where it falls inside the
-    bracket, else to the bracket's midpoint. Returns the new x and residuals."""
-    above = res > 0.0
-    np.copyto(hi, x, where=above)
-    np.copyto(lo, x, where=~above)
-    mid = 0.5 * (lo + hi)
-    if fprime is not None:
-        fp = np.asarray(fprime(x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - res / fp
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi) | (fp <= 0.0)
-        xn = np.where(bad, mid, xn)
-    else:
-        xn = mid
-    return xn, np.asarray(f(xn)) - t
-
-
 def invert_monotone(
     f: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
@@ -201,27 +183,27 @@ def invert_monotone(
         x = np.clip(np.broadcast_to(np.asarray(x0, dtype=float), t.shape), lo_a, hi_a)
 
     res = np.asarray(f(x)) - t
-    active = np.abs(res) > tol
-    sweeps = max_iter
-    if sweeps and 2 * np.count_nonzero(active) > t.size:
-        # most lanes need a step: the first sweep works on the whole arrays in
-        # place instead of gathering and scattering by index; lanes that start
-        # converged keep their x and residual
-        lo_a, hi_a = lo_a.copy(), hi_a.copy()
-        xn, rn = _newton_sweep(f, fprime, x, res, t, lo_a, hi_a)
-        np.copyto(xn, x, where=~active)
-        np.copyto(rn, res, where=~active)
-        x, res = xn, rn
-        active = np.abs(res) > tol
-        sweeps -= 1
-    # the unconverged lanes, gathered once and shrunk as they converge; each
-    # lane takes the same steps as on the whole arrays
-    idx = np.flatnonzero(active)
+    # the unconverged lanes, gathered once and shrunk as they converge
+    idx = np.flatnonzero(np.abs(res) > tol)
     xi, ri, ti, lo_i, hi_i = x[idx], res[idx], t[idx], lo_a[idx], hi_a[idx]
-    for _ in range(sweeps):
+    for _ in range(max_iter):
         if idx.size == 0:
             break
-        xi, ri = _newton_sweep(f, fprime, xi, ri, ti, lo_i, hi_i)
+        # the bracket shrinks to the side of x its residual shows; the step goes
+        # to the Newton point where that falls inside the bracket, else to its midpoint
+        above = ri > 0.0
+        np.copyto(hi_i, xi, where=above)
+        np.copyto(lo_i, xi, where=~above)
+        mid = 0.5 * (lo_i + hi_i)
+        if fprime is not None:
+            fp = np.asarray(fprime(xi), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = xi - ri / fp
+            bad = ~np.isfinite(xn) | (xn <= lo_i) | (xn >= hi_i) | (fp <= 0.0)
+            xi = np.where(bad, mid, xn)
+        else:
+            xi = mid
+        ri = np.asarray(f(xi)) - ti
         keep = np.abs(ri) > tol
         x[idx[~keep]] = xi[~keep]
         idx, xi, ri, ti, lo_i, hi_i = idx[keep], xi[keep], ri[keep], ti[keep], lo_i[keep], hi_i[keep]

@@ -390,13 +390,17 @@ class EventLog:
     on first use; assigning a scalar to a column stores a fill.
 
     Assigning an array seals it: the array, and any array it is a view of,
-    becomes read-only, and its digest record is hashed on the hashing thread
-    while the run goes on. An array that is an earlier column's buffer (the
-    creation times are the impact times) reuses that column's record. A
-    column expanded from its fill stays writable and is hashed when the
-    digest is taken. ``digest`` joins the records (``dualitysim-event-log-v2``,
-    laid out in the README); a column gets the same record whether it is held
-    as a fill or as an array.
+    becomes read-only (for a slice ``buf[:n]`` of an array that owns its
+    memory, all of ``buf``), and its digest record is hashed on the hashing
+    thread while the run goes on. A view of the same buffer taken before the
+    assignment is not sealed: a write through it may miss the digest, so a
+    caller must drop or never write such views. An array that is an earlier
+    column's buffer (the creation times are the impact times) reuses that
+    column's record. A column expanded from its fill stays writable and is
+    hashed when the digest is taken; so is every array of a pickled or copied
+    log, whose sealed columns stay read-only. ``digest`` joins the records
+    (``dualitysim-event-log-v2``, laid out in the README); a column gets the
+    same record whether it is held as a fill or as an array.
     """
 
     def __init__(self, n: int) -> None:
@@ -408,6 +412,16 @@ class EventLog:
     def blank(cls, n: int) -> "EventLog":
         """A log of ``n`` rows whose every column holds its blank fill."""
         return cls(n)
+
+    def __getstate__(self) -> dict:
+        # a pending record is a future, which does not pickle: a copy keeps the
+        # names of its sealed columns, and hashes them when its digest is taken
+        return {**self.__dict__, "_sealed": tuple(self._sealed)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name in state["_sealed"]:
+            state[name].flags.writeable = False
+        self.__dict__.update(state, _sealed={})
 
     def __getattr__(self, name: str) -> np.ndarray:
         # reached only for a column held as a fill: an array is an instance attribute

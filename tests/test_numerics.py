@@ -1,7 +1,7 @@
-"""Shared numerics against their oracles: monotone inversion's whole-array
-and gathered first sweeps against the lane-indexed loop, the level-wise
-adaptive Simpson rule against the one-panel-at-a-time loop, and the C
-library's log against ``math.log``."""
+"""Shared numerics against their oracles: monotone inversion's gathered
+sweeps against the lane-indexed loop, the level-wise adaptive Simpson rule
+against the one-panel-at-a-time loop, and the C library's log against
+``math.log``."""
 
 import math
 
@@ -67,7 +67,7 @@ def test_first_sweep_matches_the_lane_indexed_loop(seed, n, newton, on_root):
     x_true = rng.uniform(lo, hi, n)
     # starts in the flat spot and on its zero-slope ends, where Newton must fall back
     x0 = np.where(rng.random(n) < 0.3, rng.choice([-0.25, 0.0, 0.25, 0.1], n), rng.uniform(lo, hi, n))
-    # lanes already converged: when they are the majority the first sweep gathers
+    # lanes that start converged, from none to most of them
     started = rng.random(n) < on_root
     x0[started] = x_true[started]
     targets = _flat_spot(x_true)
@@ -167,3 +167,26 @@ def test_log_has_the_c_library_bits(n):
     x[:4] = [5e-324, 1.0, np.nextafter(1.0, 2.0), np.inf][: x.size]
     want = np.array([math.log(v) for v in x.tolist()])
     np.testing.assert_array_equal(libm_log(x).view(np.int64), want.view(np.int64))
+
+
+def _cpu_features() -> dict[str, bool]:
+    """numpy's view of the CPU's SIMD features, with those switched off
+    through ``NPY_DISABLE_CPU_FEATURES`` read as absent."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+# numpy's float64 log kernel needs the Skylake-X AVX-512 set; numpy 2.4 reads
+# it as off when its X86_V4 target is switched off, while AVX512F stays on
+@pytest.mark.skipif(not _cpu_features().get("AVX512_SKX"), reason="numpy runs no AVX-512 float64 log here")
+def test_numpys_avx512_log_is_not_the_c_library_s():
+    """Where numpy runs its AVX-512 float64 log, the sample has lanes whose
+    bits differ from the C library's, and ``libm_log`` still gives the C
+    library's: the overlapping-output fallback is in effect."""
+    x = np.random.default_rng(3).uniform(1e-3, 3e3, 100_000)
+    want = np.array([math.log(v) for v in x.tolist()]).view(np.int64)
+    assert np.count_nonzero(np.log(x).view(np.int64) != want), "numpy's log has the C library's bits here"
+    np.testing.assert_array_equal(libm_log(x).view(np.int64), want)

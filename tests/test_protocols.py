@@ -1,8 +1,10 @@
 """Runner behavior: validation, the event log, coincidence sorting, verdicts."""
 
+import copy
 import gc
 import hashlib
 import math
+import pickle
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -49,6 +51,8 @@ from dualitysim.protocols import (
     run_switch_experiment,
 )
 from dualitysim.stats import FeasibilityReport, Verdict, optimal_interval_set, tv_distance
+
+from test_golden import matrix
 
 COLLAPSE = RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION)
 RENDER = RenderingModel(RenderingPolicy.RENDER_AT_AVAILABILITY)
@@ -616,6 +620,38 @@ class TestEventLog:
         log.bs_a[0] = 1  # a column expanded from its fill stays writable
         assert log.bs_a.tolist() == [1] + [-1] * 7
         assert log.digest() == _reference_digest(log)
+
+    def test_a_view_taken_before_assigning_is_not_sealed(self):
+        buf = np.linspace(0.0, 1.0, _BLOCK_ROWS + 2).copy()  # owns its memory
+        earlier, part = buf[:], buf[1:]
+        log = EventLog.blank(buf.size - 1)
+        log.signal_x_m = buf[:-1]
+        assert not buf.flags.writeable  # the whole buffer the column views
+        assert earlier.flags.writeable and part.flags.writeable
+        digest = log.digest()  # the record is hashed by now
+        earlier[0] = 2.0
+        assert log.signal_x_m[0] == 2.0
+        assert log.digest() == digest != _reference_digest(log)  # as documented, the write misses the digest
+
+    def test_every_run_digests_the_bytes_it_leaves(self):
+        """No runner writes a column through a view taken before it assigned
+        the column, which the seal would not see."""
+        for name, cfg in matrix().items():
+            run = run_protocol(replace(cfg, n_pairs=2 * _BLOCK_ROWS + 4))
+            if isinstance(run, RunResult):
+                assert run.event_digest == _reference_digest(run.events), name
+
+    def test_a_pickled_or_copied_run_keeps_its_log_and_digest(self):
+        run = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=_BLOCK_ROWS + 3, seed=5))
+        fills = set(run.events._fills)
+        for other in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
+            assert set(other.events._fills) == fills  # fills stay unexpanded
+            for name in EVENT_LOG_COLUMNS:
+                np.testing.assert_array_equal(getattr(other.events, name), getattr(run.events, name), err_msg=name)
+            assert other.event_digest == other.events.digest() == run.event_digest
+            assert other.events.t_created_s is other.events.t_signal_impact_s
+            with pytest.raises(ValueError, match="read-only"):
+                other.events.signal_x_m[0] = 1.0  # still sealed
 
     def test_columns_are_fills_until_read(self):
         log = EventLog.blank(5)
