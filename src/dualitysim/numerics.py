@@ -71,21 +71,22 @@ def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:
     return [f.result() for f in futures]
 
 
-def libm_log(x: np.ndarray) -> np.ndarray:
-    """Natural log of a 1-D float64 array, with the C library's ``log`` bits
-    on every CPU.
+def libm(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` (``np.log`` or ``np.arccos``) of a 1-D float64 array, with
+    the bits of the C library's ``log`` or ``acos`` on every CPU.
 
-    numpy runs a float64 ``log`` on an AVX-512 kernel where the CPU has one,
-    and its last bit differs from the C library's in 1 to 2 lanes in 10,000.
-    numpy takes its C-library loop instead when the output overlaps the input
-    at an offset, so ``x`` is copied one element up a buffer and its log is
-    written one element below, over it. That fallback is numpy's dispatch
-    rule, not its documented API (checked with numpy 2.4):
-    ``tests/test_numerics.py`` shows it wherever numpy reports AVX-512.
+    numpy runs both on AVX-512 kernels where the CPU has them, and their last
+    bit differs from the C library's: ``log`` in 1 to 2 lanes in 10,000,
+    ``arccos`` in about 9 in 100 on uniform levels. numpy takes its
+    C-library loop instead when the output overlaps the input at an offset,
+    so ``x`` is copied one element up a buffer and the result is written one
+    element below, over it. That fallback is numpy's dispatch rule, not its
+    documented API (checked with numpy 2.4): ``tests/test_numerics.py`` shows
+    it wherever numpy reports AVX-512.
     """
     buf = np.empty(x.size + 1)
     buf[1:] = x
-    np.log(buf[1:], out=buf[:-1])
+    ufunc(buf[1:], out=buf[:-1])
     return buf[:-1]
 
 

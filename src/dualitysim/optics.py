@@ -303,8 +303,14 @@ class PatternDistribution:
     def _density_raw(self, x: np.ndarray) -> np.ndarray:
         cfg = self.config
         if self.kind is PatternKind.WAVE:
-            a = cfg.fringe_scale_m
-            return self._wave_norm * np.cos(np.pi * x / a + self.phase_offset_rad) ** 2
+            # c cos^2(pi x / a + phase), each step in place
+            d = np.multiply(np.pi, x, out=np.empty(np.shape(x)))
+            d /= cfg.fringe_scale_m
+            d += self.phase_offset_rad
+            np.cos(d, out=d)
+            np.square(d, out=d)
+            d *= self._wave_norm
+            return d
         if cfg.envelope_enabled:
             return np.interp(x, *self._cell_levels)
         return np.full_like(np.asarray(x, dtype=float), 1.0 / cfg.window_width_m)
@@ -434,40 +440,58 @@ class PatternDistribution:
         x0[u >= cs[-1]] = xs[-1]
         return cell, x0
 
+    def prepared(self) -> "PatternDistribution":
+        """This law with every table its sampler and density read already
+        built, so that threads sharing it only read them."""
+        if self.kind is PatternKind.WAVE:
+            self._cubic_cells  # the quantile table, its index and the density's norm with it
+        elif self.config.envelope_enabled:
+            self._cell_levels
+        return self
+
     def ppf(self, u) -> np.ndarray | float:
         """Quantile function; |cdf(ppf(u)) - u| <= 1e-12 lane-wise."""
         arr = np.asarray(u, dtype=float)
         # written so that a NaN level fails it too
         if arr.size and not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValidationError("quantile levels must lie in [0, 1]")
-        cfg = self.config
-        lo, hi = cfg.window
         if self.kind is PatternKind.PARTICLE:
-            if not cfg.envelope_enabled:
-                out = lo + arr * cfg.window_width_m
-                return float(out) if np.ndim(u) == 0 else out
-            xs, cdf = self._cell_table
-            out = np.interp(arr, cdf, xs)
+            out = self.quantiles(arr)
             return float(out) if np.ndim(u) == 0 else out
-        xs, _ = self._quantile_table
         flat = np.atleast_1d(arr).ravel()
         out = np.empty_like(flat)
-
-        def solve(block: slice) -> None:
-            cell, x0 = self._start_points(flat[block])
-            out[block] = invert_monotone(
-                self._cdf_raw,
-                flat[block],
-                lo=xs[cell],
-                hi=xs[cell + 1],
-                tol=SAMPLER_CDF_TOL,
-                fprime=self._density_raw,
-                x0=x0,
-            )
-
         # lanes are independent, so fixed blocks on the pool keep temporaries small and change no bit
-        map_blocks(solve, flat.size, _PPF_BLOCK)
+        map_blocks(lambda block: self._solve(flat[block], out[block]), flat.size, _PPF_BLOCK)
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(arr.shape)
+
+    def quantiles(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``ppf`` of levels already known to lie in [0, 1], with the same
+        bits, on the calling thread: the wave law's fixed blocks run one
+        after another. A task on the shared pool calls this, not ``ppf``."""
+        cfg = self.config
+        if self.kind is PatternKind.PARTICLE:
+            if cfg.envelope_enabled:
+                xs, cdf = self._cell_table
+                x = np.interp(u, cdf, xs)
+            else:
+                x = cfg.window[0] + u * cfg.window_width_m
+            if out is None:
+                return x
+            out[...] = x
+            return out
+        out = np.empty_like(u) if out is None else out
+        for start in range(0, u.size, _PPF_BLOCK):
+            block = slice(start, start + _PPF_BLOCK)
+            self._solve(u[block], out[block])
+        return out
+
+    def _solve(self, u: np.ndarray, out: np.ndarray) -> None:
+        """The wave law's quantiles of one block of levels, into ``out``."""
+        xs, _ = self._quantile_table
+        cell, x0 = self._start_points(u)
+        out[...] = invert_monotone(
+            self._cdf_raw, u, lo=xs[cell], hi=xs[cell + 1], tol=SAMPLER_CDF_TOL, fprime=self._density_raw, x0=x0
+        )
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         """Inverse-CDF sampling; deterministic given the generator stream."""

@@ -40,10 +40,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,7 +58,7 @@ from .models import (
     availability_query_time,
     available_mask,
 )
-from .numerics import submit, submit_hash
+from .numerics import map_blocks, submit_hash
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -66,13 +68,18 @@ from .optics import (
     fringe_aligned_edges,
     fringe_visibility,
 )
-from .stats import (
+# classify_pattern and tv_distance_empirical are not called here (chunks sum
+# llr_terms and merge histograms); the benchmark tracer patches protocols' names
+from .stats import (  # noqa: F401
     FeasibilityReport,
     Verdict,
     classify_pattern,
     contradiction_margin,
+    llr_terms,
     optimal_interval_set,
     tv_distance_empirical,
+    tv_of_counts,
+    verdict_of,
 )
 
 #: named pair-separation presets: effectively instantaneous, and leisurely
@@ -354,10 +361,21 @@ def _hash_list(block_hashes: Iterable[bytes]) -> bytes:
     return h.digest()
 
 
+def _block_hashes(col: np.ndarray) -> list[bytes]:
+    """The sha256s of a contiguous array's ``_BLOCK_ROWS``-row blocks."""
+    return [hashlib.sha256(col[start : start + _BLOCK_ROWS]).digest() for start in range(0, col.size, _BLOCK_ROWS)]
+
+
 def _array_record(col: np.ndarray) -> bytes:
     """The record of a column held as a contiguous array."""
-    starts = range(0, col.size, _BLOCK_ROWS)
-    return _hash_list(hashlib.sha256(col[start : start + _BLOCK_ROWS]).digest() for start in starts)
+    return _hash_list(_block_hashes(col))
+
+
+def _joined_record(parts: Sequence) -> bytes:
+    """The record of a column from the futures of its block hashes, in row
+    order; they were submitted to the hashing thread before this, so they
+    are done when it runs there."""
+    return _hash_list(chain.from_iterable(part.result() for part in parts))
 
 
 @lru_cache(maxsize=64)
@@ -447,6 +465,13 @@ class EventLog:
         col = np.ascontiguousarray(value, dtype=dtype)
         if col.shape != (self._n,):
             raise ValueError(f"column {name!r} needs shape ({self._n},), got {col.shape}")
+        self._seal(name, col)
+
+    def _seal(self, name: str, col: np.ndarray, parts: Sequence | None = None) -> None:
+        """Hold the contiguous array ``col`` as column ``name``, read-only.
+        Its record is hashed on the hashing thread, or joined there from
+        ``parts``, the futures of its blocks' hashes in row order, when a
+        run's chunks hashed them."""
         base = col
         while isinstance(base, np.ndarray):
             base.flags.writeable = False
@@ -458,7 +483,12 @@ class EventLog:
             for other, record, pid in self._sealed.values()
             if other.__array_interface__["data"][0] == address and other.dtype == col.dtype
         ]
-        self._sealed[name] = (col, *(shared[0] if shared else (submit_hash(_array_record, col), os.getpid())))
+        if shared:
+            record, pid = shared[0]
+        else:
+            record = submit_hash(_array_record, col) if parts is None else submit_hash(_joined_record, parts)
+            pid = os.getpid()
+        self._sealed[name] = (col, record, pid)
         self.__dict__[name] = col
         self._fills.pop(name, None)
 
@@ -901,137 +931,368 @@ def _nan_except(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated_quantile(dist: PatternDistribution, region: IntervalSet, u: np.ndarray) -> np.ndarray:
-    """Sample the law conditioned on the region via stretched quantiles."""
-    if not region:
-        raise ValidationError("cannot sample a law truncated to an empty region")
-    arr = np.asarray(region.intervals, dtype=float)
-    c_lo = np.asarray(dist.cdf(arr[:, 0]), dtype=float)
-    c_hi = np.asarray(dist.cdf(arr[:, 1]), dtype=float)
-    masses = c_hi - c_lo
-    total = float(masses.sum())
-    if not total > 0:
-        raise ValidationError("truncation region carries zero probability mass")
-    cum = np.concatenate(([0.0], np.cumsum(masses)))
-    s = u * total
-    j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, masses.size - 1)
-    u_full = np.clip(c_lo[j] + (s - cum[j]), 0.0, 1.0)
-    x = np.asarray(dist.ppf(u_full), dtype=float)
-    # keep samples inside their half-open interval despite the 1e-12 inversion slack
-    hi_in = np.nextafter(arr[j, 1], arr[j, 0])
-    return np.clip(x, arr[j, 0], hi_in)
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of an ``n``-pair run: about an eighth of the run, as a
+    whole number of ``_BLOCK_ROWS`` from two blocks to eight (2**17 rows).
+    A run of at most ``_BLOCK_ROWS`` pairs is one chunk, and a 1e5-pair run
+    four, so both workers of a two-CPU pool stay busy."""
+    return _BLOCK_ROWS * min(max(-(-n // (8 * _BLOCK_ROWS)), 2), 8)
 
 
-def _subset_result(
-    key: str,
-    x: np.ndarray,
-    mask: np.ndarray | None,
-    slit: np.ndarray,
-    cfg: ProtocolConfig,
-    edges: np.ndarray,
-    region: IntervalSet | None = None,
-) -> SubsetResult:
-    """Classify and histogram the impacts in ``mask`` (every impact for
-    ``None``); ``key`` names the subset."""
-    samples = x if mask is None else np.compress(mask, x)
-    # the histogram's sort runs on the pool while the subset classifies
-    histogram = submit(np.histogram, samples, edges)
-    if samples.size:
-        # an empty or full-window region restricts nothing
-        restrict = region if region and region.measure < cfg.optics.window_width_m else None
-        phase = _D2_PHASE if key == "D2" else 0.0
-        cls = classify_pattern(samples, cfg.optics, phase_offset_rad=phase, restrict_to=restrict)
-        verdict, llr = cls.verdict, cls.log_likelihood_ratio
-    else:
-        verdict, llr = Verdict.INDETERMINATE, 0.0
-    counts, _ = histogram.result()
-    visibility = fringe_visibility(counts, edges, cfg.optics) if samples.size else None
-    in_slit = ((slit == k) if mask is None else mask & (slit == k) for k in (1, 2))
-    return SubsetResult(
-        count=int(samples.size),
-        verdict=verdict,
-        log_likelihood_ratio=float(llr),
-        visibility=visibility,
-        histogram=Histogram(edges, counts),
-        slit_counts=tuple(int(np.count_nonzero(flags)) for flags in in_slit),
-    )
+class _Streams:
+    """A run's variate streams, addressed by position.
+
+    Stream k, the k-th ``n``-length ``random`` draw of the runner's
+    documented order, starts at output ``k n`` of ``PCG64(seed)``, so that
+    any rows of it can be drawn on their own by ``advance`` (one output per
+    float64), with the bits of the sequential ``default_rng(seed)`` draws. A
+    permutation is drawn whole; the streams after it start at the state it
+    leaves.
+    """
+
+    def __init__(self, seed: int, n: int) -> None:
+        self._n = n
+        # (index of the first stream that starts here, PCG64 state)
+        self._bases = [(0, np.random.PCG64(seed).state)]
+
+    def generator(self, k: int, offset: int = 0) -> np.random.Generator:
+        """A generator at output ``offset`` of stream ``k``."""
+        first, state = next(base for base in reversed(self._bases) if base[0] <= k)
+        bits = np.random.PCG64()
+        bits.state = state
+        bits.advance((k - first) * self._n + offset)
+        return np.random.Generator(bits)
+
+    def permutation(self, k: int) -> np.ndarray:
+        """``permutation(n)`` drawn after ``k`` streams; stream ``k`` and the
+        ones after it start at the state it leaves."""
+        rng = self.generator(k)
+        out = rng.permutation(self._n)
+        self._bases.append((k, rng.bit_generator.state))
+        return out
 
 
-def _assemble(
-    cfg: ProtocolConfig,
-    log: EventLog,
-    x: np.ndarray,
-    subsets: dict[str, np.ndarray] | None = None,
-    regions: dict[str, IntervalSet] | None = None,
-    tv: tuple[str, str] | None = None,
-    coincidences: CoincidenceSummary | None = None,
-    feasibility: FeasibilityReport | None = None,
-    markers: tuple[str, ...] = (),
-) -> RunResult:
-    """Classify each subset ``{key: mask}`` (by default one "screen" subset of
-    every pair) and the pooled screen (none when ``subsets`` is empty), then
-    digest the log into a RunResult. An interval-rule subset is classified on
-    its region in ``regions``; ``tv`` names the two subsets whose empirical TV
-    distance is reported when both are nonempty. The log's sealed columns
-    hash on the hashing thread meanwhile."""
-    edges = fringe_aligned_edges(cfg.optics)
-    pooled = _subset_result("pooled", x, None, log.slit, cfg, edges) if subsets is None or subsets else None
-    if subsets is None:  # the screen subset holds every pair: it is the pooled screen
-        results = {"screen": pooled}
-    else:
-        regions = regions or {}
-        results = {k: _subset_result(k, x, mask, log.slit, cfg, edges, regions.get(k)) for k, mask in subsets.items()}
-    empirical_tv = None
-    if tv is not None and all(results[key].count for key in tv):
-        empirical_tv = tv_distance_empirical(*(np.compress(subsets[key], x) for key in tv), cfg.optics)
-    warnings_: tuple[str, ...] = ()
-    if coincidences is not None and coincidences.matched:
-        mismatch = (coincidences.unmatched_detectors + coincidences.ambiguities) / max(
-            1, coincidences.matched + coincidences.unmatched_detectors
+class _Run:
+    """One run while its chunks render: the config, the variate streams, the
+    laws and the log's array columns.
+
+    The laws and their tables are built here, on the run thread, before any
+    chunk starts, so chunk tasks only read them. An array column is
+    allocated once, by the first chunk that writes it, and every chunk
+    writes its own rows.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, expected: Protocol, phases: tuple[float, ...] = (0.0,)) -> None:
+        if cfg.protocol is not expected:
+            raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
+        self.cfg, self.n = cfg, cfg.n_pairs
+        self.streams = _Streams(cfg.seed, cfg.n_pairs)
+        #: (kind, fringe phase) -> law; pipeline step 4 picks among them
+        self.laws = {(PatternKind.PARTICLE, 0.0): PatternDistribution(PatternKind.PARTICLE, cfg.optics).prepared()}
+        for phase in phases:
+            self.laws[PatternKind.WAVE, phase] = PatternDistribution(PatternKind.WAVE, cfg.optics, phase).prepared()
+        #: counts the chunks put in ``tally``, summed once the run is rendered
+        self.tally: dict[str, int] = {}
+        self._arrays: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def array(self, name: str, like: str | None = None) -> np.ndarray:
+        """Column ``name``'s array of every row, allocated on first use, or
+        column ``like``'s when given: the two columns are then one buffer."""
+        with self._lock:
+            col = self._arrays.get(name)
+            if col is None:
+                col = self._arrays[name] = self._arrays[like] if like else np.empty(self.n, _COLUMNS[name][0])
+        if like and col is not self._arrays[like]:
+            raise RuntimeError(f"chunks disagree on the buffer of column {name!r}")
+        return col
+
+    def render(
+        self,
+        rows: Callable[["_Rows"], tuple[np.ndarray | None, dict[str, np.ndarray] | None]],
+        keys: tuple[str, ...] | None = None,
+        regions: dict[str, IntervalSet] | None = None,
+        tv: tuple[str, str] | None = None,
+        coincidences: bool = False,
+        feasibility: FeasibilityReport | None = None,
+        markers: tuple[str, ...] = (),
+    ) -> RunResult:
+        """Run ``rows`` on every chunk and merge the chunks into a RunResult.
+
+        ``rows(chunk)`` writes the chunk's log rows and returns its impacts
+        and ``{key: mask}`` of its subsets. ``keys`` names the subsets (by
+        default one "screen" subset of every pair, which is the pooled
+        screen; none at all for ``()``, which also skips the pooled screen
+        and takes no impacts); an interval-rule subset is classified on its
+        region in ``regions``. ``tv`` names the two subsets whose empirical
+        TV distance is reported when both are nonempty, and ``coincidences``
+        asks for the coincidence summary of the finished timing columns.
+
+        Each chunk is one task on the shared pool (a single chunk runs on
+        this thread), which hashes its rows of the log's array columns on
+        the hashing thread and tallies its subsets: counts, histogram and
+        slit counts, and the sum of its classifier terms. The tallies merge
+        exactly, except that a subset's log-likelihood ratio is the sum of
+        the chunks' sums, added in chunk order.
+        """
+        cfg, n = self.cfg, self.n
+        screens = None if keys == () else _Screens(cfg.optics, keys or (), regions or {})
+        # on zero rows first: this thread allocates every array column the
+        # chunks fill, so that no pool worker's heap holds a log
+        rows(_Rows(self, 0, 0))
+        chunks = map_blocks(partial(self._chunk, rows, screens), n, _chunk_rows(n))
+        log = self._log(chunks)
+        results: dict[str, SubsetResult] = {}
+        pooled = None
+        if screens is not None:
+            merged = [_merge([chunk[1][i] for chunk in chunks], screens.edges, cfg.optics) for i in range(len(screens.keys) + 1)]
+            pooled = merged[0]
+            results = dict(zip(screens.keys, merged[1:])) if keys else {"screen": pooled}
+        empirical_tv = None
+        if tv is not None and all(results[key].count for key in tv):
+            empirical_tv = tv_of_counts(*(results[key].histogram.counts for key in tv))
+        summary = None
+        warnings_: tuple[str, ...] = ()
+        if coincidences:
+            summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
+            if summary.matched:
+                mismatch = (summary.unmatched_detectors + summary.ambiguities) / max(
+                    1, summary.matched + summary.unmatched_detectors
+                )
+                if mismatch > 0.01:
+                    warnings_ = (f"coincidence mismatch rate {mismatch:.3f} exceeds 1%: timing structure violated",)
+        for chunk in chunks:
+            for key, count in chunk[2].items():
+                self.tally[key] = self.tally.get(key, 0) + count
+        return RunResult(
+            protocol=cfg.protocol,
+            seed=cfg.seed,
+            n_pairs=n,
+            config=cfg,
+            subsets=results,
+            pooled=pooled,
+            coincidences=summary,
+            predictor=None,
+            feasibility=feasibility,
+            empirical_tv=empirical_tv,
+            markers=markers,
+            warnings=warnings_,
+            event_digest=log.digest(),
+            events=log,
         )
-        if mismatch > 0.01:
-            warnings_ = (f"coincidence mismatch rate {mismatch:.3f} exceeds 1%: timing structure violated",)
-    return RunResult(
-        protocol=cfg.protocol,
-        seed=cfg.seed,
-        n_pairs=cfg.n_pairs,
-        config=cfg,
-        subsets=results,
-        pooled=pooled,
-        coincidences=coincidences,
-        predictor=None,
-        feasibility=feasibility,
-        empirical_tv=empirical_tv,
-        markers=markers,
-        warnings=warnings_,
-        event_digest=log.digest(),
-        events=log,
+
+    def _chunk(self, rows, screens: "_Screens | None", block: slice) -> tuple:
+        """One chunk's task: its rows, their block hashes, its subset tallies
+        and the counts ``rows`` left in ``chunk.tally``."""
+        chunk = _Rows(self, block.start, min(block.stop, self.n))
+        x, masks = rows(chunk)
+        columns = chunk.seal()
+        tallies = None if screens is None else screens.tally(x, chunk.slit, masks)
+        return columns, tallies, chunk.tally
+
+    def _log(self, chunks: list[tuple]) -> EventLog:
+        """The run's log from its chunks' columns: a fill every chunk holds,
+        or an array whose record joins the chunks' block hashes."""
+        fills, arrays, _ = chunks[0][0]
+        if any((c[0][0].keys(), c[0][1]) != (fills.keys(), arrays) for c in chunks[1:]):
+            raise RuntimeError("chunks disagree on which columns are fills")
+        log = EventLog(self.n)
+        for name, fill in fills.items():
+            setattr(log, name, fill)
+        for name in _COLUMNS:
+            if name in arrays:
+                col = self._arrays[name]
+                log._seal(name, col, [c[0][2][id(col)] for c in chunks])
+        return log
+
+
+class _Rows:
+    """Rows ``[start, stop)`` of a run: what one chunk task reads and writes.
+
+    Columns read and assign as on an ``EventLog`` of these rows. Assigning
+    an array writes it into the run's column at these rows, once per chunk;
+    an array that is another column's rows, or the array that was assigned
+    to one, makes the two columns one buffer, as the log shares a buffer.
+    Assigning a scalar holds a fill, the same in every chunk. ``random()``
+    draws these rows of the run's next variate stream. Counts put in
+    ``tally`` are summed over the chunks.
+    """
+
+    def __init__(self, run: _Run, start: int, stop: int) -> None:
+        # _cols: column name -> these rows as written, or a fill;
+        # _sources: (assigned value, column name) for sharing a buffer
+        self.__dict__.update(
+            run=run, cfg=run.cfg, start=start, stop=stop, tally={}, _cols={}, _sources=[], _drawn=0
+        )
+
+    def random(self) -> np.ndarray:
+        """These rows of the run's next stream of uniform variates."""
+        k = self.skip()
+        return self.run.streams.generator(k, self.start).random(self.stop - self.start)
+
+    def skip(self) -> int:
+        """Pass over the run's next stream, which these rows do not read;
+        returns its index."""
+        k = self._drawn
+        self.__dict__["_drawn"] = k + 1
+        return k
+
+    def column(self, name: str, like: str | None = None) -> np.ndarray:
+        """These rows of column ``name``, for the caller to fill in place
+        (column ``like``'s rows, filled already, when given)."""
+        if isinstance(self._cols.get(name), np.ndarray):
+            raise RuntimeError(f"a chunk writes column {name!r} once")
+        view = self.run.array(name, like)[self.start : self.stop]
+        if like is not None:
+            view = self._cols[like]
+        self._cols[name] = view
+        self._sources.append((view, name))
+        return view
+
+    def _held(self, name: str) -> np.ndarray | np.generic | float | None:
+        """Column ``name`` as held: these rows, or its fill unexpanded."""
+        return self._cols.get(name, _COLUMNS[name][1])
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        held = self._held(name)
+        return held if isinstance(held, np.ndarray) else _fill_rows(name, held, self.start, self.stop)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _COLUMNS:
+            raise AttributeError(f"an event log has no column {name!r}")
+        dtype = _COLUMNS[name][0]
+        if np.ndim(value) == 0:
+            if isinstance(self._cols.get(name), np.ndarray):
+                raise RuntimeError(f"a chunk writes column {name!r} once")
+            self._cols[name] = np.asarray(value, dtype=dtype)[()]
+            return
+        like = next((other for source, other in self._sources if value is source), None)
+        if like is not None and _COLUMNS[like][0] == dtype:
+            self.column(name, like)
+            return
+        if np.shape(value) != (self.stop - self.start,):
+            raise ValueError(f"column {name!r} needs shape ({self.stop - self.start},), got {np.shape(value)}")
+        self.column(name)[...] = value
+        self._sources.append((value, name))
+
+    def seal(self) -> tuple[dict, frozenset, dict]:
+        """(fills, names of array columns, {id of a column's buffer: the
+        future of the block hashes of these rows}); the hashes are submitted
+        to the hashing thread here, once per buffer."""
+        fills = {name: held for name, held in self._cols.items() if not isinstance(held, np.ndarray)}
+        arrays = frozenset(self._cols.keys() - fills.keys())
+        hashes = {}
+        for name in arrays:
+            key = id(self.run._arrays[name])
+            if key not in hashes:
+                hashes[key] = submit_hash(_block_hashes, self._cols[name])
+        return fills, arrays, hashes
+
+
+class _Screens:
+    """How a chunk tallies its impacts: the pooled screen, then each subset
+    in ``keys``, classified by the terms built here, on the run thread.
+
+    A subset whose law is the pooled screen's (fringe phase 0, no region)
+    sums the pooled terms its mask selects, which gives the bits of
+    classifying it apart. A restricted classifier that cannot be built
+    raises when a chunk first has samples for it, as classifying them would.
+    """
+
+    def __init__(self, optics: OpticsConfig, keys: tuple[str, ...], regions: dict[str, IntervalSet]) -> None:
+        self.optics, self.keys = optics, keys
+        self.edges = fringe_aligned_edges(optics)
+        self.window = PatternDistribution(PatternKind.PARTICLE, optics)
+        self.pooled = llr_terms(optics)
+        self.subsets = []
+        for key in keys:
+            region = regions.get(key)
+            # an empty or full-window region restricts nothing
+            restrict = region if region and region.measure < optics.window_width_m else None
+            phase = _D2_PHASE if key == "D2" else 0.0
+            terms = None
+            if restrict is not None or phase:
+                try:
+                    terms = llr_terms(optics, phase, restrict)
+                except ValidationError as exc:
+                    terms = partial(_raise, exc)
+            self.subsets.append((key, terms, restrict))
+
+    def tally(self, x: np.ndarray, slit: np.ndarray, masks: dict[str, np.ndarray] | None) -> list[tuple]:
+        """Per screen, the pooled one first: (count, histogram counts, slit
+        counts, sum of the classifier terms) of this chunk's impacts. When
+        the subsets partition the impacts, as every runner's do, the pooled
+        histogram and slit counts are their sums."""
+        # raised as the classifier raises for an impact off the screen
+        self.window._check_domain(x)
+        pooled = self.pooled(x)
+        in_slit = (slit == 1, slit == 2)
+        out = []
+        covered = np.zeros(x.size, dtype=bool)
+        for key, terms, restrict in self.subsets:
+            mask = masks[key]
+            covered |= mask
+            samples = np.compress(mask, x)
+            if restrict is not None and samples.size and not np.all(restrict.contains(samples)):
+                raise ValidationError("restricted classification requires all samples inside the region")
+            if terms is None:
+                llr = np.sum(np.compress(mask, pooled))
+            else:
+                llr = np.sum(terms(samples)) if samples.size else 0.0
+            counts, _ = np.histogram(samples, self.edges)
+            slits = tuple(int(np.count_nonzero(mask & flags)) for flags in in_slit)
+            out.append((samples.size, counts, slits, float(llr)))
+        # the masks cover every impact and their counts add up to them: no two overlap
+        if out and sum(t[0] for t in out) == x.size and covered.all():
+            counts = reduce(np.add, (t[1] for t in out))
+            slits = tuple(sum(t[2][k] for t in out) for k in (0, 1))
+        else:
+            counts, _ = np.histogram(x, self.edges)
+            slits = tuple(int(np.count_nonzero(flags)) for flags in in_slit)
+        return [(x.size, counts, slits, float(np.sum(pooled))), *out]
+
+
+def _raise(exc: Exception, *args) -> None:
+    raise exc
+
+
+def _merge(tallies: list[tuple], edges: np.ndarray, optics: OpticsConfig) -> SubsetResult:
+    """One screen's result from its chunk tallies, in chunk order."""
+    count = sum(t[0] for t in tallies)
+    counts = tallies[0][1].copy()
+    for t in tallies[1:]:
+        counts += t[1]
+    llr = tallies[0][3]
+    for t in tallies[1:]:
+        llr += t[3]  # in chunk order, one float at a time
+    if not count:
+        llr = 0.0
+    return SubsetResult(
+        count=count,
+        verdict=verdict_of(llr) if count else Verdict.INDETERMINATE,
+        log_likelihood_ratio=llr,
+        visibility=fringe_visibility(counts, edges, optics) if count else None,
+        histogram=Histogram(edges, counts),
+        slit_counts=(sum(t[2][0] for t in tallies), sum(t[2][1] for t in tallies)),
     )
 
 
-def _draws(cfg: ProtocolConfig, expected: Protocol) -> tuple[np.random.Generator, np.ndarray]:
-    """The run's seeded generator and its first draw, each pair's slit
-    (``u_slit``), for a config meant for this runner."""
-    if cfg.protocol is not expected:
-        raise ValidationError(f"config.protocol is {cfg.protocol.value}, expected {expected.value}")
-    rng = np.random.default_rng(cfg.seed)
-    return rng, np.subtract(np.int8(2), rng.random(cfg.n_pairs) < 0.5, dtype=np.int8)
-
-
-def _base_log(cfg: ProtocolConfig, slit: np.ndarray, idler: bool = False) -> EventLog:
-    """A log of the pairs' creation, slit and impact times, the impact times
-    being the creation times' array; with ``idler``, each idler also
-    registers ``delta_t_s`` after its pair's creation."""
-    log = EventLog(cfg.n_pairs)
-    created = np.arange(cfg.n_pairs, dtype=np.float64) * (PAIR_SPACING_FACTOR * cfg.delta_t_s)
-    log.t_created_s = log.t_signal_impact_s = created
-    log.slit = slit
+def _base_log(c: _Rows, idler: bool = False) -> None:
+    """Draws u_slit, the run's first stream, and writes the pairs' creation,
+    slit and impact times, the impact times being the creation times'
+    buffer; with ``idler``, each idler also registers ``delta_t_s`` after
+    its pair's creation."""
+    np.subtract(np.int8(2), c.random() < 0.5, out=c.column("slit"), dtype=np.int8)
+    created = c.column("t_created_s")
+    np.multiply(np.arange(c.start, c.stop, dtype=np.float64), PAIR_SPACING_FACTOR * c.cfg.delta_t_s, out=created)
+    c.t_signal_impact_s = created
     if idler:
-        log.t_detector_s = created + cfg.delta_t_s
-    return log
+        np.add(created, c.cfg.delta_t_s, out=c.column("t_detector_s"))
 
 
-def _record(log: EventLog, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
+def _record(log: _Rows, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
     """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
     a persistent which-way record; every pair left with no which-way record
     is erased. A scalar ``mask`` holds for every pair and leaves fills in the
@@ -1045,25 +1306,19 @@ def _record(log: EventLog, mask: np.ndarray | bool, at: np.ndarray, kept: bool =
         log.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
 
 
-def _render(
-    cfg: ProtocolConfig,
-    log: EventLog,
-    rng: np.random.Generator,
-    resolved_at: np.ndarray,
-    d2: np.ndarray | None = None,
-) -> np.ndarray:
+def _render(log: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
     """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
     resolves at ``resolved_at``; draws the run's last variate, u_x, sets
     ``observation_time_s`` and ``signal_x_m`` and returns the impacts. The
     record columns reach the availability query as held, fills unexpanded.
     Wave pairs in the ``d2`` mask take the fringe phase ``_D2_PHASE``, the
     others phase 0."""
-    u_x = rng.random(cfg.n_pairs)
+    cfg = log.cfg
+    u_x = log.random()
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
         log.observation_time_s = log.t_signal_impact_s
     else:
-        log.observation_time_s = resolved_at + cfg.delta_t_s
-    del resolved_at  # a temporary from the caller must not live through sampling
+        np.add(resolved_at, cfg.delta_t_s, out=log.column("observation_time_s"))
     at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
     medium = log._held("medium")
     avail = available_mask(
@@ -1081,72 +1336,104 @@ def _render(
         groups.append((wave, PatternKind.WAVE, 0.0))
     else:
         groups += [(wave & ~d2, PatternKind.WAVE, 0.0), (wave & d2, PatternKind.WAVE, _D2_PHASE)]
-    x = np.empty(cfg.n_pairs)  # the groups cover every pair
+    x = log.column("signal_x_m")  # the groups cover every pair
     for mask, kind, phase in groups:
-        if mask.any():
-            _scatter(x, mask, PatternDistribution(kind, cfg.optics, phase).ppf(np.compress(mask, u_x)))
-    log.signal_x_m = x
+        law = log.run.laws[kind, phase]
+        if mask.all():
+            law.quantiles(u_x, out=x)
+        elif mask.any():
+            _scatter(x, mask, law.quantiles(np.compress(mask, u_x)))
     return x
 
 
+def _truncated_sampler(dist: PatternDistribution, region: IntervalSet) -> Callable[[np.ndarray], np.ndarray]:
+    """The law conditioned on the region, sampled via stretched quantiles;
+    its tables are built here, and the sampler runs on the calling thread."""
+    if not region:
+        raise ValidationError("cannot sample a law truncated to an empty region")
+    arr = np.asarray(region.intervals, dtype=float)
+    c_lo = np.asarray(dist.cdf(arr[:, 0]), dtype=float)
+    c_hi = np.asarray(dist.cdf(arr[:, 1]), dtype=float)
+    masses = c_hi - c_lo
+    total = float(masses.sum())
+    if not total > 0:
+        raise ValidationError("truncation region carries zero probability mass")
+    cum = np.concatenate(([0.0], np.cumsum(masses)))
+    # keep samples inside their half-open interval despite the 1e-12 inversion slack
+    hi_in = np.nextafter(arr[:, 1], arr[:, 0])
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        s = u * total
+        j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, masses.size - 1)
+        u_full = np.clip(c_lo[j] + (s - cum[j]), 0.0, 1.0)
+        return np.clip(dist.quantiles(u_full), arr[j, 0], hi_in[j])
+
+    return sample
+
+
 def _run_interval_rule(
-    cfg: ProtocolConfig,
-    rng: np.random.Generator,
-    slit: np.ndarray,
+    run: _Run,
     region: IntervalSet,
     law: PatternKind | None,
     markers: tuple[str, ...],
     refusal_marker: str,
     keys: tuple[str, str],
-    route: Callable[[EventLog, np.ndarray], None],
+    route: Callable[[_Rows, np.ndarray], None],
     idler: bool = False,
 ) -> RunResult | FeasibilityReport:
     """Switch stage d and perishable media: an interval rule on ``region``
-    fixes the law instead of pipeline steps 3-4, and the log is recorded
-    after sampling, so its columns do not add to the sampler's peak memory.
+    fixes the law instead of pipeline steps 3-4.
 
     Draws u_component, then u_x. With a fixed ``law`` every pair draws it.
     Otherwise the structureless law must hold exactly on the region, a rule
     that implies total probability delta(region): below the noise threshold
-    the run refuses with a report carrying ``refusal_marker``; above it each
-    pair draws one of the two laws truncated to the region (structureless) or
-    its complement (interference), weighted by their masses, and a deviation
-    from unit mass that noise hides is flagged. ``route(log, inside)`` then
-    records the which-way fate of the pairs whose impact lands in the region;
-    ``keys`` name the subsets inside and outside it.
+    the run refuses with a report carrying ``refusal_marker``, before any
+    variate is drawn; above it each pair draws one of the two laws truncated
+    to the region (structureless) or its complement (interference), weighted
+    by their masses, and a deviation from unit mass that noise hides is
+    flagged. ``route(chunk, inside)`` then records the which-way fate of the
+    pairs whose impact lands in the region; ``keys`` name the subsets inside
+    and outside it.
     """
-    optics = cfg.optics
-    u_component = rng.random(cfg.n_pairs)
-    u_x = rng.random(cfg.n_pairs)
+    cfg, optics = run.cfg, run.cfg.optics
     feasibility: FeasibilityReport | None = None
     complement = region.complement(optics.window)
-    if law is not None:
-        del u_component
-        x = np.asarray(PatternDistribution(law, optics).ppf(u_x), dtype=np.float64)
-    else:
+    if law is None:
         feasibility = contradiction_margin(region, optics)
         if not feasibility.feasible_under_outcome_i:
             if feasibility.delta_value < cfg.noise_threshold:
                 return replace(feasibility, marker=refusal_marker)
             markers += ("statistically_indistinguishable_from_consistency",)
-        particle = PatternDistribution(PatternKind.PARTICLE, optics)
-        wave = PatternDistribution(PatternKind.WAVE, optics)
+        particle, wave = run.laws[PatternKind.PARTICLE, 0.0], run.laws[PatternKind.WAVE, 0.0]
         p_in = particle.mass(region)
         w_out = wave.mass(complement)
         weight = p_in / (p_in + w_out) if (p_in + w_out) > 0 else 0.0
-        from_particle = u_component < weight
-        x = np.empty(cfg.n_pairs, dtype=np.float64)
-        for mask, dist, part in ((from_particle, particle, region), (~from_particle, wave, complement)):
-            if mask.any():
-                _scatter(x, mask, _truncated_quantile(dist, part, np.compress(mask, u_x)))
-    inside = region.contains(x)
-    log = _base_log(cfg, slit, idler)
-    route(log, inside)
-    log.observation_time_s = log.t_signal_impact_s
-    log.signal_x_m = x
+        # a part no pair can draw (u < 0, u >= 1) is never built
+        parts = [(True, _truncated_sampler(particle, region))] if weight > 0.0 else []
+        if weight < 1.0:
+            parts.append((False, _truncated_sampler(wave, complement)))
+
     inner, outer = keys
-    subsets, regions = {inner: inside, outer: ~inside}, {inner: region, outer: complement}
-    return _assemble(cfg, log, x, subsets, regions, feasibility=feasibility, markers=markers)
+
+    def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        _base_log(c, idler)
+        x = c.column("signal_x_m")
+        if law is None:
+            from_particle = c.random() < weight
+            u_x = c.random()
+            for side, sample in parts:
+                mask = from_particle if side else ~from_particle
+                if mask.any():
+                    _scatter(x, mask, sample(np.compress(mask, u_x)))
+        else:
+            c.skip()  # u_component: a fixed law reads none
+            run.laws[law, 0.0].quantiles(c.random(), out=x)
+        inside = region.contains(x)
+        route(c, inside)
+        c.observation_time_s = c.t_signal_impact_s
+        return x, {inner: inside, outer: ~inside}
+
+    return run.render(rows, keys, {inner: region, outer: complement}, feasibility=feasibility, markers=markers)
 
 
 # -- protocol runners ---------------------------------------------------------------
@@ -1157,10 +1444,13 @@ def run_double_slit(cfg: ProtocolConfig) -> RunResult:
 
     Draw order: u_slit, u_x.
     """
-    rng, slit = _draws(cfg, Protocol.DOUBLE_SLIT)
-    log = _base_log(cfg, slit)
-    _record(log, cfg.detectors_recording, log.t_signal_impact_s)
-    return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
+
+    def rows(c: _Rows) -> tuple[np.ndarray, None]:
+        _base_log(c)
+        _record(c, cfg.detectors_recording, c.t_signal_impact_s)
+        return _render(c, c.t_signal_impact_s), None
+
+    return _Run(cfg, Protocol.DOUBLE_SLIT).render(rows)
 
 
 def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
@@ -1168,38 +1458,46 @@ def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
 
     Draw order: u_slit, u_choice, u_x.
     """
-    rng, slit = _draws(cfg, Protocol.DELAYED_CHOICE)
-    log = _base_log(cfg, slit, idler=True)
-    chose_record = rng.random(cfg.n_pairs) < cfg.choice_record_prob
-    _record(log, chose_record, log.t_detector_s)
-    x = _render(cfg, log, rng, log.t_detector_s)
-    subsets = {"recorded": chose_record, "unrecorded": ~chose_record}
-    return _assemble(cfg, log, x, subsets, tv=("recorded", "unrecorded"))
+
+    def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        _base_log(c, idler=True)
+        chose_record = c.random() < cfg.choice_record_prob
+        _record(c, chose_record, c.t_detector_s)
+        x = _render(c, c.t_detector_s)
+        return x, {"recorded": chose_record, "unrecorded": ~chose_record}
+
+    run = _Run(cfg, Protocol.DELAYED_CHOICE)
+    return run.render(rows, ("recorded", "unrecorded"), tv=("recorded", "unrecorded"))
 
 
-def _eraser_bench(
-    cfg: ProtocolConfig, rng: np.random.Generator, slit: np.ndarray, kept: bool
-) -> tuple[EventLog, np.ndarray]:
-    """Eraser-bench routing: (log, to_which_way).
+def _eraser_bench(c: _Rows, kept: bool, idler: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eraser-bench routing of a chunk's pairs: (to_which_way, detector, the
+    idlers' registration times); the caller writes the detector column, and
+    without ``idler`` the registration times too.
 
     Reflected idlers head to the slit-tagged detectors (slit 1 -> D3, slit 2
     -> D4), which detect them and, when ``kept``, write a persistent record;
     transmitted idlers merge and exit one of two ports (0 -> D1, 1 -> D2,
     which carries ``_D2_PHASE``), all registering ``delta_t_s`` after
-    creation. Draw order after u_slit: u_route, u_port.
+    creation. Draw order: u_slit, u_route, u_port.
     """
-    to_which_way = rng.random(cfg.n_pairs) < 0.5
-    port = (rng.random(cfg.n_pairs) < 0.5).astype(np.int8)
-    log = _base_log(cfg, slit, idler=True)
+    _base_log(c, idler)
+    to_which_way = c.random() < 0.5
+    port = (c.random() < 0.5).astype(np.int8)
+    registered = c.t_detector_s if idler else c.t_created_s + c.cfg.delta_t_s
     # int8 selects by arithmetic: a splitter an idler skips reads -1, and
     # slit is 1 or 2, so 2 - slit flags slit 1
+    slit = c.slit
     w, s1 = to_which_way.view(np.int8), 2 - slit
-    log.bs_a = s1 * (w + 1) - 1
-    log.bs_b = (1 - s1) * (w + 1) - 1
-    log.bs_c = (1 - w) * (port + 1) - 1
-    log.detector = w * (slit + 2) + (1 - w) * (port + 1)
-    _record(log, to_which_way, log.t_detector_s, kept)
-    return log, to_which_way
+    c.bs_a = s1 * (w + 1) - 1
+    c.bs_b = (1 - s1) * (w + 1) - 1
+    c.bs_c = (1 - w) * (port + 1) - 1
+    _record(c, to_which_way, registered, kept)
+    return to_which_way, w * (slit + 2) + (1 - w) * (port + 1), registered
+
+
+def _eraser_subsets(detector: np.ndarray, ports: tuple[str, ...]) -> dict[str, np.ndarray]:
+    return {key: detector == (0 if key == "unsorted" else int(key[1])) for key in ports}
 
 
 def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
@@ -1211,12 +1509,14 @@ def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
     phases (0 and pi/2) so the pooled screen marginal stays flat.
     Draw order: u_slit, u_route, u_port, u_x.
     """
-    rng, slit = _draws(cfg, Protocol.QUANTUM_ERASER)
-    log, _ = _eraser_bench(cfg, rng, slit, kept=True)
-    x = _render(cfg, log, rng, log.t_detector_s, log.detector == 2)
-    summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
-    d = log.detector
-    return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "D3": d == 3, "D4": d == 4}, coincidences=summary)
+    keys = ("D1", "D2", "D3", "D4")
+
+    def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        _, detector, registered = _eraser_bench(c, kept=True)
+        c.detector = detector
+        return _render(c, registered, detector == 2), _eraser_subsets(detector, keys)
+
+    return _Run(cfg, Protocol.QUANTUM_ERASER, (0.0, _D2_PHASE)).render(rows, keys, coincidences=True)
 
 
 def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
@@ -1230,26 +1530,38 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
     objective record keeps the interference law under RENDER_AT_AVAILABILITY.
     Draw order: u_slit[, u_route, u_port], u_x.
     """
-    rng, slit = _draws(cfg, Protocol.DETECT_NO_RECORD)
     if cfg.variant is DetectNoRecordVariant.UNPLUGGED_DETECTORS:
-        log = _base_log(cfg, slit)
-        _record(log, True, log.t_signal_impact_s, kept=False)  # the unplugged outputs keep nothing
-        return _assemble(cfg, log, _render(cfg, log, rng, log.t_signal_impact_s))
-    log, to_which_way = _eraser_bench(cfg, rng, slit, kept=False)
-    d2 = log.detector == 2
+
+        def unplugged(c: _Rows) -> tuple[np.ndarray, None]:
+            _base_log(c)
+            _record(c, True, c.t_signal_impact_s, kept=False)  # the unplugged outputs keep nothing
+            return _render(c, c.t_signal_impact_s), None
+
+        return _Run(cfg, Protocol.DETECT_NO_RECORD).render(unplugged)
+    run = _Run(cfg, Protocol.DETECT_NO_RECORD, (0.0, _D2_PHASE))
     if cfg.variant is DetectNoRecordVariant.NO_COINCIDENCE_COUNTER:
-        # detectors all fire but nothing can be sorted or kept
-        if cfg.model.policy is RenderingPolicy.RENDER_AT_AVAILABILITY:
-            d2 = None  # nothing sortable survives: the plain interference law
-        return _assemble(cfg, log, _render(cfg, log, rng, log.t_detector_s, d2))
+
+        def no_counter(c: _Rows) -> tuple[np.ndarray, None]:
+            # detectors all fire but nothing can be sorted or kept
+            _, detector, registered = _eraser_bench(c, kept=False)
+            c.detector = detector
+            # under RENDER_AT_AVAILABILITY nothing sortable survives: the plain interference law
+            d2 = None if cfg.model.policy is RenderingPolicy.RENDER_AT_AVAILABILITY else detector == 2
+            return _render(c, registered, d2), None
+
+        return run.render(no_counter)
     # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
     # nowhere; the pair still resolves delta_t_s after creation
-    x = _render(cfg, log, rng, log.t_detector_s, d2)
-    log.detector = log.detector * ~to_which_way
-    log.t_detector_s = _nan_except(~to_which_way, log.t_detector_s)
-    summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
-    d = log.detector
-    return _assemble(cfg, log, x, {"D1": d == 1, "D2": d == 2, "unsorted": d == 0}, coincidences=summary)
+    keys = ("D1", "D2", "unsorted")
+
+    def channels_off(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        to_which_way, detector, registered = _eraser_bench(c, kept=False, idler=False)
+        x = _render(c, registered, detector == 2)
+        c.detector = detector = detector * ~to_which_way
+        c.t_detector_s = _nan_except(~to_which_way, registered)
+        return x, _eraser_subsets(detector, keys)
+
+    return run.render(channels_off, keys, coincidences=True)
 
 
 def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
@@ -1257,21 +1569,23 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
 
     Destruction is an independent coin per pair (probability
     ``destruction_prob``) or an exact uniformly chosen half when
-    ``pairing_mode`` asks for it. Draw order: u_slit, destruction draw, u_x.
+    ``pairing_mode`` asks for it, drawn whole as ``permutation(n)`` before
+    any chunk. Draw order: u_slit, destruction draw, u_x.
     """
-    rng, slit = _draws(cfg, Protocol.MACROSCOPIC_ERASURE)
+    run = _Run(cfg, Protocol.MACROSCOPIC_ERASURE)
     n = cfg.n_pairs
-    log = _base_log(cfg, slit)
-    if cfg.pairing_mode is PairingMode.EXACT_HALF_SUBSET:
-        destroyed = rng.permutation(n) < n // 2
-    else:
-        destroyed = rng.random(n) < cfg.destruction_prob
-    _record(log, True, log.t_signal_impact_s)
-    log.erased = destroyed
-    log.erased_at_s = _nan_except(destroyed, log.t_signal_impact_s + cfg.erasure_delay_s)
-    x = _render(cfg, log, rng, log.t_signal_impact_s + cfg.erasure_delay_s)
-    subsets = {"destroyed": destroyed, "surviving": ~destroyed}
-    return _assemble(cfg, log, x, subsets, tv=("surviving", "destroyed"))
+    half = run.streams.permutation(1) < n // 2 if cfg.pairing_mode is PairingMode.EXACT_HALF_SUBSET else None
+
+    def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        _base_log(c)
+        destroyed = c.random() < cfg.destruction_prob if half is None else half[c.start : c.stop]
+        _record(c, True, c.t_signal_impact_s)
+        erasure = c.t_signal_impact_s + cfg.erasure_delay_s
+        c.erased = destroyed
+        c.erased_at_s = _nan_except(destroyed, erasure)
+        return _render(c, erasure), {"destroyed": destroyed, "surviving": ~destroyed}
+
+    return run.render(rows, ("destroyed", "surviving"), tv=("surviving", "destroyed"))
 
 
 def run_predictor(cfg: ProtocolConfig) -> RunResult:
@@ -1283,19 +1597,26 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
     R=1 when the flat-pattern posterior exceeds one half. Draw order: u_slit,
     u_record, u_x.
     """
-    rng, slit = _draws(cfg, Protocol.PREDICTOR)
-    log = _base_log(cfg, slit, idler=True)
-    recorded = rng.random(cfg.n_pairs) < 0.5
-    _record(log, recorded, log.t_detector_s)
-    x = _render(cfg, log, rng, log.t_detector_s)
-    result = _assemble(cfg, log, x, {"recorded": recorded, "erased": ~recorded}, tv=("recorded", "erased"))
-    result.predictor = _predictor_stats(cfg, x, recorded, result)
+    from .stats import approx_posterior
+
+    def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        _base_log(c, idler=True)
+        recorded = c.random() < 0.5
+        _record(c, recorded, c.t_detector_s)
+        x = _render(c, c.t_detector_s)
+        c.tally["correct"] = int(np.count_nonzero((approx_posterior(x, cfg.optics) > 0.5) == recorded))
+        return x, {"recorded": recorded, "erased": ~recorded}
+
+    run = _Run(cfg, Protocol.PREDICTOR)
+    result = run.render(rows, ("recorded", "erased"), tv=("recorded", "erased"))
+    result.predictor = _predictor_stats(cfg, result, run.tally["correct"])
     return result
 
 
-def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray, result: RunResult) -> PredictorStats:
+def _predictor_stats(cfg: ProtocolConfig, result: RunResult, correct: int) -> PredictorStats:
     """Calibration on the pooled screen's bins: the recorded share of each
-    bin's impacts, from the histograms ``result`` already holds."""
+    bin's impacts, from the histograms ``result`` already holds; ``correct``
+    counts the controller's right predictions."""
     # imported at call time, so a wrapper on ``stats.tv_distance`` (perfbench tracing) sees these calls
     from .stats import approx_posterior, tv_distance
 
@@ -1318,8 +1639,8 @@ def _predictor_stats(cfg: ProtocolConfig, x: np.ndarray, recorded: np.ndarray, r
     dark = np.abs(np.cos(np.pi * centers / a)) < 0.05
     dark_filled = dark & filled
     dark_min = float(np.min(empirical[dark_filled])) if dark_filled.any() else math.nan
-    prediction = np.asarray(approx_posterior(x, optics), dtype=float) > 0.5
-    accuracy = float(np.mean(prediction == recorded))
+    # the mean of the 0/1 hits, which np.mean sums exactly before dividing
+    accuracy = correct / cfg.n_pairs
     expected = 0.5 * (1.0 + tv_distance(optics))
     return PredictorStats(
         bin_edges=edges,
@@ -1364,28 +1685,33 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     Draw order: u_slit, u_x (stages a-c); u_slit, u_component, u_x (stage d,
     hypotheses i-iii); u_slit (stage d, hypothesis iv).
     """
-    rng, slit = _draws(cfg, Protocol.SWITCH_EXPERIMENT)
+    run = _Run(cfg, Protocol.SWITCH_EXPERIMENT)
     if cfg.switch_stage is not SwitchStage.D:
-        log = _base_log(cfg, slit, idler=True)
-        log.erased = 1
-        x = _render(cfg, log, rng, log.t_detector_s)
-        log.t_detector_s = np.nan  # the idler resolves the pair but registers nowhere
-        return _assemble(cfg, log, x)
+
+        def stages_a_to_c(c: _Rows) -> tuple[np.ndarray, None]:
+            # the idler resolves the pair but registers nowhere
+            _base_log(c)
+            c.erased = 1
+            return _render(c, c.t_created_s + cfg.delta_t_s), None
+
+        return run.render(stages_a_to_c)
     if cfg.outcome_hypothesis is OutcomeHypothesis.IV:
-        log = _base_log(cfg, slit)
-        log.observation_time_s = log.t_signal_impact_s
-        return _assemble(cfg, log, log.signal_x_m, {}, markers=("discontinuity",))
+
+        def discontinuity(c: _Rows) -> tuple[None, None]:
+            _base_log(c)
+            c.observation_time_s = c.t_signal_impact_s
+            return None, None
+
+        return run.render(discontinuity, (), markers=("discontinuity",))
     law, markers = _FIXED_LAWS.get(cfg.outcome_hypothesis, (None, ()))
     return _run_interval_rule(
-        cfg,
-        rng,
-        slit,
+        run,
         cfg.strategy.activation_region(cfg.optics),
         law,
         markers,
         "outcome_i_infeasible",
         ("switch_on", "switch_off"),
-        lambda log, switch_on: _record(log, switch_on, log.t_detector_s),
+        lambda c, switch_on: _record(c, switch_on, c.t_detector_s),
         idler=True,
     )
 
@@ -1402,7 +1728,7 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     the run refuses with an intent-adjustment marker when that is below the
     noise threshold (branch b). Draw order: u_slit, u_component, u_x.
     """
-    rng, slit = _draws(cfg, Protocol.PERISHABLE_MEDIA)
+    run = _Run(cfg, Protocol.PERISHABLE_MEDIA)
     rule = cfg.rule_intervals if cfg.rule_intervals is not None else optimal_interval_set(cfg.optics)
     region = IntervalSet.from_pairs(rule.intervals, window=cfg.optics.window)
     if cfg.recording_rule is RecordingRule.PERMANENT_ONLY:
@@ -1410,16 +1736,14 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     else:
         law, markers = PatternKind.PARTICLE, ("branch_a",)
 
-    def route(log: EventLog, copied: np.ndarray) -> None:
-        _record(log, True, log.t_signal_impact_s)
+    def route(c: _Rows, copied: np.ndarray) -> None:
+        _record(c, True, c.t_signal_impact_s)
         # a copy is persistent, whose code is one below the perishable one
-        log.medium = _MEDIUM_CODES[Medium.PERISHABLE] - copied.view(np.int8)
-        log.expires_at_s = _nan_except(~copied, log.t_signal_impact_s + cfg.ttl_s)
-        log.erased = ~copied
+        c.medium = _MEDIUM_CODES[Medium.PERISHABLE] - copied.view(np.int8)
+        c.expires_at_s = _nan_except(~copied, c.t_signal_impact_s + cfg.ttl_s)
+        c.erased = ~copied
 
-    return _run_interval_rule(
-        cfg, rng, slit, region, law, markers, "intent_adjustment_required", ("recorded", "perished"), route
-    )
+    return _run_interval_rule(run, region, law, markers, "intent_adjustment_required", ("recorded", "perished"), route)
 
 
 _RUNNERS = {

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 # adaptive_simpson is not called here; the benchmark tracer patches stats.adaptive_simpson
-from .numerics import adaptive_simpson, libm_log, map_blocks  # noqa: F401
+from .numerics import adaptive_simpson, libm, map_blocks  # noqa: F401
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -85,7 +86,8 @@ def _sign_intervals(wave: PatternDistribution, particle: PatternDistribution) ->
     xs, cdf = particle._cell_table
     # the per-cell arrays set the call's peak memory, so they are worked in place
     theta = np.diff(cdf) / (wave._wave_norm * np.diff(xs))  # h / c
-    np.arccos(np.sqrt(np.minimum(theta, 1.0, out=theta), out=theta), out=theta)
+    # the C library's acos, so that no crossing's bit depends on the CPU
+    theta = libm(np.arccos, np.sqrt(np.minimum(theta, 1.0, out=theta), out=theta))
     theta *= a
     theta /= np.pi
     lo, hi = xs[:-1], xs[1:]
@@ -207,46 +209,66 @@ def classify_pattern(
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValidationError("classification requires at least one sample")
-    wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)
-    particle = PatternDistribution(PatternKind.PARTICLE, cfg)
-    wave._check_domain(x)
+    PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)._check_domain(x)
+    if restrict_to is not None and not np.all(restrict_to.contains(x)):
+        raise ValidationError("restricted classification requires all samples inside the region")
+    terms = llr_terms(cfg, phase_offset_rad, restrict_to)
+    per_sample = np.empty_like(x)
+    # each impact's contribution on its own, in fixed blocks on the pool; the
+    # one sum over the whole array keeps the bits of an unblocked evaluation
+    map_blocks(lambda block: terms(x[block], per_sample[block]), x.size, _CLASSIFY_BLOCK)
+    llr = float(np.sum(per_sample))
+    return ClassificationResult(verdict_of(llr), llr, int(x.size))
+
+
+def verdict_of(llr: float) -> Verdict:
+    """The verdict a summed log-likelihood ratio gives."""
+    if llr > VERDICT_LLR_THRESHOLD:
+        return Verdict.WAVE
+    if llr < -VERDICT_LLR_THRESHOLD:
+        return Verdict.PARTICLE
+    return Verdict.INDETERMINATE
+
+
+def llr_terms(
+    cfg: OpticsConfig,
+    phase_offset_rad: float = 0.0,
+    restrict_to: IntervalSet | None = None,
+) -> Callable[..., np.ndarray]:
+    """The classifier's per-impact term, ``terms(x, out=None)``: each
+    impact's ``log(w(x)/p(x))``, densities floored and the term clipped as
+    :func:`classify_pattern` takes them, on the calling thread.
+
+    The laws, their tables, the restricted masses and the uniform law's log
+    are built here, once, so that tasks on the shared pool sharing ``terms``
+    only read them. ``x`` is not checked against the window or the region.
+    """
+    wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad).prepared()
+    particle = PatternDistribution(PatternKind.PARTICLE, cfg).prepared()
     w_mass = p_mass = 1.0
     if restrict_to is not None:
-        if not np.all(restrict_to.contains(x)):
-            raise ValidationError("restricted classification requires all samples inside the region")
         w_mass = wave.mass(restrict_to)
         p_mass = particle.mass(restrict_to)
         if not (w_mass > 0.0 and p_mass > 0.0):
             raise ValidationError("restriction region carries zero mass under a hypothesis law")
     floor = DENSITY_FLOOR_FRACTION / cfg.window_width_m
-    per_sample = np.empty_like(x)
 
     def log_density(law: PatternDistribution, mass: float, at: np.ndarray) -> np.ndarray:
         density = law._density_raw(at)
         if restrict_to is not None:
             density /= mass
         # the C library's log, so that no bit depends on the CPU
-        return libm_log(np.maximum(density, floor, out=density))
+        return libm(np.log, np.maximum(density, floor, out=density))
 
     # the uniform law's density is one value on every lane: its log is taken once
-    log_p = None if cfg.envelope_enabled else float(log_density(particle, p_mass, x[:1])[0])
+    log_p = None if cfg.envelope_enabled else float(log_density(particle, p_mass, np.array(cfg.window[:1]))[0])
 
-    def contribute(block: slice) -> None:
-        w = log_density(wave, w_mass, x[block])
-        p = log_density(particle, p_mass, x[block]) if log_p is None else log_p
-        np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=per_sample[block])
+    def terms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        w = log_density(wave, w_mass, x)
+        p = log_density(particle, p_mass, x) if log_p is None else log_p
+        return np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=w if out is None else out)
 
-    # each impact's contribution on its own, in fixed blocks on the pool; the
-    # one sum over the whole array keeps the bits of an unblocked evaluation
-    map_blocks(contribute, x.size, _CLASSIFY_BLOCK)
-    llr = float(np.sum(per_sample))
-    if llr > VERDICT_LLR_THRESHOLD:
-        verdict = Verdict.WAVE
-    elif llr < -VERDICT_LLR_THRESHOLD:
-        verdict = Verdict.PARTICLE
-    else:
-        verdict = Verdict.INDETERMINATE
-    return ClassificationResult(verdict, llr, int(x.size))
+    return terms
 
 
 # -- sample-size planning -------------------------------------------------------
@@ -318,4 +340,10 @@ def tv_distance_empirical(samples_p, samples_q, cfg: OpticsConfig) -> float:
             raise ValidationError("samples must lie inside the screen window")
     pa, _ = np.histogram(a, bins=edges)
     qa, _ = np.histogram(b, bins=edges)
-    return 0.5 * float(np.abs(pa / a.size - qa / b.size).sum())
+    return tv_of_counts(pa, qa)
+
+
+def tv_of_counts(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
+    """The plug-in TV estimate of two nonempty sample sets from their
+    histogram counts on the fringe-aligned binning, every sample binned."""
+    return 0.5 * float(np.abs(p_counts / p_counts.sum() - q_counts / q_counts.sum()).sum())

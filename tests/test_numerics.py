@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualitysim.numerics import adaptive_simpson, invert_monotone, libm_log
+from dualitysim.numerics import adaptive_simpson, invert_monotone, libm
 
 
 def _reference_invert(f, targets, lo, hi, tol, fprime, x0, max_iter=200):
@@ -166,7 +166,7 @@ def test_log_has_the_c_library_bits(n):
     x = np.concatenate((rng.uniform(1e-3, 3e3, n), 10.0 ** rng.uniform(-310, 308, n)))
     x[:4] = [5e-324, 1.0, np.nextafter(1.0, 2.0), np.inf][: x.size]
     want = np.array([math.log(v) for v in x.tolist()])
-    np.testing.assert_array_equal(libm_log(x).view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(libm(np.log, x).view(np.int64), want.view(np.int64))
 
 
 def _cpu_features() -> dict[str, bool]:
@@ -184,9 +184,30 @@ def _cpu_features() -> dict[str, bool]:
 @pytest.mark.skipif(not _cpu_features().get("AVX512_SKX"), reason="numpy runs no AVX-512 float64 log here")
 def test_numpys_avx512_log_is_not_the_c_library_s():
     """Where numpy runs its AVX-512 float64 log, the sample has lanes whose
-    bits differ from the C library's, and ``libm_log`` still gives the C
+    bits differ from the C library's, and ``libm`` still gives the C
     library's: the overlapping-output fallback is in effect."""
     x = np.random.default_rng(3).uniform(1e-3, 3e3, 100_000)
     want = np.array([math.log(v) for v in x.tolist()]).view(np.int64)
     assert np.count_nonzero(np.log(x).view(np.int64) != want), "numpy's log has the C library's bits here"
-    np.testing.assert_array_equal(libm_log(x).view(np.int64), want)
+    np.testing.assert_array_equal(libm(np.log, x).view(np.int64), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 65_537])
+def test_acos_has_the_c_library_bits(n):
+    rng = np.random.default_rng(n)
+    x = np.concatenate((rng.uniform(-1.0, 1.0, n), 1.0 - 10.0 ** rng.uniform(-17, 0, n)))
+    x[:5] = [-1.0, 0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324][: x.size]
+    want = np.array([math.acos(v) for v in x.tolist()])
+    np.testing.assert_array_equal(libm(np.arccos, x).view(np.int64), want.view(np.int64))
+
+
+# numpy's float64 arccos kernel needs the same Skylake-X AVX-512 set as its log
+@pytest.mark.skipif(not _cpu_features().get("AVX512_SKX"), reason="numpy runs no AVX-512 float64 arccos here")
+def test_numpys_avx512_acos_is_not_the_c_library_s():
+    """Where numpy runs its AVX-512 float64 arccos, the sample has lanes
+    whose bits differ from the C library's ``acos``, and ``libm`` still gives
+    the C library's: the overlapping-output fallback is in effect."""
+    x = np.random.default_rng(3).random(100_000)
+    want = np.array([math.acos(v) for v in x.tolist()]).view(np.int64)
+    assert np.count_nonzero(np.arccos(x).view(np.int64) != want), "numpy's arccos has the C library's bits here"
+    np.testing.assert_array_equal(libm(np.arccos, x).view(np.int64), want)

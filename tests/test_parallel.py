@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualitysim import numerics, optics, stats
+from dualitysim import numerics, optics, protocols, stats
 from dualitysim.cli import canonical_json
 from dualitysim.numerics import invert_monotone, map_blocks
 from dualitysim.optics import (
@@ -228,6 +228,8 @@ def test_one_worker_reproduces_the_golden_pins():
 
 
 def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
+    """Nor does a pool worker: a run's chunks are dispatched from the run's
+    own thread, and a chunk task calls only serial helpers."""
     callers = []
     real = numerics.map_blocks
 
@@ -235,12 +237,13 @@ def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
         callers.append(threading.current_thread().name)
         return real(fn, n, block)
 
-    for module in (numerics, optics, stats):
+    for module in (numerics, optics, stats, protocols):
         monkeypatch.setattr(module, "map_blocks", spy)
     for name in WORKER_CASES:
         run_protocol(replace(matrix()[name], n_pairs=N_BLOCKS))
     assert callers
-    assert not [name for name in callers if name.startswith("dualitysim-hash")]
+    # the pool's workers and the hashing thread are named dualitysim_<k> and dualitysim-hash_<k>
+    assert not [name for name in callers if name.startswith("dualitysim")]
 
 
 def _forked_digest(results) -> None:

@@ -1194,18 +1194,19 @@ class TestSharedPipeline:
         live and dead perishable records among them."""
         n = 8
         cfg = ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, model=model, delta_t_s=1.0, coincidence_window_s=0.1)
-        log = EventLog.blank(n)
-        log.t_created_s[:] = log.t_signal_impact_s[:] = np.arange(n, dtype=float)
+        log = protocols._Rows(protocols._Run(cfg, Protocol.DOUBLE_SLIT), 0, n)  # one chunk's rows
+        times = np.arange(n, dtype=float)
+        log.t_created_s = log.t_signal_impact_s = times
         media = [Medium.PERISHABLE, Medium.PERISHABLE, Medium.PERISHABLE, Medium.PERSISTENT,
                  Medium.PERSISTENT, Medium.VOLATILE, Medium.NONE, Medium.NONE]
-        log.medium[:] = [_MEDIUM_CODES[m] for m in media]
-        log.detected[:] = [1, 1, 1, 1, 1, 1, 1, 0]
-        log.recorded[:] = [1, 1, 1, 1, 1, 0, 0, 0]
-        log.detected_at_s[:] = np.where(log.detected == 1, log.t_created_s, np.nan)
+        log.medium = [_MEDIUM_CODES[m] for m in media]
+        log.detected = [1, 1, 1, 1, 1, 1, 1, 0]
+        log.recorded = [1, 1, 1, 1, 1, 0, 0, 0]
+        log.detected_at_s = np.where(log.detected == 1, times, np.nan)
         # lane 0 lives past the observation, lane 1 expires before it, lane 2 never expires;
         # lane 4's persistent record is erased before the observation
-        log.expires_at_s[:3] = log.t_created_s[:3] + [5.0, 0.5, np.nan]
-        log.erased_at_s[4] = log.t_created_s[4] + 0.5
+        log.expires_at_s = np.concatenate((times[:3] + [5.0, 0.5, np.nan], np.full(n - 3, np.nan)))
+        log.erased_at_s = np.where(times == 4, times + 0.5, np.nan)
         real, masks = protocols.available_mask, []
 
         def spy(*args):
@@ -1213,7 +1214,7 @@ class TestSharedPipeline:
             return masks[-1]
 
         monkeypatch.setattr(protocols, "available_mask", spy)
-        _render(cfg, log, np.random.default_rng(0), log.t_created_s)
+        _render(log, log.t_created_s)
         expected = [which_way_available(rec, model) for rec in _availability_records(log)]
         assert masks[0].tolist() == expected
         if model is RENDER:
@@ -1285,11 +1286,17 @@ class TestPerPairKernels:
 
     @pytest.mark.parametrize("kept", [True, False], ids=["kept", "not-kept"])
     def test_eraser_routing_matches_the_select_reference(self, kept):
-        n = 2 * _BLOCK_ROWS + 7
-        cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=50)
-        rng, slit = protocols._draws(cfg, Protocol.QUANTUM_ERASER)
-        log, to_which_way = protocols._eraser_bench(cfg, rng, slit, kept)
-        # the same draws, routed by np.where
+        """The eraser bench's columns (kept: the quantum eraser; not kept:
+        detect-no-record without a coincidence counter) over three chunks."""
+        n = 4 * _BLOCK_ROWS + 7
+        assert -(-n // protocols._chunk_rows(n)) == 3
+        if kept:
+            cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=50)
+        else:
+            cfg = ProtocolConfig(protocol=Protocol.DETECT_NO_RECORD, n_pairs=n, seed=50,
+                                 variant=DetectNoRecordVariant.NO_COINCIDENCE_COUNTER)
+        log = run_protocol(cfg).events
+        # the same draws, taken in sequence and routed by np.where
         ref = np.random.default_rng(cfg.seed)
         s1 = ref.random(n) < 0.5
         w = ref.random(n) < 0.5
@@ -1307,7 +1314,6 @@ class TestPerPairKernels:
             "recorded": w if kept else np.zeros(n, bool),
             "medium": np.where(w, np.int8(2), np.int8(0)) if kept else np.zeros(n, np.int8),
         }
-        assert to_which_way.tolist() == w.tolist()
         for name, column in want.items():
             dtype = protocols._COLUMNS[name][0]
             assert getattr(log, name).tobytes() == np.asarray(column, dtype=dtype).tobytes(), name
