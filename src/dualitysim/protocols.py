@@ -1,9 +1,12 @@
 """Monte Carlo runners for the bench protocols.
 
-Every runner draws whole per-pair variate arrays up front in a fixed,
-documented order (row i belongs to pair i), so results are independent of
-execution order and thread count: identical config and seed reproduce
-identical event logs, digests, and reports. Pair i is created at
+Every runner draws its per-pair variates as ``n``-long streams in a fixed,
+documented order (row i of each belongs to pair i). A run renders in fixed
+chunks of rows, one task per chunk on the shared pool; stream k starts at
+output ``k n`` of ``PCG64(seed)``, so a chunk draws its own rows of it with
+the bits of the sequential draws. Results are independent of execution order
+and thread count: identical config and seed reproduce identical event logs,
+digests, and reports. Pair i is created at
 ``t = i * 1.5 * delta_t_s`` (one pair in flight per interval), the signal
 impact is at creation (transit treated as zero), and the idler resolves a
 fixed ``delta_t_s`` later.
@@ -15,10 +18,12 @@ the event log; (2) observation time: the impact under ``AT_T0``, else
 (at the impact under the impact-time horizon); (4) law per group: the
 structureless law where which-way is available, else the interference law at
 the pair's fringe phase; (5) ``ppf`` of the pair's ``u_x``, the run's last
-draw; (6) assemble: classify the subsets and the pooled screen, digest the
-log. Switch stage d and perishable media share one sampling path instead: an
-interval rule fixes the law (steps 3-4) and the log is recorded after
-sampling. Stage d hypothesis iv samples nothing and draws only ``u_slit``.
+draw; (6) tally: histogram and classify the subsets and the pooled screen,
+and hash the log's rows. The run then merges its chunks and digests the log.
+Switch stage d and perishable media share one sampling path instead: an
+interval rule fixes the law (steps 3-4) and the which-way fate is routed
+after sampling. Stage d hypothesis iv samples nothing and draws only
+``u_slit``.
 
 =====================  ==========================================
 protocol               draw order
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, partial, reduce
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -410,7 +415,8 @@ class EventLog:
     Assigning an array seals it: the array, and any array it is a view of,
     becomes read-only (for a slice ``buf[:n]`` of an array that owns its
     memory, all of ``buf``), and its digest record is hashed on the hashing
-    thread while the run goes on. A view of the same buffer taken before the
+    thread while the run goes on (a run's chunks hash their own rows, and
+    the record joins those hashes). A view of the same buffer taken before the
     assignment is not sealed: a write through it may miss the digest, so a
     caller must drop or never write such views. An array that is an earlier
     column's buffer (the creation times are the impact times) reuses that
@@ -972,14 +978,29 @@ class _Streams:
         return out
 
 
+class _Chunk(NamedTuple):
+    """What one chunk task hands back to its run."""
+
+    #: column name -> the fill the chunk holds it as
+    fills: dict
+    #: names of the columns the chunk wrote as arrays
+    arrays: frozenset
+    #: id of a column's buffer -> the future of the block hashes of the chunk's rows
+    hashes: dict
+    #: per screen, the pooled one first: (count, histogram counts, slit counts, sum of the classifier terms)
+    tallies: list | None
+    #: counts the runner put in the chunk's ``tally``
+    counts: dict
+
+
 class _Run:
     """One run while its chunks render: the config, the variate streams, the
     laws and the log's array columns.
 
     The laws and their tables are built here, on the run thread, before any
-    chunk starts, so chunk tasks only read them. An array column is
-    allocated once, by the first chunk that writes it, and every chunk
-    writes its own rows.
+    chunk starts, so chunk tasks only read them. The array columns are
+    allocated on the run thread too (see ``render``); every chunk writes its
+    own rows of them.
     """
 
     def __init__(self, cfg: ProtocolConfig, expected: Protocol, phases: tuple[float, ...] = (0.0,)) -> None:
@@ -1028,41 +1049,43 @@ class _Run:
         TV distance is reported when both are nonempty, and ``coincidences``
         asks for the coincidence summary of the finished timing columns.
 
-        Each chunk is one task on the shared pool (a single chunk runs on
-        this thread), which hashes its rows of the log's array columns on
-        the hashing thread and tallies its subsets: counts, histogram and
-        slit counts, and the sum of its classifier terms. The tallies merge
-        exactly, except that a subset's log-likelihood ratio is the sum of
-        the chunks' sums, added in chunk order.
+        ``rows`` first runs here on zero rows, which allocates every array
+        column on this thread, so that no pool worker's malloc arena holds a
+        log. Then each chunk is one task on the shared pool (a single chunk
+        runs on this thread): it submits the hashes of its rows of the array
+        columns to the hashing thread and tallies its subsets' counts,
+        histogram and slit counts and the sum of their classifier terms. The
+        tallies merge exactly, except that a subset's log-likelihood ratio is
+        the sum of the chunks' sums, added in chunk order.
         """
         cfg, n = self.cfg, self.n
-        screens = None if keys == () else _Screens(cfg.optics, keys or (), regions or {})
-        # on zero rows first: this thread allocates every array column the
-        # chunks fill, so that no pool worker's heap holds a log
+        screens = None if keys == () else _Screens(self.laws, keys or (), regions or {})
         rows(_Rows(self, 0, 0))
         chunks = map_blocks(partial(self._chunk, rows, screens), n, _chunk_rows(n))
         log = self._log(chunks)
         results: dict[str, SubsetResult] = {}
         pooled = None
         if screens is not None:
-            merged = [_merge([chunk[1][i] for chunk in chunks], screens.edges, cfg.optics) for i in range(len(screens.keys) + 1)]
+            # one list of chunk tallies per screen, the pooled one first
+            merged = [_merge(tallies, screens.edges, cfg.optics) for tallies in zip(*(c.tallies for c in chunks))]
             pooled = merged[0]
-            results = dict(zip(screens.keys, merged[1:])) if keys else {"screen": pooled}
+            results = dict(zip(keys, merged[1:])) if keys else {"screen": pooled}
         empirical_tv = None
         if tv is not None and all(results[key].count for key in tv):
             empirical_tv = tv_of_counts(*(results[key].histogram.counts for key in tv))
         summary = None
         warnings_: tuple[str, ...] = ()
         if coincidences:
-            summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, cfg.coincidence_window_s, cfg.delta_t_s)
+            window, lag = cfg.coincidence_window_s, cfg.delta_t_s
+            summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, window, lag)
             if summary.matched:
                 mismatch = (summary.unmatched_detectors + summary.ambiguities) / max(
                     1, summary.matched + summary.unmatched_detectors
                 )
                 if mismatch > 0.01:
                     warnings_ = (f"coincidence mismatch rate {mismatch:.3f} exceeds 1%: timing structure violated",)
-        for chunk in chunks:
-            for key, count in chunk[2].items():
+        for c in chunks:
+            for key, count in c.counts.items():
                 self.tally[key] = self.tally.get(key, 0) + count
         return RunResult(
             protocol=cfg.protocol,
@@ -1081,28 +1104,28 @@ class _Run:
             events=log,
         )
 
-    def _chunk(self, rows, screens: "_Screens | None", block: slice) -> tuple:
-        """One chunk's task: its rows, their block hashes, its subset tallies
-        and the counts ``rows`` left in ``chunk.tally``."""
-        chunk = _Rows(self, block.start, min(block.stop, self.n))
-        x, masks = rows(chunk)
-        columns = chunk.seal()
-        tallies = None if screens is None else screens.tally(x, chunk.slit, masks)
-        return columns, tallies, chunk.tally
+    def _chunk(self, rows, screens: "_Screens | None", block: slice) -> _Chunk:
+        """One chunk's task: its rows, the hashes of their blocks, and its
+        tallies."""
+        c = _Rows(self, block.start, min(block.stop, self.n))
+        x, masks = rows(c)
+        fills, arrays, hashes = c.seal()
+        tallies = None if screens is None else screens.tally(x, c.slit, masks)
+        return _Chunk(fills, arrays, hashes, tallies, c.tally)
 
-    def _log(self, chunks: list[tuple]) -> EventLog:
-        """The run's log from its chunks' columns: a fill every chunk holds,
-        or an array whose record joins the chunks' block hashes."""
-        fills, arrays, _ = chunks[0][0]
-        if any((c[0][0].keys(), c[0][1]) != (fills.keys(), arrays) for c in chunks[1:]):
+    def _log(self, chunks: list[_Chunk]) -> EventLog:
+        """The run's log from its chunks: a column is a fill every chunk
+        holds, or an array whose record joins the chunks' block hashes."""
+        first = chunks[0]
+        if any((c.fills.keys(), c.arrays) != (first.fills.keys(), first.arrays) for c in chunks[1:]):
             raise RuntimeError("chunks disagree on which columns are fills")
         log = EventLog(self.n)
-        for name, fill in fills.items():
+        for name, fill in first.fills.items():
             setattr(log, name, fill)
         for name in _COLUMNS:
-            if name in arrays:
+            if name in first.arrays:
                 col = self._arrays[name]
-                log._seal(name, col, [c[0][2][id(col)] for c in chunks])
+                log._seal(name, col, [c.hashes[id(col)] for c in chunks])
         return log
 
 
@@ -1142,8 +1165,10 @@ class _Rows:
         (column ``like``'s rows, filled already, when given)."""
         if isinstance(self._cols.get(name), np.ndarray):
             raise RuntimeError(f"a chunk writes column {name!r} once")
-        view = self.run.array(name, like)[self.start : self.stop]
-        if like is not None:
+        if like is None:
+            view = self.run.array(name)[self.start : self.stop]
+        else:
+            self.run.array(name, like)  # one buffer for both columns
             view = self._cols[like]
         self._cols[name] = view
         self._sources.append((view, name))
@@ -1201,11 +1226,11 @@ class _Screens:
     raises when a chunk first has samples for it, as classifying them would.
     """
 
-    def __init__(self, optics: OpticsConfig, keys: tuple[str, ...], regions: dict[str, IntervalSet]) -> None:
-        self.optics, self.keys = optics, keys
+    def __init__(self, laws: dict, keys: tuple[str, ...], regions: dict[str, IntervalSet]) -> None:
+        self.particle = particle = laws[PatternKind.PARTICLE, 0.0]
+        optics = particle.config
         self.edges = fringe_aligned_edges(optics)
-        self.window = PatternDistribution(PatternKind.PARTICLE, optics)
-        self.pooled = llr_terms(optics)
+        self.pooled = llr_terms(laws[PatternKind.WAVE, 0.0], particle)
         self.subsets = []
         for key in keys:
             region = regions.get(key)
@@ -1215,7 +1240,7 @@ class _Screens:
             terms = None
             if restrict is not None or phase:
                 try:
-                    terms = llr_terms(optics, phase, restrict)
+                    terms = llr_terms(laws[PatternKind.WAVE, phase], particle, restrict)
                 except ValidationError as exc:
                     terms = partial(_raise, exc)
             self.subsets.append((key, terms, restrict))
@@ -1226,7 +1251,7 @@ class _Screens:
         the subsets partition the impacts, as every runner's do, the pooled
         histogram and slit counts are their sums."""
         # raised as the classifier raises for an impact off the screen
-        self.window._check_domain(x)
+        self.particle._check_domain(x)
         pooled = self.pooled(x)
         in_slit = (slit == 1, slit == 2)
         out = []
@@ -1292,42 +1317,42 @@ def _base_log(c: _Rows, idler: bool = False) -> None:
         np.add(created, c.cfg.delta_t_s, out=c.column("t_detector_s"))
 
 
-def _record(log: _Rows, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
+def _record(c: _Rows, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
     """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
     a persistent which-way record; every pair left with no which-way record
     is erased. A scalar ``mask`` holds for every pair and leaves fills in the
     log."""
     flag = np.asarray(mask, dtype=np.int8)
-    log.detected = flag
-    log.detected_at_s = _nan_except(mask, at) if flag.ndim else (at if mask else np.nan)
-    log.erased = 1 - flag if kept else 1
+    c.detected = flag
+    c.detected_at_s = _nan_except(mask, at) if flag.ndim else (at if mask else np.nan)
+    c.erased = 1 - flag if kept else 1
     if kept:
-        log.recorded = flag
-        log.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
+        c.recorded = flag
+        c.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
 
 
-def _render(log: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
+def _render(c: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
     """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
     resolves at ``resolved_at``; draws the run's last variate, u_x, sets
     ``observation_time_s`` and ``signal_x_m`` and returns the impacts. The
     record columns reach the availability query as held, fills unexpanded.
     Wave pairs in the ``d2`` mask take the fringe phase ``_D2_PHASE``, the
     others phase 0."""
-    cfg = log.cfg
-    u_x = log.random()
+    cfg = c.cfg
+    u_x = c.random()
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
-        log.observation_time_s = log.t_signal_impact_s
+        c.observation_time_s = c.t_signal_impact_s
     else:
-        np.add(resolved_at, cfg.delta_t_s, out=log.column("observation_time_s"))
-    at = availability_query_time(cfg.model, log.t_signal_impact_s, log.observation_time_s)
-    medium = log._held("medium")
+        np.add(resolved_at, cfg.delta_t_s, out=c.column("observation_time_s"))
+    at = availability_query_time(cfg.model, c.t_signal_impact_s, c.observation_time_s)
+    medium = c._held("medium")
     avail = available_mask(
         cfg.model.policy,
-        log._held("detected"),
-        log._held("recorded"),
+        c._held("detected"),
+        c._held("recorded"),
         reduce(np.logical_or, [medium == code for code in _OBJECTIVE_CODES]),
-        log._held("erased_at_s"),
-        log._held("expires_at_s"),
+        c._held("erased_at_s"),
+        c._held("expires_at_s"),
         at,
     )
     wave = ~avail
@@ -1336,9 +1361,9 @@ def _render(log: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -
         groups.append((wave, PatternKind.WAVE, 0.0))
     else:
         groups += [(wave & ~d2, PatternKind.WAVE, 0.0), (wave & d2, PatternKind.WAVE, _D2_PHASE)]
-    x = log.column("signal_x_m")  # the groups cover every pair
+    x = c.column("signal_x_m")  # the groups cover every pair
     for mask, kind, phase in groups:
-        law = log.run.laws[kind, phase]
+        law = c.run.laws[kind, phase]
         if mask.all():
             law.quantiles(u_x, out=x)
         elif mask.any():
@@ -1496,10 +1521,6 @@ def _eraser_bench(c: _Rows, kept: bool, idler: bool = True) -> tuple[np.ndarray,
     return to_which_way, w * (slit + 2) + (1 - w) * (port + 1), registered
 
 
-def _eraser_subsets(detector: np.ndarray, ports: tuple[str, ...]) -> dict[str, np.ndarray]:
-    return {key: detector == (0 if key == "unsorted" else int(key[1])) for key in ports}
-
-
 def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
     """Four-detector eraser bench with coincidence sorting.
 
@@ -1509,14 +1530,13 @@ def run_quantum_eraser(cfg: ProtocolConfig) -> RunResult:
     phases (0 and pi/2) so the pooled screen marginal stays flat.
     Draw order: u_slit, u_route, u_port, u_x.
     """
-    keys = ("D1", "D2", "D3", "D4")
-
     def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         _, detector, registered = _eraser_bench(c, kept=True)
         c.detector = detector
-        return _render(c, registered, detector == 2), _eraser_subsets(detector, keys)
+        return _render(c, registered, detector == 2), {f"D{k}": detector == k for k in range(1, 5)}
 
-    return _Run(cfg, Protocol.QUANTUM_ERASER, (0.0, _D2_PHASE)).render(rows, keys, coincidences=True)
+    run = _Run(cfg, Protocol.QUANTUM_ERASER, (0.0, _D2_PHASE))
+    return run.render(rows, ("D1", "D2", "D3", "D4"), coincidences=True)
 
 
 def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
@@ -1552,16 +1572,15 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
         return run.render(no_counter)
     # WHICH_WAY_CHANNELS_OFF: slit-tagged channels dead, those idlers register
     # nowhere; the pair still resolves delta_t_s after creation
-    keys = ("D1", "D2", "unsorted")
 
     def channels_off(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         to_which_way, detector, registered = _eraser_bench(c, kept=False, idler=False)
         x = _render(c, registered, detector == 2)
         c.detector = detector = detector * ~to_which_way
         c.t_detector_s = _nan_except(~to_which_way, registered)
-        return x, _eraser_subsets(detector, keys)
+        return x, {"D1": detector == 1, "D2": detector == 2, "unsorted": detector == 0}
 
-    return run.render(channels_off, keys, coincidences=True)
+    return run.render(channels_off, ("D1", "D2", "unsorted"), coincidences=True)
 
 
 def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:

@@ -212,7 +212,8 @@ def classify_pattern(
     PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)._check_domain(x)
     if restrict_to is not None and not np.all(restrict_to.contains(x)):
         raise ValidationError("restricted classification requires all samples inside the region")
-    terms = llr_terms(cfg, phase_offset_rad, restrict_to)
+    wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad).prepared()
+    terms = llr_terms(wave, PatternDistribution(PatternKind.PARTICLE, cfg).prepared(), restrict_to)
     per_sample = np.empty_like(x)
     # each impact's contribution on its own, in fixed blocks on the pool; the
     # one sum over the whole array keeps the bits of an unblocked evaluation
@@ -231,20 +232,20 @@ def verdict_of(llr: float) -> Verdict:
 
 
 def llr_terms(
-    cfg: OpticsConfig,
-    phase_offset_rad: float = 0.0,
+    wave: PatternDistribution,
+    particle: PatternDistribution,
     restrict_to: IntervalSet | None = None,
 ) -> Callable[..., np.ndarray]:
-    """The classifier's per-impact term, ``terms(x, out=None)``: each
-    impact's ``log(w(x)/p(x))``, densities floored and the term clipped as
-    :func:`classify_pattern` takes them, on the calling thread.
+    """The classifier's per-impact term for a wave law (at its fringe phase)
+    against the structureless law, both ``prepared``: ``terms(x, out=None)``
+    is each impact's ``log(w(x)/p(x))``, densities floored and the term
+    clipped as :func:`classify_pattern` takes them, on the calling thread.
 
-    The laws, their tables, the restricted masses and the uniform law's log
-    are built here, once, so that tasks on the shared pool sharing ``terms``
-    only read them. ``x`` is not checked against the window or the region.
+    The restricted masses and the uniform law's log are taken here, once, so
+    that tasks on the shared pool sharing ``terms`` only read. ``x`` is not
+    checked against the window or the region.
     """
-    wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad).prepared()
-    particle = PatternDistribution(PatternKind.PARTICLE, cfg).prepared()
+    cfg = wave.config
     w_mass = p_mass = 1.0
     if restrict_to is not None:
         w_mass = wave.mass(restrict_to)
@@ -266,7 +267,8 @@ def llr_terms(
     def terms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         w = log_density(wave, w_mass, x)
         p = log_density(particle, p_mass, x) if log_p is None else log_p
-        return np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=w if out is None else out)
+        out = w if out is None else out
+        return np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=out)
 
     return terms
 

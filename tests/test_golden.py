@@ -451,6 +451,96 @@ def test_acceptance_manifest_event_digests_are_pinned():
     assert found == MANIFEST_DIGESTS
 
 
+#: rows of the chunk-boundary pins: three full chunks of 32,768 rows and a
+#: partial fourth (an even count, as exact_half_subset pairing needs)
+CHUNK_N = 3 * 32768 + 6
+
+#: event digests of the branch matrix at CHUNK_N pairs (None for a refusal),
+#: recorded before runs were split into chunks: no digest depends on them
+CHUNK_GOLDEN: dict[str, str | None] = {
+    "delayed_choice-at_t0-collapse": "93b85b11840867e4c61f2d032c93220a01d8601ba7f4ebb8db2f129952c1a30a",
+    "delayed_choice-at_t0-render": "93b85b11840867e4c61f2d032c93220a01d8601ba7f4ebb8db2f129952c1a30a",
+    "delayed_choice-collapse": "d0939d7e1453b6ad03caf09b0ccffca74477f44b0267e235fc0b25a435a43360",
+    "delayed_choice-render": "d0939d7e1453b6ad03caf09b0ccffca74477f44b0267e235fc0b25a435a43360",
+    "delayed_choice-render-at_impact": "d0939d7e1453b6ad03caf09b0ccffca74477f44b0267e235fc0b25a435a43360",
+    "detect_no_record-no_coincidence_counter-collapse": "530c2a5e05c94a7c91648162cfad1bb87915dd8a7c5bea25a2246d4c908b4b90",
+    "detect_no_record-no_coincidence_counter-render": "9a9d6516c6626ad89da00c64b9a5e364894d66c5d074288dc4bba2e8cab65891",
+    "detect_no_record-unplugged_detectors-collapse": "5cf9ea6b7c73f6c8fc2f8e51b5ed8b990a16a67d1c7fbe5147ba7240cdd218c4",
+    "detect_no_record-unplugged_detectors-render": "614fa531047fbd162c7f9590267bea723f5fcef24730941784dbd27383d1a14d",
+    "detect_no_record-which_way_channels_off-collapse": "0db61d61f985d06b4b5bc4fd76f13a73820fa0c206297f8fac6e28db4136cc78",
+    "detect_no_record-which_way_channels_off-render": "57f006156f12bfab946719ec3d93ea198e0978afdb149964ad7dcfaf69e86611",
+    "double_slit-at_t0-collapse": "a6b9eec1b1fd68e3895ccffb9b6639a4e67082947284ffffe1120aed2eec5612",
+    "double_slit-at_t0-render": "a6b9eec1b1fd68e3895ccffb9b6639a4e67082947284ffffe1120aed2eec5612",
+    "double_slit-not_recording-collapse": "4af6422b14c1800e823a99664aefadfa98623c15dd5baeef3231be3f5661f32a",
+    "double_slit-not_recording-render": "4af6422b14c1800e823a99664aefadfa98623c15dd5baeef3231be3f5661f32a",
+    "double_slit-recording-collapse": "74755a69f0e7009d518c1e3639f6c63cc45480c9dc67cc1f9c2c4aefbac86777",
+    "double_slit-recording-render": "74755a69f0e7009d518c1e3639f6c63cc45480c9dc67cc1f9c2c4aefbac86777",
+    "macroscopic_erasure-at_t0-collapse": "c8129c4de11f98e3ec3514ec64d01c949c0f3041e3421f29ff527795cec774ad",
+    "macroscopic_erasure-at_t0-render": "c8129c4de11f98e3ec3514ec64d01c949c0f3041e3421f29ff527795cec774ad",
+    "macroscopic_erasure-coin-collapse": "44c5a55d9662a091e3058b56cc8a921fe9d5735bfb2ad6e5805f96c5217ed1e0",
+    "macroscopic_erasure-coin-render": "219b28fd7f4b19724d32f7c33c54457bd6118fc5a163663b139f3cfd484308a0",
+    "macroscopic_erasure-coin-render-at_impact": "44c5a55d9662a091e3058b56cc8a921fe9d5735bfb2ad6e5805f96c5217ed1e0",
+    "macroscopic_erasure-half-collapse": "07b1cf922695077e540f728e1629fefc98bf5f9c7af496663736284efaf2c4c3",
+    "macroscopic_erasure-half-render": "d7670f519df8850edde7b87e470bd429f3a13b2cf6d8ec692a82c3700ad627f2",
+    "perishable-a-collapse": "f743fb25fba8fb20395f141a657e99db9822dda23469d5d441d884239ec4d3de",
+    "perishable-a-render": "f743fb25fba8fb20395f141a657e99db9822dda23469d5d441d884239ec4d3de",
+    "perishable-a-short_ttl-collapse": "18ef2d70d03b2a1a49c6fa99efff70698d7a1957f47d912e3842b9366f12016d",
+    "perishable-a-short_ttl-render": "18ef2d70d03b2a1a49c6fa99efff70698d7a1957f47d912e3842b9366f12016d",
+    "perishable-b-empty-collapse": "3d172ec5a187bba321bd76eaac4929366832ab91c0f99bf9850a82ae40304869",
+    "perishable-b-empty-render": "3d172ec5a187bba321bd76eaac4929366832ab91c0f99bf9850a82ae40304869",
+    "perishable-b-indistinguishable-collapse": "a0a38619517f1a954b6ba04ce9435dd143a3ce7f6937df8c4c25e2dcc5d563b7",
+    "perishable-b-indistinguishable-render": "a0a38619517f1a954b6ba04ce9435dd143a3ce7f6937df8c4c25e2dcc5d563b7",
+    "perishable-b-refused-collapse": None,
+    "perishable-b-refused-render": None,
+    "predictor-collapse": "ecc7116fcef726eb2aab043d49712fe683aa94212f1b091b558cc380616f4462",
+    "predictor-m2_29-collapse": "f70438096da639d1a48b35de928ac8f366dbd25ee7cfffd43387d793f8693b55",
+    "predictor-m2_29-render": "f70438096da639d1a48b35de928ac8f366dbd25ee7cfffd43387d793f8693b55",
+    "predictor-render": "ecc7116fcef726eb2aab043d49712fe683aa94212f1b091b558cc380616f4462",
+    "quantum_eraser-at_t0-collapse": "e6b98eb95c08de8e47474b376fa37abf9e7635f716d28185e0bcf4082bbc3b35",
+    "quantum_eraser-at_t0-render": "e6b98eb95c08de8e47474b376fa37abf9e7635f716d28185e0bcf4082bbc3b35",
+    "quantum_eraser-collapse": "2c0791633b3c31be819b3f1cb96fbfed803d3cf1185ab17b126e8e8869f2a2f9",
+    "quantum_eraser-envelope-collapse": "112a7ebbeb394b70e3af38eee287d49a93c218ebc65b2275e8075a4a322c828a",
+    "quantum_eraser-envelope-render": "112a7ebbeb394b70e3af38eee287d49a93c218ebc65b2275e8075a4a322c828a",
+    "quantum_eraser-greedy-collapse": "2c0791633b3c31be819b3f1cb96fbfed803d3cf1185ab17b126e8e8869f2a2f9",
+    "quantum_eraser-greedy-render": "2c0791633b3c31be819b3f1cb96fbfed803d3cf1185ab17b126e8e8869f2a2f9",
+    "quantum_eraser-m2_29-collapse": "ce14f8fac50127bbd01f376aee2bc093844450afc619e0e57b9ce570b127a2e5",
+    "quantum_eraser-m2_29-render": "ce14f8fac50127bbd01f376aee2bc093844450afc619e0e57b9ce570b127a2e5",
+    "quantum_eraser-render": "2c0791633b3c31be819b3f1cb96fbfed803d3cf1185ab17b126e8e8869f2a2f9",
+    "switch-a-collapse": "45e613e6d963b5bcbf557e5cfd6e15688a5470f7380493b360107a3b4a45800c",
+    "switch-a-render": "45e613e6d963b5bcbf557e5cfd6e15688a5470f7380493b360107a3b4a45800c",
+    "switch-a-slow-collapse": "f12ead0aeb250eee656e9c210f9bf76f66940d197c59e1bdedb382bd4cc933de",
+    "switch-a-slow-render": "f12ead0aeb250eee656e9c210f9bf76f66940d197c59e1bdedb382bd4cc933de",
+    "switch-d-i-custom-collapse": "65f46bb136bb8e2a3c50c6f5591b753b5d81e8d1852753fdcf1e9c735380a822",
+    "switch-d-i-custom-render": "65f46bb136bb8e2a3c50c6f5591b753b5d81e8d1852753fdcf1e9c735380a822",
+    "switch-d-i-empty-collapse": "50faf2e46721b9087a6d4fd47796382f94848411c662ca27fe83406735dc5666",
+    "switch-d-i-empty-render": "50faf2e46721b9087a6d4fd47796382f94848411c662ca27fe83406735dc5666",
+    "switch-d-i-full-collapse": "eb83e86063f24e01381fc7ab0ce75ba0cee67add77416a158ecbd84baaac83fe",
+    "switch-d-i-full-render": "eb83e86063f24e01381fc7ab0ce75ba0cee67add77416a158ecbd84baaac83fe",
+    "switch-d-i-indistinguishable-collapse": "3cf11c9c70ea1a39a63d515c81485c95639adc6b578198d28660e5774f11d104",
+    "switch-d-i-indistinguishable-render": "3cf11c9c70ea1a39a63d515c81485c95639adc6b578198d28660e5774f11d104",
+    "switch-d-i-refused-collapse": None,
+    "switch-d-i-refused-render": None,
+    "switch-d-ii-collapse": "c825be841d0e4d13d9062e950d595d294e6ed1e69a7fffcd99cda268a7e59d4f",
+    "switch-d-ii-render": "c825be841d0e4d13d9062e950d595d294e6ed1e69a7fffcd99cda268a7e59d4f",
+    "switch-d-iii-collapse": "175fd45689547fdec9dcaf346c5844c43a26929bec80bf60ce779adcea5e2dc4",
+    "switch-d-iii-render": "175fd45689547fdec9dcaf346c5844c43a26929bec80bf60ce779adcea5e2dc4",
+    "switch-d-iv-collapse": "7cb4a7bc2e8f1ca66fa8df17e13c25208931e98206d109994fcd2ecdda4f2edd",
+    "switch-d-iv-render": "7cb4a7bc2e8f1ca66fa8df17e13c25208931e98206d109994fcd2ecdda4f2edd",
+}
+
+
+def test_chunk_boundary_pins_span_a_partial_last_chunk():
+    rows = protocols._chunk_rows(CHUNK_N)
+    assert CHUNK_N // rows == 3 and 0 < CHUNK_N % rows < protocols._BLOCK_ROWS
+    assert sorted(CHUNK_GOLDEN) == sorted(MATRIX)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_chunk_boundary_digests_are_pinned(name):
+    outcome = run_protocol(replace(MATRIX[name], n_pairs=CHUNK_N))
+    assert (outcome.event_digest if isinstance(outcome, RunResult) else None) == CHUNK_GOLDEN[name]
+
+
 def csv_cases() -> dict[str, ProtocolConfig]:
     """events.csv pins: NaN idler columns (double slit), route codes (eraser),
     erasure times, a stage-d custom strategy, perishable expiry (finite and

@@ -1,12 +1,12 @@
 """Blocked work on the shared pool gives the bits of an unblocked serial evaluation.
 
-Wave ``ppf``, the classifier's per-impact contributions and the subset
-histograms run on ``numerics``' thread pool, and the event log's sealed
-columns are hashed on its hashing thread. These tests compare the blocked
-work against whole-array references at sizes around the block boundaries,
-check that errors surface as the serial path raises them, and check that no
-report or digest depends on the number of workers, on forking, or on when
-the hashing thread runs.
+A run's chunks, and the blocks of a direct ``ppf`` or ``classify_pattern``
+call, run on ``numerics``' thread pool, and the event log's columns are
+hashed on its hashing thread. These tests compare the blocked work against
+whole-array references at sizes around the block boundaries, check that
+errors surface as the serial path raises them, and check that no report or
+digest depends on the number of workers, on forking, or on when the hashing
+thread runs; the runs span several chunks and end in a partial one.
 """
 
 import contextlib
@@ -37,7 +37,7 @@ from dualitysim.optics import (
 from dualitysim.protocols import EventLog, RunResult, run_protocol
 from dualitysim.stats import DENSITY_FLOOR_FRACTION, VERDICT_LLR_THRESHOLD, classify_pattern
 
-from test_golden import GOLDEN, matrix
+from test_golden import CHUNK_GOLDEN, CHUNK_N, GOLDEN, matrix
 from test_optics import _reference_start
 
 PPF_B = optics._PPF_BLOCK
@@ -225,6 +225,19 @@ def test_one_worker_reproduces_the_golden_pins():
     got = _with_timeout(lambda: _outcomes(1, WORKER_CASES, None))
     for name, (digest, text) in got.items():
         assert (digest, hashlib.sha256(text).hexdigest()) == GOLDEN[name], name
+
+
+def test_the_pool_tests_run_several_chunks_and_a_partial_one():
+    rows = protocols._chunk_rows(N_BLOCKS)
+    assert N_BLOCKS // rows >= 3 and N_BLOCKS % rows
+
+
+def test_one_worker_renders_several_chunks_to_their_pins():
+    """A run's chunks queue on a one-worker pool while the run thread waits
+    for them: no chunk waits on another, so the runs complete."""
+    got = _with_timeout(lambda: _outcomes(1, WORKER_CASES, CHUNK_N))
+    for name, (digest, _) in got.items():
+        assert digest == CHUNK_GOLDEN[name], name
 
 
 def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):

@@ -1355,6 +1355,79 @@ class TestPerPairKernels:
             assert _traced_peak_per_pair(replace(cfgs[name], model=model)) <= 1.05 * _MASKED_PATH_PEAKS[name]
 
 
+class TestChunks:
+    """Runs render in fixed chunks of rows; each chunk draws its rows of the
+    run's variate streams by PCG64's ``advance``."""
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, 10**5, 10**6, 2 * 10**6])
+    def test_chunk_rows_are_whole_blocks(self, n):
+        rows = protocols._chunk_rows(n)
+        assert rows % _BLOCK_ROWS == 0 and 2 * _BLOCK_ROWS <= rows <= 2**17
+        if n <= _BLOCK_ROWS:
+            assert rows >= n  # one chunk
+        if n >= 10**5:
+            assert -(-n // rows) >= 4  # enough chunks for both workers of a two-CPU pool
+
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK_ROWS + 3, 5 * _BLOCK_ROWS + 1])
+    def test_chunk_draws_equal_the_sequential_stream(self, n):
+        """Every draw kind: ``random`` streams before and after a whole
+        ``permutation``, each read in chunks, and the permutation itself."""
+        seed = 2**63 + 12
+        ref = np.random.default_rng(seed)
+        before = [ref.random(n) for _ in range(2)]
+        permutation = ref.permutation(n)
+        after = [ref.random(n) for _ in range(2)]
+        streams = protocols._Streams(seed, n)
+        step = max(1, n // 3)
+
+        def chunked(k: int) -> np.ndarray:
+            return np.concatenate(
+                [streams.generator(k, start).random(min(step, n - start)) for start in range(0, n, step)]
+            )
+
+        for k, want in enumerate(before):
+            assert chunked(k).tobytes() == want.tobytes(), k
+        assert streams.permutation(2).tolist() == permutation.tolist()
+        for j, want in enumerate(after):
+            assert chunked(2 + j).tobytes() == want.tobytes(), j
+
+    def test_chunked_half_erasure_draws_the_sequential_permutation(self):
+        n = 2 * protocols._chunk_rows(10**5) + 10
+        cfg = ProtocolConfig(protocol=Protocol.MACROSCOPIC_ERASURE, n_pairs=n, seed=54,
+                             pairing_mode=PairingMode.EXACT_HALF_SUBSET)
+        log = run_protocol(cfg).events
+        ref = np.random.default_rng(cfg.seed)
+        slit = np.where(ref.random(n) < 0.5, 1, 2)
+        destroyed = ref.permutation(n) < n // 2
+        assert log.slit.tolist() == slit.tolist()
+        assert log.erased.tolist() == destroyed.astype(int).tolist()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            switch_d(SwitchStrategy.strategy_1(optimal_interval_set(OpticsConfig())), OutcomeHypothesis.I, n_pairs=50_000),
+            ProtocolConfig(protocol=Protocol.PERISHABLE_MEDIA, observation_schedule=ObservationSchedule.AT_T0,
+                           recording_rule=RecordingRule.PERMANENT_ONLY, n_pairs=50_000),
+        ],
+        ids=["switch_d_i", "perishable_b"],
+    )
+    def test_a_refused_run_draws_no_chunk(self, cfg, monkeypatch):
+        drawn = []
+        real = protocols._Streams.generator
+        monkeypatch.setattr(protocols._Streams, "generator", lambda self, *a: drawn.append(a) or real(self, *a))
+        assert isinstance(run_protocol(cfg), FeasibilityReport)
+        assert drawn == []
+
+    def test_a_chunk_writes_each_array_column_once(self):
+        rows = protocols._Rows(protocols._Run(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=4), Protocol.DOUBLE_SLIT), 0, 4)
+        rows.erased = 1
+        rows.erased = np.ones(4)  # a fill may become an array
+        with pytest.raises(RuntimeError, match="once"):
+            rows.erased = np.zeros(4)
+        with pytest.raises(RuntimeError, match="once"):
+            rows.erased = 0
+
+
 class TestDispatch:
     def test_run_protocol_routes_by_enum(self):
         cfg = ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=100, seed=47)
