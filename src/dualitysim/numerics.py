@@ -1,6 +1,7 @@
 """Shared numerics: level-wise adaptive Simpson quadrature, vectorized
-monotone inversion, the thread pool that runs fixed blocks of elementwise
-work, and the one thread that hashes event-log columns."""
+monotone inversion, the thread pool that runs fixed blocks of work (a run's
+chunks, or the lanes of a direct call), the one thread that hashes event-log
+columns, and the C library's ``log`` and ``acos`` on arrays."""
 
 from __future__ import annotations
 
@@ -28,9 +29,10 @@ def _new_hasher() -> None:
     _HASHER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualitysim-hash")
 
 
-#: one worker per CPU this process may run on; its tasks are leaf work (numpy
-#: kernels and sha256, which release the GIL) and never wait on another task,
-#: so even a one-worker pool cannot deadlock
+#: one worker per CPU this process may run on; its tasks (a run's chunks, the
+#: blocks of a direct call) are leaf work, mostly numpy kernels that release
+#: the GIL, and never wait on another task, so even a one-worker pool cannot
+#: deadlock
 _POOL: ThreadPoolExecutor
 _new_pool()
 #: one thread of its own for sha256 records, so that pool blocks never queue
@@ -40,11 +42,6 @@ _new_hasher()
 if hasattr(os, "register_at_fork"):
     # a forked child inherits the executor objects but none of their threads
     os.register_at_fork(after_in_child=lambda: (_new_pool(), _new_hasher()))
-
-
-def submit(fn: Callable, *args) -> Future:
-    """Run ``fn(*args)`` on the shared pool. ``fn`` must not wait on pool work."""
-    return _POOL.submit(fn, *args)
 
 
 def submit_hash(fn: Callable, *args) -> Future:

@@ -416,9 +416,9 @@ class EventLog:
     becomes read-only (for a slice ``buf[:n]`` of an array that owns its
     memory, all of ``buf``), and its digest record is hashed on the hashing
     thread while the run goes on (a run's chunks hash their own rows, and
-    the record joins those hashes). A view of the same buffer taken before the
-    assignment is not sealed: a write through it may miss the digest, so a
-    caller must drop or never write such views. An array that is an earlier
+    the record joins those hashes). A view of the same buffer taken before
+    the assignment is not sealed: a write through it may miss the digest, so
+    a caller must drop or never write such views. An array that is an earlier
     column's buffer (the creation times are the impact times) reuses that
     column's record. A column expanded from its fill stays writable and is
     hashed when the digest is taken; so is every array of a pickled or copied
@@ -979,17 +979,15 @@ class _Streams:
 
 
 class _Chunk(NamedTuple):
-    """What one chunk task hands back to its run."""
+    """What one chunk task hands back to its run: its fills, the names of
+    its array columns, ``{id of a column's buffer: the future of its rows'
+    block hashes}``, its screens' tallies (see ``_Screens.tally``) and the
+    counts the runner put in its ``tally``."""
 
-    #: column name -> the fill the chunk holds it as
     fills: dict
-    #: names of the columns the chunk wrote as arrays
     arrays: frozenset
-    #: id of a column's buffer -> the future of the block hashes of the chunk's rows
     hashes: dict
-    #: per screen, the pooled one first: (count, histogram counts, slit counts, sum of the classifier terms)
     tallies: list | None
-    #: counts the runner put in the chunk's ``tally``
     counts: dict
 
 
@@ -1218,32 +1216,26 @@ class _Rows:
 
 class _Screens:
     """How a chunk tallies its impacts: the pooled screen, then each subset
-    in ``keys``, classified by the terms built here, on the run thread.
+    in ``keys`` on its own classifier.
 
     A subset whose law is the pooled screen's (fringe phase 0, no region)
     sums the pooled terms its mask selects, which gives the bits of
-    classifying it apart. A restricted classifier that cannot be built
-    raises when a chunk first has samples for it, as classifying them would.
+    classifying it apart. Any other subset's terms are set up in a chunk
+    that has samples for it, as classifying them would be.
     """
 
     def __init__(self, laws: dict, keys: tuple[str, ...], regions: dict[str, IntervalSet]) -> None:
-        self.particle = particle = laws[PatternKind.PARTICLE, 0.0]
-        optics = particle.config
+        self.laws = laws
+        self.particle = laws[PatternKind.PARTICLE, 0.0]
+        optics = self.particle.config
         self.edges = fringe_aligned_edges(optics)
-        self.pooled = llr_terms(laws[PatternKind.WAVE, 0.0], particle)
+        self.pooled = llr_terms(laws[PatternKind.WAVE, 0.0], self.particle)
         self.subsets = []
         for key in keys:
             region = regions.get(key)
             # an empty or full-window region restricts nothing
             restrict = region if region and region.measure < optics.window_width_m else None
-            phase = _D2_PHASE if key == "D2" else 0.0
-            terms = None
-            if restrict is not None or phase:
-                try:
-                    terms = llr_terms(laws[PatternKind.WAVE, phase], particle, restrict)
-                except ValidationError as exc:
-                    terms = partial(_raise, exc)
-            self.subsets.append((key, terms, restrict))
+            self.subsets.append((key, _D2_PHASE if key == "D2" else 0.0, restrict))
 
     def tally(self, x: np.ndarray, slit: np.ndarray, masks: dict[str, np.ndarray] | None) -> list[tuple]:
         """Per screen, the pooled one first: (count, histogram counts, slit
@@ -1256,16 +1248,18 @@ class _Screens:
         in_slit = (slit == 1, slit == 2)
         out = []
         covered = np.zeros(x.size, dtype=bool)
-        for key, terms, restrict in self.subsets:
+        for key, phase, restrict in self.subsets:
             mask = masks[key]
             covered |= mask
             samples = np.compress(mask, x)
             if restrict is not None and samples.size and not np.all(restrict.contains(samples)):
                 raise ValidationError("restricted classification requires all samples inside the region")
-            if terms is None:
+            if not phase and restrict is None:
                 llr = np.sum(np.compress(mask, pooled))
+            elif samples.size:
+                llr = np.sum(llr_terms(self.laws[PatternKind.WAVE, phase], self.particle, restrict)(samples))
             else:
-                llr = np.sum(terms(samples)) if samples.size else 0.0
+                llr = 0.0
             counts, _ = np.histogram(samples, self.edges)
             slits = tuple(int(np.count_nonzero(mask & flags)) for flags in in_slit)
             out.append((samples.size, counts, slits, float(llr)))
@@ -1277,10 +1271,6 @@ class _Screens:
             counts, _ = np.histogram(x, self.edges)
             slits = tuple(int(np.count_nonzero(flags)) for flags in in_slit)
         return [(x.size, counts, slits, float(np.sum(pooled))), *out]
-
-
-def _raise(exc: Exception, *args) -> None:
-    raise exc
 
 
 def _merge(tallies: list[tuple], edges: np.ndarray, optics: OpticsConfig) -> SubsetResult:
@@ -1373,7 +1363,8 @@ def _render(c: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> 
 
 def _truncated_sampler(dist: PatternDistribution, region: IntervalSet) -> Callable[[np.ndarray], np.ndarray]:
     """The law conditioned on the region, sampled via stretched quantiles;
-    its tables are built here, and the sampler runs on the calling thread."""
+    the intervals' masses are taken here, and the sampler runs on the
+    calling thread."""
     if not region:
         raise ValidationError("cannot sample a law truncated to an empty region")
     arr = np.asarray(region.intervals, dtype=float)

@@ -209,11 +209,11 @@ def classify_pattern(
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValidationError("classification requires at least one sample")
-    PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)._check_domain(x)
+    wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad)
+    wave._check_domain(x)
     if restrict_to is not None and not np.all(restrict_to.contains(x)):
         raise ValidationError("restricted classification requires all samples inside the region")
-    wave = PatternDistribution(PatternKind.WAVE, cfg, phase_offset_rad).prepared()
-    terms = llr_terms(wave, PatternDistribution(PatternKind.PARTICLE, cfg).prepared(), restrict_to)
+    terms = llr_terms(wave, PatternDistribution(PatternKind.PARTICLE, cfg), restrict_to)
     per_sample = np.empty_like(x)
     # each impact's contribution on its own, in fixed blocks on the pool; the
     # one sum over the whole array keeps the bits of an unblocked evaluation
@@ -237,13 +237,13 @@ def llr_terms(
     restrict_to: IntervalSet | None = None,
 ) -> Callable[..., np.ndarray]:
     """The classifier's per-impact term for a wave law (at its fringe phase)
-    against the structureless law, both ``prepared``: ``terms(x, out=None)``
-    is each impact's ``log(w(x)/p(x))``, densities floored and the term
-    clipped as :func:`classify_pattern` takes them, on the calling thread.
+    against the structureless law: ``terms(x, out=None)`` is each impact's
+    ``log(w(x)/p(x))``, densities floored and the term clipped as
+    :func:`classify_pattern` takes them, on the calling thread.
 
-    The restricted masses and the uniform law's log are taken here, once, so
-    that tasks on the shared pool sharing ``terms`` only read. ``x`` is not
-    checked against the window or the region.
+    The restricted masses and the uniform law's log are taken here, once;
+    tasks that share ``terms`` on the pool only read, given ``prepared``
+    laws. ``x`` is not checked against the window or the region.
     """
     cfg = wave.config
     w_mass = p_mass = 1.0

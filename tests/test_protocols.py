@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualitysim import protocols
 from dualitysim.models import AvailabilityRecord, Medium, RenderingModel, RenderingPolicy, which_way_available
-from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
+from dualitysim.optics import IntervalSet, OpticsConfig, PatternDistribution, PatternKind, ValidationError
 from dualitysim.protocols import (
     DELTA_T_FAST,
     DELTA_T_SLOW,
@@ -50,7 +50,7 @@ from dualitysim.protocols import (
     run_quantum_eraser,
     run_switch_experiment,
 )
-from dualitysim.stats import FeasibilityReport, Verdict, optimal_interval_set, tv_distance
+from dualitysim.stats import FeasibilityReport, Verdict, llr_terms, optimal_interval_set, tv_distance
 
 from test_golden import matrix
 
@@ -1417,6 +1417,34 @@ class TestChunks:
         monkeypatch.setattr(protocols._Streams, "generator", lambda self, *a: drawn.append(a) or real(self, *a))
         assert isinstance(run_protocol(cfg), FeasibilityReport)
         assert drawn == []
+
+    @pytest.mark.parametrize("name", ["quantum_eraser-render", "perishable-a-collapse", "predictor-collapse"])
+    def test_a_chunked_llr_adds_the_chunk_sums_in_order(self, name):
+        """Each subset's LLR is its chunks' ``np.sum`` of classifier terms,
+        added in chunk order; the pooled screen's too. Recomputed here from
+        the finished log, a chunk at a time."""
+        n = 3 * protocols._chunk_rows(10**5) + 5
+        run = run_protocol(replace(matrix()[name], n_pairs=n))
+        log, optics = run.events, run.config.optics
+        wave = {phase: PatternDistribution(PatternKind.WAVE, optics, phase) for phase in (0.0, protocols._D2_PHASE)}
+        particle = PatternDistribution(PatternKind.PARTICLE, optics)
+        # a perishable record was copied, or a predictor pair recorded, where no record is erased
+        masks = {f"D{k}": log.detector == k for k in range(1, 5)}
+        masks.update(recorded=log.erased == 0, perished=log.erased == 1, erased=log.erased == 1)
+        star = optimal_interval_set(optics)
+        regions = {"recorded": star, "perished": star.complement(optics.window)}
+        step = protocols._chunk_rows(n)
+        for key, subset in {"pooled": run.pooled, **run.subsets}.items():
+            region = regions.get(key) if name.startswith("perishable") else None
+            terms = llr_terms(wave[protocols._D2_PHASE if key == "D2" else 0.0], particle, region)
+            llr = None
+            for start in range(0, n, step):
+                x = log.signal_x_m[start : start + step]
+                if key != "pooled":
+                    x = x[masks[key][start : start + step]]
+                part = float(np.sum(terms(x))) if x.size else 0.0
+                llr = part if llr is None else llr + part
+            assert subset.log_likelihood_ratio == llr, key
 
     def test_a_chunk_writes_each_array_column_once(self):
         rows = protocols._Rows(protocols._Run(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=4), Protocol.DOUBLE_SLIT), 0, 4)
