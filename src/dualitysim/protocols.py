@@ -1619,26 +1619,25 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
 
     run = _Run(cfg, Protocol.PREDICTOR)
     result = run.render(rows, ("recorded", "erased"), tv=("recorded", "erased"))
-    result.predictor = _predictor_stats(cfg, result, run.tally["correct"])
+    result.predictor = _predictor_stats(run, result)
     return result
 
 
-def _predictor_stats(cfg: ProtocolConfig, result: RunResult, correct: int) -> PredictorStats:
+def _predictor_stats(run: _Run, result: RunResult) -> PredictorStats:
     """Calibration on the pooled screen's bins: the recorded share of each
-    bin's impacts, from the histograms ``result`` already holds; ``correct``
-    counts the controller's right predictions."""
+    bin's impacts, from the histograms ``result`` already holds, and the
+    controller's accuracy from the right predictions the chunks counted."""
     # imported at call time, so a wrapper on ``stats.tv_distance`` (perfbench tracing) sees these calls
     from .stats import approx_posterior, tv_distance
 
-    optics = cfg.optics
+    cfg, optics = run.cfg, run.cfg.optics
     edges, total = result.pooled.histogram.edges, result.pooled.histogram.counts
     hits = result.subsets["recorded"].histogram.counts
     centers = 0.5 * (edges[:-1] + edges[1:])
     with np.errstate(invalid="ignore", divide="ignore"):
         empirical = np.where(total > 0, hits / np.maximum(total, 1), np.nan)
     curve = np.asarray(approx_posterior(centers, optics), dtype=float)
-    wave = PatternDistribution(PatternKind.WAVE, optics)
-    particle = PatternDistribution(PatternKind.PARTICLE, optics)
+    wave, particle = run.laws[PatternKind.WAVE, 0.0], run.laws[PatternKind.PARTICLE, 0.0]
     p_mass = np.asarray(particle.cdf(edges[1:]), dtype=float) - np.asarray(particle.cdf(edges[:-1]), dtype=float)
     w_mass = np.asarray(wave.cdf(edges[1:]), dtype=float) - np.asarray(wave.cdf(edges[:-1]), dtype=float)
     exact_bin = p_mass / (p_mass + w_mass)
@@ -1650,7 +1649,7 @@ def _predictor_stats(cfg: ProtocolConfig, result: RunResult, correct: int) -> Pr
     dark_filled = dark & filled
     dark_min = float(np.min(empirical[dark_filled])) if dark_filled.any() else math.nan
     # the mean of the 0/1 hits, which np.mean sums exactly before dividing
-    accuracy = correct / cfg.n_pairs
+    accuracy = run.tally["correct"] / cfg.n_pairs
     expected = 0.5 * (1.0 + tv_distance(optics))
     return PredictorStats(
         bin_edges=edges,
