@@ -1,7 +1,7 @@
 """Shared numerics: level-wise adaptive Simpson quadrature, vectorized
-monotone inversion, the thread pool that runs fixed blocks of work (a run's
-chunks, or the lanes of a direct call), the one thread that hashes event-log
-columns, and the C library's ``log`` and ``acos`` on arrays."""
+monotone inversion, the thread pool that runs a run's chunks, the one
+thread that hashes event-log columns, and the C library's ``log`` and
+``acos`` on arrays."""
 
 from __future__ import annotations
 
@@ -26,13 +26,13 @@ def _new_pool() -> None:
 
 def _new_hasher() -> None:
     global _HASHER
+    # one worker, which runs its tasks in submission order: submit_hash relies on it
     _HASHER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualitysim-hash")
 
 
-#: one worker per CPU this process may run on; its tasks (a run's chunks, the
-#: blocks of a direct call) are leaf work, mostly numpy kernels that release
-#: the GIL, and never wait on another task, so even a one-worker pool cannot
-#: deadlock
+#: one worker per CPU this process may run on; its tasks (a run's chunks) are
+#: leaf work, mostly numpy kernels that release the GIL, and never wait on
+#: another task, so even a one-worker pool cannot deadlock
 _POOL: ThreadPoolExecutor
 _new_pool()
 #: one thread of its own for sha256 records, so that pool blocks never queue
@@ -45,8 +45,14 @@ if hasattr(os, "register_at_fork"):
 
 
 def submit_hash(fn: Callable, *args) -> Future:
-    """Run ``fn(*args)`` on the hashing thread, in submission order. ``fn``
-    must be leaf work: it must not call ``map_blocks`` or wait on a future."""
+    """Run ``fn(*args)`` on the hashing thread, in submission order.
+
+    ``fn`` must not call ``map_blocks``. It may wait only on futures that
+    were submitted here before it: the hashing thread is one worker that
+    runs its tasks in order, so those are done when ``fn`` starts. A join
+    of a column's block hashes waits on them this way; with a second
+    hashing thread it could wait on work queued behind itself.
+    """
     return _HASHER.submit(fn, *args)
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # adaptive_simpson is not called here; the benchmark tracer patches optics.adaptive_simpson
-from .numerics import adaptive_simpson, invert_monotone, map_blocks  # noqa: F401
+from .numerics import adaptive_simpson, invert_monotone  # noqa: F401
 
 
 class ValidationError(ValueError):
@@ -458,16 +458,14 @@ class PatternDistribution:
         if self.kind is PatternKind.PARTICLE:
             out = self.quantiles(arr)
             return float(out) if np.ndim(u) == 0 else out
-        flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        # lanes are independent, so fixed blocks on the pool keep temporaries small and change no bit
-        map_blocks(lambda block: self._solve(flat[block], out[block]), flat.size, _PPF_BLOCK)
+        out = self.quantiles(np.atleast_1d(arr).ravel())
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(arr.shape)
 
     def quantiles(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``ppf`` of levels already known to lie in [0, 1], with the same
-        bits, on the calling thread: the wave law's fixed blocks run one
-        after another. A task on the shared pool calls this, not ``ppf``."""
+        """``ppf`` of a 1-D array of levels already known to lie in [0, 1],
+        on the calling thread. The wave law inverts fixed blocks of
+        ``_PPF_BLOCK`` levels one after another, which keeps temporaries
+        small and changes no bit: its lanes are independent."""
         cfg = self.config
         if self.kind is PatternKind.PARTICLE:
             if cfg.envelope_enabled:

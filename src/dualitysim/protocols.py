@@ -378,8 +378,8 @@ def _array_record(col: np.ndarray) -> bytes:
 
 def _joined_record(parts: Sequence) -> bytes:
     """The record of a column from the futures of its block hashes, in row
-    order; they were submitted to the hashing thread before this, so they
-    are done when it runs there."""
+    order. It runs on the hashing thread, submitted after them; that thread
+    is one worker that runs in order, so they are done when this starts."""
     return _hash_list(chain.from_iterable(part.result() for part in parts))
 
 
@@ -1019,12 +1019,9 @@ class _Run:
         """Column ``name``'s array of every row, allocated on first use, or
         column ``like``'s when given: the two columns are then one buffer."""
         with self._lock:
-            col = self._arrays.get(name)
-            if col is None:
-                col = self._arrays[name] = self._arrays[like] if like else np.empty(self.n, _COLUMNS[name][0])
-        if like and col is not self._arrays[like]:
-            raise RuntimeError(f"chunks disagree on the buffer of column {name!r}")
-        return col
+            if name not in self._arrays:
+                self._arrays[name] = self._arrays[like] if like else np.empty(self.n, _COLUMNS[name][0])
+            return self._arrays[name]
 
     def render(
         self,
@@ -1114,9 +1111,13 @@ class _Run:
     def _log(self, chunks: list[_Chunk]) -> EventLog:
         """The run's log from its chunks: a column is a fill every chunk
         holds, or an array whose record joins the chunks' block hashes."""
+
+        def layout(c: _Chunk) -> tuple:
+            return c.arrays, {name: fill.tobytes() for name, fill in c.fills.items()}
+
         first = chunks[0]
-        if any((c.fills.keys(), c.arrays) != (first.fills.keys(), first.arrays) for c in chunks[1:]):
-            raise RuntimeError("chunks disagree on which columns are fills")
+        if any(layout(c) != layout(first) for c in chunks[1:]):
+            raise RuntimeError("chunks disagree on the log's fills")
         log = EventLog(self.n)
         for name, fill in first.fills.items():
             setattr(log, name, fill)
@@ -1131,20 +1132,17 @@ class _Rows:
     """Rows ``[start, stop)`` of a run: what one chunk task reads and writes.
 
     Columns read and assign as on an ``EventLog`` of these rows. Assigning
-    an array writes it into the run's column at these rows, once per chunk;
-    an array that is another column's rows, or the array that was assigned
-    to one, makes the two columns one buffer, as the log shares a buffer.
-    Assigning a scalar holds a fill, the same in every chunk. ``random()``
-    draws these rows of the run's next variate stream. Counts put in
-    ``tally`` are summed over the chunks.
+    an array copies it into the run's column at these rows; assigning a
+    scalar holds a fill, the same in every chunk. ``column`` hands out these
+    rows of a column to write in place, or makes a column share another's
+    buffer. A chunk writes a column's array once. ``random()`` draws these
+    rows of the run's next variate stream. Counts put in ``tally`` are
+    summed over the chunks.
     """
 
     def __init__(self, run: _Run, start: int, stop: int) -> None:
-        # _cols: column name -> these rows as written, or a fill;
-        # _sources: (assigned value, column name) for sharing a buffer
-        self.__dict__.update(
-            run=run, cfg=run.cfg, start=start, stop=stop, tally={}, _cols={}, _sources=[], _drawn=0
-        )
+        # _cols: column name -> these rows as written, or a fill
+        self.__dict__.update(run=run, cfg=run.cfg, start=start, stop=stop, tally={}, _cols={}, _drawn=0)
 
     def random(self) -> np.ndarray:
         """These rows of the run's next stream of uniform variates."""
@@ -1159,17 +1157,13 @@ class _Rows:
         return k
 
     def column(self, name: str, like: str | None = None) -> np.ndarray:
-        """These rows of column ``name``, for the caller to fill in place
-        (column ``like``'s rows, filled already, when given)."""
+        """These rows of column ``name``, for the caller to write in place.
+        With ``like``, an array column of the same dtype written already,
+        ``name`` is that column's buffer, as a log shares one, and its rows
+        are returned as they are."""
         if isinstance(self._cols.get(name), np.ndarray):
             raise RuntimeError(f"a chunk writes column {name!r} once")
-        if like is None:
-            view = self.run.array(name)[self.start : self.stop]
-        else:
-            self.run.array(name, like)  # one buffer for both columns
-            view = self._cols[like]
-        self._cols[name] = view
-        self._sources.append((view, name))
+        view = self._cols[name] = self.run.array(name, like)[self.start : self.stop]
         return view
 
     def _held(self, name: str) -> np.ndarray | np.generic | float | None:
@@ -1191,14 +1185,9 @@ class _Rows:
                 raise RuntimeError(f"a chunk writes column {name!r} once")
             self._cols[name] = np.asarray(value, dtype=dtype)[()]
             return
-        like = next((other for source, other in self._sources if value is source), None)
-        if like is not None and _COLUMNS[like][0] == dtype:
-            self.column(name, like)
-            return
         if np.shape(value) != (self.stop - self.start,):
             raise ValueError(f"column {name!r} needs shape ({self.stop - self.start},), got {np.shape(value)}")
         self.column(name)[...] = value
-        self._sources.append((value, name))
 
     def seal(self) -> tuple[dict, frozenset, dict]:
         """(fills, names of array columns, {id of a column's buffer: the
@@ -1302,22 +1291,31 @@ def _base_log(c: _Rows, idler: bool = False) -> None:
     np.subtract(np.int8(2), c.random() < 0.5, out=c.column("slit"), dtype=np.int8)
     created = c.column("t_created_s")
     np.multiply(np.arange(c.start, c.stop, dtype=np.float64), PAIR_SPACING_FACTOR * c.cfg.delta_t_s, out=created)
-    c.t_signal_impact_s = created
+    c.column("t_signal_impact_s", like="t_created_s")
     if idler:
         np.add(created, c.cfg.delta_t_s, out=c.column("t_detector_s"))
 
 
-def _record(c: _Rows, mask: np.ndarray | bool, at: np.ndarray, kept: bool = True) -> None:
+def _record(c: _Rows, mask: np.ndarray | bool, at: np.ndarray | None = None, kept: bool = True) -> None:
     """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
     a persistent which-way record; every pair left with no which-way record
-    is erased. A scalar ``mask`` holds for every pair and leaves fills in the
-    log."""
+    is erased. A scalar ``mask`` holds for every pair, detected at impact,
+    and leaves fills in the log, the detection times being the impact
+    times' buffer."""
     flag = np.asarray(mask, dtype=np.int8)
     c.detected = flag
-    c.detected_at_s = _nan_except(mask, at) if flag.ndim else (at if mask else np.nan)
+    if flag.ndim:
+        c.detected_at_s = _nan_except(mask, at)
+    elif mask:
+        c.column("detected_at_s", like="t_signal_impact_s")
+    else:
+        c.detected_at_s = np.nan
     c.erased = 1 - flag if kept else 1
     if kept:
-        c.recorded = flag
+        if flag.ndim:
+            c.column("recorded", like="detected")  # the same flags
+        else:
+            c.recorded = flag
         c.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
 
 
@@ -1331,7 +1329,7 @@ def _render(c: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> 
     cfg = c.cfg
     u_x = c.random()
     if cfg.observation_schedule is ObservationSchedule.AT_T0:
-        c.observation_time_s = c.t_signal_impact_s
+        c.column("observation_time_s", like="t_signal_impact_s")
     else:
         np.add(resolved_at, cfg.delta_t_s, out=c.column("observation_time_s"))
     at = availability_query_time(cfg.model, c.t_signal_impact_s, c.observation_time_s)
@@ -1446,7 +1444,7 @@ def _run_interval_rule(
             run.laws[law, 0.0].quantiles(c.random(), out=x)
         inside = region.contains(x)
         route(c, inside)
-        c.observation_time_s = c.t_signal_impact_s
+        c.column("observation_time_s", like="t_signal_impact_s")
         return x, {inner: inside, outer: ~inside}
 
     return run.render(rows, keys, {inner: region, outer: complement}, feasibility=feasibility, markers=markers)
@@ -1463,7 +1461,7 @@ def run_double_slit(cfg: ProtocolConfig) -> RunResult:
 
     def rows(c: _Rows) -> tuple[np.ndarray, None]:
         _base_log(c)
-        _record(c, cfg.detectors_recording, c.t_signal_impact_s)
+        _record(c, cfg.detectors_recording)
         return _render(c, c.t_signal_impact_s), None
 
     return _Run(cfg, Protocol.DOUBLE_SLIT).render(rows)
@@ -1545,7 +1543,7 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
 
         def unplugged(c: _Rows) -> tuple[np.ndarray, None]:
             _base_log(c)
-            _record(c, True, c.t_signal_impact_s, kept=False)  # the unplugged outputs keep nothing
+            _record(c, True, kept=False)  # the unplugged outputs keep nothing
             return _render(c, c.t_signal_impact_s), None
 
         return _Run(cfg, Protocol.DETECT_NO_RECORD).render(unplugged)
@@ -1589,7 +1587,7 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
     def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         _base_log(c)
         destroyed = c.random() < cfg.destruction_prob if half is None else half[c.start : c.stop]
-        _record(c, True, c.t_signal_impact_s)
+        _record(c, True)
         erasure = c.t_signal_impact_s + cfg.erasure_delay_s
         c.erased = destroyed
         c.erased_at_s = _nan_except(destroyed, erasure)
@@ -1708,7 +1706,7 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
 
         def discontinuity(c: _Rows) -> tuple[None, None]:
             _base_log(c)
-            c.observation_time_s = c.t_signal_impact_s
+            c.column("observation_time_s", like="t_signal_impact_s")
             return None, None
 
         return run.render(discontinuity, (), markers=("discontinuity",))
@@ -1746,7 +1744,7 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
         law, markers = PatternKind.PARTICLE, ("branch_a",)
 
     def route(c: _Rows, copied: np.ndarray) -> None:
-        _record(c, True, c.t_signal_impact_s)
+        _record(c, True)
         # a copy is persistent, whose code is one below the perishable one
         c.medium = _MEDIUM_CODES[Medium.PERISHABLE] - copied.view(np.int8)
         c.expires_at_s = _nan_except(~copied, c.t_signal_impact_s + cfg.ttl_s)

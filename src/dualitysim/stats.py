@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 # adaptive_simpson is not called here; the benchmark tracer patches stats.adaptive_simpson
-from .numerics import adaptive_simpson, libm, map_blocks  # noqa: F401
+from .numerics import adaptive_simpson, libm  # noqa: F401
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -215,9 +215,12 @@ def classify_pattern(
         raise ValidationError("restricted classification requires all samples inside the region")
     terms = llr_terms(wave, PatternDistribution(PatternKind.PARTICLE, cfg), restrict_to)
     per_sample = np.empty_like(x)
-    # each impact's contribution on its own, in fixed blocks on the pool; the
-    # one sum over the whole array keeps the bits of an unblocked evaluation
-    map_blocks(lambda block: terms(x[block], per_sample[block]), x.size, _CLASSIFY_BLOCK)
+    # each impact's contribution on its own, in fixed blocks that keep the
+    # temporaries small; the one sum over the whole array keeps the bits of
+    # an unblocked evaluation
+    for start in range(0, x.size, _CLASSIFY_BLOCK):
+        block = slice(start, start + _CLASSIFY_BLOCK)
+        terms(x[block], per_sample[block])
     llr = float(np.sum(per_sample))
     return ClassificationResult(verdict_of(llr), llr, int(x.size))
 

@@ -1,12 +1,12 @@
-"""Blocked work on the shared pool gives the bits of an unblocked serial evaluation.
+"""Blocked work gives the bits of an unblocked serial evaluation.
 
-A run's chunks, and the blocks of a direct ``ppf`` or ``classify_pattern``
-call, run on ``numerics``' thread pool, and the event log's columns are
-hashed on its hashing thread. These tests compare the blocked work against
-whole-array references at sizes around the block boundaries, check that
-errors surface as the serial path raises them, and check that no report or
-digest depends on the number of workers, on forking, or on when the hashing
-thread runs; the runs span several chunks and end in a partial one.
+A run's chunks run on ``numerics``' thread pool, and the event log's columns
+are hashed on its hashing thread; ``ppf`` and ``classify_pattern`` run fixed
+blocks of lanes one after another. These tests compare the blocked work
+against whole-array references at sizes around the block boundaries, check
+that errors surface as the serial path raises them, and check that no report
+or digest depends on the number of workers, on forking, or on when the
+hashing thread runs; the runs span several chunks and end in a partial one.
 """
 
 import contextlib
@@ -120,14 +120,14 @@ class TestPpfBlocks:
     @pytest.mark.parametrize("cfg", [DEFAULT, ENVELOPE], ids=["uniform", "envelope"])
     @pytest.mark.parametrize("phase", [0.0, math.pi / 2], ids=["phase0", "phase_half_pi"])
     @pytest.mark.parametrize("size", _sizes(PPF_B))
-    def test_matches_whole_array_inversion(self, pool, cfg, phase, size):
+    def test_matches_whole_array_inversion(self, cfg, phase, size):
         dist = PatternDistribution(PatternKind.WAVE, cfg, phase)
         u = np.random.default_rng(size).random(size)
         got = dist.ppf(u)
         assert got.shape == (size,)
         np.testing.assert_array_equal(got, _serial_ppf(dist, u) if size else u)
 
-    def test_keeps_the_input_shape(self, pool):
+    def test_keeps_the_input_shape(self):
         dist = PatternDistribution(PatternKind.WAVE, DEFAULT)
         u = np.random.default_rng(5).random((3, PPF_B + 1))
         np.testing.assert_array_equal(dist.ppf(u), _serial_ppf(dist, u.ravel()).reshape(u.shape))
@@ -137,7 +137,7 @@ class TestClassifierBlocks:
     @pytest.mark.parametrize("cfg", [DEFAULT, ENVELOPE], ids=["uniform", "envelope"])
     @pytest.mark.parametrize("phase", [0.0, math.pi / 2], ids=["phase0", "phase_half_pi"])
     @pytest.mark.parametrize("size", _sizes(CLS_B)[1:])
-    def test_matches_whole_array_sum(self, pool, cfg, phase, size):
+    def test_matches_whole_array_sum(self, cfg, phase, size):
         lo, hi = cfg.window
         x = np.random.default_rng(size).uniform(lo, hi, size)
         result = classify_pattern(x, cfg, phase_offset_rad=phase)
@@ -146,7 +146,7 @@ class TestClassifierBlocks:
 
     @pytest.mark.parametrize("cfg", [DEFAULT, ENVELOPE], ids=["uniform", "envelope"])
     @pytest.mark.parametrize("size", _sizes(CLS_B)[1:])
-    def test_restricted_matches_whole_array_sum(self, pool, cfg, size):
+    def test_restricted_matches_whole_array_sum(self, cfg, size):
         region = IntervalSet.from_pairs([(-1e-4, 0.0), (0.1e-3, 0.3e-3)], window=cfg.window)
         u = np.random.default_rng(size).random(size)
         # half the impacts in each interval
@@ -155,7 +155,7 @@ class TestClassifierBlocks:
         result = classify_pattern(x, cfg, phase_offset_rad=0.3, restrict_to=region)
         assert result.log_likelihood_ratio == _serial_llr(x, cfg, 0.3, restrict_to=region)
 
-    def test_out_of_window_sample_in_a_later_block_raises_the_serial_text(self, pool):
+    def test_out_of_window_sample_in_a_later_block_raises_the_serial_text(self):
         lo, hi = DEFAULT.window
         x = np.random.default_rng(3).uniform(lo, hi, 3 * CLS_B + 7)
         x[2 * CLS_B + 5] = 2.0 * hi
@@ -167,7 +167,7 @@ class TestClassifierBlocks:
         assert str(blocked.value) == str(serial.value)
 
 
-#: golden cases whose runs take the pool's blocked paths, at a size spanning several blocks
+#: golden cases whose runs take the pool's chunked paths, at a size spanning several chunks
 WORKER_CASES = [
     "quantum_eraser-collapse",
     "quantum_eraser-render",
@@ -250,7 +250,7 @@ def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
         callers.append(threading.current_thread().name)
         return real(fn, n, block)
 
-    for module in (numerics, optics, stats, protocols):
+    for module in (numerics, protocols):
         monkeypatch.setattr(module, "map_blocks", spy)
     for name in WORKER_CASES:
         run_protocol(replace(matrix()[name], n_pairs=N_BLOCKS))
@@ -259,13 +259,29 @@ def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
     assert not [name for name in callers if name.startswith("dualitysim")]
 
 
+def test_a_hashing_task_may_wait_on_hashes_submitted_before_it():
+    """A column's record joins its chunks' block hashes on the hashing
+    thread, waiting on them: safe only while that thread is one worker that
+    runs its tasks in submission order."""
+    assert numerics._HASHER._max_workers == 1
+    order = []
+    slow = numerics.submit_hash(time.sleep, 0.05)
+    first = numerics.submit_hash(order.append, "block")
+    joined = numerics.submit_hash(lambda: (slow.result(), first.result(), order.append("join")))
+    joined.result(timeout=10)
+    assert order == ["block", "join"]
+
+
 def _forked_digest(results) -> None:
     results.put(run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest)
 
 
-def _forked_ppf(results) -> None:
-    u = np.linspace(0.0, 1.0, 2 * PPF_B)
-    results.put(float(PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(u).sum()))
+def _on_a_worker(block: slice) -> tuple[int, bool]:
+    return block.start, threading.current_thread().name.startswith("dualitysim_")
+
+
+def _forked_blocks(results) -> None:
+    results.put(map_blocks(_on_a_worker, 4, 2))
 
 
 def _forked_log_digest(results) -> None:
@@ -294,10 +310,8 @@ def _in_forked_child(target):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_a_forked_child_gets_a_working_pool():
-    PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(np.linspace(0.0, 1.0, 2 * PPF_B))  # start the workers
-    got = _in_forked_child(_forked_ppf)
-    u = np.linspace(0.0, 1.0, 2 * PPF_B)
-    assert got == float(PatternDistribution(PatternKind.WAVE, DEFAULT).ppf(u).sum())
+    assert map_blocks(_on_a_worker, 4, 2) == [(0, True), (2, True)]  # start the workers
+    assert _in_forked_child(_forked_blocks) == [(0, True), (2, True)]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
