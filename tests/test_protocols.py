@@ -1446,6 +1446,22 @@ class TestChunks:
                 llr = part if llr is None else llr + part
             assert subset.log_likelihood_ratio == llr, key
 
+    @pytest.mark.parametrize("schedule", list(ObservationSchedule), ids=lambda s: s.value)
+    def test_columns_a_runner_names_alike_share_one_buffer(self, schedule):
+        """The impact times, the observation times under ``at_t0``, the
+        detection times of a whole-run detection and the record flags of
+        the detected pairs are held once, over chunks that end in a partial one."""
+        n = 3 * protocols._chunk_rows(10**5) + 5
+        slit = run_protocol(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, seed=4, observation_schedule=schedule)).events
+        shared = ["t_signal_impact_s", "detected_at_s"] + ["observation_time_s"] * (schedule is ObservationSchedule.AT_T0)
+        for name in EVENT_LOG_COLUMNS:
+            held = slit._held(name)
+            if isinstance(held, np.ndarray) and name != "t_created_s":
+                assert np.shares_memory(held, slit.t_created_s) == (name in shared), name
+        eraser = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=4)).events
+        assert np.shares_memory(eraser.recorded, eraser.detected)
+        assert not np.shares_memory(eraser.erased, eraser.detected)
+
     def test_a_chunk_writes_each_array_column_once(self):
         rows = protocols._Rows(protocols._Run(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=4), Protocol.DOUBLE_SLIT), 0, 4)
         rows.erased = 1
