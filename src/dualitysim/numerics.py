@@ -35,7 +35,7 @@ def _new_hasher() -> None:
 #: another task, so even a one-worker pool cannot deadlock
 _POOL: ThreadPoolExecutor
 _new_pool()
-#: one thread of its own for sha256 records, so that pool blocks never queue
+#: one thread of its own for sha256 records, so that chunks never queue
 #: behind hashing; a second hashing thread runs no faster in one process
 _HASHER: ThreadPoolExecutor
 _new_hasher()
