@@ -276,12 +276,18 @@ def _forked_digest(results) -> None:
     results.put(run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest)
 
 
-def _on_a_worker(block: slice) -> tuple[int, bool]:
-    return block.start, threading.current_thread().name.startswith("dualitysim_")
+def _forked_chunk_threads(results) -> None:
+    """A chunked run's digest and the threads its chunks ran on, in the child."""
+    names = []
+    chunk = protocols._Run._chunk
 
+    def spy(self, *args):
+        names.append(threading.current_thread().name)
+        return chunk(self, *args)
 
-def _forked_blocks(results) -> None:
-    results.put(map_blocks(_on_a_worker, 4, 2))
+    protocols._Run._chunk = spy  # patched in the forked child only
+    digest = run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest
+    results.put((digest, len(names), sorted({name.rsplit("_", 1)[0] for name in names})))
 
 
 def _forked_log_digest(results) -> None:
@@ -310,8 +316,10 @@ def _in_forked_child(target):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_a_forked_child_gets_a_working_pool():
-    assert map_blocks(_on_a_worker, 4, 2) == [(0, True), (2, True)]  # start the workers
-    assert _in_forked_child(_forked_blocks) == [(0, True), (2, True)]
+    # the parent's run starts the pool's workers before the fork
+    parent = run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest
+    chunks = -(-N_BLOCKS // protocols._chunk_rows(N_BLOCKS))
+    assert _in_forked_child(_forked_chunk_threads) == (parent, chunks, ["dualitysim"])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
