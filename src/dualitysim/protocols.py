@@ -405,132 +405,94 @@ def _row_index_record(n: int) -> bytes:
 
 
 class EventLog:
-    """Columnar per-pair event log; one row per generated pair.
+    """Columnar per-pair event log; one row per generated pair, built once
+    and read-only afterwards.
 
-    A column is held either as an array of the log's length or as one fill
-    value for every row: a blank log holds only fills, ``pair_id``'s being the
-    row index. Reading a column as an attribute expands its fill to an array
-    on first use; assigning a scalar to a column stores a fill.
-
-    Assigning an array seals it: the array, and any array it is a view of,
-    becomes read-only (for a slice ``buf[:n]`` of an array that owns its
-    memory, all of ``buf``), and its digest record is hashed on the hashing
-    thread while the run goes on (a run's chunks hash their own rows, and
-    the record joins those hashes). A view of the same buffer taken before
-    the assignment is not sealed: a write through it may miss the digest, so
-    a caller must drop or never write such views. An array that is an earlier
-    column's buffer (the creation times are the impact times) reuses that
-    column's record. A column expanded from its fill stays writable and is
-    hashed when the digest is taken; so is every array of a pickled or copied
-    log, whose sealed columns stay read-only. ``digest`` joins the records
-    (``dualitysim-event-log-v2``, laid out in the README); a column gets the
-    same record whether it is held as a fill or as an array.
+    ``columns`` maps a column name to an array of the log's length or to one
+    fill value for every row. A column not given holds its blank fill,
+    ``pair_id``'s being the row index, so ``EventLog(n)`` is the blank log.
+    Every given array, and any array it is a view of, becomes read-only (for
+    a slice ``buf[:n]`` of an array that owns its memory, all of ``buf``),
+    and its digest record is hashed on the hashing thread while the caller
+    goes on. ``records`` may give a column's record as the futures of its
+    ``_BLOCK_ROWS``-row blocks' hashes in row order, as a run's chunks hash
+    them; the record then joins those hashes. Columns given the same array
+    object share it and its record (the creation times are the impact
+    times). Reading a fill as an attribute expands it to a read-only array
+    on first use; the column stays a fill and keeps its fill record.
+    ``digest`` joins the records (``dualitysim-event-log-v2``, laid out in
+    the README); a column gets the same record whether it is held as a fill
+    or as an array.
     """
 
-    def __init__(self, n: int) -> None:
-        # _sealed: column name -> (its sealed array, the future of its record,
-        # the id of the process that submitted it)
-        self.__dict__.update(_n=int(n), _fills={name: fill for name, (_, fill) in _COLUMNS.items()}, _sealed={})
+    __slots__ = ("_n", "_cols", "_records", "_expanded")
 
-    @classmethod
-    def blank(cls, n: int) -> "EventLog":
-        """A log of ``n`` rows whose every column holds its blank fill."""
-        return cls(n)
+    def __init__(self, n: int, columns: dict | None = None, records: dict[str, Sequence] | None = None) -> None:
+        self._n = n = int(n)
+        # _cols: column name -> its array, or its fill unexpanded; _records:
+        # column name of an array -> (the future of its record, the id of the
+        # process that submitted it); _expanded: fill name -> its array
+        self._cols = {name: None if fill is None else dtype(fill) for name, (dtype, fill) in _COLUMNS.items()}
+        self._records, self._expanded = {}, {}
+        given = {}  # (id of a given array, dtype) -> (its column, its record)
+        for name, value in (columns or {}).items():
+            if name not in _COLUMNS:
+                raise ValueError(f"an event log has no column {name!r}")
+            dtype = _COLUMNS[name][0]
+            if np.ndim(value) == 0:
+                self._cols[name] = np.asarray(value, dtype=dtype)[()]
+                continue
+            key = (id(value), dtype)
+            if key not in given:
+                col = np.ascontiguousarray(value, dtype=dtype)
+                if col.shape != (n,):
+                    raise ValueError(f"column {name!r} needs shape ({n},), got {col.shape}")
+                base = col
+                while isinstance(base, np.ndarray):
+                    base.flags.writeable = False
+                    base = base.base
+                parts = (records or {}).get(name)
+                record = submit_hash(_array_record, col) if parts is None else submit_hash(_joined_record, parts)
+                given[key] = col, (record, os.getpid())
+            self._cols[name], self._records[name] = given[key]
 
-    def __getstate__(self) -> dict:
-        # a pending record is a future, which does not pickle: a copy keeps the
-        # names of its sealed columns, and hashes them when its digest is taken
-        return {**self.__dict__, "_sealed": tuple(self._sealed)}
-
-    def __setstate__(self, state: dict) -> None:
-        for name in state["_sealed"]:
-            state[name].flags.writeable = False
-        self.__dict__.update(state, _sealed={})
+    def __reduce__(self) -> tuple:
+        # a pending record is a future, which does not pickle: a copy is
+        # built from the columns as held, and hashes its arrays anew
+        return type(self), (self._n, {name: held for name, held in self._cols.items() if held is not None})
 
     def __getattr__(self, name: str) -> np.ndarray:
-        # reached only for a column held as a fill: an array is an instance attribute
+        # reached for every column: none is a slot
         if name not in _COLUMNS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        held = self._held(name)
-        if isinstance(held, np.ndarray):  # another thread expanded it meanwhile
+        held = self._cols[name]
+        if isinstance(held, np.ndarray):
             return held
-        # two threads expanding at once both return the array stored first
-        col = self.__dict__.setdefault(name, _fill_rows(name, held, 0, self._n))
-        self._fills.pop(name, None)
-        return col
-
-    def __setattr__(self, name: str, value) -> None:
-        if name not in _COLUMNS:
-            raise AttributeError(f"an event log has no column {name!r}")
-        dtype = _COLUMNS[name][0]
-        if np.ndim(value) == 0:
-            self._unseal(name)
-            self._fills[name] = np.asarray(value, dtype=dtype)[()]
-            self.__dict__.pop(name, None)
-            return
-        col = np.ascontiguousarray(value, dtype=dtype)
-        if col.shape != (self._n,):
-            raise ValueError(f"column {name!r} needs shape ({self._n},), got {col.shape}")
-        self._seal(name, col)
-
-    def _seal(self, name: str, col: np.ndarray, parts: Sequence | None = None) -> None:
-        """Hold the contiguous array ``col`` as column ``name``, read-only.
-        Its record is hashed on the hashing thread, or joined there from
-        ``parts``, the futures of its blocks' hashes in row order, when a
-        run's chunks hashed them."""
-        base = col
-        while isinstance(base, np.ndarray):
-            base.flags.writeable = False
-            base = base.base
-        self._unseal(name)
-        address = col.__array_interface__["data"][0]
-        shared = [
-            (record, pid)
-            for other, record, pid in self._sealed.values()
-            if other.__array_interface__["data"][0] == address and other.dtype == col.dtype
-        ]
-        if shared:
-            record, pid = shared[0]
-        else:
-            record = submit_hash(_array_record, col) if parts is None else submit_hash(_joined_record, parts)
-            pid = os.getpid()
-        self._sealed[name] = (col, record, pid)
-        self.__dict__[name] = col
-        self._fills.pop(name, None)
-
-    def _unseal(self, name: str) -> None:
-        """Forget column ``name``'s record; a pending one that no other
-        column shares is not hashed."""
-        sealed = self._sealed.pop(name, None)
-        if sealed is not None and all(record is not sealed[1] for _, record, _ in self._sealed.values()):
-            sealed[1].cancel()
-
-    def _held(self, name: str) -> np.ndarray | np.generic | None:
-        """Column ``name`` as held: its array, or its fill unexpanded."""
-        try:
-            return self._fills[name]
-        except KeyError:  # an array: expanding stores it before dropping the fill
-            return self.__dict__[name]
+        if name not in self._expanded:
+            col = _fill_rows(name, held, 0, self._n)
+            col.flags.writeable = False
+            # two threads expanding at once both return the array stored first
+            self._expanded.setdefault(name, col)
+        return self._expanded[name]
 
     def _record(self, name: str) -> bytes:
         """Column ``name``'s digest record."""
-        held, n = self._held(name), self._n
+        held, n = self._cols[name], self._n
         if held is None:
             return _row_index_record(n)
         if not isinstance(held, np.ndarray):
-            value = np.asarray(held, dtype=_COLUMNS[name][0])
-            return _fill_record(value.dtype.str, value.tobytes(), n)
-        sealed = self._sealed.get(name)
+            return _fill_record(held.dtype.str, held.tobytes(), n)
+        record, pid = self._records[name]
         # a record still pending when this process was forked from the one
         # that submitted it is never finished here
-        if sealed is not None and (sealed[1].done() or sealed[2] == os.getpid()):
-            return sealed[1].result()
+        if record.done() or pid == os.getpid():
+            return record.result()
         return _array_record(held)
 
     def _blocks(self, name: str) -> Iterator[np.ndarray]:
         """Column ``name`` in slices of ``_BLOCK_ROWS`` rows. A fill is read
         from one reused block, the row index from ``arange`` per block."""
-        held, n = self._held(name), self._n
+        held, n = self._cols[name], self._n
         if not isinstance(held, np.ndarray) and held is not None:
             block = _fill_rows(name, held, 0, min(_BLOCK_ROWS, n))
         for start in range(0, n, _BLOCK_ROWS):
@@ -905,36 +867,17 @@ _OBJECTIVE_CODES = [_MEDIUM_CODES[medium] for medium in OBJECTIVE_MEDIA]
 
 # The per-pair masks (slit, route, record, availability, subset) are coin
 # flips, on which numpy takes boolean-mask indexing and ``np.where`` branch by
-# branch: several times slower than ``np.compress`` for a gather, block-wise
-# integer indices for a scatter, and arithmetic for an int8 select, which give
-# the same values.
+# branch: several times slower than ``np.compress`` for a gather, integer
+# indices from ``np.flatnonzero`` for a scatter, and arithmetic for an int8
+# select, which give the same values. A mask spans one chunk's rows.
 
 
-def _lanes(mask: np.ndarray) -> Iterator[np.ndarray]:
-    """The indices of the true lanes of ``mask``, one ``_BLOCK_ROWS`` block
-    at a time, so no index array of the whole length exists."""
-    for start in range(0, mask.size, _BLOCK_ROWS):
-        lanes = np.flatnonzero(mask[start : start + _BLOCK_ROWS])
-        lanes += start
-        yield lanes
-
-
-def _scatter(out: np.ndarray, mask: np.ndarray, values) -> None:
-    """``out[mask] = values``, ``values`` a scalar or one value per true lane
-    of ``mask``."""
-    many, done = np.ndim(values) > 0, 0
-    for lanes in _lanes(mask):
-        out[lanes] = values[done : done + lanes.size] if many else values
-        done += lanes.size
-
-
-def _nan_except(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.where(mask, values, np.nan)`` for float64 ``values`` of the
-    mask's length."""
-    out = np.full(mask.size, np.nan)
-    for lanes in _lanes(mask):
-        out[lanes] = values[lanes]
-    return out
+def _nan_except(out: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
+    """``out[:] = np.where(mask, values, np.nan)`` for float64 ``out`` and
+    ``values`` of the mask's length."""
+    out.fill(np.nan)
+    lanes = np.flatnonzero(mask)
+    out[lanes] = values[lanes]
 
 
 def _chunk_rows(n: int) -> int:
@@ -1118,26 +1061,21 @@ class _Run:
         first = chunks[0]
         if any(layout(c) != layout(first) for c in chunks[1:]):
             raise RuntimeError("chunks disagree on the log's fills")
-        log = EventLog(self.n)
-        for name, fill in first.fills.items():
-            setattr(log, name, fill)
-        for name in _COLUMNS:
-            if name in first.arrays:
-                col = self._arrays[name]
-                log._seal(name, col, [c.hashes[id(col)] for c in chunks])
-        return log
+        arrays = {name: self._arrays[name] for name in first.arrays}
+        records = {name: [c.hashes[id(col)] for c in chunks] for name, col in arrays.items()}
+        return EventLog(self.n, {**first.fills, **arrays}, records)
 
 
 class _Rows:
     """Rows ``[start, stop)`` of a run: what one chunk task reads and writes.
 
-    Columns read and assign as on an ``EventLog`` of these rows. Assigning
-    an array copies it into the run's column at these rows; assigning a
-    scalar holds a fill, the same in every chunk. ``column`` hands out these
-    rows of a column to write in place, or makes a column share another's
-    buffer. A chunk writes a column's array once. ``random()`` draws these
-    rows of the run's next variate stream. Counts put in ``tally`` are
-    summed over the chunks.
+    Columns read as on an ``EventLog`` of these rows. Assigning an array
+    copies it into the run's column at these rows; assigning a scalar holds
+    a fill, the same in every chunk. ``column`` hands out these rows of a
+    column to write in place, or makes a column share another's buffer. A
+    chunk writes a column's array once. ``random()`` draws these rows of the
+    run's next variate stream. Counts put in ``tally`` are summed over the
+    chunks.
     """
 
     def __init__(self, run: _Run, start: int, stop: int) -> None:
@@ -1305,7 +1243,7 @@ def _record(c: _Rows, mask: np.ndarray | bool, at: np.ndarray | None = None, kep
     flag = np.asarray(mask, dtype=np.int8)
     c.detected = flag
     if flag.ndim:
-        c.detected_at_s = _nan_except(mask, at)
+        _nan_except(c.column("detected_at_s"), mask, at)
     elif mask:
         c.column("detected_at_s", like="t_signal_impact_s")
     else:
@@ -1355,7 +1293,7 @@ def _render(c: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> 
         if mask.all():
             law.quantiles(u_x, out=x)
         elif mask.any():
-            _scatter(x, mask, law.quantiles(np.compress(mask, u_x)))
+            x[np.flatnonzero(mask)] = law.quantiles(np.compress(mask, u_x))
     return x
 
 
@@ -1438,7 +1376,7 @@ def _run_interval_rule(
             for side, sample in parts:
                 mask = from_particle if side else ~from_particle
                 if mask.any():
-                    _scatter(x, mask, sample(np.compress(mask, u_x)))
+                    x[np.flatnonzero(mask)] = sample(np.compress(mask, u_x))
         else:
             c.skip()  # u_component: a fixed law reads none
             run.laws[law, 0.0].quantiles(c.random(), out=x)
@@ -1566,7 +1504,7 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
         to_which_way, detector, registered = _eraser_bench(c, kept=False, idler=False)
         x = _render(c, registered, detector == 2)
         c.detector = detector = detector * ~to_which_way
-        c.t_detector_s = _nan_except(~to_which_way, registered)
+        _nan_except(c.column("t_detector_s"), ~to_which_way, registered)
         return x, {"D1": detector == 1, "D2": detector == 2, "unsorted": detector == 0}
 
     return run.render(channels_off, ("D1", "D2", "unsorted"), coincidences=True)
@@ -1590,7 +1528,7 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
         _record(c, True)
         erasure = c.t_signal_impact_s + cfg.erasure_delay_s
         c.erased = destroyed
-        c.erased_at_s = _nan_except(destroyed, erasure)
+        _nan_except(c.column("erased_at_s"), destroyed, erasure)
         return _render(c, erasure), {"destroyed": destroyed, "surviving": ~destroyed}
 
     return run.render(rows, ("destroyed", "surviving"), tv=("surviving", "destroyed"))
@@ -1747,7 +1685,7 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
         _record(c, True)
         # a copy is persistent, whose code is one below the perishable one
         c.medium = _MEDIUM_CODES[Medium.PERISHABLE] - copied.view(np.int8)
-        c.expires_at_s = _nan_except(~copied, c.t_signal_impact_s + cfg.ttl_s)
+        _nan_except(c.column("expires_at_s"), ~copied, c.t_signal_impact_s + cfg.ttl_s)
         c.erased = ~copied
 
     return _run_interval_rule(run, region, law, markers, "intent_adjustment_required", ("recorded", "perished"), route)

@@ -332,11 +332,11 @@ def test_a_forked_child_gets_a_working_hashing_thread():
 def test_a_forked_child_digests_records_pending_at_the_fork():
     global _PENDING_LOG
     numerics.submit_hash(time.sleep, 0.5)
-    _PENDING_LOG = log = EventLog(N_BLOCKS)
-    log.signal_x_m = np.random.default_rng(8).random(N_BLOCKS)
-    log.t_created_s = log.t_signal_impact_s = np.arange(N_BLOCKS, dtype=np.float64)
+    times = np.arange(N_BLOCKS, dtype=np.float64)
+    columns = {"signal_x_m": np.random.default_rng(8).random(N_BLOCKS), "t_created_s": times, "t_signal_impact_s": times}
+    _PENDING_LOG = log = EventLog(N_BLOCKS, columns)
     try:
-        assert not log._sealed["signal_x_m"][1].done()
+        assert not log._records["signal_x_m"][0].done()
         assert _in_forked_child(_forked_log_digest) == log.digest()
     finally:
         _PENDING_LOG = None

@@ -500,15 +500,15 @@ DIGEST_SIZES = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_
 def event_logs(draw, n: int | None = None):
     """Logs of the documented dtypes holding edge values, with ``n`` rows or
     row counts on both sides of the block size; columns that stay fills
-    (blank or assigned), columns that share an earlier column's array, and
-    columns that repeat (or sign-flip the zeros of) an earlier column."""
+    (blank or given), columns given an earlier column's array, and columns
+    that repeat (or sign-flip the zeros of) an earlier column."""
     edge = _BLOCK_ROWS
     if n is None:
         n = draw(st.one_of(st.integers(0, 40), st.sampled_from([edge - 1, edge, edge + 1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    log = EventLog.blank(n)
+    columns = {}
     if draw(st.booleans()):  # else the row index stays a fill
-        log.pair_id = np.arange(n) + draw(st.integers(0, 2**63 - 1 - n))
+        columns["pair_id"] = np.arange(n) + draw(st.integers(0, 2**63 - 1 - n))
     arrays: dict[type, list[np.ndarray]] = {np.float64: [], np.int8: []}
     for name in EVENT_LOG_COLUMNS[1:]:
         dtype = protocols._COLUMNS[name][0]
@@ -520,7 +520,7 @@ def event_logs(draw, n: int | None = None):
         if mode == "blank":
             continue
         if mode == "fill":
-            setattr(log, name, rng.choice(_EDGE_FLOATS) if dtype == np.float64 else rng.integers(-128, 128))
+            columns[name] = rng.choice(_EDGE_FLOATS) if dtype == np.float64 else rng.integers(-128, 128)
             continue
         if mode == "array" and dtype == np.float64:
             scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
@@ -534,9 +534,14 @@ def event_logs(draw, n: int | None = None):
         else:
             source = earlier[draw(st.integers(0, len(earlier) - 1))]
             col = np.where(source == 0.0, -source, source)
-        setattr(log, name, col)
+        columns[name] = col
         earlier.append(col)
-    return log
+    return EventLog(n, columns)
+
+
+def _fills(log: EventLog) -> set[str]:
+    """The names of the columns ``log`` holds as fills."""
+    return {name for name in EVENT_LOG_COLUMNS if not isinstance(log._cols[name], np.ndarray)}
 
 
 class TestEventLog:
@@ -555,12 +560,12 @@ class TestEventLog:
         assert run_quantum_eraser(cfg).event_digest != run_quantum_eraser(other).event_digest
 
     def test_digest_sees_single_value_changes(self):
-        run = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1))
-        before = run.events.digest()
-        changed = run.events.signal_x_m.copy()
+        log = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1)).events
+        changed = log.signal_x_m.copy()
         changed[0] += 1e-9
-        run.events.signal_x_m = changed
-        assert run.events.digest() != before
+        columns = {name: log._cols[name] for name in EVENT_LOG_COLUMNS if log._cols[name] is not None}
+        assert EventLog(len(log), columns).digest() == log.digest()
+        assert EventLog(len(log), {**columns, "signal_x_m": changed}).digest() != log.digest()
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=80, seed=11)
@@ -581,108 +586,132 @@ class TestEventLog:
     def test_digest_matches_the_reference_digest(self, data):
         for n in (None,) + DIGEST_SIZES:
             log = data.draw(event_logs(n))
-            fills = set(log._fills)
+            fills = _fills(log)
             digest = log.digest()
-            assert set(log._fills) == fills  # the records leave fills unexpanded
+            assert _fills(log) == fills  # the records leave fills unexpanded
             assert digest == _reference_digest(log)
 
     @pytest.mark.parametrize("n", DIGEST_SIZES)
     def test_a_fill_and_its_array_give_one_digest(self, n):
-        fills, arrays = EventLog.blank(n), EventLog.blank(n)
-        fills.erased, arrays.erased = 1, np.ones(n, dtype=np.int8)
-        fills.t_detector_s, arrays.t_detector_s = -0.0, np.full(n, -0.0)
-        arrays.pair_id = np.arange(n)
-        arrays.signal_x_m = np.full(n, np.nan)
-        assert not isinstance(fills._held("erased"), np.ndarray)
+        fills = EventLog(n, {"erased": 1, "t_detector_s": -0.0})
+        arrays = EventLog(
+            n,
+            {
+                "erased": np.ones(n, dtype=np.int8),
+                "t_detector_s": np.full(n, -0.0),
+                "pair_id": np.arange(n),
+                "signal_x_m": np.full(n, np.nan),
+            },
+        )
+        assert _fills(fills) == set(EVENT_LOG_COLUMNS)
         assert fills.digest() == arrays.digest() == _reference_digest(fills)
 
     def test_a_shared_buffer_and_its_copy_give_one_digest(self):
         n = 2 * _BLOCK_ROWS + 3
         times = np.random.default_rng(4).random(n)
-        shared, copied = EventLog.blank(n), EventLog.blank(n)
-        shared.t_created_s = shared.t_signal_impact_s = times
-        shared.erased_at_s = times[:]  # a view of the same buffer
-        copied.t_created_s, copied.t_signal_impact_s, copied.erased_at_s = times.copy(), times.copy(), times.copy()
-        records = {name: shared._sealed[name][1] for name in ("t_created_s", "t_signal_impact_s", "erased_at_s")}
-        assert len(set(map(id, records.values()))) == 1  # hashed once
+        names = ("t_created_s", "t_signal_impact_s", "erased_at_s")
+        shared = EventLog(n, dict.fromkeys(names, times))  # one object under three names
+        copied = EventLog(n, {name: times.copy() for name in names})
+        assert all(shared._cols[name] is times for name in names)
+        assert len({id(shared._records[name][0]) for name in names}) == 1  # hashed once
+        assert len({id(copied._records[name][0]) for name in names}) == 3
         assert shared.digest() == copied.digest() == _reference_digest(copied)
 
-    def test_an_in_place_write_to_an_assigned_column_raises(self):
-        log = EventLog.blank(8)
-        x = np.linspace(0.0, 1.0, 8)
-        log.signal_x_m = x
+    def test_given_arrays_and_their_bases_are_read_only(self):
+        buf = np.linspace(0.0, 1.0, 9).copy()  # owns its memory
+        x = buf[:8]
         ids = np.arange(8)
-        log.detector = ids
+        log = EventLog(8, {"signal_x_m": x, "detector": ids})
         ids[0] = 5  # converted to int8: the caller's array stays its own
-        for sealed in (log.signal_x_m, x, log.detector):
+        assert log.detector[0] == 0
+        for sealed in (log.signal_x_m, x, buf, log.detector, log.bs_a, log.pair_id):
             with pytest.raises(ValueError, match="read-only"):
                 sealed[0] = 1
-        log.bs_a[0] = 1  # a column expanded from its fill stays writable
-        assert log.bs_a.tolist() == [1] + [-1] * 7
         assert log.digest() == _reference_digest(log)
 
-    def test_a_view_taken_before_assigning_is_not_sealed(self):
-        buf = np.linspace(0.0, 1.0, _BLOCK_ROWS + 2).copy()  # owns its memory
-        earlier, part = buf[:], buf[1:]
-        log = EventLog.blank(buf.size - 1)
-        log.signal_x_m = buf[:-1]
-        assert not buf.flags.writeable  # the whole buffer the column views
-        assert earlier.flags.writeable and part.flags.writeable
-        digest = log.digest()  # the record is hashed by now
-        earlier[0] = 2.0
-        assert log.signal_x_m[0] == 2.0
-        assert log.digest() == digest != _reference_digest(log)  # as documented, the write misses the digest
+    def test_assigning_any_name_raises(self):
+        log = EventLog(4)
+        fills = _fills(log)
+        for name in EVENT_LOG_COLUMNS + ("no_such_column", "events"):
+            for value in (1, np.ones(4)):
+                with pytest.raises(AttributeError):
+                    setattr(log, name, value)
+        assert _fills(log) == fills
+        assert log.digest() == EventLog(4).digest()
+
+    def test_construction_checks_each_column(self):
+        with pytest.raises(ValueError, match="no_such_column"):
+            EventLog(4, {"no_such_column": 1})
+        with pytest.raises(ValueError, match="'slit'"):
+            EventLog(4, {"slit": np.ones(3)})
+        with pytest.raises(ValueError, match="'slit'"):
+            EventLog(4, {"slit": np.ones((4, 1))})
+        log = EventLog(4, {"erased": 1.0, "t_detector_s": 2, "detector": np.int64(3)})
+        assert type(log._cols["erased"]) is np.int8 and type(log._cols["detector"]) is np.int8
+        assert type(log._cols["t_detector_s"]) is np.float64
+        assert log.erased.dtype == np.int8 and log.t_detector_s.tolist() == [2.0] * 4
 
     def test_every_run_digests_the_bytes_it_leaves(self):
-        """No runner writes a column through a view taken before it assigned
-        the column, which the seal would not see."""
+        """Every runner's log digests the bytes of its columns as read."""
         for name, cfg in matrix().items():
             run = run_protocol(replace(cfg, n_pairs=2 * _BLOCK_ROWS + 4))
             if isinstance(run, RunResult):
                 assert run.event_digest == _reference_digest(run.events), name
 
+    def test_reading_every_column_keeps_the_fills_and_the_digest(self):
+        """Reading all columns expands no fill's record: the digest hashes
+        no expanded fill, and the set of fills does not change."""
+        run = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=2 * _BLOCK_ROWS + 3, seed=5))
+        log = run.events
+        fills = _fills(log)
+        assert fills  # the eraser's log keeps fills
+        for name in EVENT_LOG_COLUMNS:
+            assert len(getattr(log, name)) == len(log)
+        assert log.digest() == run.event_digest
+        assert _fills(log) == fills
+        for other in (pickle.loads(pickle.dumps(log)), copy.deepcopy(log)):
+            assert _fills(other) == fills and other.digest() == run.event_digest
+
     def test_a_pickled_or_copied_run_keeps_its_log_and_digest(self):
         run = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=_BLOCK_ROWS + 3, seed=5))
-        fills = set(run.events._fills)
+        fills = _fills(run.events)
         for other in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
-            assert set(other.events._fills) == fills  # fills stay unexpanded
+            assert _fills(other.events) == fills  # fills stay unexpanded
             for name in EVENT_LOG_COLUMNS:
                 np.testing.assert_array_equal(getattr(other.events, name), getattr(run.events, name), err_msg=name)
             assert other.event_digest == other.events.digest() == run.event_digest
             assert other.events.t_created_s is other.events.t_signal_impact_s
             with pytest.raises(ValueError, match="read-only"):
-                other.events.signal_x_m[0] = 1.0  # still sealed
+                other.events.signal_x_m[0] = 1.0  # still read-only
 
     def test_columns_are_fills_until_read(self):
-        log = EventLog.blank(5)
-        log.erased = 1
-        assert isinstance(log._held("erased"), np.int8)
+        log = EventLog(5, {"erased": 1})
+        assert isinstance(log._cols["erased"], np.int8)
         np.testing.assert_array_equal(log.pair_id, np.arange(5))
         assert log.erased.dtype == np.int8 and log.erased.tolist() == [1] * 5
-        log.erased[0] = 0  # the expanded array is the column from now on
-        assert log.erased.tolist() == [0, 1, 1, 1, 1]
+        assert log.erased is log.erased  # expanded once
+        with pytest.raises(ValueError, match="read-only"):
+            log.erased[0] = 0
+        assert isinstance(log._cols["erased"], np.int8)  # still a fill
         assert np.isnan(log.signal_x_m).all() and log.bs_a.tolist() == [-1] * 5
-        with pytest.raises(ValueError):
-            log.slit = np.ones(4, dtype=np.int8)
         with pytest.raises(AttributeError):
-            log.no_such_column = 1
+            log.no_such_column
 
     def test_runs_keep_constant_columns_as_fills(self):
         log = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1)).events
         for name in ("pair_id", "bs_a", "bs_b", "bs_c", "detector", "t_detector_s", "detected", "erased_at_s"):
-            assert not isinstance(log._held(name), np.ndarray), name
+            assert not isinstance(log._cols[name], np.ndarray), name
 
     def test_an_array_shared_by_two_columns_is_read_only(self):
         log = run_double_slit(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=64, seed=1)).events
         assert log.t_signal_impact_s is log.t_created_s
         with pytest.raises(ValueError, match="read-only"):
             log.t_signal_impact_s[0] = 1.0
-        log.bs_a[0] = 0  # a column expanded from its fill stays writable
-        log.erased_at_s = log.signal_x_m[:]  # a view shares the memory
+        x = log.signal_x_m.copy()
+        built = EventLog(64, {"signal_x_m": x, "erased_at_s": x})  # one array under two names
+        assert built.erased_at_s is built.signal_x_m is x
         with pytest.raises(ValueError, match="read-only"):
-            log.signal_x_m[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            log.erased_at_s[0] = 1.0
+            x[0] = 1.0
 
     def test_double_slit_memory_per_pair(self):
         """Bytes per pair that tracemalloc counts (numpy reports its buffers
@@ -1272,17 +1301,20 @@ class TestPerPairKernels:
 
     @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
     @pytest.mark.parametrize("lanes", ["none", "all", "random"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
-    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "array"])
-    def test_scatter_matches_boolean_assignment(self, n, lanes, dtype, scalar):
+    @pytest.mark.parametrize("out", ["column", "rows"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_nan_except_matches_where(self, n, lanes, out, layout):
+        """In place into a whole column, or into rows of a longer one as a
+        chunk's ``column`` hands them out, leaving the other rows alone."""
         rng = np.random.default_rng(n)
         mask = {"none": np.zeros(n, bool), "all": np.ones(n, bool), "random": rng.random(n) < 0.5}[lanes]
-        values = dtype(-1) if scalar else rng.integers(-100, 100, np.count_nonzero(mask)).astype(dtype)
-        want = rng.integers(-100, 100, n).astype(dtype)
-        got = want.copy()
-        want[mask] = values
-        protocols._scatter(got, mask, values)
-        assert got.tobytes() == want.tobytes()
+        values = rng.standard_normal(2 * n)[::2] if layout == "strided" else rng.standard_normal(n)
+        pad = 7 if out == "rows" else 0
+        column = rng.standard_normal(n + 2 * pad)
+        want = column.copy()
+        want[pad : pad + n] = np.where(mask, values, np.nan)
+        protocols._nan_except(column[pad : pad + n], mask, values)
+        assert column.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kept", [True, False], ids=["kept", "not-kept"])
     def test_eraser_routing_matches_the_select_reference(self, kept):
@@ -1455,7 +1487,7 @@ class TestChunks:
         slit = run_protocol(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, seed=4, observation_schedule=schedule)).events
         shared = ["t_signal_impact_s", "detected_at_s"] + ["observation_time_s"] * (schedule is ObservationSchedule.AT_T0)
         for name in EVENT_LOG_COLUMNS:
-            held = slit._held(name)
+            held = slit._cols[name]
             if isinstance(held, np.ndarray) and name != "t_created_s":
                 assert np.shares_memory(held, slit.t_created_s) == (name in shared), name
         eraser = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=4)).events
