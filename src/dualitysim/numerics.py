@@ -1,12 +1,11 @@
 """Shared numerics: level-wise adaptive Simpson quadrature, vectorized
-monotone inversion, the thread pool that runs a run's chunks, the one
-thread that hashes event-log columns, and the C library's ``log`` and
-``acos`` on arrays."""
+monotone inversion, the thread pool that runs a run's chunks, and the C
+library's ``log`` and ``acos`` on arrays."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
@@ -24,36 +23,14 @@ def _new_pool() -> None:
     _POOL = ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="dualitysim")
 
 
-def _new_hasher() -> None:
-    global _HASHER
-    # one worker, which runs its tasks in submission order: submit_hash relies on it
-    _HASHER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualitysim-hash")
-
-
 #: one worker per CPU this process may run on; its tasks (a run's chunks) are
 #: leaf work, mostly numpy kernels that release the GIL, and never wait on
 #: another task, so even a one-worker pool cannot deadlock
 _POOL: ThreadPoolExecutor
 _new_pool()
-#: one thread of its own for sha256 records, so that chunks never queue
-#: behind hashing; a second hashing thread runs no faster in one process
-_HASHER: ThreadPoolExecutor
-_new_hasher()
 if hasattr(os, "register_at_fork"):
-    # a forked child inherits the executor objects but none of their threads
-    os.register_at_fork(after_in_child=lambda: (_new_pool(), _new_hasher()))
-
-
-def submit_hash(fn: Callable, *args) -> Future:
-    """Run ``fn(*args)`` on the hashing thread, in submission order.
-
-    ``fn`` must not call ``map_blocks``. It may wait only on futures that
-    were submitted here before it: the hashing thread is one worker that
-    runs its tasks in order, so those are done when ``fn`` starts. A join
-    of a column's block hashes waits on them this way; with a second
-    hashing thread it could wait on work queued behind itself.
-    """
-    return _HASHER.submit(fn, *args)
+    # a forked child inherits the executor object but none of its threads
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def map_blocks(fn: Callable[[slice], object], n: int, block: int) -> list:

@@ -121,13 +121,6 @@ class OpticsConfig:
         m = self.fringe_count
         return abs(m - round(m)) <= INTEGER_FRINGE_TOL * max(1.0, m) and round(m) >= 1
 
-    def require_integer_fringe_window(self) -> None:
-        if not self.is_integer_fringe_window():
-            raise ValidationError(
-                "window must span an integer number (m >= 1) of fringe periods; "
-                f"got {self.fringe_count!r} periods"
-            )
-
 
 class PatternKind(Enum):
     WAVE = "wave"

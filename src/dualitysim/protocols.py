@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -63,7 +62,7 @@ from .models import (
     availability_query_time,
     available_mask,
 )
-from .numerics import map_blocks, submit_hash
+from .numerics import map_blocks
 from .optics import (
     IntervalSet,
     OpticsConfig,
@@ -371,18 +370,6 @@ def _block_hashes(col: np.ndarray) -> list[bytes]:
     return [hashlib.sha256(col[start : start + _BLOCK_ROWS]).digest() for start in range(0, col.size, _BLOCK_ROWS)]
 
 
-def _array_record(col: np.ndarray) -> bytes:
-    """The record of a column held as a contiguous array."""
-    return _hash_list(_block_hashes(col))
-
-
-def _joined_record(parts: Sequence) -> bytes:
-    """The record of a column from the futures of its block hashes, in row
-    order. It runs on the hashing thread, submitted after them; that thread
-    is one worker that runs in order, so they are done when this starts."""
-    return _hash_list(chain.from_iterable(part.result() for part in parts))
-
-
 @lru_cache(maxsize=64)
 def _fill_record(dtype: str, value: bytes, n: int) -> bytes:
     """The record of ``n`` rows holding the one value whose bytes as
@@ -413,8 +400,7 @@ class EventLog:
     ``pair_id``'s being the row index, so ``EventLog(n)`` is the blank log.
     Every given array, and any array it is a view of, becomes read-only (for
     a slice ``buf[:n]`` of an array that owns its memory, all of ``buf``),
-    and its digest record is hashed on the hashing thread while the caller
-    goes on. ``records`` may give a column's record as the futures of its
+    and its digest record is hashed at once. ``records`` may give a column's
     ``_BLOCK_ROWS``-row blocks' hashes in row order, as a run's chunks hash
     them; the record then joins those hashes. Columns given the same array
     object share it and its record (the creation times are the impact
@@ -427,11 +413,10 @@ class EventLog:
 
     __slots__ = ("_n", "_cols", "_records", "_expanded")
 
-    def __init__(self, n: int, columns: dict | None = None, records: dict[str, Sequence] | None = None) -> None:
+    def __init__(self, n: int, columns: dict | None = None, records: dict[str, Sequence[bytes]] | None = None) -> None:
         self._n = n = int(n)
         # _cols: column name -> its array, or its fill unexpanded; _records:
-        # column name of an array -> (the future of its record, the id of the
-        # process that submitted it); _expanded: fill name -> its array
+        # column name of an array -> its record; _expanded: fill name -> its array
         self._cols = {name: None if fill is None else dtype(fill) for name, (dtype, fill) in _COLUMNS.items()}
         self._records, self._expanded = {}, {}
         given = {}  # (id of a given array, dtype) -> (its column, its record)
@@ -451,14 +436,12 @@ class EventLog:
                 while isinstance(base, np.ndarray):
                     base.flags.writeable = False
                     base = base.base
-                parts = (records or {}).get(name)
-                record = submit_hash(_array_record, col) if parts is None else submit_hash(_joined_record, parts)
-                given[key] = col, (record, os.getpid())
+                block_hashes = (records or {}).get(name)
+                given[key] = col, _hash_list(_block_hashes(col) if block_hashes is None else block_hashes)
             self._cols[name], self._records[name] = given[key]
 
     def __reduce__(self) -> tuple:
-        # a pending record is a future, which does not pickle: a copy is
-        # built from the columns as held, and hashes its arrays anew
+        # a copy is built from the columns as held, and hashes its arrays anew
         return type(self), (self._n, {name: held for name, held in self._cols.items() if held is not None})
 
     def __getattr__(self, name: str) -> np.ndarray:
@@ -482,12 +465,7 @@ class EventLog:
             return _row_index_record(n)
         if not isinstance(held, np.ndarray):
             return _fill_record(held.dtype.str, held.tobytes(), n)
-        record, pid = self._records[name]
-        # a record still pending when this process was forked from the one
-        # that submitted it is never finished here
-        if record.done() or pid == os.getpid():
-            return record.result()
-        return _array_record(held)
+        return self._records[name]
 
     def _blocks(self, name: str) -> Iterator[np.ndarray]:
         """Column ``name`` in slices of ``_BLOCK_ROWS`` rows. A fill is read
@@ -923,9 +901,9 @@ class _Streams:
 
 class _Chunk(NamedTuple):
     """What one chunk task hands back to its run: its fills, the names of
-    its array columns, ``{id of a column's buffer: the future of its rows'
-    block hashes}``, its screens' tallies (see ``_Screens.tally``) and the
-    counts the runner put in its ``tally``."""
+    its array columns, ``{id of a column's buffer: its rows' block hashes}``,
+    its screens' tallies (see ``_Screens.tally``) and the counts the runner
+    put in its ``tally``."""
 
     fills: dict
     arrays: frozenset
@@ -990,11 +968,11 @@ class _Run:
         ``rows`` first runs here on zero rows, which allocates every array
         column on this thread, so that no pool worker's malloc arena holds a
         log. Then each chunk is one task on the shared pool (a single chunk
-        runs on this thread): it submits the hashes of its rows of the array
-        columns to the hashing thread and tallies its subsets' counts,
-        histogram and slit counts and the sum of their classifier terms. The
-        tallies merge exactly, except that a subset's log-likelihood ratio is
-        the sum of the chunks' sums, added in chunk order.
+        runs on this thread): it tallies its subsets' counts, histogram and
+        slit counts and the sum of their classifier terms, then hashes the
+        digest blocks of its rows of the array columns. The tallies merge
+        exactly, except that a subset's log-likelihood ratio is the sum of
+        the chunks' sums, added in chunk order.
         """
         cfg, n = self.cfg, self.n
         screens = None if keys == () else _Screens(self.laws, keys or (), regions or {})
@@ -1043,12 +1021,12 @@ class _Run:
         )
 
     def _chunk(self, rows, screens: "_Screens | None", block: slice) -> _Chunk:
-        """One chunk's task: its rows, the hashes of their blocks, and its
-        tallies."""
+        """One chunk's task: its rows, its tallies, and the hashes of its
+        rows' blocks."""
         c = _Rows(self, block.start, min(block.stop, self.n))
         x, masks = rows(c)
-        fills, arrays, hashes = c.seal()
         tallies = None if screens is None else screens.tally(x, c.slit, masks)
+        fills, arrays, hashes = c.seal()
         return _Chunk(fills, arrays, hashes, tallies, c.tally)
 
     def _log(self, chunks: list[_Chunk]) -> EventLog:
@@ -1062,7 +1040,8 @@ class _Run:
         if any(layout(c) != layout(first) for c in chunks[1:]):
             raise RuntimeError("chunks disagree on the log's fills")
         arrays = {name: self._arrays[name] for name in first.arrays}
-        records = {name: [c.hashes[id(col)] for c in chunks] for name, col in arrays.items()}
+        # chunk starts are whole blocks, so the chunks' block hashes are the column's
+        records = {name: list(chain.from_iterable(c.hashes[id(col)] for c in chunks)) for name, col in arrays.items()}
         return EventLog(self.n, {**first.fills, **arrays}, records)
 
 
@@ -1129,15 +1108,14 @@ class _Rows:
 
     def seal(self) -> tuple[dict, frozenset, dict]:
         """(fills, names of array columns, {id of a column's buffer: the
-        future of the block hashes of these rows}); the hashes are submitted
-        to the hashing thread here, once per buffer."""
+        block hashes of these rows}), hashed here once per buffer."""
         fills = {name: held for name, held in self._cols.items() if not isinstance(held, np.ndarray)}
         arrays = frozenset(self._cols.keys() - fills.keys())
         hashes = {}
         for name in arrays:
             key = id(self.run._arrays[name])
             if key not in hashes:
-                hashes[key] = submit_hash(_block_hashes, self._cols[name])
+                hashes[key] = _block_hashes(self._cols[name])
         return fills, arrays, hashes
 
 

@@ -1,6 +1,12 @@
-"""Availability records and the two rendering policies."""
+"""Availability records and the two rendering policies.
+
+``AvailabilityRecord`` and ``which_way_available`` are the scalar oracle: one
+pair's record and the policy read from it, against which ``available_mask``
+and the protocols' availability columns are checked.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,16 +14,79 @@ from hypothesis import given, strategies as st
 
 from dualitysim.models import (
     AvailabilityHorizon,
-    AvailabilityRecord,
     Medium,
     OBJECTIVE_MEDIA,
     RenderingModel,
     RenderingPolicy,
     availability_query_time,
     available_mask,
-    which_way_available,
 )
 from dualitysim.optics import ValidationError
+
+
+@dataclass(frozen=True)
+class AvailabilityRecord:
+    """Fate of one pair's which-way data.
+
+    ``detected``: a which-way detector fired. ``recorded``: the outcome was
+    written to an objective medium. ``erased_at``/``ttl_s`` bound the record's
+    lifetime; ``observation_time`` is when the experimenter looks.
+    """
+
+    detected: bool
+    recorded: bool
+    medium: Medium = Medium.NONE
+    detected_at: float | None = None
+    erased_at: float | None = None
+    ttl_s: float | None = None
+    observation_time: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.recorded and not self.detected:
+            raise ValidationError("recorded which-way data implies a detection (recorded => detected)")
+        if self.recorded and self.medium not in OBJECTIVE_MEDIA:
+            raise ValidationError(
+                f"recorded=True requires an objective medium, got medium={self.medium.value}"
+            )
+        if self.medium is Medium.PERISHABLE:
+            if self.ttl_s is None or not (self.ttl_s > 0):
+                raise ValidationError("a perishable medium requires ttl_s > 0")
+            if self.detected_at is None:
+                raise ValidationError("a perishable medium requires detected_at (expiry = detected_at + ttl_s)")
+        if (
+            self.erased_at is not None
+            and self.detected_at is not None
+            and self.erased_at < self.detected_at
+        ):
+            raise ValidationError("erased_at must not precede detected_at")
+
+    @property
+    def expires_at(self) -> float | None:
+        if self.medium is Medium.PERISHABLE:
+            expiry = self.detected_at + self.ttl_s
+            return expiry if math.isfinite(expiry) else None
+        return None
+
+
+def which_way_available(rec: AvailabilityRecord, model: RenderingModel, at: float | None = None) -> bool:
+    """Whether which-way data selects the structureless law at time ``at``.
+
+    ``at`` defaults to the record's observation time. COLLAPSE_AT_DETECTION
+    answers from the detection flag alone; RENDER_AT_AVAILABILITY demands a
+    live objective record at ``at``.
+    """
+    query_time = rec.observation_time if at is None else at
+    if model.policy is RenderingPolicy.COLLAPSE_AT_DETECTION:
+        return bool(rec.detected)
+    if not rec.recorded or rec.medium not in OBJECTIVE_MEDIA:
+        return False
+    if rec.erased_at is not None and query_time >= rec.erased_at:
+        return False
+    expiry = rec.expires_at
+    if expiry is not None and query_time >= expiry:
+        return False
+    return True
+
 
 COLLAPSE = RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION)
 RENDER = RenderingModel(RenderingPolicy.RENDER_AT_AVAILABILITY)

@@ -53,8 +53,6 @@ class TestOpticsConfig:
 
     def test_odd_window_is_not_integer(self):
         assert not ODD.is_integer_fringe_window()
-        with pytest.raises(ValidationError):
-            ODD.require_integer_fringe_window()
 
     @pytest.mark.parametrize(
         "kwargs",

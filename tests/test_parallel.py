@@ -1,12 +1,12 @@
 """Blocked work gives the bits of an unblocked serial evaluation.
 
-A run's chunks run on ``numerics``' thread pool, and the event log's columns
-are hashed on its hashing thread; ``ppf`` and ``classify_pattern`` run fixed
-blocks of lanes one after another. These tests compare the blocked work
+A run's chunks run on ``numerics``' thread pool, each hashing the digest
+blocks of its own rows of the event log; ``ppf`` and ``classify_pattern`` run
+fixed blocks of lanes one after another. These tests compare the blocked work
 against whole-array references at sizes around the block boundaries, check
 that errors surface as the serial path raises them, and check that no report
-or digest depends on the number of workers, on forking, or on when the
-hashing thread runs; the runs span several chunks and end in a partial one.
+or digest depends on the number of workers or on forking; the runs span
+several chunks and end in a partial one.
 """
 
 import contextlib
@@ -16,7 +16,6 @@ import multiprocessing
 import queue
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -34,7 +33,7 @@ from dualitysim.optics import (
     PatternDistribution,
     PatternKind,
 )
-from dualitysim.protocols import EventLog, RunResult, run_protocol
+from dualitysim.protocols import RunResult, run_protocol
 from dualitysim.stats import DENSITY_FLOOR_FRACTION, VERDICT_LLR_THRESHOLD, classify_pattern
 
 from test_golden import CHUNK_GOLDEN, CHUNK_N, GOLDEN, matrix
@@ -240,9 +239,9 @@ def test_one_worker_renders_several_chunks_to_their_pins():
         assert digest == CHUNK_GOLDEN[name], name
 
 
-def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
-    """Nor does a pool worker: a run's chunks are dispatched from the run's
-    own thread, and a chunk task calls only serial helpers."""
+def test_no_pool_worker_calls_map_blocks(monkeypatch):
+    """A run's chunks are dispatched from the run's own thread, and a chunk
+    task calls only serial helpers."""
     callers = []
     real = numerics.map_blocks
 
@@ -255,25 +254,41 @@ def test_the_hashing_thread_never_calls_map_blocks(monkeypatch):
     for name in WORKER_CASES:
         run_protocol(replace(matrix()[name], n_pairs=N_BLOCKS))
     assert callers
-    # the pool's workers and the hashing thread are named dualitysim_<k> and dualitysim-hash_<k>
+    # the pool's workers are named dualitysim_<k>
     assert not [name for name in callers if name.startswith("dualitysim")]
 
 
-def test_a_hashing_task_may_wait_on_hashes_submitted_before_it():
-    """A column's record joins its chunks' block hashes on the hashing
-    thread, waiting on them: safe only while that thread is one worker that
-    runs its tasks in submission order."""
-    assert numerics._HASHER._max_workers == 1
-    order = []
-    slow = numerics.submit_hash(time.sleep, 0.05)
-    first = numerics.submit_hash(order.append, "block")
-    joined = numerics.submit_hash(lambda: (slow.result(), first.result(), order.append("join")))
-    joined.result(timeout=10)
-    assert order == ["block", "join"]
+def test_a_runs_records_are_its_columns_hashed_whole():
+    """The chunks' block hashes, joined in row order, give each array
+    column the record a log hashing the whole column would give it."""
+    for name in WORKER_CASES:
+        log = run_protocol(replace(matrix()[name], n_pairs=N_BLOCKS)).events
+        assert log._records, name
+        for column, record in log._records.items():
+            assert type(record) is bytes, (name, column)
+            rehashed = protocols._hash_list(protocols._block_hashes(getattr(log, column)))
+            assert record == rehashed, (name, column)
 
 
-def _forked_digest(results) -> None:
-    results.put(run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest)
+def test_each_chunk_hashes_its_rows_on_its_pool_worker(monkeypatch):
+    """Every block hash of a chunked run is taken on the pool worker that
+    rendered its rows; building the log hashes nothing again."""
+    calls = []
+    real = protocols._block_hashes
+
+    def spy(col):
+        calls.append((threading.current_thread().name, col.size))
+        return real(col)
+
+    monkeypatch.setattr(protocols, "_block_hashes", spy)
+    run = run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS))
+    assert calls
+    assert {name.rsplit("_", 1)[0] for name, _ in calls} == {"dualitysim"}
+    rows = protocols._chunk_rows(N_BLOCKS)
+    assert {size for _, size in calls} == {rows, N_BLOCKS % rows}
+    # each array buffer is hashed once per chunk: shared buffers are not hashed again
+    buffers = len({id(col) for col in run.events._cols.values() if isinstance(col, np.ndarray)})
+    assert len(calls) == buffers * -(-N_BLOCKS // rows)
 
 
 def _forked_chunk_threads(results) -> None:
@@ -291,11 +306,11 @@ def _forked_chunk_threads(results) -> None:
 
 
 def _forked_log_digest(results) -> None:
-    results.put(_PENDING_LOG.digest())
+    results.put(_PARENT_LOG.digest())
 
 
-#: a log whose records are queued behind a sleeping hashing thread when it forks
-_PENDING_LOG = None
+#: a run's log built in the parent before the fork, digested in the child
+_PARENT_LOG = None
 
 
 def _in_forked_child(target):
@@ -323,20 +338,13 @@ def test_a_forked_child_gets_a_working_pool():
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_forked_child_gets_a_working_hashing_thread():
-    parent = run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).event_digest
-    assert _in_forked_child(_forked_digest) == parent
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_forked_child_digests_records_pending_at_the_fork():
-    global _PENDING_LOG
-    numerics.submit_hash(time.sleep, 0.5)
-    times = np.arange(N_BLOCKS, dtype=np.float64)
-    columns = {"signal_x_m": np.random.default_rng(8).random(N_BLOCKS), "t_created_s": times, "t_signal_impact_s": times}
-    _PENDING_LOG = log = EventLog(N_BLOCKS, columns)
+def test_a_forked_child_digests_a_log_built_before_the_fork():
+    """A log's records are bytes once it is built: nothing is left pending
+    for a forked child to hash again."""
+    global _PARENT_LOG
+    _PARENT_LOG = log = run_protocol(replace(matrix()["quantum_eraser-render"], n_pairs=N_BLOCKS)).events
     try:
-        assert not log._records["signal_x_m"][0].done()
+        assert all(type(record) is bytes for record in log._records.values())
         assert _in_forked_child(_forked_log_digest) == log.digest()
     finally:
-        _PENDING_LOG = None
+        _PARENT_LOG = None

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualitysim import protocols
-from dualitysim.models import AvailabilityRecord, Medium, RenderingModel, RenderingPolicy, which_way_available
+from dualitysim.models import Medium, RenderingModel, RenderingPolicy
 from dualitysim.optics import IntervalSet, OpticsConfig, PatternDistribution, PatternKind, ValidationError
 from dualitysim.protocols import (
     DELTA_T_FAST,
@@ -53,6 +53,7 @@ from dualitysim.protocols import (
 from dualitysim.stats import FeasibilityReport, Verdict, llr_terms, optimal_interval_set, tv_distance
 
 from test_golden import matrix
+from test_models import AvailabilityRecord, which_way_available
 
 COLLAPSE = RenderingModel(RenderingPolicy.COLLAPSE_AT_DETECTION)
 RENDER = RenderingModel(RenderingPolicy.RENDER_AT_AVAILABILITY)
@@ -613,8 +614,9 @@ class TestEventLog:
         shared = EventLog(n, dict.fromkeys(names, times))  # one object under three names
         copied = EventLog(n, {name: times.copy() for name in names})
         assert all(shared._cols[name] is times for name in names)
-        assert len({id(shared._records[name][0]) for name in names}) == 1  # hashed once
-        assert len({id(copied._records[name][0]) for name in names}) == 3
+        assert all(type(shared._records[name]) is bytes for name in names)
+        assert len({id(shared._records[name]) for name in names}) == 1  # hashed once
+        assert len({id(copied._records[name]) for name in names}) == 3
         assert shared.digest() == copied.digest() == _reference_digest(copied)
 
     def test_given_arrays_and_their_bases_are_read_only(self):
