@@ -24,7 +24,7 @@ for frac in (0.0, 0.25, 0.4, 0.5):
 run = run_predictor(ProtocolConfig(protocol=Protocol.PREDICTOR, n_pairs=400_000, seed=11))
 stats = run.predictor
 
-print(f"\n{stats.bin_counts.size} fringe-aligned bins, {run.n_pairs} pairs")
+print(f"\n{run.bin_edges.size - 1} fringe-aligned bins, {run.config.n_pairs} pairs")
 print(f"max |empirical - posterior curve|  = {stats.max_abs_deviation_curve:.4f}")
 print(f"empirical posterior at dark bins  >= {stats.dark_fringe_min_empirical:.4f}")
 print(f"controller accuracy                = {stats.accuracy_empirical:.4f}")

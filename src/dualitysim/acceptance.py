@@ -216,7 +216,7 @@ def _criterion_4(outcomes) -> CriterionResult:
 def _criterion_5(outcomes) -> CriterionResult:
     res = outcomes["eraser_main"]
     subs = res.subsets
-    n = res.n_pairs
+    n = res.config.n_pairs
     sigma = math.sqrt(n * 0.25 * 0.75)
     occupancy_ok = all(abs(subs[k].count - n / 4) <= 3 * sigma for k in ("D1", "D2", "D3", "D4"))
     purity_ok = subs["D3"].slit_counts[1] == 0 and subs["D4"].slit_counts[0] == 0
@@ -330,9 +330,7 @@ def _criterion_9(outcomes, manifest) -> CriterionResult:
         fast = run_protocol(configs[f"switch_{stage}_fast"])
         slow = run_protocol(configs[f"switch_{stage}_slow"])
         equal_ok = equal_ok and np.array_equal(fast.events.signal_x_m, slow.events.signal_x_m)
-        equal_ok = equal_ok and np.array_equal(
-            fast.subsets["screen"].histogram.counts, slow.subsets["screen"].histogram.counts
-        )
+        equal_ok = equal_ok and np.array_equal(fast.subsets["screen"].histogram, slow.subsets["screen"].histogram)
     ok = verdicts_ok and equal_ok
     detail = (
         f"all six stage runs verdict wave = {verdicts_ok}; "

@@ -110,6 +110,15 @@ def _int_value(value: Any, path: str) -> int:
     return value
 
 
+def _seed(value: Any, path: str) -> int:
+    seed = _int_value(value, path)
+    try:
+        ProtocolConfig.check_seed(seed)
+    except ValidationError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
+    return seed
+
+
 def _bool_value(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         raise ManifestError(f"{path}: expected true or false, got {value!r}")
@@ -228,7 +237,7 @@ def parse_manifest(text: str) -> RunManifest:
         runs=runs,
         out_dir=optional("out_dir", _string, "runs"),
         formats=optional("formats", _formats, frozenset({"json"})),
-        seed_override=optional("seed", _int_value),
+        seed_override=optional("seed", _seed),
         name=optional("name", _string),
     )
 
@@ -300,16 +309,15 @@ def canonical_json(obj) -> str:
 
 def ascii_histogram(result: RunResult) -> str:
     """Fixed-width text histograms for the pooled screen and each subset."""
-    lines = [
-        f"protocol {result.protocol.value}  n_pairs={result.n_pairs}  seed={result.seed}",
-    ]
+    cfg, edges = result.config, result.bin_edges
+    lines = [f"protocol {cfg.protocol.value}  n_pairs={cfg.n_pairs}  seed={cfg.seed}"]
     blocks = [] if result.pooled is None else [("pooled", result.pooled)]
     blocks += sorted(result.subsets.items())
     for key, subset in blocks:
         vis = "n/a" if subset.visibility is None else f"{subset.visibility:.4f}"
         lines.append("")
         lines.append(f"subset {key}: count={subset.count} verdict={subset.verdict.value} visibility={vis}")
-        counts, edges = subset.histogram.counts, subset.histogram.edges
+        counts = subset.histogram
         if subset.count == 0:
             lines.append("  (no samples)")
             continue
@@ -457,7 +465,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.out is not None:
                 manifest = replace(manifest, out_dir=args.out)
             if args.seed is not None:
-                manifest = replace(manifest, seed_override=args.seed)
+                manifest = replace(manifest, seed_override=_seed(args.seed, "--seed"))
             if args.formats is not None:
                 formats = frozenset(
                     _normalize_format(token.strip(), "--formats") for token in args.formats.split(",") if token.strip()

@@ -518,12 +518,15 @@ def fringe_aligned_edges(cfg: OpticsConfig) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
-def fringe_visibility(counts, edges, cfg: OpticsConfig) -> float:
+def fringe_visibility(counts, edges, cfg: OpticsConfig) -> float | None:
     """(I_max - I_min) / (I_max + I_min) of the period-folded bin intensities.
 
     When the binning tiles an integer number of fringe periods the bins are
     folded onto a single period before taking extremes, which suppresses
-    counting noise; otherwise a moving-average smoothing is applied.
+    counting noise; otherwise a moving average over ``nbins // 20`` bins is
+    applied. None where that average spans more than a quarter of a fringe
+    period: there it scales a cos² fringe's contrast by sinc(1/4) ≈ 0.90 or
+    less, so the bins cannot hold a fringe.
     """
     intensities = np.asarray(counts, dtype=float)
     edges = np.asarray(edges, dtype=float)
@@ -543,6 +546,8 @@ def fringe_visibility(counts, edges, cfg: OpticsConfig) -> float:
         profile = intensities.reshape(periods, nbins // periods).sum(axis=0)
     else:
         k = max(1, nbins // 20)
+        if k > nbins / cfg.fringe_count / 4:
+            return None
         kernel = np.ones(k) / k
         profile = np.convolve(intensities, kernel, mode="valid")
     top = float(profile.max())

@@ -169,6 +169,8 @@ class SwitchStrategy:
                 raise ValidationError("custom strategy requires table_edges and table_activate")
             if len(self.table_edges) != len(self.table_activate) + 1:
                 raise ValidationError("custom strategy needs len(table_edges) == len(table_activate) + 1")
+            if not all(map(math.isfinite, self.table_edges)):
+                raise ValidationError("custom strategy table_edges must be finite")
             if any(b >= c for b, c in zip(self.table_edges, self.table_edges[1:])):
                 raise ValidationError("custom strategy table_edges must be strictly increasing")
         elif self.intervals is not None or self.table_edges is not None or self.table_activate is not None:
@@ -248,11 +250,16 @@ class ProtocolConfig:
     recording_rule: RecordingRule = RecordingRule.PERISHABLE_IS_OBJECTIVE
     rule_intervals: IntervalSet | None = None
 
+    @staticmethod
+    def check_seed(seed) -> None:
+        """Raises ValidationError unless ``seed`` is an integer that PCG64 takes."""
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
+            raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
     def __post_init__(self) -> None:
         if isinstance(self.n_pairs, bool) or not isinstance(self.n_pairs, int) or self.n_pairs < 1:
             raise ValidationError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        self.check_seed(self.seed)
         if not (math.isfinite(self.delta_t_s) and self.delta_t_s > 0):
             raise ValidationError(f"delta_t_s must be positive, got {self.delta_t_s!r}")
         if not (0.0 < self.coincidence_window_s < self.delta_t_s):
@@ -784,30 +791,24 @@ def _match_structured(
 # -- results ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """``counts`` of impacts in the bins between consecutive ``edges``."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-
-
 @dataclass
 class SubsetResult:
+    """A screen's impacts; ``histogram`` counts them in the run's ``bin_edges``."""
+
     count: int
     verdict: Verdict
     log_likelihood_ratio: float
     visibility: float | None
-    histogram: Histogram
+    histogram: np.ndarray
     slit_counts: tuple[int, int]
 
 
 @dataclass
 class PredictorStats:
-    """Per-bin record-posterior calibration and controller accuracy."""
+    """Per-bin record-posterior calibration and controller accuracy, on the
+    run's ``bin_edges``; the pooled screen's histogram counts each bin's
+    impacts."""
 
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
     empirical_posterior: np.ndarray  # NaN where a bin is empty
     curve_at_centers: np.ndarray
     exact_bin_posterior: np.ndarray
@@ -820,10 +821,13 @@ class PredictorStats:
 
 @dataclass
 class RunResult:
-    protocol: Protocol
-    seed: int
-    n_pairs: int
+    """A completed run. Each fact is held once: the protocol, seed and pair
+    count in ``config``, and the bin edges of every histogram in
+    ``bin_edges`` (``fringe_aligned_edges(config.optics)``, or None for a
+    run without screens)."""
+
     config: "ProtocolConfig"
+    bin_edges: np.ndarray | None
     subsets: dict[str, SubsetResult]
     pooled: SubsetResult | None
     coincidences: CoincidenceSummary | None
@@ -988,7 +992,7 @@ class _Run:
             results = dict(zip(keys, merged[1:])) if keys else {"screen": pooled}
         empirical_tv = None
         if tv is not None and all(results[key].count for key in tv):
-            empirical_tv = tv_of_counts(*(results[key].histogram.counts for key in tv))
+            empirical_tv = tv_of_counts(*(results[key].histogram for key in tv))
         summary = None
         warnings_: tuple[str, ...] = ()
         if coincidences:
@@ -1004,10 +1008,8 @@ class _Run:
             for key, count in c.counts.items():
                 self.tally[key] = self.tally.get(key, 0) + count
         return RunResult(
-            protocol=cfg.protocol,
-            seed=cfg.seed,
-            n_pairs=n,
             config=cfg,
+            bin_edges=None if screens is None else screens.edges,
             subsets=results,
             pooled=pooled,
             coincidences=summary,
@@ -1194,7 +1196,7 @@ def _merge(tallies: list[tuple], edges: np.ndarray, optics: OpticsConfig) -> Sub
         verdict=verdict_of(llr) if count else Verdict.INDETERMINATE,
         log_likelihood_ratio=llr,
         visibility=fringe_visibility(counts, edges, optics) if count else None,
-        histogram=Histogram(edges, counts),
+        histogram=counts,
         slit_counts=(sum(t[2][0] for t in tallies), sum(t[2][1] for t in tallies)),
     )
 
@@ -1545,8 +1547,8 @@ def _predictor_stats(run: _Run, result: RunResult) -> PredictorStats:
     from .stats import approx_posterior, tv_distance
 
     cfg, optics = run.cfg, run.cfg.optics
-    edges, total = result.pooled.histogram.edges, result.pooled.histogram.counts
-    hits = result.subsets["recorded"].histogram.counts
+    edges, total = result.bin_edges, result.pooled.histogram
+    hits = result.subsets["recorded"].histogram
     centers = 0.5 * (edges[:-1] + edges[1:])
     with np.errstate(invalid="ignore", divide="ignore"):
         empirical = np.where(total > 0, hits / np.maximum(total, 1), np.nan)
@@ -1566,8 +1568,6 @@ def _predictor_stats(run: _Run, result: RunResult) -> PredictorStats:
     accuracy = run.tally["correct"] / cfg.n_pairs
     expected = 0.5 * (1.0 + tv_distance(optics))
     return PredictorStats(
-        bin_edges=edges,
-        bin_counts=total,
         empirical_posterior=empirical,
         curve_at_centers=curve,
         exact_bin_posterior=exact_bin,

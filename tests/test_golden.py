@@ -9,6 +9,7 @@ A pinned value may move only with a CHANGES.md entry that says why.
 """
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from dualitysim import protocols
 from dualitysim.acceptance import builtin_manifest
 from dualitysim.cli import REPORT_FORMATS, ManifestRun, RunManifest, canonical_json, execute_manifest
 from dualitysim.models import AvailabilityHorizon, RenderingModel, RenderingPolicy
-from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
+from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError, fringe_aligned_edges
 from dualitysim.protocols import (
     DELTA_T_SLOW,
     DetectNoRecordVariant,
@@ -137,131 +138,131 @@ def fingerprint(outcome) -> tuple[str | None, str]:
 GOLDEN: dict[str, tuple[str | None, str]] = {
     "delayed_choice-at_t0-collapse": (
         "2cae31d13df658fb9830f403f03e507c915875bcc04405a041c015822209f035",
-        "b95048d0eda532b9a3bb55073a9cea96bc827da68a22b2a46803146d07b5a61d",
+        "df161bcf76dcb60695c8c75d5c5e85f03b4a2f502419b89cce7c39a146d2ec64",
     ),
     "delayed_choice-at_t0-render": (
         "2cae31d13df658fb9830f403f03e507c915875bcc04405a041c015822209f035",
-        "cba3bc35d933d00eb43f05287ff3137eb4e2608bde2f57c37cd7c719bacd41bf",
+        "bcda75ac12eb046751b368385734a270c89f6afc2694cf8067755983dc6eacf2",
     ),
     "delayed_choice-collapse": (
         "ecd5cf6e95268e766523b24db35da2ea867bcdddda7a8bfb0103227113bf5aa6",
-        "94aa8d36dd0101ce46c3ab7a987d5abbc37ad1489b4cce6814bd9afda078b91e",
+        "534ea2ca7599ff86ee90ee7e8c0c8af3704a52cb66d0dfc0f772b651fcecd4e6",
     ),
     "delayed_choice-render": (
         "ecd5cf6e95268e766523b24db35da2ea867bcdddda7a8bfb0103227113bf5aa6",
-        "11fb415165b2d2a8a634b6797bdd338b1afaf483fd75adbe767df14c214b1412",
+        "c2ac9fb25d813bbfe5202f5bec3f133b2f24f76f409883dff89b86fff20c9b0b",
     ),
     "delayed_choice-render-at_impact": (
         "ecd5cf6e95268e766523b24db35da2ea867bcdddda7a8bfb0103227113bf5aa6",
-        "ff4824c8dd08649327319df787bc42c1522887f16beb4191fdcbbd99b51fa863",
+        "396b3169c7397f1a9516033eb8751f26d90f6414c7f7a3ddacf8c65601ffecbf",
     ),
     "detect_no_record-no_coincidence_counter-collapse": (
         "716ab4bdde5a8126268b296d466199ae6250aec3201504fe5027d2f2e6229e1b",
-        "4b41ab98a36d5e06074e106b9b5574e0b8be9e58453cebe6220cb0239b647bdc",
+        "f783521bef63453c89e5f9b7d6a314bfaa64aa4db5b79863c41dd85a90dadd02",
     ),
     "detect_no_record-no_coincidence_counter-render": (
         "914835b07680bf3d0414a3a0212dd7dea9b7da936cc2fd508d8e4523d640c017",
-        "06fac062e0ad637044f233ce16acb04cd73bfe9bf8d1081a1fcb54a2d801dd62",
+        "8e4d2faf553b98f8fe373f394ffc9c2002f11afb65ce72f28384d6da8d16a539",
     ),
     "detect_no_record-unplugged_detectors-collapse": (
         "bbc03729e85dedb67b4711cf52dce80615080a563aee0b48698f602a099cf2bc",
-        "f8e2b1642d003b34ff806c74f75319617322e7980d2c11807ca2f91aa46f3924",
+        "6a1b05307e3dae381487413038f6677ed11160a83786cea846be97ad6bc72ab8",
     ),
     "detect_no_record-unplugged_detectors-render": (
         "58e32690674bf448e4b2467fc4b727b4045da568a3741a845b5e2847f489ebd4",
-        "f8a95b1550c3187ea4cf49dd8e685cc6405850c50e143003c6c0b029e23b6406",
+        "abe3d0bafcca9b8d4e0511c8e7239912bdd1da3f29df20b176878ba407d0549f",
     ),
     "detect_no_record-which_way_channels_off-collapse": (
         "8f85ad2b13eda309515a1bc0f6031981ccb926f3ab60da289ff558a3ea8c4d7a",
-        "969abac50de02993463208338667481e667a02a41db20968394df37a699d7b1a",
+        "c87cbd692c34e4c51eaf25f49279b90d8eda1119b9b9b41366b22fe2f39b7b3a",
     ),
     "detect_no_record-which_way_channels_off-render": (
         "a915aa2a1aef85065148703d4e4cde3fdbdb90707d97ada45d82df36e01f3469",
-        "274e486dd1a33966eb664bf8ab3cd092752e7e6310e27cb81bc99d971535882f",
+        "3db61221f2e72aa85d117ac8aa1ee05d9794cecda198437fdeb26cae2a0138d5",
     ),
     "double_slit-at_t0-collapse": (
         "1b3fd3c6aa5d14607841960c589c0c6d5062b8830962d26232b04d6101f6ea63",
-        "37effc9ff53590f65190d75d069fe6b60fc67ce7142d8c13ab8e096a04d61aeb",
+        "e276164087657bf79468814b74f4b6d0c778048e1bb21ec9c8365bc139acc640",
     ),
     "double_slit-at_t0-render": (
         "1b3fd3c6aa5d14607841960c589c0c6d5062b8830962d26232b04d6101f6ea63",
-        "5f45b812ed53faa4b66447f9756b0b643cb39541d6c9907308fcbe2909b6cc38",
+        "32cedce6c3e83da16b7f014e9e40d56c6bb74f0015167e2157820179ccb93ab2",
     ),
     "double_slit-not_recording-collapse": (
         "905c98ba37aeea91bf969c6c63be62c5031d6cfbfba0ce4131d502bf4f2c7b69",
-        "2906c265ad1a680699d4b06ed8d6c4389ea5768206361de6717a6b10a906505e",
+        "a0060e5833772d3892a31567111383bcb955067045727387aa831b38e7e1e8f8",
     ),
     "double_slit-not_recording-render": (
         "905c98ba37aeea91bf969c6c63be62c5031d6cfbfba0ce4131d502bf4f2c7b69",
-        "929d44dfb9200f76ea995d306bc9725511cfec27550495f8213dbcf57ef92893",
+        "2dbf5a6ffa464a3ac1bd955b4574fefb2491246a9d01de00a4673423e41cc31c",
     ),
     "double_slit-recording-collapse": (
         "52d4574c9246f3de60fa1b56a82702026c9e3d130878fb59a22e72770631b15f",
-        "d05b6236b35fb6d92fbe61c1faf09bac038084aee704219743d2b2f6d61e5155",
+        "38698e508821bd10e2c2a38af4d925903b1b13b44769aa7be54c01ea7b82cfcd",
     ),
     "double_slit-recording-render": (
         "52d4574c9246f3de60fa1b56a82702026c9e3d130878fb59a22e72770631b15f",
-        "f0fceb002ba50f76d422ac2c947dd1b9dac9d403bd026365c56c14ebdaed99f3",
+        "023cc66c49ae76c8695d7b0c8390c27401f0de73a3868a96ad55947cca01b109",
     ),
     "macroscopic_erasure-at_t0-collapse": (
         "0a1503558c99b0e54a5f21e80738f91e4f158860b5173dc22d120e397781f5f5",
-        "4a7cce0b45ec37a5cf371972a5046568f80f368c060e7069d501dd88c71bcccd",
+        "a87f8c07e4f2c5b8853d59a70a15c5de2df996a9480149a25bad9e0dd3ef6753",
     ),
     "macroscopic_erasure-at_t0-render": (
         "0a1503558c99b0e54a5f21e80738f91e4f158860b5173dc22d120e397781f5f5",
-        "6d823a755611a02b07c6e2eef3abf691fb66e2aec19bbc319d25042d5d891f2f",
+        "9e2ab6921b6c061a167390a8da795651ad57e44d17278c75cd75cfc36f397bb1",
     ),
     "macroscopic_erasure-coin-collapse": (
         "aec015ff20fea07c19805463b93f323f93d87b5a1850dc65409aef284e63d2fa",
-        "4c8a433f05c36216cb8baa379f2c4c3d0c0141748f9ffec1a2d8e65129531ae6",
+        "5d215fe7a3e75044c667b723cf4c9d3db7e716fa2dfb7725db59f3c439465497",
     ),
     "macroscopic_erasure-coin-render": (
         "ec8f3defe00ea36207e9e66a47b83ff20b6f951bdb8189d8dd0074fa1bf62530",
-        "43a0627e23005b3a80c3861853a4b1b8caf298817a8a4cfc4fe937bf7f232812",
+        "adf2c90ac6e61a22e247e28aec67b1eb3bba29dda73a22c774e68a573539aefb",
     ),
     "macroscopic_erasure-coin-render-at_impact": (
         "aec015ff20fea07c19805463b93f323f93d87b5a1850dc65409aef284e63d2fa",
-        "3a9dfabbd0bd8b8ad15191fe6909593b5b627fd4913000bfa17fa7c1d5f4f968",
+        "5ca6bdfb3b690007e584a5a0bd57fbb1581e6ef86919857ba703369f9241ddd4",
     ),
     "macroscopic_erasure-half-collapse": (
         "9050b9d601ff45dd0a3cdb0bcdb750877013a391d4556bc7fd3577a3d59f6bd9",
-        "1e0d86201d570f80f6cca979a2f751cd00628c38e93a991043be036c803e015e",
+        "d63c13376d29dedf011332d9b1264988314f30610951c2c76b72916e2b0abe4d",
     ),
     "macroscopic_erasure-half-render": (
         "4c2345f59593b7da510a73527e98673898e4569e296adb8210a76095550d22d8",
-        "c0a26d7bf0d891afd04f94a68d209fac3f6cbe577f8840ebfe1ab6fe03abdcee",
+        "3ff8501df2100242df6b7ef399f1807f9c703e9b065f39ff842aa47aae840bc0",
     ),
     "perishable-a-collapse": (
         "80624c71f64d2888928b643e1d73227ad16b45bdef2ac6ff621927767b56b478",
-        "d34469e4c8273d7eaff9fae158cfdc2a77494c20b6fe8a006b069ab02ae1d8dc",
+        "c3c0823743f397225e68df2da73e4cdfca3bf2e43640707f520e5c277f283070",
     ),
     "perishable-a-render": (
         "80624c71f64d2888928b643e1d73227ad16b45bdef2ac6ff621927767b56b478",
-        "860912673cc19a90f5075f935ea8760f776f127034c2fd591f90fd33bd9d8950",
+        "416af9c03139ad3ef37d6f0c6c488636d68bdc95d408f21e4c811e6a2da215f6",
     ),
     "perishable-a-short_ttl-collapse": (
         "96c80a561663217f9c5cae961b432b6d9fc41d4fe9285165f194c899862e75cc",
-        "d37e8216b03aff8ffd54525574f08821d9cf9f49983f10bd8e41f15a68e12aed",
+        "76eb98b1f9d490a1af28409ebdaa90d2587e0969cfa737d099d1b312fb915447",
     ),
     "perishable-a-short_ttl-render": (
         "96c80a561663217f9c5cae961b432b6d9fc41d4fe9285165f194c899862e75cc",
-        "a9fcb5a17a44f73df66d272620db1991ae6ac6c378e4f911e1595b441aeda533",
+        "666538c98c1bbc7a4ed8d4411924200f748c528dd80d1084586bad36f89c555a",
     ),
     "perishable-b-empty-collapse": (
         "64203e09b372f50cea2bbed3ce6bd6f166feb6dee920af8402c1773738730d3c",
-        "c8459e5d2847a3add97423d49b588926ef4de16162f9ee2d946fa4d673f06d60",
+        "fe70fc2a06c178be9c1cb39e60bf6a3c6e8a77ba24aa710faf97a9075b9d95fa",
     ),
     "perishable-b-empty-render": (
         "64203e09b372f50cea2bbed3ce6bd6f166feb6dee920af8402c1773738730d3c",
-        "21a8e7bd2801e6b952497728838364ece9d9e05e4219a8e8685f632c674b928c",
+        "6f072a2646c42086f84f6f82b084908a4c1dfd6f9b283f1def37a766def1d329",
     ),
     "perishable-b-indistinguishable-collapse": (
         "ea201b213add5a945f690bc50dccc4507c94e3d9084be1c0b3e0a4c1cee7d290",
-        "d44d1177437071f411292fee8a75cae5f9b05d906fa265ffb748ab6fb679d684",
+        "935715a888304fbfc4cddaa8150dbf05ac389946c4c4eb5e4f2fb3605eea516b",
     ),
     "perishable-b-indistinguishable-render": (
         "ea201b213add5a945f690bc50dccc4507c94e3d9084be1c0b3e0a4c1cee7d290",
-        "d904b3c09a09ebe1aa6cd4b9fd5aeb274e399766dacbc45e5f85247ae08c164b",
+        "3302339e188f2a2772ab952a9fecf1cc8ec661ed7eb6cff9694a09b019122e4c",
     ),
     "perishable-b-refused-collapse": (
         None,
@@ -273,107 +274,107 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "predictor-collapse": (
         "4b162fd8aac55d105aed6e883ce860f4a9293047e9c7b71d3ecc811c5a6c20e2",
-        "e8705148e92a632b5a6040505a6db347a69200a7059469c53b341e239abda4b2",
+        "d4b26a53fc93db4cd3c570cb516a204bbc0d538d4733f409cff277ce2dea5487",
     ),
     "predictor-m2_29-collapse": (
         "b7f65e0889b27a2ce3e58e3b3cc82569a63ded1c25737f0ac3bf7327d0273f6d",
-        "4c355760aea99eda00d15d45746b5f822f219eb8fac7cc9d9c8eee6f429ce42d",
+        "5a5d052b1c5eded9eb3c239a92f1b4970f1a47f56a87e4d9d39efc8aadca8261",
     ),
     "predictor-m2_29-render": (
         "b7f65e0889b27a2ce3e58e3b3cc82569a63ded1c25737f0ac3bf7327d0273f6d",
-        "a6754d29fef467ee457c47403938c1a571ee779d9db04e319585540ea07b05a9",
+        "04cb71203c82c36eafff56a88fb24790605937a0ab2e02abfb665ae981b2df20",
     ),
     "predictor-render": (
         "4b162fd8aac55d105aed6e883ce860f4a9293047e9c7b71d3ecc811c5a6c20e2",
-        "789343f51566ab71ec10d9030eb76a10e674671beeccf56991d7f14e713303c2",
+        "24f97f6e86e2d2c99cdbecc4b7ccaf315db1edf5b601a38b415943abdd27f4e2",
     ),
     "quantum_eraser-at_t0-collapse": (
         "43ad87d919b6ce1f3acdd41ce3cc87bed3db683de57be94a3e87f23c558cb892",
-        "a7645e2b4595d563e674a5fe6ea9aeac509c8b8b03a77a92780dfdf7ca8b9058",
+        "d7bfeb1b39ca3768908a05ec7d5d85434ab797a1bd72988564c35309674fb5a9",
     ),
     "quantum_eraser-at_t0-render": (
         "43ad87d919b6ce1f3acdd41ce3cc87bed3db683de57be94a3e87f23c558cb892",
-        "76851bb8eb8e9070b3c7c73b109d1ace68a7a90af2d4f58e90d89520b80dc795",
+        "6fe8f913bf3dc1a7cb33f67ae4fd8f91f3138de7bd6de8339c61ad057d608f4c",
     ),
     "quantum_eraser-collapse": (
         "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
-        "b2cf9ba01f21d35ea0a84e70276650897d8ed0a8d7a8f8f9a95d9ee9149289f2",
+        "59cc6e8a245dd17a1dcedac87f58b3ec32e5fccd404968bb4a70df7a14d16eac",
     ),
     "quantum_eraser-envelope-collapse": (
         "8bdf93a5d463360222d4dfab5c4821babfa6ea878b6dba1cb2c456d7939fad99",
-        "221091b1d0d44f49b5eab2228d59d65c3a8059c537631988f1f5fe2e50d16c91",
+        "f527bc2c2004b5b5d2bb0fa0e60c6849a8a7e2985ed31c6376773da68bc72521",
     ),
     "quantum_eraser-envelope-render": (
         "8bdf93a5d463360222d4dfab5c4821babfa6ea878b6dba1cb2c456d7939fad99",
-        "ef1cbbfa0186a66b4a66d17807c424b58c9714dcffd7f2f09a20c30ba00da54d",
+        "959442b2c34c13c17bcc128b0c09cd633e901cdc90030f3e61e689166207bd16",
     ),
     "quantum_eraser-greedy-collapse": (
         "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
-        "e7a6e9d1fa199372ea9c947301ab9c0390305088b3fab0e4c7a00e3ea1e426f8",
+        "8ed72a2e35dd3e65b689532e06734cb66fe9a3a92b6c9fdf13d7567ea369aedb",
     ),
     "quantum_eraser-greedy-render": (
         "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
-        "99a12aeed0a54cea8aaf257389c8f7425560804a218bd3192cd2062ee046d346",
+        "9569e024abd009863095c162e3f226fa9d5eed9c4127a79318ba94f8dfbb7bf6",
     ),
     "quantum_eraser-m2_29-collapse": (
         "6de39050fe241537a4469e7bf2760690ec74d3c229beffbbbb654d364530971a",
-        "1f70500939dc55385cda89a7e93bdace95daaed736b3753b3c04c7144c8bb00f",
+        "5abfbe614bf3add4b362b922f983d1145fbe380f08ca7f16de71d7d53544b61d",
     ),
     "quantum_eraser-m2_29-render": (
         "6de39050fe241537a4469e7bf2760690ec74d3c229beffbbbb654d364530971a",
-        "8e5188a4c08b292f2141cfa6f365fdb1a8eaf4c9c45c5803b021960d069c5aeb",
+        "6c624dc68aff905fa83ced9abe447219db08f257d4f657fb314b0c1707755ab0",
     ),
     "quantum_eraser-render": (
         "adb06b674503c09eac73288d0e677ad010804af3a33a05b563381e3a906b7a5c",
-        "b249666d4aee3415bc6eabde1617d57ddc1081316457249a26b9f250fbd144b7",
+        "7ae30015c2a41442c3203b6f29c3b18252c7fbded48f8ae6ea4a932230864cac",
     ),
     "switch-a-collapse": (
         "180e77ead1bfca87bf75954b3501b6b8b32ba902188e52899ef72b876d75a0ba",
-        "928bc876b66556886698d6cc4781f04566b191eb51bf13adea8886b94f3d4efa",
+        "c9f8fd54c0a774a31a72da898928267a34123af5951d86a3883fdd779ad0b767",
     ),
     "switch-a-render": (
         "180e77ead1bfca87bf75954b3501b6b8b32ba902188e52899ef72b876d75a0ba",
-        "4dab269033801762c856faf7849640027b9b99f6a0e520adc604849bdc16ac9d",
+        "3632e3f8df43e740e88ae4ce963724f1c52729f34f996332639a7ce7fd798b66",
     ),
     "switch-a-slow-collapse": (
         "f14b3c0062abdcdeaf5cfea43c4c32b8826b920214a25347e85c4d710d0c8aec",
-        "c904867d4fc5106fe4a6df7ef76884196c385b1c2a93f0c4b8d49d59aebe60ec",
+        "d3934f9e854c2e52ab2ef4159b64354eabba3192dc72e4787fa0f91384e0ad1a",
     ),
     "switch-a-slow-render": (
         "f14b3c0062abdcdeaf5cfea43c4c32b8826b920214a25347e85c4d710d0c8aec",
-        "dec3e9e308722f635a61b5c9a1374d0145ee2efb99c471067de4c815e4d56f10",
+        "bf4a56e58ba755580c8cb0aef81972afa7a4d9ad5b188a19dd26aa016fd9d993",
     ),
     "switch-d-i-custom-collapse": (
         "83f80c523bf4914d81016fa3e7ef3edafa070f252efeaa5ad2545bcfe6eff06d",
-        "f468c53dd921c74bcfb9593d3694fd4c889db1ab5159877c63d0fee7cf6b4a33",
+        "3aba8f195ab2106f6b845fd3ffa16a36a904c247d37269385122922784096149",
     ),
     "switch-d-i-custom-render": (
         "83f80c523bf4914d81016fa3e7ef3edafa070f252efeaa5ad2545bcfe6eff06d",
-        "d9ccdae9a7d60ba6fe5db78e61b0ee71091a0fe8da9d88fd073a8dda440d9eaa",
+        "725c60384be4b89006c614f6d7b528b14c01047aca3fb5496145e07d714a04ec",
     ),
     "switch-d-i-empty-collapse": (
         "914ab095691f40b9aa4fa4197c28d7bf556ff704a5c64cd91c3300c19c25042e",
-        "a9c15fff2e02247e6d8607480a4058448ab039088b0c902e469a45d924c41d12",
+        "3245966c750025c6593937c49b5a8a70dd0b24a0a67925469fde0948305411d4",
     ),
     "switch-d-i-empty-render": (
         "914ab095691f40b9aa4fa4197c28d7bf556ff704a5c64cd91c3300c19c25042e",
-        "5618bd1f952dbe5c756dc503c71093f414c1c9835a9f3094aebaf85d51645c61",
+        "eab97d3414c435750ce70399a44eb4c0ead85fede289dcd7f4d927e690d8ada0",
     ),
     "switch-d-i-full-collapse": (
         "9244f70432cab49a960c3c05baf8208d7b9f0790a4e8c74704a3e61afa5ebe14",
-        "ee947513a9051f320c51f40b4b2c7583443d3643529d02a2417a64ea143829d6",
+        "6dbef9ab3fea279505e22509124f2ab7da388155e41690822d7e44774621cbf0",
     ),
     "switch-d-i-full-render": (
         "9244f70432cab49a960c3c05baf8208d7b9f0790a4e8c74704a3e61afa5ebe14",
-        "062e62c39511822def0833ba5136942e3dfe2d7a5e55e252df80158da1fb0da4",
+        "361cd5eaa727c51d72e3db685e573dbf3314de3e33fcf511aa3fe26400f189cd",
     ),
     "switch-d-i-indistinguishable-collapse": (
         "d701af500ec2ae00ae4588e5acef5d5a417f20905723d9bbf169f87b9b15f6b8",
-        "4f160ff20f5ebd5b646aa7442fb7df50b75aac845abae13be03c3e1e35fe699e",
+        "32b7bceec2e4bb0bd34764bbd377e0f9c23cd27d81d8b4e817c79f32ae58956b",
     ),
     "switch-d-i-indistinguishable-render": (
         "d701af500ec2ae00ae4588e5acef5d5a417f20905723d9bbf169f87b9b15f6b8",
-        "7f4157c8fd1f845d654ac8ae34780486c361478fa9b8c8fa8cfc7e340c4f5f1f",
+        "4b3f49b36f7c5625caad0f406af5f9d07f793806f0c9a46ef05c175a2cf4aee1",
     ),
     "switch-d-i-refused-collapse": (
         None,
@@ -385,27 +386,27 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "switch-d-ii-collapse": (
         "665188c9a64d8dd7ceb4a8058cec262771433cca6994d5f6291ed45dff81fbf5",
-        "e018c6e2dada00f6bc9032abe7794343df2bc56f96788cda05bef079fd3f4744",
+        "6282a1c4aae5782bb37f6b6fba070616f7c51923b1902fb7a5ac5a2c6449971e",
     ),
     "switch-d-ii-render": (
         "665188c9a64d8dd7ceb4a8058cec262771433cca6994d5f6291ed45dff81fbf5",
-        "870c924005fbfb602c3edd0be7fef6c4d335683060968707c3bfb06ce1354bfa",
+        "8ed9bbe2aaece852848c9963d28f3c2ee6cd31f07be4c42e00e69750374d5d4e",
     ),
     "switch-d-iii-collapse": (
         "ef675ce9948066bb0d0a98e96223d0b2b115a6d7e32180cb7fdffecbaaaa7312",
-        "176ccf5b2da0bc6d914a7d0fa1084d5ef9546754775a6115c7e3b4f77107fc1a",
+        "dba1a803c86f641baa15a013a7b36d76825dafb979ccc00e26d7966004d27fab",
     ),
     "switch-d-iii-render": (
         "ef675ce9948066bb0d0a98e96223d0b2b115a6d7e32180cb7fdffecbaaaa7312",
-        "87f3a52f90ab0ab51017bd95a0e713ef4436fd026723818eac28160549bf9c42",
+        "a6b150859a143edcf5060bbcd96b4340283e610333c723b6677553144e32db51",
     ),
     "switch-d-iv-collapse": (
         "88831b0157d5b9f6cb33536d88c519e7f6c2ab3f1fc6bf6a229f8238fb52c8d5",
-        "8bfe2e48a677d9f0dba342d470f50a34011c8fed840bec99256b289643e2e00c",
+        "5df0aa74f55112cea31e3a401ef1acfec5584bd3156f1f01de3d07ceff20ca66",
     ),
     "switch-d-iv-render": (
         "88831b0157d5b9f6cb33536d88c519e7f6c2ab3f1fc6bf6a229f8238fb52c8d5",
-        "abf116f0bcdf3e614e09f760a59156ccc2fc2996a7265516c3453f0d989bfa9a",
+        "0ed94fd56c7216078c20b87aff7e05dc991ac033dc2ef2c0ed1f37479529fad5",
     ),
 }
 
@@ -441,6 +442,35 @@ def test_branch_matrix_matches_pinned_outputs(name):
 
 def test_matrix_covers_every_pinned_case():
     assert sorted(MATRIX) == sorted(GOLDEN)
+
+
+def _walk(value, path=()):
+    """(path, value) of ``value`` and of everything it holds, keys in the paths."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _walk(item, (*path, key))
+
+
+def test_completed_reports_write_each_fact_once():
+    """A report's bin edges sit once, at the top, and are the config's; the
+    predictor keeps no second copy of the pooled histogram; the protocol,
+    seed and pair count are the config's only."""
+    for name, cfg in MATRIX.items():
+        outcome = run_protocol(cfg)
+        if not isinstance(outcome, RunResult):
+            continue
+        report = json.loads(canonical_json(outcome))
+        screens = [report["pooled"], *report["subsets"].values()] if report["pooled"] else []
+        edges = fringe_aligned_edges(cfg.optics).tolist() if screens else None
+        assert report["bin_edges"] == edges, name
+        for path, value in _walk(report):
+            if path != ("bin_edges",):
+                assert edges is None or value != edges, (name, path)
+            if path and path[-1] in ("protocol", "seed", "n_pairs"):
+                assert path[:-1] == ("config",), (name, path)
+        assert not any(key.startswith("bin_") for key in report["predictor"] or {}), name
+        assert all(len(screen["histogram"]) == len(edges) - 1 for screen in screens), name
 
 
 def test_acceptance_manifest_event_digests_are_pinned():
@@ -609,22 +639,22 @@ CLI_GOLDEN: dict[str, str] = {
     "bad.json": "788526873d465a5077000b8c75dbfb217303bfcea3040ce2cee08499b0bb4efd",
     "custom.events.csv": "25fb74496221cc8066837ff2230d2c76219c84ae172e012770fa5298538ec1c1",
     "custom.hist.txt": "2f789858dedbae087be649e7f0c0713db7c8cb620e46ebf9f2783a00691fe925",
-    "custom.json": "65fbc549c5092c93c9f88c5e3e9e73c3068003ab92ef13c32f9cf07bd052ee6c",
+    "custom.json": "51751537cf4e3fb053c4272b7501987dfa0cf95fffcbfe0ea8457525c136e615",
     "discontinuity.events.csv": "a18e37dac3bea4fc25b03d77eb98705135cac4c7f47deeb0da80d940840daa28",
     "discontinuity.hist.txt": "1508eca17867e7d510d0519d4353950491644988d7fb51fbab65e03a0f541719",
-    "discontinuity.json": "3072f0b136cca5325e4ebe23f6a03964feed15140fa0789e3b077b588fcdadeb",
+    "discontinuity.json": "312ec84ebba4cab494b01809b83b8583ebcc8be6d843723787f42ed15f2beadd",
     "empty.events.csv": "1bf9f16865d791f7efb0804c43ff249446cdd40e0fd01fcf908d012923d2fad2",
     "empty.hist.txt": "cab52e860366f0d85fc3147f91a8a1175b41a606b8e4cd122690aab4844a4166",
-    "empty.json": "27b35725d5343350eeb65a6ea6b4aec2bba8e16468b57780f436949f5698005b",
+    "empty.json": "aba3bd4d079eb005c508e886b4d06461049c2e72faa9bb11bf3ee72881f92eeb",
     "eraser.events.csv": "bbe45ad8cb155b2522aa1d0f497d759e8855082aece128b3dfdaa488b04e382e",
     "eraser.hist.txt": "afade8ad2177dbd77caf50cfddb346b5d91db558be3b80223e98049df7979ecf",
-    "eraser.json": "80987858e7bbc7f688f7deece15cb700e3616a42a594b6445c97cb2fa555927e",
+    "eraser.json": "725552301ae2c5a2fb8a8feb7870afcbc9c15fd778aa08ede2931825b48e5dad",
     "perishable_inf.events.csv": "82c8efb079b5dfd2229ba8e3aca0b0e22ad52848a0139c5892bfccc5d128a496",
     "perishable_inf.hist.txt": "3af9e57dfb5eaf14deabacd388044db3da96d7a2721a4b214d8c124ad9fec32a",
-    "perishable_inf.json": "6c0ca6126ad3a19b58d0a720210ec19a8d1b674e1539f6e7a6620842778ec1dd",
+    "perishable_inf.json": "ebe00efbf3d5fb60e9032f9c876c2c7c9a13189d0caac4848bc30ba2c0d50fff",
     "predictor.events.csv": "111a7d14f351f17076764b89802143a9f21221eddd402b956716b69666da44f9",
     "predictor.hist.txt": "2a77ce15c6efb0af6515a7676b2c721d70854b6143f7c38007b93ed7ad31b783",
-    "predictor.json": "2d1c310b7d78d7fc185cac1a4b02feb9edde2a1f34fcf22a0fbfec37608bec36",
+    "predictor.json": "1a6278db80b00d2e8bc53b2eac277b95e3e346fdcf40907a954ef8c9dd8248c2",
     "refused.json": "08d6e9e527e6394e8c838b0a415db76536fb999d1bfb20590ed6311b1b0dab8a",
     "summary.json": "d4d4469a73790a45dbc26f7ebd256b358eb57ec272636318868037db2e3a95aa",
 }

@@ -22,7 +22,7 @@ from dualitysim.cli import (
     serialize_manifest,
 )
 from dualitysim.models import AvailabilityHorizon, RenderingModel, RenderingPolicy
-from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError
+from dualitysim.optics import IntervalSet, OpticsConfig, ValidationError, fringe_aligned_edges
 from dualitysim.protocols import (
     DetectNoRecordVariant,
     ObservationSchedule,
@@ -413,6 +413,18 @@ ERROR_TEXTS = [
         stage_d(kind="custom", table_edges=[0.0, 1e-4], table_activate=[True, False]),
         "runs[0].strategy: custom strategy needs len(table_edges) == len(table_activate) + 1",
     ),
+    # JSON's NaN and -Infinity parse as floats; an edge that bounds only
+    # inactive cells is read by no region, and its report would not parse back
+    (
+        "constructor-strategy-nan-edge",
+        stage_d(kind="custom", table_edges=[-1e-4, 0.0, math.nan], table_activate=[True, False]),
+        "runs[0].strategy: custom strategy table_edges must be finite",
+    ),
+    (
+        "constructor-strategy-infinite-edge",
+        stage_d(kind="custom", table_edges=[-math.inf, -1e-4, 0.0], table_activate=[False, True]),
+        "runs[0].strategy: custom strategy table_edges must be finite",
+    ),
     (
         "constructor-strategy-params",
         stage_d(kind="always_on", intervals=[[0.0, 1e-4]]),
@@ -444,6 +456,16 @@ ERROR_TEXTS = [
     ),
     ("manifest-out_dir", {**one_run(PLAIN), "out_dir": 3}, "manifest.out_dir: expected a string, got int"),
     ("manifest-seed", {**one_run(PLAIN), "seed": "x"}, "manifest.seed: expected an integer, got 'x'"),
+    (
+        "manifest-seed-negative",
+        {**one_run(PLAIN), "seed": -1},
+        "manifest.seed: seed must be an integer in [0, 2**64), got -1",
+    ),
+    (
+        "manifest-seed-too-large",
+        {**one_run(PLAIN), "seed": 2**64},
+        "manifest.seed: seed must be an integer in [0, 2**64), got 18446744073709551616",
+    ),
     ("manifest-name", {**one_run(PLAIN), "name": 3}, "manifest.name: expected a string, got int"),
     ("manifest-runs", {"runs": []}, "manifest.runs: a nonempty list of runs is required"),
     ("manifest-not-object", [1, 2], "manifest: expected an object, got list"),
@@ -643,7 +665,8 @@ class TestRoundTrip:
         report = json.loads(canonical_json(run))
         assert run.events is not None and "events" not in report
         assert report["event_digest"] == run.event_digest
-        assert set(report["pooled"]["histogram"]) == {"edges", "counts"}
+        assert report["bin_edges"] == fringe_aligned_edges(run.config.optics).tolist()
+        assert report["pooled"]["histogram"] == run.pooled.histogram.tolist()
 
 
 def quick_manifest(tmp_path, sub="a"):
@@ -726,7 +749,7 @@ class TestExecution:
         for name in ("flat", "fringes"):
             report = json.loads((tmp_path / "seeded" / f"{name}.json").read_text())
             assert report["config"]["seed"] == 99
-            assert report["seed"] == 99
+            assert "seed" not in report
 
     @pytest.fixture
     def failing_switch(self, monkeypatch):
@@ -819,6 +842,20 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text('{"runs": []}')
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "seed,flags",
+        [(-1, []), (None, ["--seed", "-1"]), (None, ["--seed", str(2**64), "--jobs", "2"])],
+        ids=["manifest", "flag", "flag-jobs"],
+    )
+    def test_seed_override_out_of_range_is_a_config_error(self, tmp_path, capsys, seed, flags):
+        path = tmp_path / "m.json"
+        path.write_text(manifest_doc({"name": "only", "protocol": "double_slit", "n_pairs": 100}, seed=seed))
+        out = tmp_path / "never"
+        assert main(["run", str(path), "--out", str(out), *flags]) == 2
+        where = "manifest.seed" if seed is not None else "--seed"
+        assert capsys.readouterr().err.startswith(f"error: {where}: seed must be an integer in [0, 2**64), got ")
+        assert not out.exists()
 
     def test_bad_format_flag(self, tmp_path, capsys):
         path = tmp_path / "m.json"

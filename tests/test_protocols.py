@@ -17,7 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualitysim import protocols
 from dualitysim.models import Medium, RenderingModel, RenderingPolicy
-from dualitysim.optics import IntervalSet, OpticsConfig, PatternDistribution, PatternKind, ValidationError
+from dualitysim.optics import (
+    IntervalSet,
+    OpticsConfig,
+    PatternDistribution,
+    PatternKind,
+    ValidationError,
+    fringe_aligned_edges,
+)
 from dualitysim.protocols import (
     DELTA_T_FAST,
     DELTA_T_SLOW,
@@ -235,6 +242,19 @@ class TestSwitchStrategy:
             SwitchStrategy.custom([0.0, 1e-4, 2e-4], [True])
         with pytest.raises(ValidationError):
             SwitchStrategy.custom([0.0, 0.0], [True])
+
+    @pytest.mark.parametrize(
+        "edges,activate",
+        [
+            ([-1e-4, 0.0, math.nan], [True, False]),
+            ([-1e-4, 0.0, math.inf], [True, False]),
+            ([-math.inf, 0.0, 1e-4], [False, True]),
+        ],
+    )
+    def test_custom_table_edges_are_finite(self, edges, activate):
+        """Even an edge that bounds only inactive cells, which no region reads."""
+        with pytest.raises(ValidationError, match="table_edges must be finite"):
+            SwitchStrategy.custom(edges, activate)
 
     def test_named_kinds_reduce_to_regions(self):
         assert not SwitchStrategy.always_off().activation_region(OPTICS)
@@ -778,7 +798,8 @@ class TestEventLog:
         assert sum(s.count for s in run.subsets.values()) == 3000
         assert run.pooled.count == 3000
         for s in run.subsets.values():
-            assert s.histogram.counts.sum() == s.count
+            assert s.histogram.sum() == s.count
+            assert s.histogram.size == run.bin_edges.size - 1
 
 
 def _csv_cells(values) -> bytes:
@@ -929,6 +950,24 @@ class TestQuantumEraser:
         assert eraser_run.coincidences.unmatched_signals == 0
         assert eraser_run.coincidences.ambiguities == 0
 
+    @pytest.mark.parametrize(
+        "fringes,d1",
+        [(1, 0.999), (4.29, 0.942), (10, 0.997), (20.29, None), (50.29, None), (200, None)],
+    )
+    def test_visibility_is_none_where_the_smoothing_spans_a_quarter_fringe(self, fringes, d1):
+        """Windows of 1 and 10 fringes fold onto one period. The others are
+        smoothed over nbins // 20 bins: 10 bins of about 50 per fringe at 4.29
+        fringes, but 25 of 24.6 per fringe at 20.29, where D1 read 0.055
+        against a flat D3's 0.045, and more past that."""
+        optics = OpticsConfig(screen_halfwidth_m=fringes * A / 2)
+        cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=200_000, seed=1, optics=optics)
+        run = run_quantum_eraser(cfg)
+        if d1 is None:
+            assert all(s.visibility is None for s in (*run.subsets.values(), run.pooled))
+        else:
+            assert run.subsets["D1"].visibility == pytest.approx(d1, abs=5e-4)
+            assert run.subsets["D3"].visibility < 0.1
+
     @pytest.mark.parametrize("model", [COLLAPSE, RENDER], ids=["collapse", "render"])
     @pytest.mark.parametrize("halfwidth", [1e-6, 1e-7, 5e-8, 1e-9])
     def test_tiny_windows_complete(self, halfwidth, model):
@@ -1027,11 +1066,12 @@ class TestPredictor:
 
     def test_posterior_bins_partition_the_screen(self):
         cfg = ProtocolConfig(protocol=Protocol.PREDICTOR, n_pairs=5000, seed=34)
-        stats = run_predictor(cfg).predictor
-        assert stats.bin_counts.sum() == 5000
-        assert stats.bin_edges[0] == OPTICS.window[0]
-        assert stats.bin_edges[-1] == OPTICS.window[1]
-        filled = stats.bin_counts > 0
+        run = run_predictor(cfg)
+        stats, counts = run.predictor, run.pooled.histogram
+        assert counts.sum() == 5000
+        assert run.bin_edges[0] == OPTICS.window[0]
+        assert run.bin_edges[-1] == OPTICS.window[1]
+        filled = counts > 0
         assert np.all(stats.empirical_posterior[filled] >= 0)
         assert np.isnan(stats.empirical_posterior[~filled]).all()
 
@@ -1039,13 +1079,13 @@ class TestPredictor:
         cfg = ProtocolConfig(protocol=Protocol.PREDICTOR, n_pairs=5000, seed=34)
         run = run_predictor(cfg)
         x, recorded = run.events.signal_x_m, run.events.recorded.astype(bool)
-        edges = run.pooled.histogram.edges
-        np.testing.assert_array_equal(run.predictor.bin_edges, edges)
-        np.testing.assert_array_equal(run.predictor.bin_counts, np.histogram(x, bins=edges)[0])
-        hits = run.subsets["recorded"].histogram.counts
+        edges, total = run.bin_edges, run.pooled.histogram
+        np.testing.assert_array_equal(edges, fringe_aligned_edges(cfg.optics))
+        np.testing.assert_array_equal(total, np.histogram(x, bins=edges)[0])
+        hits = run.subsets["recorded"].histogram
         np.testing.assert_array_equal(hits, np.histogram(x[recorded], bins=edges)[0])
-        filled = run.predictor.bin_counts > 0
-        share = hits[filled] / run.predictor.bin_counts[filled]
+        filled = total > 0
+        share = hits[filled] / total[filled]
         np.testing.assert_array_equal(run.predictor.empirical_posterior[filled], share)
 
 
@@ -1070,9 +1110,7 @@ class TestSwitchEarlyStages:
             runs[delta] = run_switch_experiment(cfg)
         fast, slow = runs[DELTA_T_FAST], runs[DELTA_T_SLOW]
         np.testing.assert_array_equal(fast.events.signal_x_m, slow.events.signal_x_m)
-        np.testing.assert_array_equal(
-            fast.subsets["screen"].histogram.counts, slow.subsets["screen"].histogram.counts
-        )
+        np.testing.assert_array_equal(fast.subsets["screen"].histogram, slow.subsets["screen"].histogram)
         assert not np.array_equal(fast.events.t_created_s, slow.events.t_created_s)
 
 
@@ -1511,7 +1549,7 @@ class TestDispatch:
         cfg = ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=100, seed=47)
         run = run_protocol(cfg)
         assert isinstance(run, RunResult)
-        assert run.protocol is Protocol.DOUBLE_SLIT
+        assert run.config is cfg
 
     def test_runners_refuse_foreign_configs(self):
         cfg = ProtocolConfig(protocol=Protocol.PREDICTOR, n_pairs=100, seed=48)
