@@ -69,6 +69,10 @@ class RunManifest:
     seed_override: int | None = None
     name: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.seed_override is not None:
+            ProtocolConfig.check_seed(self.seed_override)
+
 
 # -- schema helpers ---------------------------------------------------------------
 

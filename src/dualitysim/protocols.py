@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, partial, reduce
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -474,21 +474,6 @@ class EventLog:
             return _fill_record(held.dtype.str, held.tobytes(), n)
         return self._records[name]
 
-    def _blocks(self, name: str) -> Iterator[np.ndarray]:
-        """Column ``name`` in slices of ``_BLOCK_ROWS`` rows. A fill is read
-        from one reused block, the row index from ``arange`` per block."""
-        held, n = self._cols[name], self._n
-        if not isinstance(held, np.ndarray) and held is not None:
-            block = _fill_rows(name, held, 0, min(_BLOCK_ROWS, n))
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
-            if isinstance(held, np.ndarray):
-                yield held[start:stop]
-            elif held is None:
-                yield _fill_rows(name, None, start, stop)
-            else:
-                yield block[: stop - start]
-
     def __len__(self) -> int:
         return self._n
 
@@ -505,48 +490,59 @@ class EventLog:
     def to_csv(self, path) -> None:
         """Write the documented CSV form: header row, one row per pair, empty
         cells for not-applicable timestamps, -1 route codes for unused splitters.
-
-        Rows are formatted and written in blocks of ``_BLOCK_ROWS``, so
-        memory stays bounded by one block whatever the log's length. The
-        output bytes are pinned by ``tests/test_golden.py``."""
+        The output bytes are pinned by ``tests/test_golden.py``."""
         with open(path, "wb") as fh:
             fh.write(",".join(EVENT_LOG_COLUMNS).encode() + b"\n")
-            for columns in zip(*map(self._blocks, EVENT_LOG_COLUMNS)):
-                fh.write(_csv_block(columns))
+            _write_csv_rows(fh, [self._cols[name] for name in EVENT_LOG_COLUMNS], self._n)
 
 
-def _csv_block(columns: Sequence[np.ndarray]) -> bytes:
-    """CSV rows of one block of column slices, each row newline-terminated.
-
-    Float64 cells print as the bytes of ``"%.17g" % x`` (round-trips
-    float64), NaN as an empty cell; other columns print as integers. Each
-    column becomes an array of NUL-padded cells, cut to the bytes some cell
-    uses; the rows are laid out with their separators and the padding is
-    dropped. A slice whose dtype and bytes equal an earlier slice's reuses
-    that slice's cells (the impact time is the creation time in every
-    runner). Bytes, not float ``==``, decide equality, so ``-0.0`` never
-    borrows the cells of ``0.0``.
+def _write_csv_rows(fh, columns: Sequence, n: int) -> None:
+    """Write ``n`` CSV rows to ``fh`` from columns as an ``EventLog`` holds
+    them (arrays, fills, ``None`` for the row index): float64 cells as
+    ``"%.17g" % x`` (round-trips float64), NaN as an empty cell, integers as
+    ``"%d"``. Rows go out in blocks of ``_BLOCK_ROWS`` through one row
+    buffer, so memory stays bounded whatever ``n``. The buffer is tiled from
+    one row: each fill's text, a NUL slot per array column (24 bytes for
+    float64, 4 for int8, the longest value's width for int64 and the row
+    index), commas and a newline. A block formats the array columns into
+    their slots, copies the slot of an earlier column holding the same array
+    (the impact time is the creation time in every runner), and one boolean
+    index drops the NULs.
     """
-    n = columns[0].size
-    comma = np.full((n, 1), ord(","), dtype=np.uint8)
-    parts: list[np.ndarray] = []
-    seen: dict[tuple[str, bytes], np.ndarray] = {}
-    for col in columns:
-        key = (col.dtype.str, col.tobytes())
-        cells = seen.get(key)
-        if cells is None:
-            if col.dtype == np.float64:
-                cells = _float_cells(col)
+    # formatted: (slot, array or None, the slot it is formatted in); first: id of an array -> its first slot
+    row, formatted, first = bytearray(), [], {}
+    for held in columns:
+        if held is None:
+            text = b"\0" * len(str(n - 1))
+        elif not isinstance(held, np.ndarray):
+            text = b"" if held != held else b"%.17g" % held if held.dtype == np.float64 else b"%d" % held
+        elif held.dtype == np.int64:
+            text = b"\0" * max(len(str(held.min(initial=0))), len(str(held.max(initial=0))))
+        else:
+            text = b"\0" * (24 if held.dtype == np.float64 else 4)
+        slot = slice(len(row), len(row) + len(text))
+        row += text + b","
+        if held is None or isinstance(held, np.ndarray):
+            formatted.append((slot, held, first.setdefault(id(held), slot)))
+    row[-1] = ord("\n")
+    buf = np.tile(np.frombuffer(row, dtype=np.uint8), (min(n, _BLOCK_ROWS), 1))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        rows = buf[: stop - start]
+        for slot, held, source in formatted:
+            col = np.arange(start, stop, dtype=np.int64) if held is None else held[start:stop]
+            if source is not slot:
+                rows[:, slot] = rows[:, source]
+            elif col.dtype == np.float64:
+                _float_cells(col, rows[:, slot])
             elif col.dtype == np.int8:
-                cells = np.take(_INT8_CELLS, col.view(np.uint8)).view(np.uint8).reshape(n, 4)
-            else:  # int64, which numpy's cast to bytes writes as "%d"
-                cells = col.astype("S20").view(np.uint8).reshape(n, 20)
-            used = np.flatnonzero(cells.any(axis=0))
-            cells = seen[key] = cells[:, used[0] : used[-1] + 1] if used.size else cells[:, :0]
-        parts += [cells, comma]
-    parts[-1] = np.full((n, 1), ord("\n"), dtype=np.uint8)
-    rows = np.concatenate(parts, axis=1)
-    return rows[rows != 0].tobytes()
+                rows[:, slot].view(np.uint32)[:, 0] = np.take(_INT8_CELLS, col.view(np.uint8))
+            else:  # int64: the digits right-aligned, leading zeros blanked, a minus sign first
+                cells = rows[:, slot]
+                cells[:] = _digits20(np.abs(col).view(np.uint64))[:, 20 - cells.shape[1] :]  # -2**63 reads as 2**63
+                cells[:, :-1][np.logical_and.accumulate(cells[:, :-1] == ord("0"), axis=1)] = 0
+                cells[col < 0, 0] = ord("-")
+        fh.write(rows[rows != 0])
 
 
 #: the text of every int8, NUL-padded to four bytes held as one uint32,
@@ -634,9 +630,9 @@ def _layout_table() -> np.ndarray:
 _LAYOUTS = _layout_table()
 
 
-def _float_cells(col: np.ndarray) -> np.ndarray:
+def _float_cells(col: np.ndarray, cells: np.ndarray) -> None:
     """The bytes of ``"%.17g" % x`` for every x in ``col``, NaN as an empty
-    cell: (n, 24) bytes, NUL-padded.
+    cell, written into the (n, 24) bytes ``cells``, NUL-padded.
 
     Finite x whose decimal exponent e lies in -6..16 take an exact path: the
     product |x| * 10**(16 - e) is formed exactly as ``hi + lo``, which also
@@ -644,10 +640,9 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     17-digit mantissa. Zeros and infinities are laid out directly; every
     other value (subnormal, below 1e-6, from 1e17) is formatted per cell.
     """
-    n = col.size
-    cells = np.zeros((n, 24), dtype=np.uint8)
     a = np.abs(col)
     cells[:, 0] = np.where(np.signbit(col) & (a == a), ord("-"), 0)
+    cells[:, 1:] = 0
     cells[a == 0.0, 1] = ord("0")
     cells[a == np.inf, 1:4] = np.frombuffer(b"inf", dtype=np.uint8)
     lanes = np.flatnonzero((a >= 1e-6) & (a < 1e17))
@@ -679,10 +674,8 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     rest = (a > 0.0) & (a < np.inf)
     rest[lanes] = False
     rest = np.flatnonzero(rest)
-    if rest.size:
-        text = [b"%.17g" % x for x in col[rest].tolist()]
-        cells[rest] = np.array(text, dtype="S24").view(np.uint8).reshape(rest.size, 24)
-    return cells
+    text = [b"%.17g" % x for x in col[rest].tolist()]
+    cells[rest] = np.array(text, dtype="S24").view(np.uint8).reshape(rest.size, 24)
 
 
 # -- coincidence matching --------------------------------------------------------

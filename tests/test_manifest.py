@@ -728,19 +728,32 @@ class TestExecution:
             assert a == b, name
 
     def test_thread_pool_does_not_change_results(self, tmp_path):
+        """Every written file, events.csv included, is the same bytes
+        whether the runs go one at a time or on three threads."""
         serial = quick_manifest(tmp_path, "serial")
         threaded = replace(serial, out_dir=str(tmp_path / "threaded"))
-        _, s1, _ = execute_manifest(serial, jobs=1)
-        _, s2, _ = execute_manifest(threaded, jobs=3)
-        digests1 = {r["name"]: r["event_digest"] for r in s1["runs"]}
-        digests2 = {r["name"]: r["event_digest"] for r in s2["runs"]}
-        assert digests1 == digests2
+        assert serial.formats == {"json", "csv", "ascii"}
+        execute_manifest(serial, jobs=1)
+        execute_manifest(threaded, jobs=3)
+        written = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "threaded").iterdir())
+        assert {"flat.events.csv", "fringes.events.csv", "flat.hist.txt", "summary.json"} <= set(written)
+        for name in written:
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "threaded" / name).read_bytes(), name
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_bad_job_count_is_refused_before_anything_is_written(self, tmp_path, jobs):
         manifest = quick_manifest(tmp_path, "never")
         with pytest.raises(ManifestError, match="jobs must be at least 1"):
             execute_manifest(manifest, jobs=jobs)
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+    def test_bad_seed_override_fails_at_construction(self, tmp_path, seed):
+        with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            replace(quick_manifest(tmp_path, "never"), seed_override=seed)
+        with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            RunManifest(runs=quick_manifest(tmp_path).runs, out_dir=str(tmp_path / "never"), seed_override=seed)
         assert not (tmp_path / "never").exists()
 
     def test_seed_override_pins_every_run(self, tmp_path):

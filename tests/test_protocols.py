@@ -3,6 +3,7 @@
 import copy
 import gc
 import hashlib
+import io
 import math
 import pickle
 import tempfile
@@ -768,6 +769,41 @@ class TestEventLog:
             log.to_csv(path)
             assert path.read_bytes() == _reference_csv(log)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # the row index crosses from 5 to 6 digits inside block 6 (rows 98,304 to 100,000)
+            lambda: EventLog(100_001),
+            lambda: EventLog(0),
+            lambda: EventLog(1),
+            lambda: EventLog(1, {"t_created_s": [-0.0], "slit": [-1], "signal_x_m": [1e17], "erased": [-128]}),
+            lambda: EventLog(
+                14,
+                {
+                    "pair_id": [-(2**63), 2**63 - 1, -1, 0, 1, -9, 9, 10, -10, -9999, 10_000, -(10**18), 10**18, 7],
+                    "t_created_s": np.linspace(-1.0, 1.0, 14),
+                },
+            ),
+            # every column a fill, the row index too, across a block edge
+            lambda: EventLog(
+                _BLOCK_ROWS + 3,
+                {
+                    name: fill
+                    for name, fill in zip(
+                        EVENT_LOG_COLUMNS,
+                        [-7, -0.0, -1, np.inf, -np.inf, -128, 127, 0, 4, 5e-324, 2, -1, 1, 3, 0.1, np.nan, -1.5e-8, 1e300],
+                    )
+                },
+            ),
+        ],
+        ids=["blank-100001", "blank-0", "blank-1", "one-row", "extreme-pair-ids", "all-fills"],
+    )
+    def test_csv_slot_layout_matches_the_reference_formatter(self, make, tmp_path):
+        log = make()
+        path = tmp_path / "events.csv"
+        log.to_csv(path)
+        assert path.read_bytes() == _reference_csv(log)
+
     def test_log_columns_tell_each_pairs_story(self):
         cfg = ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=200, seed=13)
         log = run_quantum_eraser(cfg).events
@@ -804,7 +840,10 @@ class TestEventLog:
 
 def _csv_cells(values) -> bytes:
     """The events.csv cells of one column, one per line."""
-    return protocols._csv_block([np.asarray(values)])
+    values = np.asarray(values)
+    fh = io.BytesIO()
+    protocols._write_csv_rows(fh, [values], values.size)
+    return fh.getvalue()
 
 
 def _printf_cells(values) -> bytes:
