@@ -325,10 +325,35 @@ class ProtocolConfig:
 _MEDIUM_CODES = {Medium.NONE: 0, Medium.VOLATILE: 1, Medium.PERSISTENT: 2, Medium.PERISHABLE: 3}
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """A column held as a rule of the row index, as ``pair_id`` (``i * 1``)
+    and a run's timestamps are: row i holds ``i * step``, then each offset
+    added in turn, in ``dtype``. Equal rules have equal dtypes and bits."""
+
+    step: float = field(compare=False)
+    offsets: tuple[float, ...] = field(default=(), compare=False)
+    dtype: type = np.float64
+    bits: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", np.array((self.step, *self.offsets), dtype=self.dtype).tobytes())
+
+    def plus(self, offset: float) -> "_Rule":
+        return replace(self, offsets=(*self.offsets, offset))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        col = np.arange(start, stop, dtype=self.dtype)
+        col *= self.dtype(self.step)
+        for offset in self.offsets:
+            col += self.dtype(offset)
+        return col
+
+
 #: the log's columns in digest and CSV order, each with its dtype and the fill
-#: of a blank log (``None``: the row index)
-_COLUMNS: dict[str, tuple[type, float | None]] = {
-    "pair_id": (np.int64, None),
+#: or rule of a blank log
+_COLUMNS: dict[str, tuple[type, float | _Rule]] = {
+    "pair_id": (np.int64, _Rule(1, dtype=np.int64)),
     "t_created_s": (np.float64, 0.0),
     "slit": (np.int8, 0),
     "t_signal_impact_s": (np.float64, 0.0),
@@ -356,12 +381,24 @@ EVENT_LOG_COLUMNS = tuple(_COLUMNS)
 _BLOCK_ROWS = 16384
 
 
-def _fill_rows(name: str, fill: float | None, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of column ``name`` held as ``fill``."""
-    dtype = _COLUMNS[name][0]
-    if fill is None:
-        return np.arange(start, stop, dtype=dtype)
-    return np.full(stop - start, fill, dtype=dtype)
+def _hold(dtype: type, value):
+    """A fill (one value) or a rule as a ``dtype`` column holds it; None for an array."""
+    if isinstance(value, _Rule):
+        return replace(value, dtype=dtype)
+    return np.asarray(value, dtype=dtype)[()] if np.ndim(value) == 0 else None
+
+
+#: each column as a blank log holds it
+_BLANK = {name: _hold(dtype, fill) for name, (dtype, fill) in _COLUMNS.items()}
+
+
+def _rows_of(held, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of a column held as an array (a view), a rule or a fill."""
+    if isinstance(held, np.ndarray):
+        return held[start:stop]
+    if isinstance(held, _Rule):
+        return held.rows(start, stop)
+    return np.full(stop - start, held, dtype=held.dtype)
 
 
 def _hash_list(block_hashes: Iterable[bytes]) -> bytes:
@@ -389,12 +426,12 @@ def _fill_record(dtype: str, value: bytes, n: int) -> bytes:
     return _hash_list(hashes)
 
 
-@lru_cache(maxsize=8)
-def _row_index_record(n: int) -> bytes:
-    """The record of ``pair_id``'s row index, hashed once per ``n``."""
+@lru_cache(maxsize=64)
+def _rule_record(rule: _Rule, n: int) -> bytes:
+    """The record of ``n`` rows of ``rule``, hashed a block at a time, once
+    per rule and ``n`` in a process."""
     return _hash_list(
-        hashlib.sha256(_fill_rows("pair_id", None, start, min(start + _BLOCK_ROWS, n))).digest()
-        for start in range(0, n, _BLOCK_ROWS)
+        hashlib.sha256(rule.rows(start, min(start + _BLOCK_ROWS, n))).digest() for start in range(0, n, _BLOCK_ROWS)
     )
 
 
@@ -402,37 +439,37 @@ class EventLog:
     """Columnar per-pair event log; one row per generated pair, built once
     and read-only afterwards.
 
-    ``columns`` maps a column name to an array of the log's length or to one
-    fill value for every row. A column not given holds its blank fill,
-    ``pair_id``'s being the row index, so ``EventLog(n)`` is the blank log.
-    Every given array, and any array it is a view of, becomes read-only (for
-    a slice ``buf[:n]`` of an array that owns its memory, all of ``buf``),
-    and its digest record is hashed at once. ``records`` may give a column's
-    ``_BLOCK_ROWS``-row blocks' hashes in row order, as a run's chunks hash
-    them; the record then joins those hashes. Columns given the same array
-    object share it and its record (the creation times are the impact
-    times). Reading a fill as an attribute expands it to a read-only array
-    on first use; the column stays a fill and keeps its fill record.
-    ``digest`` joins the records (``dualitysim-event-log-v2``, laid out in
-    the README); a column gets the same record whether it is held as a fill
-    or as an array.
+    ``columns`` maps a column name to an array of the log's length, to one
+    fill value for every row, or to a ``_Rule``. A column not given holds
+    its blank fill, ``pair_id``'s being the row index, so ``EventLog(n)`` is
+    the blank log. Every given array, and any array it is a view of, becomes
+    read-only (for a slice ``buf[:n]`` of an array that owns its memory, all
+    of ``buf``), and its digest record is hashed at once. ``records`` may
+    give a column's ``_BLOCK_ROWS``-row blocks' hashes in row order, as a
+    run's chunks hash them; the record then joins those hashes. Columns
+    given the same array object share it and its record. Reading a fill or
+    a rule expands it to a read-only array on first use, one per equal rule;
+    the column stays unexpanded and keeps its record. ``digest`` joins the
+    records (``dualitysim-event-log-v2``, laid out in the README); a column
+    gets the same record held as a fill, a rule or an array.
     """
 
     __slots__ = ("_n", "_cols", "_records", "_expanded")
 
     def __init__(self, n: int, columns: dict | None = None, records: dict[str, Sequence[bytes]] | None = None) -> None:
         self._n = n = int(n)
-        # _cols: column name -> its array, or its fill unexpanded; _records:
-        # column name of an array -> its record; _expanded: fill name -> its array
-        self._cols = {name: None if fill is None else dtype(fill) for name, (dtype, fill) in _COLUMNS.items()}
+        # _cols: column name -> its array, or its fill or rule unexpanded; _records:
+        # column name of an array -> its record; _expanded: fill name, or rule -> its array
+        self._cols = dict(_BLANK)
         self._records, self._expanded = {}, {}
         given = {}  # (id of a given array, dtype) -> (its column, its record)
         for name, value in (columns or {}).items():
             if name not in _COLUMNS:
                 raise ValueError(f"an event log has no column {name!r}")
             dtype = _COLUMNS[name][0]
-            if np.ndim(value) == 0:
-                self._cols[name] = np.asarray(value, dtype=dtype)[()]
+            held = _hold(dtype, value)
+            if held is not None:
+                self._cols[name] = held
                 continue
             key = (id(value), dtype)
             if key not in given:
@@ -449,7 +486,7 @@ class EventLog:
 
     def __reduce__(self) -> tuple:
         # a copy is built from the columns as held, and hashes its arrays anew
-        return type(self), (self._n, {name: held for name, held in self._cols.items() if held is not None})
+        return type(self), (self._n, self._cols)
 
     def __getattr__(self, name: str) -> np.ndarray:
         # reached for every column: none is a slot
@@ -458,20 +495,21 @@ class EventLog:
         held = self._cols[name]
         if isinstance(held, np.ndarray):
             return held
-        if name not in self._expanded:
-            col = _fill_rows(name, held, 0, self._n)
+        key = held if isinstance(held, _Rule) else name
+        if key not in self._expanded:
+            col = _rows_of(held, 0, self._n)
             col.flags.writeable = False
             # two threads expanding at once both return the array stored first
-            self._expanded.setdefault(name, col)
-        return self._expanded[name]
+            self._expanded.setdefault(key, col)
+        return self._expanded[key]
 
     def _record(self, name: str) -> bytes:
         """Column ``name``'s digest record."""
-        held, n = self._cols[name], self._n
-        if held is None:
-            return _row_index_record(n)
+        held = self._cols[name]
+        if isinstance(held, _Rule):
+            return _rule_record(held, self._n)
         if not isinstance(held, np.ndarray):
-            return _fill_record(held.dtype.str, held.tobytes(), n)
+            return _fill_record(held.dtype.str, held.tobytes(), self._n)
         return self._records[name]
 
     def __len__(self) -> int:
@@ -498,39 +536,40 @@ class EventLog:
 
 def _write_csv_rows(fh, columns: Sequence, n: int) -> None:
     """Write ``n`` CSV rows to ``fh`` from columns as an ``EventLog`` holds
-    them (arrays, fills, ``None`` for the row index): float64 cells as
-    ``"%.17g" % x`` (round-trips float64), NaN as an empty cell, integers as
-    ``"%d"``. Rows go out in blocks of ``_BLOCK_ROWS`` through one row
-    buffer, so memory stays bounded whatever ``n``. The buffer is tiled from
-    one row: each fill's text, a NUL slot per array column (24 bytes for
-    float64, 4 for int8, the longest value's width for int64 and the row
-    index), commas and a newline. A block formats the array columns into
+    them (arrays, fills, rules): float64 cells as ``"%.17g" % x``
+    (round-trips float64), NaN as an empty cell, integers as ``"%d"``. Rows
+    go out in blocks of ``_BLOCK_ROWS`` through one row buffer, so memory
+    stays bounded whatever ``n``. The buffer is tiled from one row: each
+    fill's text, a NUL slot per array or rule column (24 bytes for float64,
+    4 for int8, the longest value's width for int64), commas and a newline.
+    A block formats the array columns and the block's rows of each rule into
     their slots, copies the slot of an earlier column holding the same array
-    (the impact time is the creation time in every runner), and one boolean
-    index drops the NULs.
+    or an equal rule (the impact time is the creation time in every runner),
+    and one boolean index drops the NULs.
     """
-    # formatted: (slot, array or None, the slot it is formatted in); first: id of an array -> its first slot
+    # formatted: (slot, array or rule, the slot it is formatted in); first: id of an array, or rule -> its first slot
     row, formatted, first = bytearray(), [], {}
     for held in columns:
-        if held is None:
-            text = b"\0" * len(str(n - 1))
-        elif not isinstance(held, np.ndarray):
+        varies = isinstance(held, (np.ndarray, _Rule))
+        if not varies:
             text = b"" if held != held else b"%.17g" % held if held.dtype == np.float64 else b"%d" % held
         elif held.dtype == np.int64:
-            text = b"\0" * max(len(str(held.min(initial=0))), len(str(held.max(initial=0))))
+            # a rule's first and last rows are its extremes
+            ends = held if isinstance(held, np.ndarray) else np.r_[held.rows(0, min(n, 1)), held.rows(max(n - 1, 0), n)]
+            text = b"\0" * max(len(str(ends.min(initial=0))), len(str(ends.max(initial=0))))
         else:
             text = b"\0" * (24 if held.dtype == np.float64 else 4)
         slot = slice(len(row), len(row) + len(text))
         row += text + b","
-        if held is None or isinstance(held, np.ndarray):
-            formatted.append((slot, held, first.setdefault(id(held), slot)))
+        if varies:
+            formatted.append((slot, held, first.setdefault(held if isinstance(held, _Rule) else id(held), slot)))
     row[-1] = ord("\n")
     buf = np.tile(np.frombuffer(row, dtype=np.uint8), (min(n, _BLOCK_ROWS), 1))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         rows = buf[: stop - start]
         for slot, held, source in formatted:
-            col = np.arange(start, stop, dtype=np.int64) if held is None else held[start:stop]
+            col = _rows_of(held, start, stop)
             if source is not slot:
                 rows[:, slot] = rows[:, source]
             elif col.dtype == np.float64:
@@ -744,14 +783,17 @@ def coincidence_match(
 
 
 def _match_structured(
-    t_signal: np.ndarray,
-    t_detector: np.ndarray,
+    t_signal,
+    t_detector,
     window_s: float,
     expected_lag_s: float,
+    n: int | None = None,
 ) -> CoincidenceSummary:
     """The summary :func:`coincidence_match` gives for a runner's event
     streams: row i holds pair i's signal time and its detector time, NaN for
-    an idler that registers nowhere.
+    an idler that registers nowhere; ``n`` rows (``t_signal``'s length by
+    default) of columns as a log holds them, expanded whole only for the
+    greedy loop.
 
     When the signal times rise and no detector event's window holds the
     signal of the row before or after its own, each window holds at most its
@@ -763,22 +805,23 @@ def _match_structured(
     at a time so that no temporary has the streams' length. Any other stream
     runs the greedy loop.
     """
-    matched = 0
-    for start in range(0, t_signal.size, _BLOCK_ROWS):
+    n = t_signal.size if n is None else n
+    matched = n_d = 0
+    for start in range(0, n, _BLOCK_ROWS):
         # the block's rows and the next block's first row
-        s = t_signal[start : start + _BLOCK_ROWS + 1]
-        d = t_detector[start : start + _BLOCK_ROWS + 1]
+        stop = min(start + _BLOCK_ROWS + 1, n)
+        s, d = _rows_of(t_signal, start, stop), _rows_of(t_detector, start, stop)
         target, silent = d - expected_lag_s, np.isnan(d)
         # the signals rise, s[i + 1] lies outside row i's window and s[i]
         # outside row i + 1's
         clear = (s[1:] >= s[:-1]) & ((s[1:] - target[:-1] >= window_s) | silent[:-1])
         clear &= (target[1:] - s[:-1] >= window_s) | silent[1:]
         if not clear.all():
-            registered = np.compress(~np.isnan(t_detector), t_detector)
-            return coincidence_match(t_signal, registered, window_s, expected_lag_s)
+            d = _rows_of(t_detector, 0, n)
+            return coincidence_match(_rows_of(t_signal, 0, n), np.compress(~np.isnan(d), d), window_s, expected_lag_s)
         matched += int(np.count_nonzero(np.abs(s[:_BLOCK_ROWS] - target[:_BLOCK_ROWS]) < window_s))
-    n_d = int(np.count_nonzero(~np.isnan(t_detector)))
-    return CoincidenceSummary(matched, t_signal.size - matched, n_d - matched, 0)
+        n_d += int(np.count_nonzero(~silent[:_BLOCK_ROWS]))
+    return CoincidenceSummary(matched, n - matched, n_d - matched, 0)
 
 
 # -- results ----------------------------------------------------------------------
@@ -897,8 +940,8 @@ class _Streams:
 
 
 class _Chunk(NamedTuple):
-    """What one chunk task hands back to its run: its fills, the names of
-    its array columns, ``{id of a column's buffer: its rows' block hashes}``,
+    """What one chunk task hands back to its run: its fills and rules, the
+    names of its array columns, ``{id of a column's buffer: its rows' block hashes}``,
     its screens' tallies (see ``_Screens.tally``) and the counts the runner
     put in its ``tally``."""
 
@@ -990,7 +1033,7 @@ class _Run:
         warnings_: tuple[str, ...] = ()
         if coincidences:
             window, lag = cfg.coincidence_window_s, cfg.delta_t_s
-            summary = _match_structured(log.t_signal_impact_s, log.t_detector_s, window, lag)
+            summary = _match_structured(log._cols["t_signal_impact_s"], log._cols["t_detector_s"], window, lag, n)
             if summary.matched:
                 mismatch = (summary.unmatched_detectors + summary.ambiguities) / max(
                     1, summary.matched + summary.unmatched_detectors
@@ -1025,15 +1068,15 @@ class _Run:
         return _Chunk(fills, arrays, hashes, tallies, c.tally)
 
     def _log(self, chunks: list[_Chunk]) -> EventLog:
-        """The run's log from its chunks: a column is a fill every chunk
-        holds, or an array whose record joins the chunks' block hashes."""
+        """The run's log from its chunks: a column is a fill or a rule every
+        chunk holds, or an array whose record joins the chunks' block hashes."""
 
         def layout(c: _Chunk) -> tuple:
-            return c.arrays, {name: fill.tobytes() for name, fill in c.fills.items()}
+            return c.arrays, {name: held if isinstance(held, _Rule) else held.tobytes() for name, held in c.fills.items()}
 
         first = chunks[0]
         if any(layout(c) != layout(first) for c in chunks[1:]):
-            raise RuntimeError("chunks disagree on the log's fills")
+            raise RuntimeError("chunks disagree on the log's fills or rules")
         arrays = {name: self._arrays[name] for name in first.arrays}
         # chunk starts are whole blocks, so the chunks' block hashes are the column's
         records = {name: list(chain.from_iterable(c.hashes[id(col)] for c in chunks)) for name, col in arrays.items()}
@@ -1044,16 +1087,16 @@ class _Rows:
     """Rows ``[start, stop)`` of a run: what one chunk task reads and writes.
 
     Columns read as on an ``EventLog`` of these rows. Assigning an array
-    copies it into the run's column at these rows; assigning a scalar holds
-    a fill, the same in every chunk. ``column`` hands out these rows of a
-    column to write in place, or makes a column share another's buffer. A
+    copies it into the run's column at these rows; assigning a scalar or a
+    ``_Rule`` holds it, the same in every chunk. ``column`` hands out these
+    rows of a column to write in place, or makes a column share another's buffer. A
     chunk writes a column's array once. ``random()`` draws these rows of the
     run's next variate stream. Counts put in ``tally`` are summed over the
     chunks.
     """
 
     def __init__(self, run: _Run, start: int, stop: int) -> None:
-        # _cols: column name -> these rows as written, or a fill
+        # _cols: column name -> these rows as written, or a fill or rule
         self.__dict__.update(run=run, cfg=run.cfg, start=start, stop=stop, tally={}, _cols={}, _drawn=0)
 
     def random(self) -> np.ndarray:
@@ -1078,32 +1121,32 @@ class _Rows:
         view = self._cols[name] = self.run.array(name, like)[self.start : self.stop]
         return view
 
-    def _held(self, name: str) -> np.ndarray | np.generic | float | None:
-        """Column ``name`` as held: these rows, or its fill unexpanded."""
-        return self._cols.get(name, _COLUMNS[name][1])
+    def _held(self, name: str) -> np.ndarray | np.generic | _Rule:
+        """Column ``name`` as held: these rows, or its fill or rule unexpanded."""
+        return self._cols.get(name, _BLANK[name])
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         held = self._held(name)
-        return held if isinstance(held, np.ndarray) else _fill_rows(name, held, self.start, self.stop)
+        return held if isinstance(held, np.ndarray) else _rows_of(held, self.start, self.stop)
 
     def __setattr__(self, name: str, value) -> None:
         if name not in _COLUMNS:
             raise AttributeError(f"an event log has no column {name!r}")
-        dtype = _COLUMNS[name][0]
-        if np.ndim(value) == 0:
+        held = _hold(_COLUMNS[name][0], value)
+        if held is not None:
             if isinstance(self._cols.get(name), np.ndarray):
                 raise RuntimeError(f"a chunk writes column {name!r} once")
-            self._cols[name] = np.asarray(value, dtype=dtype)[()]
+            self._cols[name] = held
             return
         if np.shape(value) != (self.stop - self.start,):
             raise ValueError(f"column {name!r} needs shape ({self.stop - self.start},), got {np.shape(value)}")
         self.column(name)[...] = value
 
     def seal(self) -> tuple[dict, frozenset, dict]:
-        """(fills, names of array columns, {id of a column's buffer: the
-        block hashes of these rows}), hashed here once per buffer."""
+        """(fills and rules, names of array columns, {id of a column's
+        buffer: the block hashes of these rows}), hashed once per buffer."""
         fills = {name: held for name, held in self._cols.items() if not isinstance(held, np.ndarray)}
         arrays = frozenset(self._cols.keys() - fills.keys())
         hashes = {}
@@ -1121,7 +1164,8 @@ class _Screens:
     A subset whose law is the pooled screen's (fringe phase 0, no region)
     sums the pooled terms its mask selects, which gives the bits of
     classifying it apart. Any other subset's terms are set up in a chunk
-    that has samples for it, as classifying them would be.
+    that has samples for it, as classifying them would be, from their share
+    of the pooled (elementwise) wave density.
     """
 
     def __init__(self, laws: dict, keys: tuple[str, ...], regions: dict[str, IntervalSet]) -> None:
@@ -1144,7 +1188,9 @@ class _Screens:
         histogram and slit counts are their sums."""
         # raised as the classifier raises for an impact off the screen
         self.particle._check_domain(x)
-        pooled = self.pooled(x)
+        wave = self.laws[PatternKind.WAVE, 0.0]._density_raw(x)
+        restricted = any(restrict is not None for *_, restrict in self.subsets)
+        pooled = self.pooled(x, density=wave.copy() if restricted else wave)
         in_slit = (slit == 1, slit == 2)
         out = []
         covered = np.zeros(x.size, dtype=bool)
@@ -1157,7 +1203,8 @@ class _Screens:
             if not phase and restrict is None:
                 llr = np.sum(np.compress(mask, pooled))
             elif samples.size:
-                llr = np.sum(llr_terms(self.laws[PatternKind.WAVE, phase], self.particle, restrict)(samples))
+                terms = llr_terms(self.laws[PatternKind.WAVE, phase], self.particle, restrict)
+                llr = np.sum(terms(samples, density=None if phase else np.compress(mask, wave)))
             else:
                 llr = 0.0
             counts, _ = np.histogram(samples, self.edges)
@@ -1195,32 +1242,27 @@ def _merge(tallies: list[tuple], edges: np.ndarray, optics: OpticsConfig) -> Sub
 
 
 def _base_log(c: _Rows, idler: bool = False) -> None:
-    """Draws u_slit, the run's first stream, and writes the pairs' creation,
-    slit and impact times, the impact times being the creation times'
-    buffer; with ``idler``, each idler also registers ``delta_t_s`` after
-    its pair's creation."""
+    """Draws u_slit, the run's first stream, and writes the pairs' slits and
+    their creation and impact times, one rule; with ``idler``, each idler
+    also registers ``delta_t_s`` after its pair's creation."""
     np.subtract(np.int8(2), c.random() < 0.5, out=c.column("slit"), dtype=np.int8)
-    created = c.column("t_created_s")
-    np.multiply(np.arange(c.start, c.stop, dtype=np.float64), PAIR_SPACING_FACTOR * c.cfg.delta_t_s, out=created)
-    c.column("t_signal_impact_s", like="t_created_s")
+    created = c.t_created_s = c.t_signal_impact_s = _Rule(PAIR_SPACING_FACTOR * c.cfg.delta_t_s)
     if idler:
-        np.add(created, c.cfg.delta_t_s, out=c.column("t_detector_s"))
+        c.t_detector_s = created.plus(c.cfg.delta_t_s)
 
 
-def _record(c: _Rows, mask: np.ndarray | bool, at: np.ndarray | None = None, kept: bool = True) -> None:
-    """Pairs in ``mask`` are detected at ``at`` and, when ``kept``, written to
-    a persistent which-way record; every pair left with no which-way record
-    is erased. A scalar ``mask`` holds for every pair, detected at impact,
-    and leaves fills in the log, the detection times being the impact
-    times' buffer."""
+def _record(c: _Rows, mask: np.ndarray | bool, at: _Rule | None = None, kept: bool = True) -> None:
+    """Pairs in ``mask`` are detected at the times of rule ``at`` and, when
+    ``kept``, written to a persistent which-way record; every pair left with
+    no which-way record is erased. A scalar ``mask`` holds for every pair,
+    detected at impact, and leaves fills in the log, the detection times
+    being the impact times' rule."""
     flag = np.asarray(mask, dtype=np.int8)
     c.detected = flag
     if flag.ndim:
-        _nan_except(c.column("detected_at_s"), mask, at)
-    elif mask:
-        c.column("detected_at_s", like="t_signal_impact_s")
+        _nan_except(c.column("detected_at_s"), mask, at.rows(c.start, c.stop))
     else:
-        c.detected_at_s = np.nan
+        c.detected_at_s = c._held("t_signal_impact_s") if mask else np.nan
     c.erased = 1 - flag if kept else 1
     if kept:
         if flag.ndim:
@@ -1230,20 +1272,19 @@ def _record(c: _Rows, mask: np.ndarray | bool, at: np.ndarray | None = None, kep
         c.medium = flag * np.int8(_MEDIUM_CODES[Medium.PERSISTENT])  # Medium.NONE's code is 0
 
 
-def _render(c: _Rows, resolved_at: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
+def _render(c: _Rows, resolved_at: _Rule, d2: np.ndarray | None = None) -> np.ndarray:
     """Pipeline steps 2-5 (see the module docstring) for pairs whose fate
-    resolves at ``resolved_at``; draws the run's last variate, u_x, sets
-    ``observation_time_s`` and ``signal_x_m`` and returns the impacts. The
-    record columns reach the availability query as held, fills unexpanded.
-    Wave pairs in the ``d2`` mask take the fringe phase ``_D2_PHASE``, the
-    others phase 0."""
+    resolves at the times of rule ``resolved_at``; draws the run's last
+    variate, u_x, sets ``observation_time_s`` and ``signal_x_m`` and returns
+    the impacts. The record columns reach the availability query as held,
+    fills unexpanded. Wave pairs in the ``d2`` mask take the fringe phase
+    ``_D2_PHASE``, the others phase 0."""
     cfg = c.cfg
     u_x = c.random()
-    if cfg.observation_schedule is ObservationSchedule.AT_T0:
-        c.column("observation_time_s", like="t_signal_impact_s")
-    else:
-        np.add(resolved_at, cfg.delta_t_s, out=c.column("observation_time_s"))
-    at = availability_query_time(cfg.model, c.t_signal_impact_s, c.observation_time_s)
+    at_t0 = cfg.observation_schedule is ObservationSchedule.AT_T0
+    c.observation_time_s = c._held("t_signal_impact_s") if at_t0 else resolved_at.plus(cfg.delta_t_s)
+    # only the time column the query reads is expanded
+    at = getattr(c, availability_query_time(cfg.model, "t_signal_impact_s", "observation_time_s"))
     medium = c._held("medium")
     avail = available_mask(
         cfg.model.policy,
@@ -1355,7 +1396,7 @@ def _run_interval_rule(
             run.laws[law, 0.0].quantiles(c.random(), out=x)
         inside = region.contains(x)
         route(c, inside)
-        c.column("observation_time_s", like="t_signal_impact_s")
+        c.observation_time_s = c._held("t_signal_impact_s")
         return x, {inner: inside, outer: ~inside}
 
     return run.render(rows, keys, {inner: region, outer: complement}, feasibility=feasibility, markers=markers)
@@ -1373,7 +1414,7 @@ def run_double_slit(cfg: ProtocolConfig) -> RunResult:
     def rows(c: _Rows) -> tuple[np.ndarray, None]:
         _base_log(c)
         _record(c, cfg.detectors_recording)
-        return _render(c, c.t_signal_impact_s), None
+        return _render(c, c._held("t_signal_impact_s")), None
 
     return _Run(cfg, Protocol.DOUBLE_SLIT).render(rows)
 
@@ -1387,18 +1428,18 @@ def run_delayed_choice(cfg: ProtocolConfig) -> RunResult:
     def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         _base_log(c, idler=True)
         chose_record = c.random() < cfg.choice_record_prob
-        _record(c, chose_record, c.t_detector_s)
-        x = _render(c, c.t_detector_s)
+        _record(c, chose_record, c._held("t_detector_s"))
+        x = _render(c, c._held("t_detector_s"))
         return x, {"recorded": chose_record, "unrecorded": ~chose_record}
 
     run = _Run(cfg, Protocol.DELAYED_CHOICE)
     return run.render(rows, ("recorded", "unrecorded"), tv=("recorded", "unrecorded"))
 
 
-def _eraser_bench(c: _Rows, kept: bool, idler: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eraser_bench(c: _Rows, kept: bool, idler: bool = True) -> tuple[np.ndarray, np.ndarray, _Rule]:
     """Eraser-bench routing of a chunk's pairs: (to_which_way, detector, the
-    idlers' registration times); the caller writes the detector column, and
-    without ``idler`` the registration times too.
+    rule of the idlers' registration times); the caller writes the detector
+    column, and without ``idler`` the registration times too.
 
     Reflected idlers head to the slit-tagged detectors (slit 1 -> D3, slit 2
     -> D4), which detect them and, when ``kept``, write a persistent record;
@@ -1409,7 +1450,7 @@ def _eraser_bench(c: _Rows, kept: bool, idler: bool = True) -> tuple[np.ndarray,
     _base_log(c, idler)
     to_which_way = c.random() < 0.5
     port = (c.random() < 0.5).astype(np.int8)
-    registered = c.t_detector_s if idler else c.t_created_s + c.cfg.delta_t_s
+    registered = c._held("t_detector_s") if idler else c._held("t_created_s").plus(c.cfg.delta_t_s)
     # int8 selects by arithmetic: a splitter an idler skips reads -1, and
     # slit is 1 or 2, so 2 - slit flags slit 1
     slit = c.slit
@@ -1455,7 +1496,7 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
         def unplugged(c: _Rows) -> tuple[np.ndarray, None]:
             _base_log(c)
             _record(c, True, kept=False)  # the unplugged outputs keep nothing
-            return _render(c, c.t_signal_impact_s), None
+            return _render(c, c._held("t_signal_impact_s")), None
 
         return _Run(cfg, Protocol.DETECT_NO_RECORD).render(unplugged)
     run = _Run(cfg, Protocol.DETECT_NO_RECORD, (0.0, _D2_PHASE))
@@ -1477,7 +1518,7 @@ def run_detect_no_record(cfg: ProtocolConfig) -> RunResult:
         to_which_way, detector, registered = _eraser_bench(c, kept=False, idler=False)
         x = _render(c, registered, detector == 2)
         c.detector = detector = detector * ~to_which_way
-        _nan_except(c.column("t_detector_s"), ~to_which_way, registered)
+        _nan_except(c.column("t_detector_s"), ~to_which_way, registered.rows(c.start, c.stop))
         return x, {"D1": detector == 1, "D2": detector == 2, "unsorted": detector == 0}
 
     return run.render(channels_off, ("D1", "D2", "unsorted"), coincidences=True)
@@ -1499,9 +1540,9 @@ def run_macroscopic_erasure(cfg: ProtocolConfig) -> RunResult:
         _base_log(c)
         destroyed = c.random() < cfg.destruction_prob if half is None else half[c.start : c.stop]
         _record(c, True)
-        erasure = c.t_signal_impact_s + cfg.erasure_delay_s
+        erasure = c._held("t_signal_impact_s").plus(cfg.erasure_delay_s)
         c.erased = destroyed
-        _nan_except(c.column("erased_at_s"), destroyed, erasure)
+        _nan_except(c.column("erased_at_s"), destroyed, erasure.rows(c.start, c.stop))
         return _render(c, erasure), {"destroyed": destroyed, "surviving": ~destroyed}
 
     return run.render(rows, ("destroyed", "surviving"), tv=("surviving", "destroyed"))
@@ -1521,8 +1562,8 @@ def run_predictor(cfg: ProtocolConfig) -> RunResult:
     def rows(c: _Rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         _base_log(c, idler=True)
         recorded = c.random() < 0.5
-        _record(c, recorded, c.t_detector_s)
-        x = _render(c, c.t_detector_s)
+        _record(c, recorded, c._held("t_detector_s"))
+        x = _render(c, c._held("t_detector_s"))
         c.tally["correct"] = int(np.count_nonzero((approx_posterior(x, cfg.optics) > 0.5) == recorded))
         return x, {"recorded": recorded, "erased": ~recorded}
 
@@ -1608,14 +1649,14 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
             # the idler resolves the pair but registers nowhere
             _base_log(c)
             c.erased = 1
-            return _render(c, c.t_created_s + cfg.delta_t_s), None
+            return _render(c, c._held("t_created_s").plus(cfg.delta_t_s)), None
 
         return run.render(stages_a_to_c)
     if cfg.outcome_hypothesis is OutcomeHypothesis.IV:
 
         def discontinuity(c: _Rows) -> tuple[None, None]:
             _base_log(c)
-            c.column("observation_time_s", like="t_signal_impact_s")
+            c.observation_time_s = c._held("t_signal_impact_s")
             return None, None
 
         return run.render(discontinuity, (), markers=("discontinuity",))
@@ -1627,7 +1668,7 @@ def run_switch_experiment(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
         markers,
         "outcome_i_infeasible",
         ("switch_on", "switch_off"),
-        lambda c, switch_on: _record(c, switch_on, c.t_detector_s),
+        lambda c, switch_on: _record(c, switch_on, c._held("t_detector_s")),
         idler=True,
     )
 

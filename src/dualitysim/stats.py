@@ -240,9 +240,11 @@ def llr_terms(
     restrict_to: IntervalSet | None = None,
 ) -> Callable[..., np.ndarray]:
     """The classifier's per-impact term for a wave law (at its fringe phase)
-    against the structureless law: ``terms(x, out=None)`` is each impact's
-    ``log(w(x)/p(x))``, densities floored and the term clipped as
-    :func:`classify_pattern` takes them, on the calling thread.
+    against the structureless law: ``terms(x, out=None, density=None)`` is
+    each impact's ``log(w(x)/p(x))``, densities floored and the term clipped
+    as :func:`classify_pattern` takes them, on the calling thread.
+    ``density`` may give the wave law's density at ``x``, unrestricted and
+    unfloored, taken already; it is overwritten.
 
     The restricted masses and the uniform law's log are taken here, once;
     tasks that share ``terms`` on the pool only read, given ``prepared``
@@ -257,8 +259,8 @@ def llr_terms(
             raise ValidationError("restriction region carries zero mass under a hypothesis law")
     floor = DENSITY_FLOOR_FRACTION / cfg.window_width_m
 
-    def log_density(law: PatternDistribution, mass: float, at: np.ndarray) -> np.ndarray:
-        density = law._density_raw(at)
+    def log_density(law: PatternDistribution, mass: float, at: np.ndarray, density=None) -> np.ndarray:
+        density = law._density_raw(at) if density is None else density
         if restrict_to is not None:
             density /= mass
         # the C library's log, so that no bit depends on the CPU
@@ -267,8 +269,8 @@ def llr_terms(
     # the uniform law's density is one value on every lane: its log is taken once
     log_p = None if cfg.envelope_enabled else float(log_density(particle, p_mass, np.array(cfg.window[:1]))[0])
 
-    def terms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        w = log_density(wave, w_mass, x)
+    def terms(x: np.ndarray, out: np.ndarray | None = None, density: np.ndarray | None = None) -> np.ndarray:
+        w = log_density(wave, w_mass, x, density)
         p = log_density(particle, p_mass, x) if log_p is None else log_p
         out = w if out is None else out
         return np.clip(np.subtract(w, p, out=w), -VERDICT_LLR_THRESHOLD, VERDICT_LLR_THRESHOLD, out=out)

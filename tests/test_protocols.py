@@ -561,6 +561,25 @@ def event_logs(draw, n: int | None = None):
     return EventLog(n, columns)
 
 
+#: the float64 time columns a run may hold as rules
+_TIME_COLUMNS = ("t_created_s", "t_signal_impact_s", "t_detector_s", "detected_at_s", "erased_at_s", "expires_at_s",
+                 "observation_time_s")
+
+
+@st.composite
+def rules(draw):
+    """(n, a rule, two columns to hold it, a third column for the rule with
+    one more offset): a positive step and up to three offsets of many
+    significant bits, so that the sums round, on row counts on both sides
+    of the block size."""
+    n = draw(st.one_of(st.integers(0, 40), st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])))
+    step = draw(st.floats(1e-12, 1e3, exclude_min=True))
+    offset = st.floats(-1e3, 1e3).map(lambda x: x * (1 + 2**-40) + 2**-30)
+    offsets = draw(st.lists(offset, max_size=3))
+    names = draw(st.lists(st.sampled_from(_TIME_COLUMNS), min_size=3, max_size=3, unique=True))
+    return n, protocols._Rule(step, tuple(offsets)), names[:2], {names[2]: protocols._Rule(step, (*offsets, draw(offset)))}
+
+
 def _fills(log: EventLog) -> set[str]:
     """The names of the columns ``log`` holds as fills."""
     return {name for name in EVENT_LOG_COLUMNS if not isinstance(log._cols[name], np.ndarray)}
@@ -639,6 +658,47 @@ class TestEventLog:
         assert len({id(shared._records[name]) for name in names}) == 1  # hashed once
         assert len({id(copied._records[name]) for name in names}) == 3
         assert shared.digest() == copied.digest() == _reference_digest(copied)
+
+    @given(case=rules(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_a_rule_gives_the_digest_and_csv_of_its_rows(self, case, seed):
+        """A rule held by two columns gives the digest, the CSV bytes and
+        the pickled digest of the same log built from its rows, and expands
+        once, read-only; a third column holds the rule with one more offset."""
+        n, rule, names, other = case
+        x = np.random.default_rng(seed).random(n)
+        held = EventLog(n, {"signal_x_m": x, **dict.fromkeys(names, rule), **other})
+        rows = EventLog(n, {"signal_x_m": x, **{name: r.rows(0, n) for name, r in {**dict.fromkeys(names, rule), **other}.items()}})
+        assert all(held._cols[name] == rule for name in names)
+        assert held.digest() == rows.digest() == _reference_digest(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            held.to_csv(Path(tmp) / "held.csv")
+            rows.to_csv(Path(tmp) / "rows.csv")
+            csv = (Path(tmp) / "held.csv").read_bytes()
+            assert csv == (Path(tmp) / "rows.csv").read_bytes() == _reference_csv(held)
+        copied = pickle.loads(pickle.dumps(held))
+        assert all(copied._cols[name] == rule for name in names)
+        assert copied.digest() == held.digest()
+        expanded = getattr(held, names[0])
+        assert expanded is getattr(held, names[1])
+        assert expanded.tobytes() == rule.rows(0, n).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            expanded[:1] = 1.0
+        assert held.digest() == rows.digest()  # reading leaves the rule held
+
+    def test_rules_are_equal_on_their_bits(self):
+        """Rules are keyed on their numbers' bits and dtype, not on ``==``."""
+        rule = protocols._Rule
+        assert rule(1.5, (0.25,)) == rule(1.5, (0.25,)) and hash(rule(1.5, (0.25,))) == hash(rule(1.5, (0.25,)))
+        assert rule(1.5, (0.0,)) != rule(1.5, (-0.0,))
+        assert rule(1.5, (math.nan,)) == rule(1.5, (math.nan,))
+        assert rule(1.0) != rule(1, dtype=np.int64)
+        assert rule(5e-324) != rule(1, dtype=np.int64)  # the same eight bytes
+        log = EventLog(3, {"t_created_s": rule(1.0, (-0.0,)), "t_detector_s": rule(1.0, (0.0,))})
+        assert log.t_created_s is not log.t_detector_s
+        # the row index and a float rule of the same numbers are two columns
+        log = EventLog(3, {"t_created_s": rule(1.0)})
+        assert log.t_created_s.dtype == np.float64 and log.pair_id.dtype == np.int64
 
     def test_given_arrays_and_their_bases_are_read_only(self):
         buf = np.linspace(0.0, 1.0, 9).copy()  # owns its memory
@@ -1322,7 +1382,7 @@ class TestSharedPipeline:
             return masks[-1]
 
         monkeypatch.setattr(protocols, "available_mask", spy)
-        _render(log, log.t_created_s)
+        _render(log, protocols._Rule(1.0))  # the creation times' rule: the idler resolves at creation
         expected = [which_way_available(rec, model) for rec in _availability_records(log)]
         assert masks[0].tolist() == expected
         if model is RENDER:
@@ -1529,7 +1589,9 @@ class TestChunks:
         assert isinstance(run_protocol(cfg), FeasibilityReport)
         assert drawn == []
 
-    @pytest.mark.parametrize("name", ["quantum_eraser-render", "perishable-a-collapse", "predictor-collapse"])
+    @pytest.mark.parametrize(
+        "name", ["quantum_eraser-render", "perishable-a-collapse", "predictor-collapse", "switch-d-ii-collapse", "switch-d-iii-render"]
+    )
     def test_a_chunked_llr_adds_the_chunk_sums_in_order(self, name):
         """Each subset's LLR is its chunks' ``np.sum`` of classifier terms,
         added in chunk order; the pooled screen's too. Recomputed here from
@@ -1542,11 +1604,16 @@ class TestChunks:
         # a perishable record was copied, or a predictor pair recorded, where no record is erased
         masks = {f"D{k}": log.detector == k for k in range(1, 5)}
         masks.update(recorded=log.erased == 0, perished=log.erased == 1, erased=log.erased == 1)
+        # a switched-on pair is detected, so its record is kept
+        masks.update(switch_on=log.erased == 0, switch_off=log.erased == 1)
         star = optimal_interval_set(optics)
         regions = {"recorded": star, "perished": star.complement(optics.window)}
+        if run.config.strategy is not None:
+            on = run.config.strategy.activation_region(optics)
+            regions.update(switch_on=on, switch_off=on.complement(optics.window))
         step = protocols._chunk_rows(n)
         for key, subset in {"pooled": run.pooled, **run.subsets}.items():
-            region = regions.get(key) if name.startswith("perishable") else None
+            region = regions.get(key) if name.startswith(("perishable", "switch")) else None
             terms = llr_terms(wave[protocols._D2_PHASE if key == "D2" else 0.0], particle, region)
             llr = None
             for start in range(0, n, step):
@@ -1557,21 +1624,53 @@ class TestChunks:
                 llr = part if llr is None else llr + part
             assert subset.log_likelihood_ratio == llr, key
 
-    @pytest.mark.parametrize("schedule", list(ObservationSchedule), ids=lambda s: s.value)
-    def test_columns_a_runner_names_alike_share_one_buffer(self, schedule):
-        """The impact times, the observation times under ``at_t0``, the
-        detection times of a whole-run detection and the record flags of
-        the detected pairs are held once, over chunks that end in a partial one."""
+    @pytest.mark.parametrize(
+        "name, rules",
+        [
+            ("double_slit-recording-collapse", {"detected_at_s": (), "observation_time_s": ("dt",)}),
+            ("double_slit-at_t0-render", {"detected_at_s": (), "observation_time_s": ()}),
+            ("delayed_choice-render", {"t_detector_s": ("dt",), "observation_time_s": ("dt", "dt")}),
+            ("quantum_eraser-collapse", {"t_detector_s": ("dt",), "observation_time_s": ("dt", "dt")}),
+            ("quantum_eraser-at_t0-render", {"t_detector_s": ("dt",), "observation_time_s": ()}),
+            ("detect_no_record-which_way_channels_off-render", {"observation_time_s": ("dt", "dt")}),
+            ("detect_no_record-unplugged_detectors-collapse", {"detected_at_s": (), "observation_time_s": ("dt",)}),
+            ("macroscopic_erasure-coin-render", {"detected_at_s": (), "observation_time_s": ("erasure", "dt")}),
+            ("predictor-collapse", {"t_detector_s": ("dt",), "observation_time_s": ("dt", "dt")}),
+            ("switch-a-slow-render", {"observation_time_s": ("dt", "dt")}),
+            ("switch-d-ii-collapse", {"t_detector_s": ("dt",), "observation_time_s": ()}),
+            ("switch-d-iv-render", {"observation_time_s": ()}),
+            ("perishable-a-render", {"detected_at_s": (), "observation_time_s": ()}),
+        ],
+    )
+    def test_time_columns_a_runner_derives_alike_hold_one_rule(self, name, rules):
+        """Per runner, the time columns held as rules of the row index, with
+        the offsets added to the creation times: the impact times are the
+        creation times, and every other time column is an array or a fill.
+        Over chunks that end in a partial one."""
         n = 3 * protocols._chunk_rows(10**5) + 5
-        slit = run_protocol(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=n, seed=4, observation_schedule=schedule)).events
-        shared = ["t_signal_impact_s", "detected_at_s"] + ["observation_time_s"] * (schedule is ObservationSchedule.AT_T0)
-        for name in EVENT_LOG_COLUMNS:
-            held = slit._cols[name]
-            if isinstance(held, np.ndarray) and name != "t_created_s":
-                assert np.shares_memory(held, slit.t_created_s) == (name in shared), name
-        eraser = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=4)).events
-        assert np.shares_memory(eraser.recorded, eraser.detected)
-        assert not np.shares_memory(eraser.erased, eraser.detected)
+        cfg = replace(matrix()[name], n_pairs=n)
+        log = run_protocol(cfg).events
+        offsets = {"dt": cfg.delta_t_s, "erasure": cfg.erasure_delay_s}
+        step = PAIR_SPACING_FACTOR * cfg.delta_t_s
+        want = {"t_created_s": (), "t_signal_impact_s": (), **rules}
+        for column in _TIME_COLUMNS:
+            held = log._cols[column]
+            got = held if isinstance(held, protocols._Rule) else None
+            rule = protocols._Rule(step, tuple(offsets[k] for k in want[column])) if column in want else None
+            assert got == rule, column
+
+    def test_a_chunked_eraser_log_holds_two_float_arrays(self):
+        """Of a three-chunk eraser log's float64 columns, only the impacts and
+        the masked detection times are arrays; the record flags share the
+        detection flags' buffer."""
+        n = 2 * protocols._chunk_rows(10**5) + 5
+        log = run_quantum_eraser(ProtocolConfig(protocol=Protocol.QUANTUM_ERASER, n_pairs=n, seed=4)).events
+        arrays = {name: held for name, held in log._cols.items() if isinstance(held, np.ndarray)}
+        assert {name for name, held in arrays.items() if held.dtype == np.float64} == {"signal_x_m", "detected_at_s"}
+        # eight int8 buffers: slit, the three splitters, detector, erased, medium, and the detection and record flags
+        assert sum(held.nbytes for held in {id(held): held for held in arrays.values()}.values()) == n * (2 * 8 + 8)
+        assert log.recorded is log.detected
+        assert not np.shares_memory(log.erased, log.detected)
 
     def test_a_chunk_writes_each_array_column_once(self):
         rows = protocols._Rows(protocols._Run(ProtocolConfig(protocol=Protocol.DOUBLE_SLIT, n_pairs=4), Protocol.DOUBLE_SLIT), 0, 4)
