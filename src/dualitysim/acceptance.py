@@ -139,22 +139,14 @@ def _criterion_1(outcomes) -> CriterionResult:
 def _criterion_2() -> CriterionResult:
     optics = OpticsConfig()
     tv = tv_distance(optics)
-    # independent numeric integration, piecewise between density crossings
+    # independent quadrature of |w - p|, split at the density crossings: the optimal set's ends
     lo, hi = optics.window
-    a = optics.fringe_scale_m
-    crossings = [lo]
-    k = math.ceil((lo - a / 4) / (a / 2))
-    while a / 4 + k * a / 2 < hi:
-        point = a / 4 + k * a / 2
-        if point > lo:
-            crossings.append(point)
-        k += 1
-    crossings.append(hi)
+    star = optimal_interval_set(optics)
+    crossings = [lo, *(x for x in star.intervals.ravel().tolist() if lo < x < hi), hi]
     integrand = lambda x: np.abs(wave_density(x, optics) - particle_density(x, optics))
     quad = 0.5 * sum(
         adaptive_simpson(integrand, p, q, tol=1e-12) for p, q in zip(crossings, crossings[1:])
     )
-    star = optimal_interval_set(optics)
     d_star = delta_of_interval_set(star, optics)
     d_empty = delta_of_interval_set(IntervalSet.empty(), optics)
     d_full = delta_of_interval_set(IntervalSet.full_window(optics), optics)
@@ -163,7 +155,7 @@ def _criterion_2() -> CriterionResult:
     for _ in range(100):
         k = int(rng.integers(1, 5))
         points = np.sort(rng.uniform(lo, hi, size=2 * k))
-        iset = IntervalSet.from_pairs(list(zip(points[0::2], points[1::2])), window=optics.window)
+        iset = IntervalSet.from_pairs(points.reshape(-1, 2), window=optics.window)
         total = delta_of_interval_set(iset, optics) + delta_of_interval_set(iset.complement(optics.window), optics)
         worst_pair = max(worst_pair, abs(total - 2.0))
     checks = [

@@ -169,7 +169,7 @@ def _decode(value: Any, typ, path: str, window: tuple[float, float], allow_inf: 
     if isinstance(typ, type) and issubclass(typ, Enum):
         return _enum_value(value, typ, path)
     if typ is IntervalSet:
-        pairs = _decode(value, _field_types(IntervalSet)["intervals"][0], path, window)
+        pairs = _decode(value, tuple[tuple[float, float], ...], path, window)
         try:
             return IntervalSet.from_pairs(pairs, window=window)
         except ValidationError as exc:

@@ -127,11 +127,17 @@ class PatternKind(Enum):
     PARTICLE = "particle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
-    """Disjoint, sorted, half-open [lo, hi) intervals on the screen."""
+    """Disjoint, sorted, half-open [lo, hi) intervals on the screen, as one
+    read-only (k, 2) float64 array of [lo, hi] rows; equal and hashed by value."""
 
-    intervals: tuple[tuple[float, float], ...] = ()
+    intervals: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.intervals, dtype=float).reshape(-1, 2)  # a copy: no caller can write it
+        rows.flags.writeable = False
+        object.__setattr__(self, "intervals", rows)
 
     @classmethod
     def from_pairs(
@@ -139,24 +145,25 @@ class IntervalSet:
         pairs: Iterable[Sequence[float]],
         window: tuple[float, float] | None = None,
     ) -> "IntervalSet":
-        items: list[tuple[float, float]] = []
-        for pair in pairs:
-            lo, hi = float(pair[0]), float(pair[1])
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValidationError(f"interval must have finite lo < hi, got ({lo!r}, {hi!r})")
-            items.append((lo, hi))
-        items.sort()
-        for (alo, ahi), (blo, _) in zip(items, items[1:]):
-            if blo < ahi:
-                raise ValidationError(f"intervals overlap near x={blo!r}; they must be disjoint")
+        """``pairs`` sorted by lo, then hi. The first pair, in input order, not finite with lo < hi
+        is refused, else the first overlap or pair outside ``window`` in sorted order."""
+        pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+        try:
+            rows = np.array(pairs, dtype=float).reshape(len(pairs), 2)  # fails on a row that is not a pair
+        except (TypeError, ValueError):
+            raise ValidationError("intervals must be [lo, hi] pairs of numbers") from None
+
+        def refuse(bad: np.ndarray, rows: np.ndarray, message: str) -> None:
+            if bad.any():  # the first offending row, then the window, fill the message
+                raise ValidationError(message.format(*rows[np.argmax(bad)].tolist(), *(window or ())))
+
+        refuse(~(np.isfinite(rows).all(axis=1) & (rows[:, 0] < rows[:, 1])), rows, "interval must have finite lo < hi, got ({!r}, {!r})")
+        rows = rows[np.lexsort(rows.T[::-1])]  # by lo, then hi: a stable sort, as tuples sort
+        lo, hi = rows.T
+        refuse(lo[1:] < hi[:-1], rows[1:], "intervals overlap near x={!r}; they must be disjoint")
         if window is not None:
-            wlo, whi = window
-            for lo, hi in items:
-                if lo < wlo or hi > whi:
-                    raise ValidationError(
-                        f"interval ({lo!r}, {hi!r}) leaves the screen window [{wlo!r}, {whi!r}]"
-                    )
-        return cls(tuple(items))
+            refuse((lo < window[0]) | (hi > window[1]), rows, "interval ({!r}, {!r}) leaves the screen window [{!r}, {!r}]")
+        return cls(rows)
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -168,35 +175,35 @@ class IntervalSet:
 
     @property
     def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.intervals))
+        return float(np.cumsum(np.diff(self.intervals))[-1]) if self else 0.0  # hi - lo, summed left to right
 
     def complement(self, window: tuple[float, float]) -> "IntervalSet":
-        wlo, whi = window
-        out: list[tuple[float, float]] = []
-        cursor = wlo
-        for lo, hi in self.intervals:
-            if lo > cursor:
-                out.append((cursor, lo))
-            cursor = max(cursor, hi)
-        if cursor < whi:
-            out.append((cursor, whi))
-        return IntervalSet(tuple(out))
+        # (wlo, lo_0), (hi_0, lo_1), ..., (hi_last, whi): a gap starts at wlo or past it
+        gaps = np.concatenate(([window[0]], self.intervals.ravel(), [window[1]])).reshape(-1, 2)
+        gaps[1:, 0] = np.where(gaps[1:, 0] > window[0], gaps[1:, 0], window[0])
+        return IntervalSet(gaps[gaps[:, 1] > gaps[:, 0]])
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         mask = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
+        for lo, hi in self.intervals.tolist():
             mask |= (x >= lo) & (x < hi)
         return mask
 
-    def __len__(self) -> int:
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntervalSet) and np.array_equal(self.intervals, other.intervals)
+
+    def __hash__(self) -> int:
+        return hash((self.intervals + 0.0).tobytes())  # + 0.0 turns -0.0, which equals 0.0, into 0.0
+
+    def __reduce__(self) -> tuple:
+        return IntervalSet, (self.intervals,)  # a copy unpickles read-only too
+
+    def __len__(self) -> int:  # and truthiness
         return len(self.intervals)
 
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
     def __iter__(self):
-        return iter(self.intervals)
+        return iter(self.intervals.tolist())
 
 
 def _cos2_integral(d: np.ndarray, cos0: float, sin0: float, scale: float = 1.0) -> np.ndarray:
@@ -490,10 +497,8 @@ class PatternDistribution:
 
     def mass(self, region: IntervalSet) -> float:
         """Probability that an impact lands in ``region``."""
-        if not region:
-            return 0.0
-        arr = np.asarray(region.intervals, dtype=float)
-        return float(np.sum(self.cdf(arr[:, 1]) - self.cdf(arr[:, 0])))
+        lo, hi = region.intervals.T
+        return float(np.sum(self.cdf(hi) - self.cdf(lo)))
 
 
 # -- module-level operation surface ------------------------------------------

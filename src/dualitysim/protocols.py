@@ -197,21 +197,16 @@ class SwitchStrategy:
         )
 
     def activation_region(self, cfg: OpticsConfig) -> IntervalSet:
-        if self.kind is StrategyKind.ALWAYS_OFF:
-            return IntervalSet.empty()
-        if self.kind is StrategyKind.ALWAYS_ON:
-            return IntervalSet.full_window(cfg)
         if self.kind is StrategyKind.STRATEGY_1:
             return IntervalSet.from_pairs(self.intervals.intervals, window=cfg.window)
-        pairs: list[tuple[float, float]] = []
-        for lo, hi, active in zip(self.table_edges, self.table_edges[1:], self.table_activate):
-            if not active:
-                continue
-            if pairs and pairs[-1][1] == lo:
-                pairs[-1] = (pairs[-1][0], hi)
-            else:
-                pairs.append((lo, hi))
-        return IntervalSet.from_pairs(pairs, window=cfg.window)
+        if self.kind is StrategyKind.CUSTOM:
+            edges, activate = self.table_edges, self.table_activate
+        else:  # always_off and always_on: a table of one cell, the window
+            edges, activate = cfg.window, (self.kind is StrategyKind.ALWAYS_ON,)
+        # a run of active cells is one interval, between the edges where activity changes
+        active = np.concatenate(([False], activate, [False]))
+        edges = np.asarray(edges)[np.flatnonzero(active[1:] != active[:-1])]
+        return IntervalSet.from_pairs(edges.reshape(-1, 2), window=cfg.window)
 
 
 def _default_model() -> RenderingModel:
@@ -1283,14 +1278,14 @@ def _render(c: _Rows, resolved_at: _Rule, d2: np.ndarray | None = None) -> np.nd
     u_x = c.random()
     at_t0 = cfg.observation_schedule is ObservationSchedule.AT_T0
     c.observation_time_s = c._held("t_signal_impact_s") if at_t0 else resolved_at.plus(cfg.delta_t_s)
-    # only the time column the query reads is expanded
-    at = getattr(c, availability_query_time(cfg.model, "t_signal_impact_s", "observation_time_s"))
-    medium = c._held("medium")
+    # only the time column the query reads is expanded; collapse_at_detection reads none, only the shape
+    name = availability_query_time(cfg.model, "t_signal_impact_s", "observation_time_s")
+    at = np.broadcast_to(np.nan, u_x.shape) if cfg.model.policy is RenderingPolicy.COLLAPSE_AT_DETECTION else getattr(c, name)
     avail = available_mask(
         cfg.model.policy,
         c._held("detected"),
         c._held("recorded"),
-        reduce(np.logical_or, [medium == code for code in _OBJECTIVE_CODES]),
+        reduce(np.logical_or, [c._held("medium") == code for code in _OBJECTIVE_CODES]),
         c._held("erased_at_s"),
         c._held("expires_at_s"),
         at,
@@ -1315,24 +1310,21 @@ def _truncated_sampler(dist: PatternDistribution, region: IntervalSet) -> Callab
     """The law conditioned on the region, sampled via stretched quantiles;
     the intervals' masses are taken here, and the sampler runs on the
     calling thread."""
-    if not region:
-        raise ValidationError("cannot sample a law truncated to an empty region")
-    arr = np.asarray(region.intervals, dtype=float)
-    c_lo = np.asarray(dist.cdf(arr[:, 0]), dtype=float)
-    c_hi = np.asarray(dist.cdf(arr[:, 1]), dtype=float)
-    masses = c_hi - c_lo
+    lo, hi = region.intervals.T
+    c_lo = dist.cdf(lo)
+    masses = dist.cdf(hi) - c_lo
     total = float(masses.sum())
     if not total > 0:
         raise ValidationError("truncation region carries zero probability mass")
     cum = np.concatenate(([0.0], np.cumsum(masses)))
     # keep samples inside their half-open interval despite the 1e-12 inversion slack
-    hi_in = np.nextafter(arr[:, 1], arr[:, 0])
+    hi_in = np.nextafter(hi, lo)
 
     def sample(u: np.ndarray) -> np.ndarray:
         s = u * total
         j = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, masses.size - 1)
         u_full = np.clip(c_lo[j] + (s - cum[j]), 0.0, 1.0)
-        return np.clip(dist.quantiles(u_full), arr[j, 0], hi_in[j])
+        return np.clip(dist.quantiles(u_full), lo[j], hi_in[j])
 
     return sample
 
@@ -1686,8 +1678,7 @@ def run_perishable_media(cfg: ProtocolConfig) -> RunResult | FeasibilityReport:
     noise threshold (branch b). Draw order: u_slit, u_component, u_x.
     """
     run = _Run(cfg, Protocol.PERISHABLE_MEDIA)
-    rule = cfg.rule_intervals if cfg.rule_intervals is not None else optimal_interval_set(cfg.optics)
-    region = IntervalSet.from_pairs(rule.intervals, window=cfg.optics.window)
+    region = cfg.rule_intervals if cfg.rule_intervals is not None else optimal_interval_set(cfg.optics)
     if cfg.recording_rule is RecordingRule.PERMANENT_ONLY:
         law, markers = None, ("branch_b",)
     else:

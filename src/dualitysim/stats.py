@@ -25,6 +25,7 @@ from .optics import (
     PatternDistribution,
     PatternKind,
     ValidationError,
+    _cos2_integral,
     fringe_aligned_edges,
 )
 
@@ -66,76 +67,86 @@ def approx_posterior(x, cfg: OpticsConfig):
 
 def delta_of_interval_set(iset: IntervalSet, cfg: OpticsConfig) -> float:
     """P_particle[X in I] + P_wave[X not in I]; equals 1 on degenerate sets."""
-    iset = IntervalSet.from_pairs(iset, window=cfg.window)
+    iset = IntervalSet.from_pairs(iset.intervals, window=cfg.window)
     wave, particle = _pattern_pair(cfg)
     return particle.mass(iset) + (1.0 - wave.mass(iset))
 
 
-def _sign_intervals(wave: PatternDistribution, particle: PatternDistribution) -> list[tuple[float, float, bool]]:
-    """Partition the window where the wave-minus-particle difference keeps one sign.
-
-    Returns (lo, hi, wave_exceeds) triples. The particle density is a
-    constant h on each cell of its table, and c cos^2(pi x / a) exceeds h
-    exactly on [k a - theta, k a + theta), theta = a acos(sqrt(h / c)) / pi (0
-    once h >= c). Such an interval holds x when floor((x - theta) / a) < k <=
-    floor((x + theta) / a), so the floors at a cell's edges give both its
-    crossings and its sign at each edge. A node where the level jumps across
-    the wave density is a boundary too.
-    """
-    a = wave.config.fringe_scale_m
+def _crossing_angles(wave: PatternDistribution, particle: PatternDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The particle law's cell edges, and per cell its level h over the wave
+    law's peak c, q = h / c, and phi = acos(sqrt(q)) (0 once q >= 1), through
+    the C library's acos: c cos^2 t exceeds h where t is within phi of k pi."""
     xs, cdf = particle._cell_table
-    # the per-cell arrays set the call's peak memory, so they are worked in place
-    theta = np.diff(cdf) / (wave._wave_norm * np.diff(xs))  # h / c
-    # the C library's acos, so that no crossing's bit depends on the CPU
-    theta = libm(np.arccos, np.sqrt(np.minimum(theta, 1.0, out=theta), out=theta))
-    theta *= a
-    theta /= np.pi
-    lo, hi = xs[:-1], xs[1:]
-    # floor((x + theta) / a) and floor((x - theta) / a) at both edges of every cell
-    rise_lo, rise_hi, fall_lo, fall_hi = floors = [op(x, theta) for op in (np.add, np.subtract) for x in (lo, hi)]
-    for k in floors:
-        np.floor(np.divide(k, a, out=k), out=k)
-
-    def crossings(k_lo: np.ndarray, k_hi: np.ndarray, sign: float) -> np.ndarray:
-        # k a + sign theta for every k in (k_lo, k_hi] of every cell
-        counts = (k_hi - k_lo).astype(np.intp)
-        cell = np.repeat(np.arange(counts.size), counts)
-        k = k_lo[cell] + 1.0 + (np.arange(cell.size) - (np.cumsum(counts) - counts)[cell])
-        return k * a + sign * theta[cell]
-
-    exceeds_lo, exceeds_hi = rise_lo > fall_lo, rise_hi > fall_hi  # just above each cell edge
-    jumps = hi[:-1][exceeds_hi[:-1] != exceeds_lo[1:]]
-    flips = np.sort(np.concatenate((crossings(rise_lo, rise_hi, -1.0), crossings(fall_lo, fall_hi, 1.0), jumps)))
-    # the sign flips at every crossing and jump: drop the pieces of zero width
-    # that coincident flips leave, then merge neighbours of one sign
-    edges = np.concatenate((xs[:1], flips, xs[-1:]))
-    above = np.arange(edges.size - 1) % 2 != exceeds_lo[0]
-    wide = edges[1:] > edges[:-1]
-    above, starts = above[wide], edges[:-1][wide]
-    keep = np.concatenate(([True], above[1:] != above[:-1]))
-    starts = starts[keep]
-    return list(zip(starts.tolist(), [*starts[1:].tolist(), float(xs[-1])], above[keep].tolist()))
+    q = np.diff(cdf) / (wave._wave_norm * np.diff(xs))
+    return xs, q, libm(np.arccos, np.sqrt(np.minimum(q, 1.0)))
 
 
 def tv_distance(cfg: OpticsConfig) -> float:
-    """Total variation distance between the two laws: half the L1 difference."""
+    """Total variation distance between the two laws: half the L1 difference.
+
+    In t = pi x / a the laws' densities are s cos^2 t and s q, s the wave
+    law's normalization. From a bright centre half of |cos^2 - q| integrates
+    to E(u) = A(min(|u|, phi)) - A(|u|) / 2, signed as u, A(u) = (1 - q) u -
+    int_0^u sin^2, and over a period to P = sqrt(q (1 - q)) + (1 - 2q)(phi - pi/4).
+    A cell adds (j1 - j0) P + E(t1 - j1 pi) - E(t0 - j0 pi), j = round(t / pi).
+    """
     wave, particle = _pattern_pair(cfg)
-    # one CDF call per law on every interval edge: per-interval scalar calls
-    # take about 90 ms on a window of 200 fringes
-    edges = np.array([cfg.window[0], *(hi for _, hi, _ in _sign_intervals(wave, particle))])
-    p_mass = np.diff(particle.cdf(edges))
-    w_mass = np.diff(wave.cdf(edges))
-    return 0.5 * float(np.sum(np.abs(p_mass - w_mass)))
+    xs, q, phi = _crossing_angles(wave, particle)
+    r = xs / cfg.fringe_scale_m
+    j = np.rint(r)
+    u = (r - j) * np.pi
+    period = np.sqrt(np.maximum(q * (1.0 - q), 0.0)) + (1.0 - 2.0 * q) * (phi - 0.25 * np.pi)
+
+    def area(v: np.ndarray) -> np.ndarray:
+        return v * (1.0 - q) - _cos2_integral(v, 0.0, 1.0)
+
+    def half_l1(u: np.ndarray) -> np.ndarray:
+        return np.copysign(area(np.minimum(np.abs(u), phi)) - 0.5 * area(np.abs(u)), u)
+
+    return float(np.sum((j[1:] - j[:-1]) * period + half_l1(u[1:]) - half_l1(u[:-1]))) * wave._wave_terms[3]
 
 
 def optimal_interval_set(cfg: OpticsConfig) -> IntervalSet:
     """The interval set minimizing delta: where the wave law exceeds the particle law.
 
     For the default pair these are the half-period intervals centered on the
-    bright fringes; delta there equals 1 - TV.
+    bright fringes; delta there equals 1 - TV. The particle density is a
+    constant h on each cell of its table, and c cos^2(pi x / a) exceeds h
+    exactly on [k a - theta, k a + theta), theta = a phi / pi (see
+    ``_crossing_angles``). Such an interval holds x when floor((x - theta) / a)
+    < k <= floor((x + theta) / a), so the floors at a cell's edges give both
+    its crossings and its sign at each edge. A node where the level jumps
+    across the wave density is a boundary too.
     """
-    pieces = [(lo, hi) for lo, hi, wave_exceeds in _sign_intervals(*_pattern_pair(cfg)) if wave_exceeds]
-    return IntervalSet.from_pairs(pieces, window=cfg.window)
+    a = cfg.fringe_scale_m
+    xs, _, phi = _crossing_angles(*_pattern_pair(cfg))
+    theta = phi * a / np.pi
+    # floor((x + theta) / a) and floor((x - theta) / a) at both edges of every cell
+    rise_lo, rise_hi, fall_lo, fall_hi = floors = [op(x, theta) for op in (np.add, np.subtract) for x in (xs[:-1], xs[1:])]
+    for k in floors:
+        np.floor(np.divide(k, a, out=k), out=k)
+
+    def crossings(k_lo: np.ndarray, k_hi: np.ndarray, add: np.ufunc) -> np.ndarray:
+        # k a +/- theta for every k in (k_lo, k_hi] of every cell, worked in
+        # place: at many fringes these arrays set the call's peak memory
+        counts = (k_hi - k_lo).astype(np.intp)
+        cell = np.repeat(np.arange(counts.size), counts)
+        k = np.arange(cell.size, dtype=float)
+        k += (k_lo + 1.0 - (np.cumsum(counts) - counts))[cell]
+        k *= a
+        return add(k, theta[cell], out=k)
+
+    exceeds_lo, exceeds_hi = rise_lo > fall_lo, rise_hi > fall_hi  # just above each cell edge
+    jumps = xs[1:-1][exceeds_hi[:-1] != exceeds_lo[1:]]
+    edges = np.concatenate((xs[:1], crossings(rise_lo, rise_hi, np.subtract), crossings(fall_lo, fall_hi, np.add), jumps, xs[-1:]))
+    edges[1:-1].sort()
+    # the sign flips at every crossing and jump; past the pieces of zero width
+    # that coincident flips leave, a bright interval is a run of bright pieces
+    above = np.tile([exceeds_lo[0], not exceeds_lo[0]], edges.size // 2)[: edges.size - 1]
+    wide = edges[1:] > edges[:-1]
+    starts, ends, above = edges[:-1][wide], edges[1:][wide], above[wide]
+    run = np.diff(np.concatenate(([False], above, [False])).view(np.int8))  # 1 where a run starts, -1 past its end
+    return IntervalSet(np.stack((starts[run[:-1] == 1], ends[run[1:] == -1]), axis=1))
 
 
 @dataclass(frozen=True)

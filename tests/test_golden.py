@@ -250,31 +250,31 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "perishable-b-empty-collapse": (
         "64203e09b372f50cea2bbed3ce6bd6f166feb6dee920af8402c1773738730d3c",
-        "fe70fc2a06c178be9c1cb39e60bf6a3c6e8a77ba24aa710faf97a9075b9d95fa",
+        "4446cad73f21746cf2c079c9486ec184273b89d4200fd5ebbeac9741de9ba48d",
     ),
     "perishable-b-empty-render": (
         "64203e09b372f50cea2bbed3ce6bd6f166feb6dee920af8402c1773738730d3c",
-        "6f072a2646c42086f84f6f82b084908a4c1dfd6f9b283f1def37a766def1d329",
+        "911c1dfa09f07718f1b8ac8efe7584cea5c7b5e0af83c002d28ccfa7cd8ee3ae",
     ),
     "perishable-b-indistinguishable-collapse": (
         "ea201b213add5a945f690bc50dccc4507c94e3d9084be1c0b3e0a4c1cee7d290",
-        "935715a888304fbfc4cddaa8150dbf05ac389946c4c4eb5e4f2fb3605eea516b",
+        "8181429522a99f14fa976a428c233f850ea4cecfe0569025feb1ca5951b60999",
     ),
     "perishable-b-indistinguishable-render": (
         "ea201b213add5a945f690bc50dccc4507c94e3d9084be1c0b3e0a4c1cee7d290",
-        "3302339e188f2a2772ab952a9fecf1cc8ec661ed7eb6cff9694a09b019122e4c",
+        "e2733ca4ad00a8c6c60aee7ea62e1273078794803366d0b82c7a53f918304757",
     ),
     "perishable-b-refused-collapse": (
         None,
-        "7a5ca1cccdded24fb82c61a0c11ada7b224f371980107bf8682156f1eeca2cc5",
+        "7d2182c6a220bb070d81bcd62fd8d9917a0d40fb92f67b57e90a9a0b761ecd80",
     ),
     "perishable-b-refused-render": (
         None,
-        "7a5ca1cccdded24fb82c61a0c11ada7b224f371980107bf8682156f1eeca2cc5",
+        "7d2182c6a220bb070d81bcd62fd8d9917a0d40fb92f67b57e90a9a0b761ecd80",
     ),
     "predictor-collapse": (
         "4b162fd8aac55d105aed6e883ce860f4a9293047e9c7b71d3ecc811c5a6c20e2",
-        "d4b26a53fc93db4cd3c570cb516a204bbc0d538d4733f409cff277ce2dea5487",
+        "aa67bef8caf523aecd54f1cec80d58680c45c7457f9ecefab3b419270c658d41",
     ),
     "predictor-m2_29-collapse": (
         "b7f65e0889b27a2ce3e58e3b3cc82569a63ded1c25737f0ac3bf7327d0273f6d",
@@ -286,7 +286,7 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "predictor-render": (
         "4b162fd8aac55d105aed6e883ce860f4a9293047e9c7b71d3ecc811c5a6c20e2",
-        "24f97f6e86e2d2c99cdbecc4b7ccaf315db1edf5b601a38b415943abdd27f4e2",
+        "940c679c6d10cc373856a6676c75c2fa1df42478fb8f0d1e10aecbd6c32bf25a",
     ),
     "quantum_eraser-at_t0-collapse": (
         "43ad87d919b6ce1f3acdd41ce3cc87bed3db683de57be94a3e87f23c558cb892",
@@ -346,43 +346,43 @@ GOLDEN: dict[str, tuple[str | None, str]] = {
     ),
     "switch-d-i-custom-collapse": (
         "83f80c523bf4914d81016fa3e7ef3edafa070f252efeaa5ad2545bcfe6eff06d",
-        "3aba8f195ab2106f6b845fd3ffa16a36a904c247d37269385122922784096149",
+        "cb40d5b128923470685afebb738b4bec35d8cdbd1375397b6627f12c301b5cf8",
     ),
     "switch-d-i-custom-render": (
         "83f80c523bf4914d81016fa3e7ef3edafa070f252efeaa5ad2545bcfe6eff06d",
-        "725c60384be4b89006c614f6d7b528b14c01047aca3fb5496145e07d714a04ec",
+        "a664f5ac37e744b08e292efe24a67bae7178ac7354088be3e4f1a8af0de5c695",
     ),
     "switch-d-i-empty-collapse": (
         "914ab095691f40b9aa4fa4197c28d7bf556ff704a5c64cd91c3300c19c25042e",
-        "3245966c750025c6593937c49b5a8a70dd0b24a0a67925469fde0948305411d4",
+        "28c08f891532dd3bd758444936725878531443faa6040821691ecf5f51a8f974",
     ),
     "switch-d-i-empty-render": (
         "914ab095691f40b9aa4fa4197c28d7bf556ff704a5c64cd91c3300c19c25042e",
-        "eab97d3414c435750ce70399a44eb4c0ead85fede289dcd7f4d927e690d8ada0",
+        "cf4defa102379872d290414bca93dfcbc9d90bf4ada8e40de054078858695934",
     ),
     "switch-d-i-full-collapse": (
         "9244f70432cab49a960c3c05baf8208d7b9f0790a4e8c74704a3e61afa5ebe14",
-        "6dbef9ab3fea279505e22509124f2ab7da388155e41690822d7e44774621cbf0",
+        "84815b064329ffd1099ba56cf775870397da063b4ab5f12328f07ba6c5ce2d14",
     ),
     "switch-d-i-full-render": (
         "9244f70432cab49a960c3c05baf8208d7b9f0790a4e8c74704a3e61afa5ebe14",
-        "361cd5eaa727c51d72e3db685e573dbf3314de3e33fcf511aa3fe26400f189cd",
+        "86c5d74b3a55a1665be388e6ec35c43b3e22de964dd9a4294164ccba5cb06256",
     ),
     "switch-d-i-indistinguishable-collapse": (
         "d701af500ec2ae00ae4588e5acef5d5a417f20905723d9bbf169f87b9b15f6b8",
-        "32b7bceec2e4bb0bd34764bbd377e0f9c23cd27d81d8b4e817c79f32ae58956b",
+        "0ad6c9cd2ae646a003f5376146394e00cd7966fb063d10b2a5fad33448303154",
     ),
     "switch-d-i-indistinguishable-render": (
         "d701af500ec2ae00ae4588e5acef5d5a417f20905723d9bbf169f87b9b15f6b8",
-        "4b3f49b36f7c5625caad0f406af5f9d07f793806f0c9a46ef05c175a2cf4aee1",
+        "11b530aed67325320796cc671bcb200b465786079ddb54b1837cb13242964459",
     ),
     "switch-d-i-refused-collapse": (
         None,
-        "8d1f02055dcf66db9c4954b61fb5d949bc28cf300d803c4099a4cae0d10c8cde",
+        "785dcda3191a8796d79b5d877dbacfe0a2918e4e5ba5e1f47205113e8bd5f7af",
     ),
     "switch-d-i-refused-render": (
         None,
-        "8d1f02055dcf66db9c4954b61fb5d949bc28cf300d803c4099a4cae0d10c8cde",
+        "785dcda3191a8796d79b5d877dbacfe0a2918e4e5ba5e1f47205113e8bd5f7af",
     ),
     "switch-d-ii-collapse": (
         "665188c9a64d8dd7ceb4a8058cec262771433cca6994d5f6291ed45dff81fbf5",
@@ -639,13 +639,13 @@ CLI_GOLDEN: dict[str, str] = {
     "bad.json": "788526873d465a5077000b8c75dbfb217303bfcea3040ce2cee08499b0bb4efd",
     "custom.events.csv": "25fb74496221cc8066837ff2230d2c76219c84ae172e012770fa5298538ec1c1",
     "custom.hist.txt": "2f789858dedbae087be649e7f0c0713db7c8cb620e46ebf9f2783a00691fe925",
-    "custom.json": "51751537cf4e3fb053c4272b7501987dfa0cf95fffcbfe0ea8457525c136e615",
+    "custom.json": "cac5ab065fa827f676432e46b40ddc91ef560af2f762e377d61fcd0552257cd4",
     "discontinuity.events.csv": "a18e37dac3bea4fc25b03d77eb98705135cac4c7f47deeb0da80d940840daa28",
     "discontinuity.hist.txt": "1508eca17867e7d510d0519d4353950491644988d7fb51fbab65e03a0f541719",
     "discontinuity.json": "312ec84ebba4cab494b01809b83b8583ebcc8be6d843723787f42ed15f2beadd",
     "empty.events.csv": "1bf9f16865d791f7efb0804c43ff249446cdd40e0fd01fcf908d012923d2fad2",
     "empty.hist.txt": "cab52e860366f0d85fc3147f91a8a1175b41a606b8e4cd122690aab4844a4166",
-    "empty.json": "aba3bd4d079eb005c508e886b4d06461049c2e72faa9bb11bf3ee72881f92eeb",
+    "empty.json": "30d6d4b88851faee7f7c2ac807b8e38c4995d30cd576b2d0418737ea50ba4e48",
     "eraser.events.csv": "bbe45ad8cb155b2522aa1d0f497d759e8855082aece128b3dfdaa488b04e382e",
     "eraser.hist.txt": "afade8ad2177dbd77caf50cfddb346b5d91db558be3b80223e98049df7979ecf",
     "eraser.json": "725552301ae2c5a2fb8a8feb7870afcbc9c15fd778aa08ede2931825b48e5dad",
@@ -654,9 +654,9 @@ CLI_GOLDEN: dict[str, str] = {
     "perishable_inf.json": "ebe00efbf3d5fb60e9032f9c876c2c7c9a13189d0caac4848bc30ba2c0d50fff",
     "predictor.events.csv": "111a7d14f351f17076764b89802143a9f21221eddd402b956716b69666da44f9",
     "predictor.hist.txt": "2a77ce15c6efb0af6515a7676b2c721d70854b6143f7c38007b93ed7ad31b783",
-    "predictor.json": "1a6278db80b00d2e8bc53b2eac277b95e3e346fdcf40907a954ef8c9dd8248c2",
-    "refused.json": "08d6e9e527e6394e8c838b0a415db76536fb999d1bfb20590ed6311b1b0dab8a",
-    "summary.json": "d4d4469a73790a45dbc26f7ebd256b358eb57ec272636318868037db2e3a95aa",
+    "predictor.json": "96af12c4c2dafe92c14705aa80d16f8867a5e221c659bf7aa3c3b265a3e8ffc0",
+    "refused.json": "6c223cbf9d1d29945dedd4a880471928a6d0fadf873d8c560371114e54a72503",
+    "summary.json": "dc83167ab7980c724ac86f721802115ca5496f3568920109f177b4d6b67709a1",
 }
 
 

@@ -140,7 +140,7 @@ class TestParsing:
             }
         )
         cfg = parse_manifest(text).runs[0].config
-        assert cfg.rule_intervals.intervals == ((-1.75e-4, 1.75e-4),)
+        assert cfg.rule_intervals.intervals.tolist() == [[-1.75e-4, 1.75e-4]]
 
     def test_rule_intervals_outside_the_window_fail_at_parse_time(self):
         text = manifest_doc(

@@ -1,6 +1,8 @@
 """Geometry, pattern laws, the inverse-CDF sampler, and binning utilities."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -432,7 +434,7 @@ def interval_sets(draw, max_intervals=4):
 class TestIntervalSet:
     def test_from_pairs_sorts_and_validates(self):
         iset = IntervalSet.from_pairs([(1e-4, 2e-4), (-2e-4, -1e-4)], window=DEFAULT.window)
-        assert iset.intervals == ((-2e-4, -1e-4), (1e-4, 2e-4))
+        assert iset.intervals.tolist() == [[-2e-4, -1e-4], [1e-4, 2e-4]]
         assert iset.measure == pytest.approx(2e-4)
 
     @pytest.mark.parametrize(
@@ -442,6 +444,12 @@ class TestIntervalSet:
             [(0.0, 0.0)],  # empty interval
             [(-1e-4, 1e-4), (0.0, 2e-4)],  # overlap
             [(0.0, 4e-4)],  # beyond the window
+            [(0.0, 1e-4, 2e-4)],  # not a pair
+            [(0.0,)],  # not a pair
+            [(0.0, 1e-4), (2e-4,)],  # ragged
+            [[]],  # an empty row
+            [0.0, 1e-4],  # numbers, not pairs
+            [("x", 1e-4)],  # not a number
         ],
     )
     def test_rejects_malformed(self, pairs):
@@ -467,9 +475,148 @@ class TestIntervalSet:
     def test_empty_and_full(self):
         assert not IntervalSet.empty()
         assert IntervalSet.empty().measure == 0.0
+        assert IntervalSet.empty().intervals.shape == (0, 2)
         full = IntervalSet.full_window(DEFAULT)
         assert full.measure == pytest.approx(DEFAULT.window_width_m)
         assert full.complement(DEFAULT.window) == IntervalSet.empty()
+
+    def test_the_array_is_read_only_and_shares_no_caller_memory(self):
+        rows = np.array([[0.0, 1e-4]])
+        held = IntervalSet(rows)
+        rows[0, 1] = 2e-4
+        for iset in (held, IntervalSet.from_pairs(rows), pickle.loads(pickle.dumps(held)), copy.deepcopy(held)):
+            assert iset.intervals.dtype == np.float64 and iset.intervals.shape == (1, 2)
+            with pytest.raises(ValueError, match="read-only"):
+                iset.intervals[0, 0] = 1.0
+        assert held.intervals.tolist() == [[0.0, 1e-4]]
+
+
+class TupleIntervalSet:
+    """The tuple-of-tuples region with per-interval loops that the array form
+    replaced, kept as its oracle."""
+
+    def __init__(self, intervals=()):
+        self.intervals = intervals
+
+    @classmethod
+    def from_pairs(cls, pairs, window=None):
+        items = []
+        for pair in pairs:
+            lo, hi = float(pair[0]), float(pair[1])
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValidationError(f"interval must have finite lo < hi, got ({lo!r}, {hi!r})")
+            items.append((lo, hi))
+        items.sort()
+        for (alo, ahi), (blo, _) in zip(items, items[1:]):
+            if blo < ahi:
+                raise ValidationError(f"intervals overlap near x={blo!r}; they must be disjoint")
+        if window is not None:
+            wlo, whi = window
+            for lo, hi in items:
+                if lo < wlo or hi > whi:
+                    raise ValidationError(f"interval ({lo!r}, {hi!r}) leaves the screen window [{wlo!r}, {whi!r}]")
+        return cls(tuple(items))
+
+    @property
+    def measure(self):
+        return float(sum(hi - lo for lo, hi in self.intervals))
+
+    def complement(self, window):
+        wlo, whi = window
+        out = []
+        cursor = wlo
+        for lo, hi in self.intervals:
+            if lo > cursor:
+                out.append((cursor, lo))
+            cursor = max(cursor, hi)
+        if cursor < whi:
+            out.append((cursor, whi))
+        return TupleIntervalSet(tuple(out))
+
+    def contains(self, x):
+        x = np.asarray(x, dtype=float)
+        mask = np.zeros(x.shape, dtype=bool)
+        for lo, hi in self.intervals:
+            mask |= (x >= lo) & (x < hi)
+        return mask
+
+    def __eq__(self, other):
+        return self.intervals == other.intervals
+
+    def __hash__(self):
+        return hash(self.intervals)
+
+
+#: endpoints that touch, that differ only in the sign of zero, and the window edges
+_EDGES = [WINDOW_LO, -2e-4, -1e-4, -0.0, 0.0, 1e-4, 2e-4, WINDOW_HI]
+_ENDPOINTS = st.one_of(st.sampled_from(_EDGES), st.floats(WINDOW_LO, WINDOW_HI))
+_ANY_ENDPOINT = st.one_of(_ENDPOINTS, st.sampled_from([math.nan, math.inf, -math.inf, 2 * WINDOW_LO, 2 * WINDOW_HI]))
+
+
+@st.composite
+def touching_pairs(draw):
+    """Disjoint pairs in the window, in drawn order, whose neighbours often touch."""
+    pts = sorted(draw(st.lists(_ENDPOINTS, max_size=12)))
+    pairs = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if lo < hi][::2]
+    return draw(st.permutations(pairs))
+
+
+def _bits(rows) -> bytes:
+    return np.array(rows, dtype=float).reshape(-1, 2).tobytes()
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestIntervalSetAgainstTupleOracle:
+    """The array region against the tuple loops it replaced: the same rows,
+    membership, complement, measure bits, errors, equality and hashes."""
+
+    @given(pairs=touching_pairs(), x=st.lists(st.one_of(_ANY_ENDPOINT, st.floats()), max_size=20))
+    @settings(max_examples=200)
+    def test_membership_complement_and_measure(self, pairs, x):
+        iset, oracle = IntervalSet.from_pairs(pairs, window=DEFAULT.window), TupleIntervalSet.from_pairs(pairs, DEFAULT.window)
+        assert iset.intervals.tobytes() == _bits(oracle.intervals)
+        x = np.array([*x, *_EDGES, math.nan], dtype=float)
+        np.testing.assert_array_equal(iset.contains(x), oracle.contains(x))
+        assert iset.measure.hex() == oracle.measure.hex()
+        for window in (DEFAULT.window, (-0.0, WINDOW_HI), (-1e-4, 1e-4)):
+            assert iset.complement(window).intervals.tobytes() == _bits(oracle.complement(window).intervals)
+
+    def test_measure_adds_left_to_right(self):
+        pts = np.sort(np.random.default_rng(4).uniform(WINDOW_LO, WINDOW_HI, 2000))
+        assert np.sum(pts[1::2] - pts[0::2]) != sum((pts[1::2] - pts[0::2]).tolist())  # numpy's pairwise sum differs here
+        pairs = list(zip(pts[0::2].tolist(), pts[1::2].tolist()))
+        assert IntervalSet.from_pairs(pairs).measure.hex() == TupleIntervalSet.from_pairs(pairs).measure.hex()
+
+    @given(
+        pairs=st.lists(st.one_of(st.tuples(_ANY_ENDPOINT, _ANY_ENDPOINT), touching_pairs().map(lambda p: p[0] if p else (0.0, 1e-4))), max_size=6),
+        window=st.one_of(st.none(), st.just(DEFAULT.window), st.just((-1e-4, 1e-4))),
+    )
+    @settings(max_examples=300)
+    def test_from_pairs_order_and_first_error(self, pairs, window):
+        got = _outcome(lambda: IntervalSet.from_pairs(pairs, window=window))
+        want = _outcome(lambda: TupleIntervalSet.from_pairs(pairs, window))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.intervals.tobytes() == _bits(want.intervals)
+
+    @given(a=touching_pairs(), b=touching_pairs(), flip=st.booleans())
+    @settings(max_examples=200)
+    def test_equality_and_hash_are_by_value(self, a, b, flip):
+        if flip:  # the same set, every zero of the other sign
+            b = [tuple(-v if v == 0.0 else v for v in pair) for pair in a]
+        sets = [IntervalSet.from_pairs(p) for p in (a, b)]
+        oracles = [TupleIntervalSet.from_pairs(p) for p in (a, b)]
+        assert (sets[0] == sets[1]) == (oracles[0] == oracles[1])
+        if sets[0] == sets[1]:
+            assert hash(sets[0]) == hash(sets[1])
+        assert sets[0] == IntervalSet(sets[0].intervals.copy()) and sets[0] != oracles[0]
 
 
 class TestBinning:

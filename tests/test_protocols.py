@@ -262,13 +262,25 @@ class TestSwitchStrategy:
         full = SwitchStrategy.always_on().activation_region(OPTICS)
         assert full.measure == pytest.approx(OPTICS.window_width_m)
         star = optimal_interval_set(OPTICS)
-        assert SwitchStrategy.strategy_1(star).activation_region(OPTICS).intervals == star.intervals
+        assert SwitchStrategy.strategy_1(star).activation_region(OPTICS) == star
 
     def test_custom_table_merges_adjacent_active_bins(self):
         region = SwitchStrategy.custom([-A / 4, 0.0, A / 4], [True, True]).activation_region(OPTICS)
-        assert region.intervals == ((-A / 4, A / 4),)
+        assert region.intervals.tolist() == [[-A / 4, A / 4]]
         split = SwitchStrategy.custom([-3e-4, -1e-4, 1e-4, 3e-4], [True, False, True]).activation_region(OPTICS)
         assert len(split.intervals) == 2
+
+    @given(activate=st.lists(st.booleans(), min_size=1, max_size=12))
+    def test_custom_table_region_matches_the_merge_loop(self, activate):
+        edges = np.linspace(*OPTICS.window, len(activate) + 1).tolist()
+        pairs = []  # the loop the run-edge form replaced
+        for lo, hi, active in zip(edges, edges[1:], activate):
+            if active and pairs and pairs[-1][1] == lo:
+                pairs[-1] = (pairs[-1][0], hi)
+            elif active:
+                pairs.append((lo, hi))
+        region = SwitchStrategy.custom(edges, activate).activation_region(OPTICS)
+        assert region.intervals.tolist() == [list(pair) for pair in pairs]
 
     def test_table_outside_the_window_fails_at_region_time(self):
         bad = SwitchStrategy.custom([0.0, 1.0], [True])

@@ -30,7 +30,6 @@ from dualitysim.stats import (
     VERDICT_LLR_THRESHOLD,
     FeasibilityReport,
     Verdict,
-    _sign_intervals,
     approx_posterior,
     bhattacharyya_coefficient,
     classify_pattern,
@@ -165,14 +164,15 @@ class TestTvDistance:
 
 #: (tv_distance, rho, required_sample_size(1e-3) and the sha256 of the repr of
 #: the optimal interval set's pairs) on integer, non-integer and tiny windows,
-#: recorded while the uniform law still had its own code path
+#: recorded while the uniform law still had its own code path. The TV values
+#: are those of the closed form per cell; ``EDGE_FORM_TV`` keeps the earlier ones
 UNIFORM_PLANS = {
-    "default": (0.35e-3, 0.31830988618379064, 0.9003163161571061, 60, "2c3fc5229940b70f01c2b07f413788464d7e01bf024fcf02e55e2ae905fcc498"),
-    "odd": (0.5e-3, 0.38852533314495347, 0.8677279098347189, 44, "e4370a523cce510a27763f50a1b6e73f05875115389aa34b545b9153be202993"),
-    "m20_29": (20.29 * 0.35e-3, 0.31597702378365694, 0.9013998256543322, 60, "9f0e7ea0cf30cdfdd18d93dcd51beeac882f8e8018530e4d229d79dd1f2ab317"),
-    "m50_29": (50.29 * 0.35e-3, 0.317377219796176, 0.900750958275395, 60, "44c116d6a95a75782e22bcdeddbe2e4e11fc905e341ca2b45d3f0a0b48761f78"),
-    "hw1e-4": (1e-4, 0.026173647031122793, 0.999531717336379, 13268, "e9b2dbb3c987385af37c3bd89518eba8c78f49e6f2e257d280dcc181630a3c98"),
-    "hw5e-8": (5e-8, 6.460565402099938e-09, 0.9999999999999999, 55976213432615692, "f12f4599e3c64f6754e19332675641d2dc7a8d224bbd15ffcea100cd45f6f159"),
+    "default": (0.35e-3, 0.3183098861837907, 0.9003163161571061, 60, "2c3fc5229940b70f01c2b07f413788464d7e01bf024fcf02e55e2ae905fcc498"),
+    "odd": (0.5e-3, 0.38852533314495324, 0.8677279098347189, 44, "e4370a523cce510a27763f50a1b6e73f05875115389aa34b545b9153be202993"),
+    "m20_29": (20.29 * 0.35e-3, 0.31597702378365733, 0.9013998256543322, 60, "9f0e7ea0cf30cdfdd18d93dcd51beeac882f8e8018530e4d229d79dd1f2ab317"),
+    "m50_29": (50.29 * 0.35e-3, 0.31737721979617667, 0.900750958275395, 60, "44c116d6a95a75782e22bcdeddbe2e4e11fc905e341ca2b45d3f0a0b48761f78"),
+    "hw1e-4": (1e-4, 0.02617364703112287, 0.999531717336379, 13268, "e9b2dbb3c987385af37c3bd89518eba8c78f49e6f2e257d280dcc181630a3c98"),
+    "hw5e-8": (5e-8, 6.46056550021456e-09, 0.9999999999999999, 55976213432615692, "f12f4599e3c64f6754e19332675641d2dc7a8d224bbd15ffcea100cd45f6f159"),
 }
 
 
@@ -183,7 +183,40 @@ def test_uniform_planning_values_are_pinned(name):
     assert tv_distance(cfg) == tv
     assert bhattacharyya_coefficient(cfg) == rho
     assert required_sample_size(1e-3, cfg).n_samples == n
-    assert hashlib.sha256(repr(list(optimal_interval_set(cfg).intervals)).encode()).hexdigest() == pieces
+    pairs = [tuple(pair) for pair in optimal_interval_set(cfg).intervals.tolist()]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == pieces
+
+
+#: a paraxial geometry of 1e-8 m fringes, whose 0.1 m halfwidth spans 2e7 of them
+WIDE = dict(wavelength_m=700e-9, slit_separation_m=70.0, slit_screen_distance_m=1.0)
+
+
+@pytest.mark.parametrize("m", [1, 1e3, 2e5, 2e7])
+def test_tv_on_integer_windows_is_one_over_pi_to_two_ulp(m):
+    """The interval-edge form this replaced was off by 1.5e-14 at m = 1e3,
+    6.8e-13 at 2e5 and 3.0e-11 at 2e6."""
+    a = OpticsConfig(**WIDE).fringe_scale_m
+    cfg = OpticsConfig(**WIDE, screen_halfwidth_m=m * a / 2)
+    assert cfg.is_integer_fringe_window() and round(cfg.fringe_count) == m
+    assert abs(tv_distance(cfg) - 1.0 / math.pi) <= 2 * np.spacing(1.0 / math.pi)
+
+
+#: TV as the interval-edge form gave it, the CDFs of both laws differenced at
+#: every sign boundary of the two densities, on the pinned and golden windows
+EDGE_FORM_TV = {
+    "default": 0.31830988618379064,
+    "odd": 0.38852533314495347,
+    "m20_29": 0.31597702378365694,
+    "m50_29": 0.317377219796176,
+    "hw1e-4": 0.026173647031122793,
+    "hw5e-8": 6.460565402099938e-09,
+    "m2_29": 0.2956211749864276,
+    "envelope-m1": 0.31286454531730323,
+    "envelope-m400": 0.9219264264628142,
+    "envelope-m4000": 0.9679680119210349,
+    "envelope-narrow": 0.9765260468889051,
+    "envelope-m8000": 0.9769769218740048,
+}
 
 
 #: enveloped geometries from one fringe to about 8,000: the default window,
@@ -196,6 +229,15 @@ ENVELOPES = {
     "narrow": OpticsConfig(71.2e-9, 8.32e-3, 0.997, 33.7e-3, envelope_enabled=True),
     "m8000": OpticsConfig(slit_separation_m=28e-3, screen_halfwidth_m=0.1, envelope_enabled=True),
 }
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FORM_TV))
+def test_tv_agrees_with_the_interval_edge_form(name):
+    if name.startswith("envelope-"):
+        cfg = ENVELOPES[name.removeprefix("envelope-")]
+    else:
+        cfg = OpticsConfig(screen_halfwidth_m=UNIFORM_PLANS[name][0] if name in UNIFORM_PLANS else 0.8e-3)
+    assert tv_distance(cfg) == pytest.approx(EDGE_FORM_TV[name], rel=0.0, abs=1e-13)
 
 
 def _cells(cfg: OpticsConfig) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -215,12 +257,10 @@ class TestEnvelopePlanning:
         wave = PatternDistribution(PatternKind.WAVE, cfg)
         particle = PatternDistribution(PatternKind.PARTICLE, cfg)
         diff = lambda x: wave.density(x) - particle.density(x)
-        intervals = _sign_intervals(wave, particle)
-        assert intervals[0][0] == cfg.window[0] and intervals[-1][1] == cfg.window[1]
-        assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(intervals, intervals[1:]))
-        sides = [wave_exceeds for _, _, wave_exceeds in intervals]
-        assert all(a != b for a, b in zip(sides, sides[1:]))
-        got = np.array([hi for _, hi, _ in intervals[:-1]])
+        # the bright intervals' ends, less the window's edges, are the sign boundaries
+        bounds = optimal_interval_set(cfg).intervals.ravel()
+        assert np.all(bounds[1:] > bounds[:-1]) and cfg.window[0] <= bounds[0] and bounds[-1] <= cfg.window[1]
+        got = bounds[(bounds > cfg.window[0]) & (bounds < cfg.window[1])]
         # every scan cell holds an odd number of boundaries exactly where the
         # scan changes sign; pieces narrower than a scan cell come in pairs
         grid = np.linspace(*cfg.window, 1_000_001)
@@ -541,6 +581,31 @@ run_protocol(ProtocolConfig(
     protocol=Protocol.PERISHABLE_MEDIA, model=render, n_pairs=2000, seed=1, optics=cfg,
     observation_schedule=ObservationSchedule.AT_T0, recording_rule=RecordingRule.PERMANENT_ONLY,
 ))
+print("ok")
+"""
+    assert _run_in_fresh_interpreter("-c", code) == "ok"
+
+
+@pytest.mark.parametrize("envelope", [False, True], ids=["uniform", "envelope"])
+def test_planning_on_twenty_million_fringes_fits_in_three_gigabytes(envelope):
+    """With the address space capped at 3 GB, TV takes under 50 ms on 2e7
+    fringes, and the optimal interval set and a predictor run, which reports
+    the TV, complete. Regions held as Python tuples ran out of memory here."""
+    pytest.importorskip("resource")
+    code = f"""
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from dualitysim import OpticsConfig, Protocol, ProtocolConfig, optimal_interval_set, run_protocol, tv_distance
+cfg = OpticsConfig(**{WIDE!r}, screen_halfwidth_m=0.1, envelope_enabled={envelope})
+assert round(cfg.fringe_count) == 20_000_000
+times = []
+for _ in range(3):
+    start = time.perf_counter()
+    tv_distance(cfg)
+    times.append(time.perf_counter() - start)
+assert min(times) < 0.05, times
+assert len(optimal_interval_set(cfg)) >= 20_000_000
+run_protocol(ProtocolConfig(protocol=Protocol.PREDICTOR, optics=cfg, n_pairs=2000, seed=1))
 print("ok")
 """
     assert _run_in_fresh_interpreter("-c", code) == "ok"
